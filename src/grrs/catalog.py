@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadMatrix, BadParameters
 from .finite import FiniteRootSystem, reflect
@@ -37,57 +38,39 @@ def _pm(v: Vector) -> List[Vector]:
     return [v, vneg(v)]
 
 
-def _eps(dim: int, i: int, sign: int = 1) -> Vector:
-    return tuple(Q(sign) if j == i else Q(0) for j in range(dim))
-
-
-def _pairs_roots(dim, idxs, with_sum=True, with_diff=True):
+def _pairs_roots(dim, idxs):
     out = []
     for i, j in itertools.combinations(idxs, 2):
-        if with_diff:
-            out += _pm(vsub(_eps(dim, i), _eps(dim, j)))
-        if with_sum:
-            out += _pm(vadd(_eps(dim, i), _eps(dim, j)))
+        out += _pm(vsub(unit_vector(dim, i), unit_vector(dim, j)))
+        out += _pm(vadd(unit_vector(dim, i), unit_vector(dim, j)))
     return out
 
 
-def _classical(kind: str, n: int) -> FiniteRootSystem:
-    if kind == "A":
-        if n < 1:
-            raise BadParameters("A_n needs n >= 1")
-        dim = n + 1
-        roots = []
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.append(vsub(_eps(dim, i), _eps(dim, j)))
-        return FiniteRootSystem(standard_space(dim), roots).restricted_to_span()
-    if kind == "B":
-        if n < 2:
-            raise BadParameters("B_n needs n >= 2")
-        roots = _pairs_roots(n, range(n))
-        for i in range(n):
-            roots += _pm(_eps(n, i))
-        return FiniteRootSystem(standard_space(n), roots)
-    if kind == "C":
-        if n < 1:
-            raise BadParameters("C_n needs n >= 1")
-        roots = _pairs_roots(n, range(n))
-        for i in range(n):
-            roots += _pm(vscale(2, _eps(n, i)))
-        return FiniteRootSystem(standard_space(n), roots)
-    if kind == "D":
-        if n < 2:
-            raise BadParameters("D_n needs n >= 2")
-        return FiniteRootSystem(standard_space(n), _pairs_roots(n, range(n)))
-    if kind == "BC":
-        if n < 1:
-            raise BadParameters("BC_n needs n >= 1")
-        roots = _pairs_roots(n, range(n))
-        for i in range(n):
-            roots += _pm(_eps(n, i)) + _pm(vscale(2, _eps(n, i)))
-        return FiniteRootSystem(standard_space(n), roots)
-    raise BadParameters(f"unknown classical family {kind}")
+def _type_a(plus: int, minus: int) -> FiniteRootSystem:
+    """All e_i - e_j for the form diag(+1 x plus, -1 x minus), on their span."""
+    dim = plus + minus
+    roots = [
+        vsub(unit_vector(dim, i), unit_vector(dim, j))
+        for i in range(dim)
+        for j in range(dim)
+        if i != j
+    ]
+    return FiniteRootSystem(standard_space(plus, minus), roots).restricted_to_span()
+
+
+def _type_bcd(m: int, n: int, eps_lengths, dlt_lengths) -> FiniteRootSystem:
+    """All +-e_i +- e_j for the form diag(+1 x m, -1 x n), plus +-c e_i for
+    each c in eps_lengths on the first m axes and in dlt_lengths on the rest.
+
+    With no negative axes (n = 0) this gives B_m, C_m, D_m and BC_m;
+    otherwise B(m,n), D(m,n), C(n + 1) = D(1,n) and the weak C(m,n), BC(m,n).
+    """
+    dim = m + n
+    roots = _pairs_roots(dim, range(dim))
+    for i in range(dim):
+        for c in eps_lengths if i < m else dlt_lengths:
+            roots += _pm(vscale(c, unit_vector(dim, i)))
+    return FiniteRootSystem(standard_space(m, n), roots)
 
 
 def _g2() -> FiniteRootSystem:
@@ -105,7 +88,7 @@ def _f4() -> FiniteRootSystem:
     sp = BilinearSpace([[2 if i == j else 0 for j in range(4)] for i in range(4)])
     roots = _pairs_roots(4, range(4))
     for i in range(4):
-        roots += _pm(_eps(4, i))
+        roots += _pm(unit_vector(4, i))
     for signs in itertools.product((1, -1), repeat=4):
         roots.append(tuple(Q(s, 2) for s in signs))
     return FiniteRootSystem(sp, roots)
@@ -130,80 +113,17 @@ def _e_series(n: int) -> FiniteRootSystem:
     roots = _e8_roots()
     if n == 8:
         return FiniteRootSystem(sp, roots)
-    walls = [vadd(_eps(8, 6), _eps(8, 7))]
+    walls = [vadd(unit_vector(8, 6), unit_vector(8, 7))]
     if n == 6:
-        walls.append(vadd(_eps(8, 5), _eps(8, 7)))
+        walls.append(vadd(unit_vector(8, 5), unit_vector(8, 7)))
     picked = [
         r for r in roots if all(sp.form(r, w) == 0 for w in walls)
     ]
     return FiniteRootSystem(sp, picked).restricted_to_span()
 
 
-def _super_a(m: int, n: int) -> FiniteRootSystem:
-    dim = m + n + 2
-    sp = standard_space(m + 1, n + 1)
-    roots = []
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                roots.append(vsub(_eps(dim, i), _eps(dim, j)))
-    return FiniteRootSystem(sp, roots).restricted_to_span()
-
-
-def _super_b(m: int, n: int) -> FiniteRootSystem:
-    if m < 1 or n < 1:
-        raise BadParameters("B(m,n) needs m, n >= 1")
-    dim = m + n
-    sp = standard_space(m, n)
-    eps = list(range(m))
-    dlt = list(range(m, dim))
-    roots = _pairs_roots(dim, eps) + _pairs_roots(dim, dlt)
-    for i in eps:
-        roots += _pm(_eps(dim, i))
-    for p in dlt:
-        roots += _pm(_eps(dim, p)) + _pm(vscale(2, _eps(dim, p)))
-    for i in eps:
-        for p in dlt:
-            roots += _pm(vadd(_eps(dim, i), _eps(dim, p)))
-            roots += _pm(vsub(_eps(dim, i), _eps(dim, p)))
-    return FiniteRootSystem(sp, roots)
-
-
-def _super_d(m: int, n: int) -> FiniteRootSystem:
-    if m < 2 or n < 1:
-        raise BadParameters("D(m,n) needs m >= 2, n >= 1")
-    dim = m + n
-    sp = standard_space(m, n)
-    eps = list(range(m))
-    dlt = list(range(m, dim))
-    roots = _pairs_roots(dim, eps) + _pairs_roots(dim, dlt)
-    for p in dlt:
-        roots += _pm(vscale(2, _eps(dim, p)))
-    for i in eps:
-        for p in dlt:
-            roots += _pm(vadd(_eps(dim, i), _eps(dim, p)))
-            roots += _pm(vsub(_eps(dim, i), _eps(dim, p)))
-    return FiniteRootSystem(sp, roots)
-
-
-def _super_c(n: int) -> FiniteRootSystem:
-    if n < 2:
-        raise BadParameters("C(n) needs n >= 2")
-    dim = n
-    sp = standard_space(1, n - 1)
-    dlt = list(range(1, dim))
-    roots = _pairs_roots(dim, dlt)
-    for p in dlt:
-        roots += _pm(vscale(2, _eps(dim, p)))
-        roots += _pm(vadd(_eps(dim, 0), _eps(dim, p)))
-        roots += _pm(vsub(_eps(dim, 0), _eps(dim, p)))
-    return FiniteRootSystem(sp, roots)
-
-
 def _d21a(a: Q) -> FiniteRootSystem:
     a = Q(a)
-    if a in (0, -1):
-        raise BadParameters("D(2,1;a) needs a outside {0, -1}")
     sp = BilinearSpace(
         [
             [Q(-(1 + a), 2), 0, 0],
@@ -213,7 +133,7 @@ def _d21a(a: Q) -> FiniteRootSystem:
     )
     roots = []
     for i in range(3):
-        roots += _pm(vscale(2, _eps(3, i)))
+        roots += _pm(vscale(2, unit_vector(3, i)))
     for signs in itertools.product((1, -1), repeat=3):
         roots.append(tuple(Q(s) for s in signs))
     return FiniteRootSystem(sp, roots)
@@ -224,9 +144,8 @@ def _super_f4() -> FiniteRootSystem:
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]]
     )
     roots = _pairs_roots(4, range(3))
-    for i in range(3):
-        roots += _pm(_eps(4, i))
-    roots += _pm(_eps(4, 3))
+    for i in range(4):
+        roots += _pm(unit_vector(4, i))
     for signs in itertools.product((1, -1), repeat=4):
         roots.append(tuple(Q(s, 2) for s in signs))
     return FiniteRootSystem(sp, roots)
@@ -248,143 +167,155 @@ def _super_g3() -> FiniteRootSystem:
     return FiniteRootSystem(sp, roots)
 
 
-def _wgrs_c(m: int, n: int) -> FiniteRootSystem:
-    if m < 1 or n < 1:
-        raise BadParameters("C(m,n) needs m, n >= 1")
-    dim = m + n
-    sp = standard_space(m, n)
-    eps = list(range(m))
-    dlt = list(range(m, dim))
-    roots = _pairs_roots(dim, eps) + _pairs_roots(dim, dlt)
-    for i in eps:
-        roots += _pm(vscale(2, _eps(dim, i)))
-    for p in dlt:
-        roots += _pm(vscale(2, _eps(dim, p)))
-    for i in eps:
-        for p in dlt:
-            roots += _pm(vadd(_eps(dim, i), _eps(dim, p)))
-            roots += _pm(vsub(_eps(dim, i), _eps(dim, p)))
-    return FiniteRootSystem(sp, roots)
+# ---------------------------------------------------------------------------
+# Type names
+#
+# Generating sets (simple-root style, in catalog coordinates) normalize
+# family data to the convention where the generating classes carry actual
+# roots.  For the weak C/BC pairs this is the C_m + C_n generating set, which
+# generates a proper subsystem.
 
 
-def _wgrs_bc(m: int, n: int) -> FiniteRootSystem:
-    base = _wgrs_c(m, n)
-    dim = m + n
-    roots = list(base.roots)
-    for i in range(dim):
-        roots += _pm(_eps(dim, i))
-    return FiniteRootSystem(base.space, roots)
+def _chain(dim: int, axes, c) -> List[Vector]:
+    """e_a - e_b along consecutive axes, then c times the last axis."""
+    axes = list(axes)
+    out = [vsub(unit_vector(dim, a), unit_vector(dim, b)) for a, b in zip(axes, axes[1:])]
+    return out + [vscale(c, unit_vector(dim, axes[-1]))]
 
 
-_NAME_RE = re.compile(r"^([A-Z]+)(\d+)$")
-_SUPER_RE = re.compile(r"^([A-Z]+)\(([^)]*)\)(_f)?$")
+def _a_gens(n: int = 1) -> List[Vector]:
+    return list(_type_a(n + 1, 0).span_basis())
 
 
-def build(name: str) -> FiniteRootSystem:
-    """Construct a named finite system (classical, super, or weak)."""
-    name = name.strip().replace(" ", "")
-    m = _NAME_RE.match(name)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind in ("A", "B", "C", "D", "BC"):
-            return _classical(kind, n)
-        if kind == "G" and n == 2:
-            return _g2()
-        if kind == "F" and n == 4:
-            return _f4()
-        if kind == "E" and n in (6, 7, 8):
-            return _e_series(n)
-        raise BadParameters(f"unknown system {name}")
-    m = _SUPER_RE.match(name)
-    if not m:
-        raise BadParameters(f"cannot parse system name {name}")
-    kind, args, f_suffix = m.group(1), m.group(2), m.group(3)
-    parts = re.split(r"[;,]", args)
-    if kind == "A" and len(parts) == 2 and not f_suffix:
-        mm, nn = int(parts[0]), int(parts[1])
-        return _super_a(mm, nn)
-    if kind == "A" and len(parts) == 2 and f_suffix:
-        mm, nn = int(parts[0]), int(parts[1])
-        if mm != nn:
-            raise BadParameters("the _f quotient applies to A(n,n) only")
-        return from_finite(_super_a(nn, nn)).cl()
-    if kind == "B" and len(parts) == 2:
-        return _super_b(int(parts[0]), int(parts[1]))
-    if kind == "D" and len(parts) == 2:
-        return _super_d(int(parts[0]), int(parts[1]))
-    if kind == "D" and len(parts) == 3 and parts[2].startswith("a="):
-        if (int(parts[0]), int(parts[1])) != (2, 1):
-            raise BadParameters("the one-parameter family is D(2,1;a)")
+def _f4_gens() -> List[Vector]:
+    return _chain(4, (1, 2, 3), 1) + [vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)])]
+
+
+def _cmn_gens(m: int, n: int) -> List[Vector]:
+    return _chain(m + n, range(m), 2) + _chain(m + n, range(m, m + n), 2)
+
+
+class _Type(NamedTuple):
+    system: Callable[..., FiniteRootSystem]  # the finite constructor
+    case_i: bool  # transitive quotient: only affinizations lie above it
+    gens: Optional[Callable[..., List[Vector]]] = None
+    valid: Callable[..., bool] = lambda *params: True
+    needs: str = ""  # the parameter range, for the error message
+
+
+# Keyed by kind: the spelling with "{}" in place of each parameter.  Names
+# are matched against the kinds in this order, so A1 precedes A{}.
+_TYPES: Dict[str, _Type] = {
+    "A1": _Type(lambda: _type_a(2, 0), False, _a_gens),
+    "A{}": _Type(lambda n: _type_a(n + 1, 0), True, _a_gens,
+                 lambda n: n >= 2, "A_n needs n >= 1"),
+    "B{}": _Type(lambda n: _type_bcd(n, 0, (1,), ()), False, lambda n: _chain(n, range(n), 1),
+                 lambda n: n >= 2, "B_n needs n >= 2"),
+    "C{}": _Type(lambda n: _type_bcd(n, 0, (2,), ()), False, lambda n: _chain(n, range(n), 2),
+                 lambda n: n >= 1, "C_n needs n >= 1"),
+    "D{}": _Type(lambda n: _type_bcd(n, 0, (), ()), True, None,
+                 lambda n: n >= 2, "D_n needs n >= 2"),
+    "BC{}": _Type(lambda n: _type_bcd(n, 0, (1, 2), ()), False, lambda n: _chain(n, range(n), 1),
+                  lambda n: n >= 1, "BC_n needs n >= 1"),
+    "E{}": _Type(_e_series, True, None, lambda n: n in (6, 7, 8), "E_n needs n in 6, 7, 8"),
+    "F4": _Type(_f4, False, _f4_gens),
+    "G2": _Type(_g2, False, lambda: [vec([1, 0]), vec([0, 1])]),
+    "A({},{})": _Type(lambda m, n: _type_a(m + 1, n + 1), True),
+    "A({},{})_f": _Type(lambda m, n: from_finite(_type_a(n + 1, n + 1)).cl(), False, None,
+                        lambda m, n: m == n >= 1, "the _f quotient applies to A(n,n), n >= 1"),
+    "B({},{})": _Type(lambda m, n: _type_bcd(m, n, (1,), (1, 2)), False,
+                      lambda m, n: _chain(m + n, [*range(m, m + n), *range(m)], 1),
+                      lambda m, n: m >= 1 and n >= 1, "B(m,n) needs m, n >= 1"),
+    "C({})": _Type(lambda n: _type_bcd(1, n - 1, (), (2,)), True, None,
+                   lambda n: n >= 2, "C(n) needs n >= 2"),
+    "C({},{})": _Type(lambda m, n: _type_bcd(m, n, (2,), (2,)), False, _cmn_gens,
+                      lambda m, n: m >= 1 and n >= 1, "C(m,n) needs m, n >= 1"),
+    "BC({},{})": _Type(lambda m, n: _type_bcd(m, n, (1, 2), (1, 2)), False, _cmn_gens,
+                       lambda m, n: m >= 1 and n >= 1, "BC(m,n) needs m, n >= 1"),
+    "D({},{})": _Type(lambda m, n: _type_bcd(m, n, (), (2,)), True, None,
+                      lambda m, n: m >= 2 and n >= 1, "D(m,n) needs m >= 2, n >= 1"),
+    "D(2,1;a={})": _Type(_d21a, True, None,
+                         lambda a: a not in (0, -1), "D(2,1;a) needs a outside {0, -1}"),
+    "F(4)": _Type(_super_f4, True),
+    "G(3)": _Type(_super_g3, True),
+}
+
+
+@dataclass(frozen=True)
+class TypeKey:
+    """A parsed type name: its kind, a key of the type table such as
+    "B({},{})" for B(m,n) or "A({},{})_f" for A(n,n)_f, and its integer or
+    rational parameters.
+
+    Construction checks the parameter ranges; `str(key)` is the canonical
+    spelling of the name.
+    """
+
+    kind: str
+    params: Tuple = ()
+
+    def __post_init__(self):
+        row = _TYPES.get(self.kind)
+        if row is None or self.kind.count("{}") != len(self.params):
+            raise BadParameters(f"no type {self.kind!r} with parameters {self.params}")
+        if not row.valid(*self.params):
+            raise BadParameters(row.needs)
+
+    def __str__(self) -> str:
+        return self.kind.format(*self.params)
+
+    @property
+    def case_i(self) -> bool:
+        """The quotient is transitive: every affine system above it is an
+        affinization."""
+        return _TYPES[self.kind].case_i
+
+    def system(self) -> FiniteRootSystem:
+        return _TYPES[self.kind].system(*self.params)
+
+
+def _pattern(kind: str):
+    arg = r"([^)]+)" if kind == "D(2,1;a={})" else r"([0-9]+)"
+    return re.compile(arg.join(re.escape(part) for part in kind.split("{}")))
+
+
+_PATTERNS = [(kind, _pattern(kind)) for kind in _TYPES]
+
+
+def type_key(name: Union[str, TypeKey]) -> TypeKey:
+    """Parse a type name (grammar in the README, "Names"); a key passes through.
+
+    Whitespace is ignored.  Raises BadParameters for anything that is not
+    the name of a type.
+    """
+    if isinstance(name, TypeKey):
+        return name
+    text = "".join(str(name).split())
+    for kind, pattern in _PATTERNS:
+        m = pattern.fullmatch(text)
+        if m is None:
+            continue
+        parse = Q if kind == "D(2,1;a={})" else int
         try:
-            a = Q(parts[2][2:])
+            params = tuple(parse(g) for g in m.groups())
         except (ValueError, ZeroDivisionError):
-            raise BadParameters("the parameter of D(2,1;a) must be rational")
-        return _d21a(a)
-    if kind == "C" and len(parts) == 1:
-        return _super_c(int(parts[0]))
-    if kind == "C" and len(parts) == 2:
-        return _wgrs_c(int(parts[0]), int(parts[1]))
-    if kind == "BC" and len(parts) == 2:
-        return _wgrs_bc(int(parts[0]), int(parts[1]))
-    if kind == "F" and parts == ["4"]:
-        return _super_f4()
-    if kind == "G" and parts == ["3"]:
-        return _super_g3()
+            raise BadParameters(f"the parameter of {text} must be rational") from None
+        return TypeKey(kind, params)
     raise BadParameters(f"cannot parse system name {name}")
 
 
-def generating_roots(name: str) -> List[Vector]:
-    """A standard generating set (simple-root style) in catalog coordinates.
+def build(name: Union[str, TypeKey]) -> FiniteRootSystem:
+    """Construct a named finite system (classical, super, or weak)."""
+    return type_key(name).system()
 
-    Used to normalize family data to the convention where the generating
-    classes carry actual roots.  For the weak C/BC pairs this is the
-    C_m + C_n generating set, which generates a proper subsystem.
-    """
-    name = name.strip().replace(" ", "")
-    m = _NAME_RE.match(name)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "A":
-            sys_ = _classical("A", n)
-            basis = sys_.span_basis()
-            return list(basis)
-        if kind in ("B", "BC"):
-            dim = n
-            out = [vsub(_eps(dim, i), _eps(dim, i + 1)) for i in range(n - 1)]
-            out.append(_eps(dim, n - 1))
-            return out
-        if kind == "C":
-            dim = n
-            out = [vsub(_eps(dim, i), _eps(dim, i + 1)) for i in range(n - 1)]
-            out.append(vscale(2, _eps(dim, n - 1)))
-            return out
-        if kind == "G" and n == 2:
-            return [vec([1, 0]), vec([0, 1])]
-        if kind == "F" and n == 4:
-            return [
-                vsub(_eps(4, 1), _eps(4, 2)),
-                vsub(_eps(4, 2), _eps(4, 3)),
-                _eps(4, 3),
-                vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]),
-            ]
-    sm = _SUPER_RE.match(name)
-    if sm and sm.group(1) == "B":
-        mm, nn = (int(x) for x in sm.group(2).split(","))
-        dim = mm + nn
-        out = [vsub(_eps(dim, mm + p), _eps(dim, mm + p + 1)) for p in range(nn - 1)]
-        out.append(vsub(_eps(dim, mm + nn - 1), _eps(dim, 0)))
-        out += [vsub(_eps(dim, i), _eps(dim, i + 1)) for i in range(mm - 1)]
-        out.append(_eps(dim, mm - 1))
-        return out
-    if sm and sm.group(1) in ("C", "BC") and len(sm.group(2).split(",")) == 2:
-        mm, nn = (int(x) for x in sm.group(2).split(","))
-        dim = mm + nn
-        out = [vsub(_eps(dim, i), _eps(dim, i + 1)) for i in range(mm - 1)]
-        out.append(vscale(2, _eps(dim, mm - 1)))
-        out += [vsub(_eps(dim, mm + p), _eps(dim, mm + p + 1)) for p in range(nn - 1)]
-        out.append(vscale(2, _eps(dim, dim - 1)))
-        return out
-    raise BadParameters(f"no generating set recorded for {name}")
+
+def generating_roots(name: Union[str, TypeKey]) -> List[Vector]:
+    """A standard generating set (simple-root style) in catalog coordinates."""
+    key = type_key(name)
+    gens = _TYPES[key.kind].gens
+    if gens is None:
+        raise BadParameters(f"no generating set recorded for {key}")
+    return list(gens(*key.params))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +400,7 @@ def a_nn_x(n: int, p: int, q: int, extra_affinizations: int = 0) -> SymbolicRoot
         raise BadParameters("A(1,1)_x needs a non-integral x")
     if extra_affinizations < 0:
         raise BadParameters("extra affinization count must be nonnegative")
-    fin = _super_a(n, n)
+    fin = _type_a(n + 1, n + 1)
     sym = from_finite(fin)
     if sym.L.rank != 1:
         raise BadParameters("unexpected radical for A(n,n)")
@@ -502,13 +433,6 @@ def _normalize_zero(S: PointSet) -> PointSet:
         return S
     s = min(S)
     return frozenset(p ^ s for p in S)
-
-
-def _point_vec(k: int, offset: int, p: int, scale: Q = Q(1)) -> Vector:
-    return tuple(
-        scale * Q(1) if (offset <= j < offset + k and (p >> (j - offset)) & 1) else Q(0)
-        for j in range(offset + k)
-    )
 
 
 def gf2_rank(vectors: Sequence[int]) -> int:
@@ -587,7 +511,7 @@ def _full_coset(dim: int, k: int) -> CosetSet:
     return CosetSet.full_lattice(L)
 
 
-def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
+def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem:
     """Affine system over F_2^k (or scale) data attached to a named quotient.
 
     Accepted parameter shapes:
@@ -602,31 +526,29 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
     """
     if k < 1:
         raise BadParameters("k must be at least 1")
-    name = cl_name.strip().replace(" ", "")
+    key = type_key(cl_name)
+    kind = key.kind
 
-    def pts(key) -> PointSet:
-        if key not in params or params[key] is None:
-            raise BadParameters(f"missing parameter {key} for {name}")
-        return _points(k, params[key])
+    def pts(name) -> PointSet:
+        if params.get(name) is None:
+            raise BadParameters(f"missing parameter {name} for {key}")
+        return _points(k, params[name])
 
-    m = _NAME_RE.match(name)
-    super_m = _SUPER_RE.match(name)
-
-    if name == "A1":
+    if kind == "A1":
         S = _normalize_zero(pts("S"))
         if not contains_affine_basis_points(k, S):
             raise BadParameters("S must contain an affine basis of F_2^k")
-        cl_sys = _classical("A", 1)
+        cl_sys = key.system()
         fam = _preimage_coset(cl_sys.space.dim + k, k, S)
         return _family_entries(cl_sys, k, [(cl_sys.roots, fam)])
 
-    if name in ("G2", "F4"):
+    if kind in ("G2", "F4"):
         s = params.get("s")
         if s is None or not 0 <= int(s) <= k:
             raise BadParameters("s must lie in 0..k")
         s = int(s)
-        r = 3 if name == "G2" else 2
-        cl_sys = _g2() if name == "G2" else _f4()
+        r = 3 if kind == "G2" else 2
+        cl_sys = key.system()
         dim = cl_sys.space.dim + k
         L, _, _ = _kernel_lattices(dim, k)
         gens = [unit_vector(dim, dim - k + i) for i in range(s)]
@@ -640,14 +562,14 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
             cl_sys, k, [(shorts, _full_coset(dim, k)), (longs, H2)]
         )
 
-    if name == "C2" or (m and m.group(1) == "C" and int(m.group(2)) == 2):
+    if kind == "C{}" and key.params == (2,):
         S1 = _normalize_zero(pts("S1"))
         S2 = _normalize_zero(pts("S2"))
         if not contains_affine_basis_points(k, S1):
             raise BadParameters("S1 must contain an affine basis of F_2^k")
         if not all((a ^ b) in S1 for a in S1 for b in S2):
             raise BadParameters("S1 + S2 must be contained in S1")
-        cl_sys = _classical("C", 2)
+        cl_sys = key.system()
         dim = cl_sys.space.dim + k
         shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
         longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
@@ -660,12 +582,11 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
             ],
         )
 
-    if m and m.group(1) in ("B", "C") and int(m.group(2)) >= 3:
-        kind, n = m.group(1), int(m.group(2))
+    if kind in ("B{}", "C{}") and key.params[0] >= 3:
         S = _normalize_zero(pts("S"))
-        cl_sys = _classical(kind, n)
+        cl_sys = key.system()
         dim = cl_sys.space.dim + k
-        if kind == "B":
+        if kind == "B{}":
             o1 = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
             o2 = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
             L, L2, _ = _kernel_lattices(dim, k)
@@ -685,14 +606,12 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
             [(o1, _full_coset(dim, k)), (o2, _preimage_coset(dim, k, S))],
         )
 
-    if m and m.group(1) == "BC":
-        n = int(m.group(2))
-        return _family_bc_n(n, k, params)
+    if kind == "BC{}":
+        return _family_bc_n(key, k, params, pts)
 
-    if super_m and super_m.group(1) == "B":
-        mm, nn = (int(x) for x in super_m.group(2).split(","))
+    if kind == "B({},{})":
         S = _normalize_zero(pts("S"))
-        cl_sys = _super_b(mm, nn)
+        cl_sys = key.system()
         dim = cl_sys.space.dim + k
         shorts = [
             v
@@ -710,14 +629,13 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
             ],
         )
 
-    if super_m and super_m.group(1) in ("C", "BC") and len(super_m.group(2).split(",")) == 2:
-        kind = super_m.group(1)
-        mm, nn = (int(x) for x in super_m.group(2).split(","))
+    if kind in ("C({},{})", "BC({},{})"):
+        mm = key.params[0]
         S = _normalize_zero(pts("S"))
         comp = frozenset(range(1 << k)) - S
         if not S or not comp:
             raise BadParameters("S must be a proper nonempty subset of F_2^k")
-        cl_sys = _wgrs_c(mm, nn)
+        cl_sys = TypeKey("C({},{})", key.params).system()
         dim = cl_sys.space.dim + k
         dim0 = cl_sys.space.dim
         eps_long = []
@@ -734,27 +652,23 @@ def family(cl_name: str, k: int, **params) -> SymbolicRootSystem:
             (eps_long, _preimage_coset(dim, k, S)),
             (dlt_long, _preimage_coset(dim, k, comp)),
         ]
-        if kind == "BC":
+        if kind == "BC({},{})":
             Sp = pts("Sp")
             if not Sp:
                 raise BadParameters("Sp must be nonempty")
             shorts = []
             for j in range(dim0):
-                shorts += _pm(_eps(dim0, j))
+                shorts += _pm(unit_vector(dim0, j))
             orbit_data.append((shorts, _preimage_coset(dim, k, Sp, Q(1, 2))))
-            cl_sys = _wgrs_bc(mm, nn)
+            cl_sys = key.system()
         return _family_entries(cl_sys, k, orbit_data)
 
-    raise BadParameters(f"no affine family constructor for {name}")
+    raise BadParameters(f"no affine family constructor for {key}")
 
 
-def _family_bc_n(n: int, k: int, params) -> SymbolicRootSystem:
-    def pts(key) -> PointSet:
-        if key not in params or params[key] is None:
-            raise BadParameters(f"missing parameter {key} for BC{n}")
-        return _points(k, params[key])
-
-    cl_sys = _classical("BC", n)
+def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
+    n = key.params[0]
+    cl_sys = key.system()
     dim = cl_sys.space.dim + k
     L, L2, Lhalf = _kernel_lattices(dim, k)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction as Q
 from typing import List, Optional
 
 from . import catalog, classify, serialize
@@ -321,9 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadParameters, BadMatrix, NotClassified) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GrrsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

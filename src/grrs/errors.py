@@ -68,14 +68,7 @@ class KTooLarge(GrrsError):
 
 
 class NotClassified(GrrsError):
-    """No complete classification is implemented for this case.
-
-    ``partial`` carries whatever incomplete list is available.
-    """
-
-    def __init__(self, message, partial=None):
-        self.partial = partial or []
-        super().__init__(message)
+    """No complete classification is implemented for this case."""
 
 
 class UnrecognizedCl(GrrsError):

@@ -428,7 +428,8 @@ def isomorphic_finite(
 
     Candidate form scales come from ratios of nonzero norms; roots are
     matched by backtracking over a spanning subset, pruned by the multiset
-    of form values each root takes against the whole system.
+    of form values each root takes against the whole system.  A complete
+    assignment is accepted only if it carries every root onto a root.
     """
     if len(sys_a) != len(sys_b):
         return None
@@ -476,9 +477,19 @@ def isomorphic_finite(
 
         assignment: List[Vector] = []
 
+        def bijective() -> bool:
+            for r in a.roots:
+                img = vec([0] * b.space.dim)
+                for cc, im in zip(coords_cache[r], assignment):
+                    if cc:
+                        img = vadd(img, vscale(cc, im))
+                if not b.contains(img):
+                    return False
+            return True
+
         def extend(i: int) -> bool:
             if i == len(basis):
-                return True
+                return bijective()
             bi = basis[i]
             for c in cand[bi]:
                 ok = True
@@ -493,45 +504,22 @@ def isomorphic_finite(
                     assignment.pop()
             return False
 
-        if not extend(0):
-            continue
-        images = list(assignment)
-        # verify the root bijection exactly
-        good = True
-        for r in a.roots:
-            img = vec([0] * b.space.dim)
-            for cc, im in zip(coords_cache[r], images):
-                if cc:
-                    img = vadd(img, vscale(cc, im))
-            if not b.contains(img):
-                good = False
-                break
-        if good:
-            if a is sys_a and b is sys_b:
-                return Homothety(basis, images, x)
-            # systems were span-restricted: express the map on the original
-            # coordinates through the restriction bases
-            basis_orig = list(sys_a.span_basis())
-            basis_b_orig = list(sys_b.span_basis())
-            images_orig = []
-            for r in basis_orig:
-                coords = solve_in_span(basis, solve_restrict(sys_a, r))
-                img = vec([0] * len(basis_b_orig[0]))
-                restr_img = vec([0] * b.space.dim)
-                for cc, im in zip(coords, images):
-                    if cc:
-                        restr_img = vadd(restr_img, vscale(cc, im))
-                for cc, im in zip(restr_img, basis_b_orig):
-                    if cc:
-                        img = vadd(img, vscale(cc, im))
-                images_orig.append(img)
-            return Homothety(basis_orig, images_orig, x)
+        if extend(0):
+            return Homothety(_lift(sys_a, a, basis), _lift(sys_b, b, assignment), x)
     return None
 
 
-def solve_restrict(system: FiniteRootSystem, v: Vector) -> Vector:
-    """Coordinates of v with respect to the system's span basis."""
-    coords = solve_in_span(list(system.span_basis()), tuple(Q(x) for x in v))
-    if coords is None:
-        raise DimensionMismatch("vector outside the root span")
-    return coords
+def _lift(system: FiniteRootSystem, restricted: FiniteRootSystem, vectors) -> List[Vector]:
+    """Vectors given in the coordinates of `restricted`, the system
+    restricted to its span, in the coordinates of the system itself."""
+    if restricted is system:
+        return list(vectors)
+    span = system.span_basis()
+    out = []
+    for v in vectors:
+        w = vec([0] * system.space.dim)
+        for c, s in zip(v, span):
+            if c:
+                w = vadd(w, vscale(c, s))
+        out.append(w)
+    return out

@@ -291,9 +291,6 @@ class BilinearSpace:
             self._kernel = tuple(basis)
         return self._kernel
 
-    def is_nondegenerate(self) -> bool:
-        return not self.kernel_basis()
-
     def in_kernel(self, v: Vector) -> bool:
         self.check_vector(v)
         return all(

@@ -9,9 +9,9 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction as Q
 from typing import List, Optional, Union
 
+from .catalog import type_key
 from .classify import ClassDescriptor, kac_moody_name
 from .errors import GrrsError, NoName
 from .finite import AxiomCheck, AxiomReport, FiniteRootSystem
@@ -179,7 +179,7 @@ def descriptor_from_dict(d: dict) -> ClassDescriptor:
             )
     else:
         raise GrrsError(f"unknown descriptor kind {kind}")
-    return ClassDescriptor(d["cl"], d["k"], tup)
+    return ClassDescriptor(str(type_key(d["cl"])), d["k"], tup)
 
 
 def document_to_dict(payload: Payload) -> dict:
@@ -210,19 +210,28 @@ def document_to_dict(payload: Payload) -> dict:
     raise GrrsError(f"cannot serialize {type(payload)!r}")
 
 
+_FROM_DICT = {
+    "finite": finite_from_dict,
+    "symbolic": symbolic_from_dict,
+    "report": report_from_dict,
+    "classes": lambda payload: [descriptor_from_dict(x) for x in payload],
+}
+
+
 def document_from_dict(d: dict) -> Payload:
+    """Parse a document; a malformed one raises GrrsError."""
+    if not isinstance(d, dict):
+        raise GrrsError("a document is a JSON object")
     if d.get("schemaVersion") != SCHEMA_VERSION:
         raise GrrsError("unsupported schema version")
     t = d.get("type")
-    if t == "finite":
-        return finite_from_dict(d["payload"])
-    if t == "symbolic":
-        return symbolic_from_dict(d["payload"])
-    if t == "report":
-        return report_from_dict(d["payload"])
-    if t == "classes":
-        return [descriptor_from_dict(x) for x in d["payload"]]
-    raise GrrsError(f"unknown document type {t!r}")
+    parse = _FROM_DICT.get(t) if isinstance(t, str) else None
+    if parse is None:
+        raise GrrsError(f"unknown document type {t!r}")
+    try:
+        return parse(d["payload"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GrrsError(f"malformed {t} document: {type(exc).__name__}: {exc}") from None
 
 
 def dumps(payload: Payload) -> str:
@@ -230,4 +239,8 @@ def dumps(payload: Payload) -> str:
 
 
 def loads(text: str) -> Payload:
-    return document_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise GrrsError("document nested too deeply") from None
+    return document_from_dict(doc)

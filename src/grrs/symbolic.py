@@ -30,9 +30,11 @@ from .linalg import (
     Lattice,
     SubspaceProjection,
     Vector,
+    independent_subset,
     is_zero,
     rank,
     solve_in_span,
+    unit_vector,
     vadd,
     vneg,
     vscale,
@@ -143,9 +145,6 @@ class CosetSet:
             f"CosetSet(reps={len(self.reps)}, modulus_rank={self.modulus.rank}, "
             f"translate={'0' if is_zero(self.translate) else 'shifted'})"
         )
-
-    def key(self):
-        return (self.modulus.basis, self.translate, self.reps)
 
     # -- membership and set algebra ----------------------------------------
 
@@ -313,12 +312,7 @@ class SymbolicRootSystem:
 
     def splitting(self) -> Tuple[Vector, ...]:
         """Lex-first lifts forming a basis of the complement V'."""
-        kb = list(self.space.kernel_basis())
-        chosen: List[Vector] = []
-        for lift in self.lifts:
-            if rank(chosen + [lift] + kb) > len(chosen) + len(kb):
-                chosen.append(lift)
-        return tuple(chosen)
+        return tuple(_complement_basis(self.space, self.lifts))
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = tuple(Q(x) for x in lift)
@@ -355,9 +349,6 @@ class SymbolicRootSystem:
             return False
         return entry.family.contains(offset)
 
-    def norm_of_lift(self, lift: Vector) -> Q:
-        return self.space.norm(lift)
-
     def resplit(self, offsets: Dict[Vector, Vector]) -> "SymbolicRootSystem":
         """Rebuild with splitting roots shifted by the given family members.
 
@@ -390,14 +381,18 @@ class SymbolicRootSystem:
 # Constructions
 
 
+def _complement_basis(space: BilinearSpace, vectors: Sequence[Vector]) -> List[Vector]:
+    """The first of the vectors that are independent modulo the radical."""
+    kb = list(space.kernel_basis())
+    picked = independent_subset(kb + list(vectors))
+    return [vectors[i - len(kb)] for i in picked if i >= len(kb)]
+
+
 def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     """View a finite system symbolically with respect to its radical."""
     kb = list(system.space.kernel_basis())
     dim = system.space.dim
-    chosen: List[Vector] = []
-    for r in system.roots:
-        if rank(chosen + [r] + kb) > len(chosen) + len(kb):
-            chosen.append(r)
+    chosen = _complement_basis(system.space, system.roots)
     zero_mod = Lattice.zero(dim)
     groups: Dict[Vector, List[Vector]] = {}
     for r in system.roots:
@@ -437,9 +432,7 @@ def affinize(
     def pad(v: Vector) -> Vector:
         return tuple(list(v) + [Q(0)] * n)
 
-    delta_block = [
-        tuple(Q(1) if j == old.dim + i else Q(0) for j in range(dim)) for i in range(n)
-    ]
+    delta_block = [unit_vector(dim, old.dim + i) for i in range(n)]
     big = Lattice.from_vectors(dim, [pad(b) for b in system.L.basis] + delta_block)
     entries = []
     for e in system.entries:
@@ -520,9 +513,6 @@ class GapTable:
 
     def by_lift(self) -> Dict[Vector, Optional[int]]:
         return dict(self.entries)
-
-    def defined_values(self) -> List[int]:
-        return sorted({g for _, g in self.entries if g is not None})
 
 
 def gaps(system: SymbolicRootSystem) -> GapTable:

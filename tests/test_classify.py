@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from grrs.catalog import a_nn_x, build, family
+from grrs.catalog import a_nn_x, build, family, type_key
 from grrs.classify import (
     ClassDescriptor,
     F2Subset,
@@ -15,7 +15,8 @@ from grrs.classify import (
     kac_moody_name,
     recognize_cl,
 )
-from grrs.errors import KTooLarge, NoName, NotClassified, UnrecognizedCl
+from grrs.cli import main
+from grrs.errors import BadParameters, KTooLarge, NoName, NotClassified, UnrecognizedCl
 from grrs.symbolic import affinize, from_finite
 
 
@@ -350,3 +351,38 @@ class TestKacMoodyNames:
     def test_no_name_for_ann(self):
         with pytest.raises(NoName):
             kac_moody_name(identify(a_nn_x(2, 1, 3, 0)))
+
+
+CANONICAL_NAMES = [
+    "A1", "A3", "B3", "C1", "C2", "D4", "BC2", "E6", "E8", "F4", "G2",
+    "A(1,0)", "A(0,0)", "A(2,2)", "A(2,2)_f", "B(1,2)", "C(3)", "D(2,1)", "D(2,1;a=1/2)",
+    "D(2,1;a=-3)", "F(4)", "G(3)", "C(1,1)", "C(2,1)", "BC(1,2)",
+]
+
+# Names of no type: at the parent commit `enumerate_classes` accepted the
+# first five as affinization-only types, and `build` accepted A(-1,2).
+REJECTED_NAMES = [
+    "E9", "E5", "D1", "Efoo", "D(2,1;a=0)", "A(-1,2)", "D(2,1;a=-1)", "D(2,1;a=1/0)",
+    "A0", "B1", "C(1)", "D(1,1)", "B(0,1)", "A(1,2)_f", "B(1,1)_f", "B(1;1)", "Q7", "A(1,1)x",
+]
+
+
+class TestTypeNames:
+    @pytest.mark.parametrize("name", CANONICAL_NAMES)
+    def test_canonical_spelling_round_trips(self, name):
+        key = type_key(name)
+        assert str(key) == name
+        assert type_key(key) is key
+
+    def test_whitespace_and_rationals_normalize(self):
+        assert str(type_key(" B ( 1 , 2 ) ")) == "B(1,2)"
+        assert type_key("D(2,1;a=2/4)") == type_key("D(2,1;a=1/2)")
+        assert [d.cl for d in enumerate_classes("D(2,1;a=2/4)", 1)] == ["D(2,1;a=1/2)"]
+
+    @pytest.mark.parametrize("name", REJECTED_NAMES)
+    def test_names_of_no_type_are_rejected(self, name):
+        with pytest.raises(BadParameters):
+            build(name)
+        with pytest.raises(BadParameters):
+            enumerate_classes(name, 1)
+        assert main(["classify", "--cl", name, "--k", "1"]) == 2

@@ -280,3 +280,29 @@ class TestIsomorphism:
 
     def test_same_size_nonisomorphic(self):
         assert isomorphic_finite(build("G2"), build("BC2")) is None
+
+    @staticmethod
+    def assert_homothety(h, src, dst):
+        assert h is not None
+        images = [h.apply(r) for r in src.roots]
+        assert sorted(images) == sorted(dst.roots)
+        for u in src.roots:
+            for v in src.roots:
+                assert dst.space.form(h.apply(u), h.apply(v)) == h.scale * src.space.form(u, v)
+
+    def test_rotated_rank2_set_both_ways(self):
+        # the first assignment of the spanning roots found for the right
+        # scale fails the root check; the search must backtrack
+        base = [V(1, 0), V(2, 2), V(3, 5), V(5, -3)]
+        plane = standard_space(2)
+        a = FiniteRootSystem(plane, base + [vneg(v) for v in base])
+        b = FiniteRootSystem(plane, [V(-v[1], v[0]) for v in a.roots])
+        self.assert_homothety(isomorphic_finite(a, b), a, b)
+        self.assert_homothety(isomorphic_finite(b, a), b, a)
+
+    def test_map_between_non_spanning_systems(self, a11_ambient):
+        # A(1,1) spans a hyperplane; the map is given in the ambient coordinates
+        other = FiniteRootSystem(a11_ambient.space, [vneg(r) for r in a11_ambient.roots])
+        h = isomorphic_finite(a11_ambient, other)
+        self.assert_homothety(h, a11_ambient, other)
+        assert all(len(v) == 4 for v in h.basis + h.images)

@@ -1,13 +1,18 @@
+import copy
 import json
 import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grrs import serialize
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import enumerate_classes
 from grrs.cli import build_any, main
+from grrs.errors import GrrsError
 from grrs.finite import check_axioms
 from grrs.symbolic import affinize, check_symbolic_axioms
 
@@ -151,3 +156,90 @@ class TestCli:
         assert main(["catalog", "family(B3,k=1,S={0,1})", "-o", str(p1)]) == 0
         assert main(["catalog", "family(B3,k=1,S={0,1})", "-o", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+MALFORMED = {
+    "no-payload": {"schemaVersion": 1, "type": "finite"},
+    "zero-denominator": {
+        "schemaVersion": 1, "type": "finite",
+        "payload": {"dim": 1, "gram": [["1/0"]], "roots": [["1"], ["-1"]]},
+    },
+    "top-level-list": [{"schemaVersion": 1, "type": "finite"}],
+    "descriptor-without-data": {
+        "schemaVersion": 1, "type": "classes",
+        "payload": [{"cl": "B3", "k": 1, "kacMoody": None}],
+    },
+    "descriptor-of-no-type": {
+        "schemaVersion": 1, "type": "classes",
+        "payload": [{"cl": "E9", "k": 1, "data": {"type": "affinization"}, "kacMoody": "E_9^(1)"}],
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED))
+def test_malformed_document_is_bad_input(label, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED[label]))
+    with pytest.raises(GrrsError):
+        serialize.loads(path.read_text())
+    assert main(["check", str(path)]) == 2
+    assert main(["iso", str(path), str(path)]) == 2
+
+
+def test_deeply_nested_document_is_bad_input(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(path)]) == 2
+
+
+VALID_DOCUMENTS = [
+    serialize.document_to_dict(build("B2")),
+    serialize.document_to_dict(build("C(1,1)")),
+    serialize.document_to_dict(affinize(build("A1"), 1)),
+]
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3),
+        st.sampled_from(["", "0", "1", "-1/2", "1/0", "x", "finite", "symbolic"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["payload", "type", "dim", "gram", "roots"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(json_values)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_never_give_internal_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["check", path]) != 5
+        assert main(["iso", path, path]) != 5
