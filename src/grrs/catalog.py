@@ -13,6 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -270,6 +271,7 @@ class TypeKey:
         affinization."""
         return _TYPES[self.kind].case_i
 
+    @lru_cache(maxsize=None)
     def system(self) -> FiniteRootSystem:
         return _TYPES[self.kind].system(*self.params)
 

@@ -9,7 +9,6 @@ canonicalized discriminating data.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -30,16 +29,13 @@ from .linalg import Lattice, Vector, solve_in_span, unit_vector, vadd, vscale, v
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
-def _max_k() -> int:
-    return int(os.environ.get("GRRS_MAX_K", "4"))
+# Canonical forms enumerate AGL(k,2); |GL(5,2)| = 9 999 360 would not finish.
+_MAX_K = 4
 
 
 def _check_k(k: int):
-    if k > _max_k():
-        raise KTooLarge(
-            f"k = {k} exceeds the classification cap {_max_k()} "
-            "(set GRRS_MAX_K to override)"
-        )
+    if k > _MAX_K:
+        raise KTooLarge(f"k = {k} exceeds the classification cap {_MAX_K}")
 
 
 # ---------------------------------------------------------------------------

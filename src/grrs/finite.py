@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     AmbiguousReflection,
@@ -37,7 +40,7 @@ from .linalg import (
 
 
 class FiniteRootSystem:
-    """A finite set of vectors with cached norms, in a fixed bilinear space."""
+    """A finite set of vectors in a fixed bilinear space."""
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
         self.space = space
@@ -45,8 +48,11 @@ class FiniteRootSystem:
         for r in rs:
             space.check_vector(r)
         self.roots: Tuple[Vector, ...] = tuple(rs)
-        self._root_set = frozenset(self.roots)
-        self._norms: Dict[Vector, Q] = {r: space.norm(r) for r in self.roots}
+        self._index = {r: i for i, r in enumerate(self.roots)}
+
+    @cached_property
+    def _view(self) -> "_PairingView":
+        return _PairingView(self)
 
     def __len__(self):
         return len(self.roots)
@@ -68,22 +74,22 @@ class FiniteRootSystem:
         return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self.roots)})"
 
     def contains(self, v: Vector) -> bool:
-        return tuple(v) in self._root_set
+        return tuple(v) in self._index
 
     def norm(self, r: Vector) -> Q:
-        r = tuple(r)
-        if r in self._norms:
-            return self._norms[r]
-        return self.space.norm(r)
+        i = self._index.get(tuple(r))
+        if i is None:
+            return self.space.norm(r)
+        return self._view.norms[i]
 
     def is_isotropic(self, r: Vector) -> bool:
         return self.norm(r) == 0
 
     def isotropic_roots(self) -> Tuple[Vector, ...]:
-        return tuple(r for r in self.roots if self.norm(r) == 0)
+        return tuple(r for r, n in zip(self.roots, self._view.norms) if n == 0)
 
     def nonisotropic_roots(self) -> Tuple[Vector, ...]:
-        return tuple(r for r in self.roots if self.norm(r) != 0)
+        return tuple(r for r, n in zip(self.roots, self._view.norms) if n != 0)
 
     def root_lattice(self) -> Lattice:
         return Lattice.from_vectors(self.space.dim, self.roots)
@@ -100,18 +106,69 @@ class FiniteRootSystem:
         roots; when the roots already span the ambient space the system is
         returned unchanged.
         """
-        basis = self.span_basis()
-        if len(basis) == self.space.dim:
+        idx = independent_subset(self.roots)
+        if len(idx) == self.space.dim:
             return self
-        gram = [[self.space.form(u, v) for v in basis] for u in basis]
-        sub = BilinearSpace(gram)
+        view = self._view
+        sub = BilinearSpace([[view.unit * view.pairings[i][j] for j in idx] for i in idx])
+        basis = [self.roots[i] for i in idx]
         new_roots = []
         for r in self.roots:
-            coords = solve_in_span(list(basis), r)
+            coords = solve_in_span(basis, r)
             if coords is None:
                 raise DimensionMismatch("root outside the span basis")
             new_roots.append(coords)
         return FiniteRootSystem(sub, new_roots)
+
+
+class _PairingView:
+    """A finite system in integers: the pairings and reflections of its roots.
+
+    With d the common denominator of the root coordinates and g > 0 the
+    factor that makes gG a primitive integer matrix, root i (indexed as in
+    `system.roots`) is the integer vector R[i] = d r_i, its Gram row is W[i] =
+    R[i] gG and its pairings are P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the
+    factor d^2 g cancels from every Cartan number and sign.
+    """
+
+    def __init__(self, system: FiniteRootSystem):
+        self.roots = system.roots
+        self.scale = d = lcm(*(x.denominator for r in self.roots for x in r))
+        entries = [x for row in system.space.gram for x in row]
+        g = Q(lcm(*(x.denominator for x in entries)), gcd(*(x.numerator for x in entries)) or 1)
+        gram = [[int(x * g) for x in row] for row in system.space.gram]
+        self.unit = 1 / (d * d * g)
+        self.vectors = [tuple(int(x * d) for x in r) for r in self.roots]
+        self.rows = [tuple(sum(map(mul, v, row)) for row in gram) for v in self.vectors]
+        self.pairings = [[sum(map(mul, w, v)) for v in self.vectors] for w in self.rows]
+        self.norms = tuple(self.unit * p[i] for i, p in enumerate(self.pairings))
+        self.lookup = {v: i for i, v in enumerate(self.vectors)}
+        self.neg = [self.lookup.get(tuple(-x for x in v)) for v in self.vectors]
+
+    def shift(self, j: int, i: int, sign: int) -> Optional[int]:
+        """Index of root j + sign * root i, or None."""
+        v = tuple(b + sign * a for a, b in zip(self.vectors[i], self.vectors[j]))
+        return self.lookup.get(v)
+
+    def image(self, i: int, j: int) -> Optional[int]:
+        """Index of r_i(root j); None when a linear reflection leaves the
+        system.  An isotropic root i acts, and raises, as `isotropic_reflect`."""
+        n, p = self.pairings[i][i], self.pairings[i][j]
+        if n == 0 and j in (i, self.neg[i]):
+            if self.neg[j] is None:
+                raise UnknownRoot(f"the negative of {self.roots[j]} is not a root")
+            return self.neg[j]
+        if p == 0:
+            return j
+        if n:
+            # n times the image; k = 2p/n need not be integral for it to be a root
+            img = [n * b - 2 * p * a for a, b in zip(self.vectors[i], self.vectors[j])]
+            return None if any(x % n for x in img) else self.lookup.get(tuple(x // n for x in img))
+        plus, minus = self.shift(j, i, 1), self.shift(j, i, -1)
+        if (plus is None) == (minus is None):
+            error = MissingImage if plus is None else AmbiguousReflection
+            raise error(self.roots[i], self.roots[j])
+        return minus if plus is None else plus
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +197,12 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     alpha, beta = tuple(alpha), tuple(beta)
     if not system.is_isotropic(alpha):
         raise IsotropicBase(f"{alpha} is not isotropic")
-    if not system.contains(alpha) or not system.contains(beta):
+    i, j = system._index.get(alpha), system._index.get(beta)
+    if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
     if beta == alpha or beta == vneg(alpha):
         return vneg(beta)
-    if system.space.form(alpha, beta) == 0:
-        return beta
-    plus = vadd(beta, alpha)
-    minus = vsub(beta, alpha)
-    has_plus = system.contains(plus)
-    has_minus = system.contains(minus)
-    if has_plus and has_minus:
-        raise AmbiguousReflection(alpha, beta)
-    if not has_plus and not has_minus:
-        raise MissingImage(alpha, beta)
-    return plus if has_plus else minus
+    return system.roots[system._view.image(i, j)]
 
 
 def reflect_root(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> Vector:
@@ -205,53 +253,37 @@ def check_axioms(system: FiniteRootSystem) -> AxiomReport:
     has rank equal to dim V.  Over the rationals this is equivalent to the
     tensored map being bijective, and also to the roots spanning V.
     """
-    space = system.space
     roots = system.roots
+    view = system._view
+    P = view.pairings
+    n = len(roots)
 
-    gr0 = AxiomCheck(True)
-    for r in roots:
-        if space.in_kernel(r):
-            gr0 = AxiomCheck(False, (r,))
-            break
+    zero = next((r for r, w in zip(roots, view.rows) if not any(w)), None)
+    gr0 = AxiomCheck(zero is None, None if zero is None else (zero,))
 
-    gr1 = AxiomCheck(len(roots) > 0 and system.root_lattice().rank == space.dim)
+    gr1 = AxiomCheck(n > 0 and system.root_lattice().rank == system.space.dim)
 
     gr2 = AxiomCheck(True)
-    for a in system.nonisotropic_roots():
-        bad = None
-        for b in roots:
-            k = k_value(space, a, b)
-            if k.denominator != 1:
-                bad = (a, b)
-                break
-            if not system.contains(vsub(b, vscale(k, a))):
-                bad = (a, b)
-                break
-        if bad:
-            gr2 = AxiomCheck(False, bad)
+    for i in (i for i in range(n) if P[i][i]):
+        j = next((j for j in range(n) if 2 * P[i][j] % P[i][i] or view.image(i, j) is None), None)
+        if j is not None:
+            gr2 = AxiomCheck(False, (roots[i], roots[j]))
             break
 
     # GR3/WGR3 via the equivalent form: R = -R, and for isotropic alpha and
     # any beta with (alpha, beta) != 0 the set {beta +- alpha} meets R in
     # exactly one (at least one) element.
-    gr3_fail = None
-    wgr3_fail = None
-    for r in roots:
-        if not system.contains(vneg(r)):
-            gr3_fail = wgr3_fail = (r,)
-            break
-    if gr3_fail is None:
-        for a in system.isotropic_roots():
-            for b in roots:
-                if space.form(a, b) == 0:
-                    continue
-                has_plus = system.contains(vadd(b, a))
-                has_minus = system.contains(vsub(b, a))
-                if has_plus and has_minus:
-                    gr3_fail = gr3_fail or (a, b)
-                elif not has_plus and not has_minus:
-                    gr3_fail = gr3_fail or (a, b)
-                    wgr3_fail = wgr3_fail or (a, b)
+    gr3_fail = wgr3_fail = None
+    if None in view.neg:
+        gr3_fail = wgr3_fail = (roots[view.neg.index(None)],)
+    else:
+        for i in (i for i in range(n) if P[i][i] == 0):
+            for j in (j for j in range(n) if P[i][j]):
+                found = (view.shift(j, i, 1) is not None) + (view.shift(j, i, -1) is not None)
+                if found != 1:
+                    gr3_fail = gr3_fail or (roots[i], roots[j])
+                if found == 0:
+                    wgr3_fail = wgr3_fail or (roots[i], roots[j])
             if gr3_fail and wgr3_fail:
                 break
 
@@ -269,6 +301,7 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
 
     Fixpoint of X -> {+- r_a(b) : a, b in X} inside the ambient system; the
     seeds may not contain an element orthogonal to the whole seed set.
+    Raises UnknownRoot when a seed, or an image on the way, is not a root.
     """
     X = {tuple(v) for v in seeds}
     if not X:
@@ -276,57 +309,59 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
     for v in X:
         if not system.contains(v):
             raise UnknownRoot(f"{v} is not a root")
-    for v in X:
-        if all(system.space.form(v, w) == 0 for w in X):
-            raise OrthogonalSeed(f"{v} is orthogonal to the whole seed set")
-    current = set(X)
-    while True:
-        new = set()
-        for a in current:
-            for b in current:
-                img = reflect_root(system, a, b)
-                for w in (img, vneg(img)):
-                    if w not in current:
-                        new.add(w)
-        if not new:
-            break
-        current |= new
-    return FiniteRootSystem(system.space, sorted(current))
+    view = system._view
+    members = sorted(system._index[v] for v in X)
+    for i in members:
+        if not any(view.pairings[i][j] for j in members):
+            raise OrthogonalSeed(f"{system.roots[i]} is orthogonal to the whole seed set")
+    inside = set(members)
+    # Each member is paired, both ways, with itself and every earlier member.
+    for done, x in enumerate(members):
+        for y in members[: done + 1]:
+            for i, j in ((x, y), (y, x)):
+                img = view.image(i, j)
+                if img is None or view.neg[img] is None:
+                    raise UnknownRoot(f"+-r_{system.roots[i]}({system.roots[j]}) is not a root")
+                for w in (img, view.neg[img]):
+                    if w not in inside:
+                        inside.add(w)
+                        members.append(w)
+    return FiniteRootSystem(system.space, [system.roots[i] for i in members])
 
 
-def _orbit_partition(system: FiniteRootSystem, generators: Sequence[Vector]) -> List[Tuple[Vector, ...]]:
+def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[Vector, ...]]:
+    """Classes of the roots under the closure of index v -> indices linked(v)
+    (None entries ignored), each sorted, in the order of their least root."""
     seen = set()
-    orbits = []
-    for start in system.roots:
+    blocks = []
+    for start in range(len(system.roots)):
         if start in seen:
             continue
-        orbit = {start}
+        block = {start}
         frontier = [start]
         while frontier:
-            v = frontier.pop()
-            for a in generators:
-                if system.is_isotropic(a):
-                    img = isotropic_reflect(system, a, v)
-                else:
-                    img = reflect(system.space, a, v)
-                    if not system.contains(img):
-                        continue
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+            for w in linked(frontier.pop()):
+                if w is not None and w not in block:
+                    block.add(w)
+                    frontier.append(w)
+        seen |= block
+        blocks.append(tuple(system.roots[i] for i in sorted(block)))
+    return blocks
+
+
+def _orbit_partition(system: FiniteRootSystem, generators: Sequence[int]):
+    view = system._view
+    return _blocks(system, lambda v: (view.image(a, v) for a in generators))
 
 
 def weyl_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
     """Orbit partition under reflections at non-isotropic roots."""
-    return _orbit_partition(system, system.nonisotropic_roots())
+    return _orbit_partition(system, [i for i, n in enumerate(system._view.norms) if n])
 
 
 def gw_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
     """Orbit partition under the involutions attached to all roots."""
-    return _orbit_partition(system, system.roots)
+    return _orbit_partition(system, range(len(system.roots)))
 
 
 def is_irreducible(system: FiniteRootSystem):
@@ -334,25 +369,9 @@ def is_irreducible(system: FiniteRootSystem):
 
     Returns (irreducible?, components as root systems over the same space).
     """
-    roots = system.roots
-    comp_of: Dict[Vector, int] = {}
-    comps: List[List[Vector]] = []
-    for r in roots:
-        if r in comp_of:
-            continue
-        idx = len(comps)
-        block = [r]
-        comp_of[r] = idx
-        frontier = [r]
-        while frontier:
-            v = frontier.pop()
-            for w in roots:
-                if w not in comp_of and system.space.form(v, w) != 0:
-                    comp_of[w] = idx
-                    block.append(w)
-                    frontier.append(w)
-        comps.append(sorted(block))
-    systems = [FiniteRootSystem(system.space, block) for block in comps]
+    P = system._view.pairings
+    comps = _blocks(system, lambda v: (w for w, p in enumerate(P[v]) if p))
+    systems = [FiniteRootSystem(system.space, c) for c in comps]
     return len(systems) <= 1, systems
 
 
@@ -377,8 +396,13 @@ def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSyste
     """Roots whose Cartan pairing against lam is integral."""
     if system.isotropic_roots():
         raise IsotropicPresent("integral subsystem needs a system without isotropic roots")
+    system.space.check_vector(lam)
+    view = system._view
+    # k_{a, lam} = 2 (a, lam) / (a, a) = 2 d (W[a] . lam) / P[a][a]
     picked = [
-        a for a in system.roots if k_value(system.space, a, lam).denominator == 1
+        r
+        for i, (r, w) in enumerate(zip(system.roots, view.rows))
+        if Q(2 * view.scale * sum(map(mul, w, lam)), view.pairings[i][i]).denominator == 1
     ]
     return FiniteRootSystem(system.space, picked).restricted_to_span()
 
@@ -399,26 +423,28 @@ class Homothety:
         coeffs = solve_in_span(list(self.basis), tuple(Q(x) for x in v))
         if coeffs is None:
             raise DimensionMismatch("vector outside the domain span")
-        out = vec([0] * len(self.images[0]))
-        for c, img in zip(coeffs, self.images):
-            if c:
-                out = vadd(out, vscale(c, img))
-        return out
+        return _combination(coeffs, self.images, len(self.images[0]))
 
     def __repr__(self):
         return f"Homothety(scale={self.scale})"
 
 
-def _norm_multiset(system: FiniteRootSystem):
-    return sorted(system.norm(r) for r in system.roots)
-
-
-def _fingerprints(system: FiniteRootSystem, scale: Q):
-    out = {}
-    for a in system.roots:
-        vals = sorted(scale * system.space.form(a, b) for b in system.roots)
-        out[a] = tuple(vals)
+def _combination(coeffs: Sequence[Q], vectors: Sequence[Vector], dim: int) -> Vector:
+    out = vec([0] * dim)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = vadd(out, vscale(c, v))
     return out
+
+
+def _form_values(view: _PairingView) -> set:
+    """The nonzero norms, or when there are none, the nonzero pairings."""
+    return set(view.norms) - {0} or {view.unit * p for row in view.pairings for p in row if p}
+
+
+def _scaled(values: Tuple[int, ...], m: int) -> Tuple[int, ...]:
+    """The sorted tuple m * values, for sorted values."""
+    return tuple(m * v for v in (values if m > 0 else reversed(values)))
 
 
 def isomorphic_finite(
@@ -437,75 +463,46 @@ def isomorphic_finite(
     b = sys_b.restricted_to_span()
     if a.space.dim != b.space.dim:
         return None
-    norms_a = {a.norm(r) for r in a.roots if a.norm(r) != 0}
-    norms_b = {b.norm(r) for r in b.roots if b.norm(r) != 0}
-    if bool(norms_a) != bool(norms_b):
-        return None
-    if norms_a:
-        candidates = sorted({nb / na for na in norms_a for nb in norms_b})
-    else:
-        vals_a = {a.space.form(u, v) for u in a.roots for v in a.roots} - {Q(0)}
-        vals_b = {b.space.form(u, v) for u in b.roots for v in b.roots} - {Q(0)}
-        if not vals_a and not vals_b:
-            candidates = [Q(1)]
-        elif not vals_a or not vals_b:
-            return None
-        else:
-            candidates = sorted({vb / va for va in vals_a for vb in vals_b})
-
-    target_norms = _norm_multiset(b)
-    basis = list(a.span_basis())
-    coords_cache = {r: solve_in_span(basis, r) for r in a.roots}
+    va, vb = a._view, b._view
+    Pa, Pb = va.pairings, vb.pairings
+    candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
+    # each root's pairings against the whole system, sorted
+    fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
+    basis = independent_subset(a.roots)
+    basis_vectors = [a.roots[i] for i in basis]
+    coords = [solve_in_span(basis_vectors, r) for r in a.roots]
 
     for x in candidates:
-        if x == 0:
+        # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
+        t = x * va.unit / vb.unit
+        p, q = t.numerator, t.denominator
+        by_fp = {}
+        for s, fp in enumerate(fp_b):
+            by_fp.setdefault(_scaled(fp, q), []).append(s)
+        cand = [by_fp.get(_scaled(fp, p)) for fp in fp_a]
+        if None in cand:
             continue
-        if sorted(x * a.norm(r) for r in a.roots) != target_norms:
-            continue
-        fp_a = _fingerprints(a, x)
-        fp_b = _fingerprints(b, Q(1))
-        cand = {}
-        feasible = True
-        for r in a.roots:
-            cs = [s for s in b.roots if fp_b[s] == fp_a[r]]
-            if not cs:
-                feasible = False
-                break
-            cand[r] = cs
-        if not feasible:
-            continue
-
-        assignment: List[Vector] = []
-
-        def bijective() -> bool:
-            for r in a.roots:
-                img = vec([0] * b.space.dim)
-                for cc, im in zip(coords_cache[r], assignment):
-                    if cc:
-                        img = vadd(img, vscale(cc, im))
-                if not b.contains(img):
-                    return False
-            return True
+        assignment: List[int] = []
 
         def extend(i: int) -> bool:
             if i == len(basis):
-                return bijective()
+                images = [b.roots[m] for m in assignment]
+                return all(b.contains(_combination(c, images, b.space.dim)) for c in coords)
             bi = basis[i]
             for c in cand[bi]:
-                ok = True
-                for j in range(i):
-                    if b.space.form(c, assignment[j]) != x * a.space.form(bi, basis[j]):
-                        ok = False
-                        break
-                if ok and b.space.norm(c) == x * a.space.norm(bi):
-                    assignment.append(c)
-                    if rank(assignment) == len(assignment) and extend(i + 1):
-                        return True
-                    assignment.pop()
+                if q * Pb[c][c] != p * Pa[bi][bi] or any(
+                    q * Pb[c][assignment[j]] != p * Pa[bi][basis[j]] for j in range(i)
+                ):
+                    continue
+                assignment.append(c)
+                if rank([b.roots[m] for m in assignment]) == len(assignment) and extend(i + 1):
+                    return True
+                assignment.pop()
             return False
 
         if extend(0):
-            return Homothety(_lift(sys_a, a, basis), _lift(sys_b, b, assignment), x)
+            images = [b.roots[m] for m in assignment]
+            return Homothety(_lift(sys_a, a, basis_vectors), _lift(sys_b, b, images), x)
     return None
 
 
@@ -515,11 +512,4 @@ def _lift(system: FiniteRootSystem, restricted: FiniteRootSystem, vectors) -> Li
     if restricted is system:
         return list(vectors)
     span = system.span_basis()
-    out = []
-    for v in vectors:
-        w = vec([0] * system.space.dim)
-        for c, s in zip(v, span):
-            if c:
-                w = vadd(w, vscale(c, s))
-        out.append(w)
-    return out
+    return [_combination(v, span, system.space.dim) for v in vectors]

@@ -548,9 +548,13 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
 
     Returns (gr3_ok, wgr3_ok).  Membership of y+x depends on (x, y) only
     through residues mod the moduli of C and D, so the quantifier is finite
-    whenever those moduli are commensurate with the moduli of A and B;
-    incommensurate data falls back to the two uniform dichotomies, which are
-    the only way the condition can hold in that regime.
+    whenever those moduli are commensurate with the moduli of A and B.
+    Otherwise the pairs (x, y) form a lattice M on which "y+x in C" and
+    "y-x in D" each hold on finitely many cosets of a sublattice, and one of
+    the two sublattices has lower rank than M.  As no coset of a lattice is
+    covered by finitely many cosets of lower-rank sublattices, "at least
+    one" holds on M exactly when all y+x lie in C or all y-x lie in D;
+    "exactly one" holds only for the two uniform dichotomies.
     """
     gr3_ok = True
     wgr3_ok = True
@@ -591,7 +595,9 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
                 not D.intersects_coset(sminus, sigma) and plus_cos.subset_of(C)
             )
             if not (uniform_minus or uniform_plus):
-                return False, False
+                gr3_ok = False
+                if not (plus_cos.subset_of(C) or minus_cos.subset_of(D)):
+                    return False, False
     return gr3_ok, wgr3_ok
 
 

@@ -91,7 +91,11 @@ class TestAffineCanonical:
                 m2 = orbit[rng.randrange(len(orbit))]
                 assert canonical_mask(k, m2) == c.mask
 
-    def test_k_cap(self):
+    def test_k_cap(self, monkeypatch):
+        with pytest.raises(KTooLarge):
+            canonical_mask(5, 1)
+        # the cap is fixed; the environment does not lift it
+        monkeypatch.setenv("GRRS_MAX_K", "5")
         with pytest.raises(KTooLarge):
             canonical_mask(5, 1)
 

@@ -1,14 +1,23 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grrs
+from grrs import serialize
 from grrs.catalog import build
 from grrs.errors import (
     AmbiguousReflection,
     IsotropicBase,
     IsotropicPresent,
+    MissingImage,
     OrthogonalSeed,
+    UnknownRoot,
 )
 from grrs.finite import (
     FiniteRootSystem,
@@ -25,7 +34,7 @@ from grrs.finite import (
     reflect_root,
     weyl_orbits,
 )
-from grrs.linalg import standard_space, vadd, vec, vneg, vsub
+from grrs.linalg import BilinearSpace, standard_space, vadd, vec, vneg, vscale, vsub
 
 from conftest import V
 
@@ -178,6 +187,29 @@ class TestGenerateSubsystem:
                                     changed = True
             assert current == set(generate_subsystem(system, seeds).roots)
 
+    def test_image_outside_system_raises(self):
+        # r_(1,0)(1,1) = (-1,1) is not a root
+        plane = standard_space(2)
+        system = FiniteRootSystem(plane, [V(1, 0), V(-1, 0), V(0, 1), V(0, -1),
+                                          V(1, 1), V(-1, -1)])
+        with pytest.raises(UnknownRoot):
+            generate_subsystem(system, [V(1, 0), V(1, 1)])
+
+    def test_unbounded_closure_exits_2(self, tmp_path):
+        # r_(1,0)(1,2) = (-1,2) is not a root; closing under reflections
+        # regardless would never end, so this runs in a subprocess.
+        system = FiniteRootSystem(standard_space(2), [V(1, 0), V(-1, 0), V(1, 2), V(-1, -2)])
+        path = tmp_path / "doc.json"
+        path.write_text(serialize.dumps(system))
+        seeds = f"{system.roots.index(V(1, 0))},{system.roots.index(V(1, 2))}"
+        src = os.path.dirname(os.path.dirname(grrs.__file__))
+        code = "import sys; from grrs.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "subsystem", str(path), "--seeds", seeds],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=20,
+        )
+        assert done.returncode == 2
+
 
 class TestOrbits:
     def test_b2_weyl_orbits(self, b2):
@@ -306,3 +338,72 @@ class TestIsomorphism:
         h = isomorphic_finite(a11_ambient, other)
         self.assert_homothety(h, a11_ambient, other)
         assert all(len(v) == 4 for v in h.basis + h.images)
+
+
+# ---------------------------------------------------------------------------
+# Scale invariance: an oracle for the integer pairing view.  Scaling the form
+# by lam != 0 and the roots by mu > 0 changes every common denominator but
+# no Cartan number, sign or root order, so every answer must be the same up
+# to mu.
+
+SCALE_NAMES = ["A2", "G2", "B3", "B4", "F4", "BC2", "A(1,1)", "A(2,1)", "B(1,1)",
+               "B(2,2)", "C(2,1)", "C(1,1)", "BC(1,1)", "D(2,1;a=1/2)", "G(3)"]
+rationals = st.fractions(min_value=Q(-9), max_value=Q(9), max_denominator=9)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and witness roots of what it raised."""
+    try:
+        return fn(*args)
+    except (AmbiguousReflection, MissingImage) as exc:
+        return type(exc), exc.alpha, exc.beta
+    except (UnknownRoot, OrthogonalSeed) as exc:
+        return type(exc)
+
+
+def _scaled_outcome(out, mu):
+    if isinstance(out, tuple) and len(out) == 3 and isinstance(out[0], type):
+        return out[0], vscale(mu, out[1]), vscale(mu, out[2])
+    if isinstance(out, type):
+        return out
+    return [tuple(vscale(mu, r) for r in orbit) for orbit in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SCALE_NAMES),
+    st.integers(min_value=-1, max_value=47),
+    rationals.filter(lambda x: x != 0),
+    rationals.filter(lambda x: x > 0),
+)
+def test_answers_are_invariant_under_scaling(name, drop, lam, mu):
+    full = build(name)
+    # Dropping a root, when `drop` indexes one, makes axioms fail with witnesses.
+    roots = [r for i, r in enumerate(full.roots) if i != drop]
+    system = FiniteRootSystem(full.space, roots)
+    gram = [[lam * x for x in row] for row in full.space.gram]
+    scaled = FiniteRootSystem(BilinearSpace(gram), [vscale(mu, r) for r in roots])
+
+    rep, rep_s = check_axioms(system), check_axioms(scaled)
+    for axiom in ("gr0", "gr1", "gr2", "gr3", "wgr3"):
+        c, c_s = getattr(rep, axiom), getattr(rep_s, axiom)
+        assert c.passed == c_s.passed, axiom
+        if c.witness is not None:
+            assert c_s.witness == tuple(vscale(mu, r) for r in c.witness), axiom
+
+    for orbits in (weyl_orbits, gw_orbits):
+        assert _scaled_outcome(_outcome(orbits, system), mu) == _outcome(orbits, scaled)
+
+    irr, comps = is_irreducible(system)
+    irr_s, comps_s = is_irreducible(scaled)
+    assert irr == irr_s
+    assert [c.roots for c in comps_s] == _scaled_outcome([c.roots for c in comps], mu)
+
+    for r in roots:
+        assert scaled.norm(vscale(mu, r)) == lam * mu * mu * system.norm(r)
+    for src, dst in ((system, scaled), (scaled, system)):
+        h = isomorphic_finite(src, dst)
+        assert h is not None
+        for u in h.basis:
+            for v in h.basis:
+                assert dst.space.form(h.apply(u), h.apply(v)) == h.scale * src.space.form(u, v)

@@ -5,7 +5,7 @@ import pytest
 from grrs.catalog import a_nn_x, build, family
 from grrs.errors import KernelTooLarge, NotBijective, NotInKernel, UnknownRoot
 from grrs.finite import check_axioms, isomorphic_finite
-from grrs.linalg import Lattice, vadd, vec, vneg, vscale, vsub, zero_vector
+from grrs.linalg import BilinearSpace, Lattice, vadd, vec, vneg, vscale, vsub, zero_vector
 from grrs.symbolic import (
     CosetSet,
     F_of,
@@ -360,6 +360,25 @@ class TestCheckerAgreement:
             v = check_axioms(fin).verdict()
             assert check_symbolic_axioms(from_finite(fin)).verdict() == v, name
             assert check_symbolic_axioms(affinize(fin, 1)).verdict() == v, name
+
+    def test_wgr3_with_incommensurate_families(self):
+        # C(1,1) over a rank-2 radical: the families above +-(2,0) are the
+        # odd multiples of (1,1), all others are Z^2.  Every beta - alpha
+        # falls into a full family, so WGR3 holds; GR3 does not, since both
+        # beta +- alpha are roots for some pairs.
+        c11 = build("C(1,1)")
+        gram = [[c11.space.gram[i][j] if i < 2 and j < 2 else 0 for j in range(4)]
+                for i in range(4)]
+        z2 = lat(4, [0, 0, 1, 0], [0, 0, 0, 1])
+        odd = CosetSet(z2, lat(4, [0, 0, 2, 2]), zero_vector(4), [vec([0, 0, 1, 1])])
+        full = CosetSet.full_lattice(z2)
+        entries = [
+            (tuple(r) + (Q(0), Q(0)), odd if abs(r[0]) == 2 and r[1] == 0 else full)
+            for r in c11.roots
+        ]
+        rep = check_symbolic_axioms(SymbolicRootSystem(BilinearSpace(gram), entries))
+        assert rep.verdict() == "WGRS"
+        assert not rep.gr3.passed
 
 
 class TestFamilyInvariants:
