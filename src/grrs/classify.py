@@ -29,7 +29,9 @@ from .linalg import Lattice, Vector, solve_in_span, unit_vector, vadd, vscale, v
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
-# Canonical forms enumerate AGL(k,2); |GL(5,2)| = 9 999 360 would not finish.
+# Canonical forms walk AGL(k,2) orbits, marked in a table of all 2^(2^k)
+# masks.  At k = 5 one orbit can have |AGL(5,2)| = 319 979 520 elements and
+# the table would take 4 GiB.
 _MAX_K = 4
 
 
@@ -69,65 +71,66 @@ def _mask_from_points(k: int, points) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gl_pointmaps(k: int) -> Tuple[Tuple[int, ...], ...]:
-    """All invertible linear maps of F_2^k as point permutation tables."""
-    if k == 0:
-        return ((0,),)
-    n = 1 << k
-    maps = []
+def _point_maps(k: int):
+    """The transvections x_i += x_j, which generate GL(k,2), and the
+    translations by each point t (index t), as byte tables (low, high): the
+    image of a mask over at most 16 points (k <= 4) is
+    low[mask & 255] | high[mask >> 8]."""
 
-    def build(cols: List[int]):
-        if len(cols) == k:
-            table = []
-            for p in range(n):
-                img = 0
-                for j in range(k):
-                    if (p >> j) & 1:
-                        img ^= cols[j]
-                table.append(img)
-            maps.append(tuple(table))
-            return
-        span = {0}
-        for combo in range(1 << len(cols)):
-            v = 0
-            for j in range(len(cols)):
-                if (combo >> j) & 1:
-                    v ^= cols[j]
-            span.add(v)
-        for c in range(1, n):
-            if c not in span:
-                build(cols + [c])
+    def tables(pointmap):
+        out = []
+        for base in (0, 8):
+            row = [0] * (1 << min(8, max(0, (1 << k) - base)))
+            for v in range(1, len(row)):
+                bit = v & -v
+                row[v] = row[v ^ bit] | (1 << pointmap(base + bit.bit_length() - 1))
+            out.append(tuple(row))
+        return tuple(out)
 
-    build([])
-    return tuple(maps)
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    transvections = tuple(tables(lambda p, i=i, j=j: p ^ ((p >> j) & 1) << i) for i, j in pairs)
+    return transvections, tuple(tables(lambda p, t=t: p ^ t) for t in range(1 << k))
 
 
-def _apply_pointmap(mask: int, table: Tuple[int, ...]) -> int:
-    out = 0
-    for p in range(len(table)):
-        if (mask >> p) & 1:
-            out |= 1 << table[p]
-    return out
+def _image(tables, mask: int) -> int:
+    return tables[0][mask & 255] | tables[1][mask >> 8]
 
 
-def _translate_mask(mask: int, t: int, k: int) -> int:
-    out = 0
-    for p in range(1 << k):
-        if (mask >> p) & 1:
-            out |= 1 << (p ^ t)
-    return out
-
-
-def _min_translate(mask: int, k: int) -> int:
-    return min(_translate_mask(mask, t, k) for t in range(1 << k))
+def _walk_orbit(k: int, start: int, visited: bytearray) -> List[int]:
+    """The orbit of a mask under the transvections and the translation by
+    e_0, which generate AGL(k,2), marked in `visited` (indexed by mask)."""
+    transvections, translations = _point_maps(k)
+    gens = transvections + translations[1:2]
+    visited[start] = 1
+    orbit = [start]
+    for m in orbit:
+        m_low, m_high = m & 255, m >> 8
+        for low, high in gens:
+            img = low[m_low] | high[m_high]
+            if not visited[img]:
+                visited[img] = 1
+                orbit.append(img)
+    return orbit
 
 
 def canonical_mask(k: int, mask: int) -> int:
     """Lex-min mask over the affine group orbit."""
     _check_k(k)
-    return min(
-        _min_translate(_apply_pointmap(mask, g), k) for g in _gl_pointmaps(k)
-    )
+    visited = bytearray(1 << (1 << k))
+    return min(_walk_orbit(k, mask & (len(visited) - 1), visited))
+
+
+@lru_cache(maxsize=None)
+def _orbit_minima(k: int) -> Tuple[int, ...]:
+    """The canonical masks of the nonempty subsets, ascending: one sweep in
+    which the first unvisited mask of each orbit is its minimum."""
+    visited = bytearray(1 << (1 << k))
+    minima = []
+    for mask in range(1, len(visited)):
+        if not visited[mask]:
+            minima.append(mask)
+            _walk_orbit(k, mask, visited)
+    return tuple(minima)
 
 
 def affine_canonical(S: F2Subset) -> F2Subset:
@@ -150,23 +153,28 @@ def canonical_pair(
 
     Translations act on the first subset always, on the second only when
     `translate_second`; `complement_first` adds the replacement of the first
-    subset by its complement to the group.
+    subset by its complement to the group.  The orbit is walked under the
+    transvections (and the complement) with the translated members kept at
+    their least translate: a linear map carries the translates of a subset
+    onto those of its image.
     """
     _check_k(k)
+    transvections, translations = _point_maps(k)
     full = (1 << (1 << k)) - 1
-    best: Optional[Tuple[int, int]] = None
-    for g in _gl_pointmaps(k):
-        m1 = _apply_pointmap(mask1, g)
-        m2 = _apply_pointmap(mask2, g)
-        firsts = [m1]
+    reduce = lru_cache(maxsize=None)(lambda mask: min(_image(t, mask) for t in translations))
+    second = reduce if translate_second else (lambda mask: mask)
+    start = (reduce(mask1 & full), second(mask2 & full))
+    seen = {start}
+    orbit = [start]
+    for m1, m2 in orbit:
+        images = [(reduce(_image(g, m1)), second(_image(g, m2))) for g in transvections]
         if complement_first:
-            firsts.append(full & ~m1)
-        for f1 in firsts:
-            s2 = _min_translate(m2, k) if translate_second else m2
-            cand = (_min_translate(f1, k), s2)
-            if best is None or cand < best:
-                best = cand
-    return best
+            images.append((reduce(full ^ m1), m2))
+        for pair in images:
+            if pair not in seen:
+                seen.add(pair)
+                orbit.append(pair)
+    return min(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +646,13 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     npoints = 1 << k
     full = (1 << npoints) - 1
 
-    if kind == "A1":
-        out = set()
-        for mask in range(1, full + 1):
-            pts = frozenset(p for p in range(npoints) if (mask >> p) & 1)
-            if contains_affine_basis_points(k, pts):
-                out.add(canonical_mask(k, mask))
-        return [ClassDescriptor(name, k, ("S", m)) for m in sorted(out)]
+    if kind in ("A1", "B({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
+        # A1 keeps the subsets that contain an affine basis, an affine invariant
+        return [
+            ClassDescriptor(name, k, ("S", m))
+            for m in _orbit_minima(k)
+            if kind != "A1" or contains_affine_basis(F2Subset(k, m))
+        ]
 
     if kind in ("G2", "F4"):
         return [ClassDescriptor(name, k, ("s", s)) for s in range(k + 1)]
@@ -673,10 +681,6 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
                         )
                     )
         return [ClassDescriptor(name, k, ("S1S2",) + p) for p in sorted(out)]
-
-    if (kind in ("B{}", "C{}") and key.params[0] >= 3) or kind == "B({},{})":
-        out = {canonical_mask(k, mask) for mask in range(1, full + 1)}
-        return [ClassDescriptor(name, k, ("S", mm)) for mm in sorted(out)]
 
     if kind in ("C({},{})", "BC({},{})"):
         # dedupe materialized instances: keeps the listing consistent with

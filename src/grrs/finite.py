@@ -28,8 +28,8 @@ from .linalg import (
     BilinearSpace,
     Lattice,
     Vector,
-    independent_subset,
     rank,
+    rref,
     solve_in_span,
     vadd,
     vneg,
@@ -94,10 +94,18 @@ class FiniteRootSystem:
     def root_lattice(self) -> Lattice:
         return Lattice.from_vectors(self.space.dim, self.roots)
 
+    @cached_property
+    def _span(self) -> Tuple[List[int], Tuple[Vector, ...], Tuple[Vector, ...]]:
+        """The lex-first maximal independent roots, as indices and vectors,
+        and every root's coordinates in them: the pivot columns and the
+        reduced rows of the matrix whose columns are the roots."""
+        reduced, pivots = rref(list(zip(*self.roots)))
+        coords = tuple(tuple(row[j] for row in reduced) for j in range(len(self.roots)))
+        return pivots, tuple(self.roots[i] for i in pivots), coords
+
     def span_basis(self) -> Tuple[Vector, ...]:
         """Lexicographically first maximal independent subset of the roots."""
-        idx = independent_subset(self.roots)
-        return tuple(self.roots[i] for i in idx)
+        return self._span[1]
 
     def restricted_to_span(self) -> "FiniteRootSystem":
         """The same system over the span of its roots.
@@ -106,19 +114,14 @@ class FiniteRootSystem:
         roots; when the roots already span the ambient space the system is
         returned unchanged.
         """
-        idx = independent_subset(self.roots)
-        if len(idx) == self.space.dim:
-            return self
+        return self if len(self._span[0]) == self.space.dim else self._over_span
+
+    @cached_property
+    def _over_span(self) -> "FiniteRootSystem":
+        idx, _, coords = self._span
         view = self._view
         sub = BilinearSpace([[view.unit * view.pairings[i][j] for j in idx] for i in idx])
-        basis = [self.roots[i] for i in idx]
-        new_roots = []
-        for r in self.roots:
-            coords = solve_in_span(basis, r)
-            if coords is None:
-                raise DimensionMismatch("root outside the span basis")
-            new_roots.append(coords)
-        return FiniteRootSystem(sub, new_roots)
+        return FiniteRootSystem(sub, coords)
 
 
 class _PairingView:
@@ -468,9 +471,7 @@ def isomorphic_finite(
     candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
     # each root's pairings against the whole system, sorted
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
-    basis = independent_subset(a.roots)
-    basis_vectors = [a.roots[i] for i in basis]
-    coords = [solve_in_span(basis_vectors, r) for r in a.roots]
+    basis, basis_vectors, coords = a._span
 
     for x in candidates:
         # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b

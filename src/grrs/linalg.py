@@ -122,15 +122,9 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]
 
 
 def independent_subset(vectors: Sequence[Vector]) -> list:
-    """Indices of a maximal independent subset, scanning in the given order."""
-    chosen = []
-    state: list = []
-    for i, v in enumerate(vectors):
-        trial = state + [v]
-        if rank(trial) > len(state):
-            state = list(rref(trial)[0])
-            chosen.append(i)
-    return chosen
+    """Indices of a maximal independent subset, scanning in the given order:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return rref(list(zip(*vectors)))[1]
 
 
 class SubspaceProjection:
@@ -293,10 +287,8 @@ class BilinearSpace:
 
     def in_kernel(self, v: Vector) -> bool:
         self.check_vector(v)
-        return all(
-            sum(self.gram[i][j] * v[j] for j in range(self.dim)) == 0
-            for i in range(self.dim)
-        )
+        support = [(j, x) for j, x in enumerate(v) if x != 0]
+        return all(sum(row[j] * x for j, x in support) == 0 for row in self.gram)
 
 
 def standard_space(plus: int, minus: int = 0) -> BilinearSpace:

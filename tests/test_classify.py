@@ -1,14 +1,21 @@
+import functools
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import grrs
 from grrs.catalog import a_nn_x, build, family, type_key
 from grrs.classify import (
     ClassDescriptor,
     F2Subset,
     affine_canonical,
     canonical_mask,
+    canonical_pair,
     contains_affine_basis,
     enumerate_classes,
     identify,
@@ -98,6 +105,139 @@ class TestAffineCanonical:
         monkeypatch.setenv("GRRS_MAX_K", "5")
         with pytest.raises(KTooLarge):
             canonical_mask(5, 1)
+
+
+def _random_affine_image(rng, k, mask):
+    """The image of a mask under a random invertible affine map of F_2^k."""
+    n = 1 << k
+    while True:
+        cols = [rng.randrange(1, n) for _ in range(k)]
+        table = [0] * n
+        for p in range(n):
+            for j in range(k):
+                if (p >> j) & 1:
+                    table[p] ^= cols[j]
+        if len(set(table)) == n:
+            break
+    t = rng.randrange(n)
+    return sum(1 << (table[p] ^ t) for p in range(n) if (mask >> p) & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_tables(k):
+    """GL(k,2) as point tables, from all k-tuples of columns that are
+    linearly independent (their 2^k combinations are distinct)."""
+    n = 1 << k
+    tables = []
+    for cols in itertools.product(range(n), repeat=k):
+        table = []
+        for p in range(n):
+            img = 0
+            for j in range(k):
+                if (p >> j) & 1:
+                    img ^= cols[j]
+            table.append(img)
+        if len(set(table)) == n:
+            tables.append(table)
+    return tables
+
+
+def _apply_table(table, mask):
+    return sum(1 << table[p] for p in range(len(table)) if (mask >> p) & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _translates(k, mask):
+    n = 1 << k
+    return frozenset(_apply_table([p ^ t for p in range(n)], mask) for t in range(n))
+
+
+def brute_force_pair(k, mask1, mask2, translate_second, complement_first):
+    """Independent oracle for canonical_pair: every linear map g, then every
+    translation (and the complement) of the first image, then every
+    translation of the second when `translate_second`.  The lex-least pair
+    over a product of choices is the pair of the least choices."""
+    full = (1 << (1 << k)) - 1
+    best = None
+    for g in _gl_tables(k):
+        g1, g2 = _apply_table(g, mask1), _apply_table(g, mask2)
+        firsts = [g1, full ^ g1] if complement_first else [g1]
+        first = min(m for f in firsts for m in _translates(k, f))
+        second = min(_translates(k, g2)) if translate_second else g2
+        if best is None or (first, second) < best:
+            best = (first, second)
+    return best
+
+
+class TestCanonicalOracles:
+    FLAGS = list(itertools.product((False, True), repeat=2))
+
+    def test_every_mask_up_to_k3_is_its_orbit_minimum(self):
+        for k in (1, 2, 3):
+            expected = {}
+            for mask in range(1 << (1 << k)):
+                if mask not in expected:
+                    orbit = brute_force_affine_orbit(k, mask)
+                    expected.update(dict.fromkeys(orbit, min(orbit)))
+            for mask, least in expected.items():
+                assert canonical_mask(k, mask) == least, (k, mask)
+
+    def test_orbit_counts_match_harrison(self):
+        # affine classes of subsets of F_2^k (Harrison 1964): 3, 5, 10, 32
+        for k, count in ((1, 3), (2, 5), (3, 10)):
+            assert len({canonical_mask(k, m) for m in range(1 << (1 << k))}) == count
+        # B3 lists every nonempty class once; the empty set is its own class
+        assert len({0} | {d.data[1] for d in enumerate_classes("B3", 4)}) == 32
+
+    def test_k4_invariant_under_random_affine_maps(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            mask = rng.randrange(1 << 16)
+            image = _random_affine_image(rng, 4, mask)
+            assert canonical_mask(4, image) == canonical_mask(4, mask), (mask, image)
+
+    def test_pairs_exhaustive_up_to_k2(self):
+        for k in (1, 2):
+            n = 1 << (1 << k)
+            for m1, m2 in itertools.product(range(n), repeat=2):
+                for ts, cf in self.FLAGS:
+                    assert canonical_pair(k, m1, m2, ts, cf) == brute_force_pair(
+                        k, m1, m2, ts, cf
+                    ), (k, m1, m2, ts, cf)
+
+    def test_pairs_seeded_k3(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            m1, m2 = rng.randrange(256), rng.randrange(256)
+            for ts, cf in self.FLAGS:
+                assert canonical_pair(3, m1, m2, ts, cf) == brute_force_pair(
+                    3, m1, m2, ts, cf
+                ), (m1, m2, ts, cf)
+
+
+class TestKCapIsReal:
+    """The README promises classification up to k = 4; the single-subset
+    types must list their k = 4 classes through the CLI in seconds."""
+
+    @pytest.mark.parametrize("cl, count", [("B3", 31), ("A1", 22)])
+    def test_k4_listing(self, cl, count):
+        src = os.path.dirname(os.path.dirname(grrs.__file__))
+        code = "import sys; from grrs.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "classify", "--cl", cl, "--k", "4", "--json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=30,
+        )
+        assert done.returncode == 0
+        listed = [int(d["data"]["S"], 2) for d in json.loads(done.stdout)["payload"]]
+        assert len(listed) == count
+        assert listed == [d.data[1] for d in enumerate_classes(cl, 4)]
+        for mask in listed:
+            assert canonical_mask(4, mask) == mask
+        rng = random.Random(23)
+        for _ in range(15):
+            mask = rng.randrange(1, 1 << 16)
+            wanted = cl == "B3" or contains_affine_basis(F2Subset(4, mask))
+            assert (canonical_mask(4, mask) in listed) == wanted, mask
 
 
 class TestContainsAffineBasis:
