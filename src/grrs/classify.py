@@ -475,6 +475,21 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     raise UnrecognizedCl(f"no identification rule for {name}")
 
 
+def _doubled_root_lattice(fam, cat, mm, L):
+    """For cl = C(m,n) or BC(m,n) with eps = e_0 and delta = e_mm: the
+    family above 2 eps, the lattice generated by the families above 2 eps and
+    2 delta, and twice the isotropic anchor a, a member above eps + delta."""
+    eps, dlt = unit_vector(cat.space.dim, 0), unit_vector(cat.space.dim, mm)
+    f_eps, f_dlt = fam(vscale(2, eps)), fam(vscale(2, dlt))
+    Lp = Lattice.from_vectors(
+        L.dim,
+        [v for f in (f_eps, f_dlt) for v in f.members()]
+        + [b for f in (f_eps, f_dlt) for b in f.modulus.basis],
+    )
+    a = fam(vadd(eps, dlt)).members()[0]
+    return f_eps, Lp, vadd(a, a)
+
+
 def _identify_ann(system, key, hmap, cat, k, L):
     """cl = A(n,n)_f (n > 1) or C(1,1): quotient-type invariants (q, p)."""
     name = str(key)
@@ -488,16 +503,8 @@ def _identify_ann(system, key, hmap, cat, k, L):
         # the position of the isotropic anchor relative to the lattice
         # generated by the two doubled-root families: 2a inside means a
         # subset form, outside means a quotient form.
-        nfam = _pullback_families(system, hmap, key)
-        eps, dlt = unit_vector(cat.space.dim, 0), unit_vector(cat.space.dim, 1)
-        f_eps, f_dlt, f_iso = nfam(vscale(2, eps)), nfam(vscale(2, dlt)), nfam(vadd(eps, dlt))
-        Lp = Lattice.from_vectors(
-            L.dim,
-            [v for f in (f_eps, f_dlt) for v in f.members()]
-            + [b for f in (f_eps, f_dlt) for b in f.modulus.basis],
-        )
-        a = f_iso.members()[0]
-        if Lp.rank == L.rank and Lp.member(vadd(a, a)):
+        f_eps, Lp, two_a = _doubled_root_lattice(_pullback_families(system, hmap, key), cat, 1, L)
+        if Lp.rank == L.rank and Lp.member(two_a):
             _check_k(k)
             pts = _points_mod2(f_eps, Lp)
             mask = canonical_mask(k, _mask_from_points(k, pts))
@@ -549,18 +556,10 @@ def _identify_cmn(key, fam, cat, k, L, with_shorts: bool):
     """cl = C(m,n) (mn > 1) or BC(m,n): subset data of Prop-6 shape."""
     _check_k(k)
     mm, nn = key.params
-    dim0 = cat.space.dim
-    eps, dlt = unit_vector(dim0, 0), unit_vector(dim0, mm)
-    f_eps = fam(vscale(2, eps))
-    f_dlt = fam(vscale(2, dlt))
-    f_iso = fam(vadd(eps, dlt))
-    Lp = Lattice.from_vectors(L.dim, [
-        v for f in (f_eps, f_dlt) for v in f.members()
-    ] + [b for f in (f_eps, f_dlt) for b in f.modulus.basis])
-    a = f_iso.members()[0]
-    if not Lp.member(vadd(a, a)):
+    f_eps, Lp, two_a = _doubled_root_lattice(fam, cat, mm, L)
+    if not Lp.member(two_a):
         # shifted presentation: enlarge the reference lattice by 2a
-        Lp = Lp.add(Lattice.from_vectors(L.dim, [vadd(a, a)]))
+        Lp = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
     pts = _points_mod2(f_eps, Lp)
     mask = _mask_from_points(k, pts)
     if not with_shorts:
@@ -569,7 +568,7 @@ def _identify_cmn(key, fam, cat, k, L, with_shorts: bool):
             full = (1 << (1 << k)) - 1
             m1 = min(m1, canonical_mask(k, full & ~mask))
         return ClassDescriptor(str(key), k, ("S", m1))
-    f_short = fam(eps).scale(2)
+    f_short = fam(unit_vector(cat.space.dim, 0)).scale(2)
     pts2 = _points_mod2(f_short, Lp)
     mask2 = _mask_from_points(k, pts2)
     pair = canonical_pair(
@@ -643,67 +642,63 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     kind, name = key.kind, str(key)
     if key.case_i:
         return [_desc_aff(name, k)]
-    npoints = 1 << k
-    full = (1 << npoints) - 1
+    full = (1 << (1 << k)) - 1
+    if key == TypeKey("C({},{})", (1, 1)):
+        raise NotClassified("C(1,1) admits infinitely many classes (rational quotients)")
+    if kind in ("C({},{})", "BC({},{})"):
+        # the name identify gives: C(1,2) is recognized as C(2,1)
+        name = recognize_cl(key.system())[0]
 
-    if kind in ("A1", "B({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
-        # A1 keeps the subsets that contain an affine basis, an affine invariant
-        return [
-            ClassDescriptor(name, k, ("S", m))
-            for m in _orbit_minima(k)
-            if kind != "A1" or contains_affine_basis(F2Subset(k, m))
-        ]
+    if kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
+        masks = _orbit_minima(k)
+        if kind == "A1":
+            # A1 keeps the subsets that contain an affine basis, an affine invariant
+            masks = [m for m in masks if contains_affine_basis(F2Subset(k, m))]
+        elif kind == "C({},{})":
+            # a proper subset; for m = n it is read up to its complement
+            masks = [m for m in masks if m != full]
+            if key.params[0] == key.params[1]:
+                masks = sorted({min(m, canonical_mask(k, full ^ m)) for m in masks})
+        return [ClassDescriptor(name, k, ("S", m)) for m in masks]
 
     if kind in ("G2", "F4"):
         return [ClassDescriptor(name, k, ("s", s)) for s in range(k + 1)]
 
-    if key == TypeKey("C{}", (2,)):
-        out = set()
-        for m1 in range(1, full + 1):
-            if not (m1 & 1):
-                continue
-            pts1 = frozenset(p for p in range(npoints) if (m1 >> p) & 1)
-            if not contains_affine_basis_points(k, pts1):
-                continue
-            for m2 in range(1, full + 1):
-                if not (m2 & 1):
-                    continue
-                ok = all(
-                    (m1 >> (a ^ b)) & 1
-                    for a in pts1
-                    for b in range(npoints)
-                    if (m2 >> b) & 1
-                )
-                if ok:
-                    out.add(
-                        canonical_pair(
-                            k, m1, m2, translate_second=True, complement_first=False
-                        )
-                    )
-        return [ClassDescriptor(name, k, ("S1S2",) + p) for p in sorted(out)]
-
-    if kind in ("C({},{})", "BC({},{})"):
-        # dedupe materialized instances: keeps the listing consistent with
-        # the canonical forms `identify` extracts
-        if key == TypeKey("C({},{})", (1, 1)):
-            raise NotClassified(
-                "C(1,1) admits infinitely many classes (rational quotients)"
+    if key == TypeKey("C{}", (2,)) or kind == "BC({},{})":
+        c2 = kind == "C{}"
+        if not c2 and k > 3:
+            raise KTooLarge(
+                f"{name} at k = {k} takes 30 first masks x 65 535 second masks at 0.3 to "
+                "0.4 s per canonical_pair call, which is days; BC(m,n) is listed up to k = 3"
             )
-        with_shorts = kind == "BC({},{})"
-        seen = {}
-        for m1 in range(1, full):
-            pts1 = [p for p in range(npoints) if (m1 >> p) & 1]
-            if min(pts1) != 0:
-                continue  # subset translation is a definitional collapse
-            if with_shorts:
-                for m2 in range(1, full + 1):
-                    pts2 = [p for p in range(npoints) if (m2 >> p) & 1]
-                    d = identify(catalog.family(key, k, S=pts1, Sp=pts2))
-                    seen.setdefault(d.data, d)
+        complement = not c2 and key.params[0] == key.params[1]
+        translations = _point_maps(k)[1]
+        pairs = set()
+        # Translations and linear maps act on the first mask, so every pair
+        # orbit has a member whose first mask is an orbit minimum.
+        for m1 in _orbit_minima(k):
+            if not c2:
+                # BC(m,n): a proper first subset, any nonempty second one
+                seconds = range(1, full + 1) if m1 != full else ()
+            elif m1 == full:
+                # every affine map fixes the full set: the second is read up to AGL(k,2)
+                pairs.update((full, m2) for m2 in _orbit_minima(k))
+                continue
+            elif contains_affine_basis(F2Subset(k, m1)):
+                # S1 + S2 <= S1 holds for the S2 through 0 inside the period
+                # group {t : S1 + t = S1}
+                seconds = [1]
+                for t in range(1, 1 << k):
+                    if _image(translations[t], m1) == m1:
+                        seconds += [m2 | 1 << t for m2 in seconds]
             else:
-                d = identify(catalog.family(key, k, S=pts1))
-                seen.setdefault(d.data, d)
-        return [seen[data] for data in sorted(seen)]
+                continue
+            pairs.update(
+                canonical_pair(k, m1, m2, translate_second=c2, complement_first=complement)
+                for m2 in seconds
+            )
+        tag = "S1S2" if c2 else "SSp"
+        return [ClassDescriptor(name, k, (tag,) + p) for p in sorted(pairs)]
 
     if kind == "BC{}":
         raise NotClassified(f"no complete classification for cl = {name}")

@@ -117,31 +117,40 @@ def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
     return system
 
 
+_MASK = (bin, lambda text: int(text, 2))
+_PLAIN = (lambda x: x, lambda x: x)
+
+# The JSON fields of each descriptor kind after "type", in data-tuple order,
+# with their (encode, decode) pair; BCn has one layout for n = 1 and one for
+# n >= 2, keyed by (kind, n == 1).
+_DESCRIPTOR_FIELDS = {
+    "affinization": (),
+    "gl": (),
+    "S": (("S", _MASK),),
+    "S1S2": (("S1", _MASK), ("S2", _MASK)),
+    "SSp": (("S", _MASK), ("Sp", _MASK)),
+    "s": (("s", _PLAIN),),
+    "Annx": (("q", _PLAIN), ("p", _PLAIN)),
+    "C11S": (("S", _MASK),),
+    ("BCn", True): (("n", _PLAIN), ("S", _MASK), ("H2", (list, tuple))),
+    ("BCn", False): (("n", _PLAIN), ("S1", _MASK), ("S2", _MASK), ("S3", _MASK)),
+}
+
+
+def _descriptor_fields(kind, n) -> tuple:
+    key = (kind, n == 1) if kind == "BCn" else kind
+    fields = _DESCRIPTOR_FIELDS.get(key) if isinstance(kind, str) else None
+    if fields is None:
+        raise GrrsError(f"unknown descriptor kind {kind}")
+    return fields
+
+
 def descriptor_to_dict(desc: ClassDescriptor) -> dict:
     kind = desc.kind()
+    fields = _descriptor_fields(kind, desc.data[1] if len(desc.data) > 1 else None)
     data: dict = {"type": kind}
-    if kind == "S":
-        data["S"] = bin(desc.data[1])
-    elif kind == "S1S2":
-        data["S1"], data["S2"] = bin(desc.data[1]), bin(desc.data[2])
-    elif kind == "SSp":
-        data["S"], data["Sp"] = bin(desc.data[1]), bin(desc.data[2])
-    elif kind == "s":
-        data["s"] = desc.data[1]
-    elif kind == "Annx":
-        data["q"] = desc.data[1]
-        data["p"] = desc.data[2]
-    elif kind == "C11S":
-        data["S"] = bin(desc.data[1])
-    elif kind == "BCn":
-        data["n"] = desc.data[1]
-        if desc.data[1] == 1:
-            data["S"] = bin(desc.data[2])
-            data["H2"] = list(desc.data[3])
-        else:
-            data["S1"] = bin(desc.data[2])
-            data["S2"] = bin(desc.data[3])
-            data["S3"] = bin(desc.data[4])
+    for (field, (encode, _)), value in zip(fields, desc.data[1:]):
+        data[field] = encode(value)
     try:
         km: Optional[str] = kac_moody_name(desc)
     except NoName:
@@ -152,33 +161,8 @@ def descriptor_to_dict(desc: ClassDescriptor) -> dict:
 def descriptor_from_dict(d: dict) -> ClassDescriptor:
     data = d["data"]
     kind = data["type"]
-    if kind == "affinization":
-        tup = ("affinization",)
-    elif kind == "S":
-        tup = ("S", int(data["S"], 2))
-    elif kind == "S1S2":
-        tup = ("S1S2", int(data["S1"], 2), int(data["S2"], 2))
-    elif kind == "SSp":
-        tup = ("SSp", int(data["S"], 2), int(data["Sp"], 2))
-    elif kind == "s":
-        tup = ("s", data["s"])
-    elif kind == "Annx":
-        tup = ("Annx", data["q"], data["p"])
-    elif kind == "C11S":
-        tup = ("C11S", int(data["S"], 2))
-    elif kind == "BCn":
-        if data["n"] == 1:
-            tup = ("BCn", 1, int(data["S"], 2), tuple(data["H2"]))
-        else:
-            tup = (
-                "BCn",
-                data["n"],
-                int(data["S1"], 2),
-                int(data["S2"], 2),
-                int(data["S3"], 2),
-            )
-    else:
-        raise GrrsError(f"unknown descriptor kind {kind}")
+    fields = _descriptor_fields(kind, data.get("n"))
+    tup = (kind,) + tuple(decode(data[field]) for field, (_, decode) in fields)
     return ClassDescriptor(str(type_key(d["cl"])), d["k"], tup)
 
 

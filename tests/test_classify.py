@@ -215,29 +215,191 @@ class TestCanonicalOracles:
                 ), (m1, m2, ts, cf)
 
 
-class TestKCapIsReal:
-    """The README promises classification up to k = 4; the single-subset
-    types must list their k = 4 classes through the CLI in seconds."""
+def _listing_by_identify(cl, k):
+    """The enumeration before orbit minima: build every instance with
+    `family`, with a first subset through 0, and identify it."""
+    n = 1 << k
+    full = (1 << n) - 1
+    key = type_key(cl)
+    seen = {}
+    for m1 in range(1, full, 2):
+        S = [p for p in range(n) if (m1 >> p) & 1]
+        if key.kind == "BC({},{})":
+            for m2 in range(1, full + 1):
+                Sp = [p for p in range(n) if (m2 >> p) & 1]
+                d = identify(family(key, k, S=S, Sp=Sp))
+                seen.setdefault(d.data, d)
+        else:
+            d = identify(family(key, k, S=S))
+            seen.setdefault(d.data, d)
+    return [seen[data] for data in sorted(seen)]
 
-    @pytest.mark.parametrize("cl, count", [("B3", 31), ("A1", 22)])
+
+def _c2_listing_by_all_pairs(k):
+    """The enumeration before orbit minima for C2: every pair of masks
+    through 0 with S1 + S2 inside S1 and an affine basis in S1."""
+    n = 1 << k
+    full = (1 << n) - 1
+    out = set()
+    for m1 in range(1, full + 1, 2):
+        pts1 = [p for p in range(n) if (m1 >> p) & 1]
+        if not contains_affine_basis(F2Subset(k, m1)):
+            continue
+        for m2 in range(1, full + 1, 2):
+            if all((m1 >> (a ^ b)) & 1 for a in pts1 for b in range(n) if (m2 >> b) & 1):
+                out.add(canonical_pair(k, m1, m2, translate_second=True, complement_first=False))
+    return [ClassDescriptor("C2", k, ("S1S2",) + p) for p in sorted(out)]
+
+
+def _cycle_lengths(table):
+    seen, lengths = set(), []
+    for p in range(len(table)):
+        length = 0
+        while p not in seen:
+            seen.add(p)
+            p = table[p]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def burnside_pair_count(k, second, complement_first):
+    """Orbits of the pairs (S1, S2), S1 proper and nonempty, S2 nonempty
+    when `second` (else absent), under a linear map g on both, a
+    translation of S1 and, when `complement_first`, the complement of S1:
+    the mean number of fixed pairs over the group (Burnside's lemma)."""
+    n = 1 << k
+    fixed = size = 0
+    for g in _gl_tables(k):
+        fixed_second = 2 ** len(_cycle_lengths(g)) - 1 if second else 1
+        for t in range(n):
+            lengths = _cycle_lengths([g[p] ^ t for p in range(n)])
+            fixed += (2 ** len(lengths) - 2) * fixed_second
+            if complement_first and all(c % 2 == 0 for c in lengths):
+                fixed += 2 ** len(lengths) * fixed_second
+            size += 2 if complement_first else 1
+    assert fixed % size == 0
+    return fixed // size
+
+
+def brute_force_c2_count(k):
+    """Orbits of the C2 pairs: S1 with an affine basis and S2 inside a coset
+    of the period group of S1, under a linear map on both and independent
+    translations of each; every orbit is listed element by element."""
+    n = 1 << k
+    pairs = set()
+    for m1 in range(1, 1 << n):
+        if contains_affine_basis(F2Subset(k, m1)):
+            period = [t for t in range(n) if _apply_table([p ^ t for p in range(n)], m1) == m1]
+            for bits in range(1 << len(period)):
+                m2 = sum(1 << t for j, t in enumerate(period) if (bits >> j) & 1)
+                if m2:
+                    pairs.update((m1, y) for y in _translates(k, m2))
+    orbits = 0
+    while pairs:
+        m1, m2 = pairs.pop()
+        orbits += 1
+        for g in _gl_tables(k):
+            for x in _translates(k, _apply_table(g, m1)):
+                pairs.difference_update((x, y) for y in _translates(k, _apply_table(g, m2)))
+    return orbits
+
+
+class TestPairListing:
+    """C(m,n), BC(m,n) and C2 are listed from orbit minima; the enumerations
+    they replaced, and orbit counts, are the oracles."""
+
+    @pytest.mark.parametrize("cl", ["C(2,1)", "C(1,2)", "C(2,2)", "BC(1,1)", "BC(2,1)", "BC(1,2)"])
+    def test_matches_identify_every_instance(self, cl):
+        for k in (1, 2):
+            assert enumerate_classes(cl, k) == _listing_by_identify(cl, k), (cl, k)
+
+    def test_c2_matches_all_pairs(self):
+        for k in (1, 2, 3):
+            assert enumerate_classes("C2", k) == _c2_listing_by_all_pairs(k), k
+
+    def test_k3_counts_match_orbit_counts(self):
+        assert len(enumerate_classes("BC(1,1)", 3)) == burnside_pair_count(3, True, True) == 191
+        assert len(enumerate_classes("BC(2,1)", 3)) == burnside_pair_count(3, True, False) == 296
+        assert len(enumerate_classes("C(2,1)", 3)) == burnside_pair_count(3, False, False) == 8
+        assert len(enumerate_classes("C2", 3)) == brute_force_c2_count(3) == 14
+
+
+def _classify_cli(cl, k):
+    src = os.path.dirname(os.path.dirname(grrs.__file__))
+    code = "import sys; from grrs.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, "classify", "--cl", cl, "--k", str(k), "--json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=30,
+    )
+
+
+class TestKCapIsReal:
+    """The README promises classification up to k = 4 (BC(m,n) up to k = 3);
+    each type must list its classes through the CLI in seconds."""
+
+    @pytest.mark.parametrize("cl, count", [("B3", 31), ("A1", 22), ("C(2,1)", 30), ("C(2,2)", 17)])
     def test_k4_listing(self, cl, count):
-        src = os.path.dirname(os.path.dirname(grrs.__file__))
-        code = "import sys; from grrs.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = subprocess.run(
-            [sys.executable, "-c", code, "classify", "--cl", cl, "--k", "4", "--json"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=30,
-        )
+        done = _classify_cli(cl, 4)
         assert done.returncode == 0
         listed = [int(d["data"]["S"], 2) for d in json.loads(done.stdout)["payload"]]
         assert len(listed) == count
         assert listed == [d.data[1] for d in enumerate_classes(cl, 4)]
         for mask in listed:
             assert canonical_mask(4, mask) == mask
+        full = (1 << 16) - 1
         rng = random.Random(23)
         for _ in range(15):
             mask = rng.randrange(1, 1 << 16)
-            wanted = cl == "B3" or contains_affine_basis(F2Subset(4, mask))
-            assert (canonical_mask(4, mask) in listed) == wanted, mask
+            canon = canonical_mask(4, mask)
+            if cl == "C(2,2)":
+                canon = min(canon, canonical_mask(4, full ^ mask))
+            wanted = {
+                "B3": True,
+                "A1": contains_affine_basis(F2Subset(4, mask)),
+            }.get(cl, mask != full)
+            assert (canon in listed) == wanted, mask
+
+    def test_c2_k4_listing(self):
+        done = _classify_cli("C2", 4)
+        assert done.returncode == 0
+        listed = [(int(d["data"]["S1"], 2), int(d["data"]["S2"], 2))
+                  for d in json.loads(done.stdout)["payload"]]
+        assert len(listed) == 58
+        assert listed == [d.data[1:] for d in enumerate_classes("C2", 4)]
+        # seeded valid pairs: S1 a union of cosets of a random subgroup V,
+        # S2 a subset of V through 0
+        rng = random.Random(29)
+        checked = 0
+        while checked < 8:
+            V = {0}
+            for _ in range(rng.randrange(4)):
+                v = rng.randrange(16)
+                V |= {x ^ v for x in V}
+            S1 = {x ^ c for c in range(16) if rng.randrange(2) for x in V}
+            S2 = {0} | {x for x in V if rng.randrange(2)}
+            m1, m2 = F2Subset.from_points(4, S1).mask, F2Subset.from_points(4, S2).mask
+            if m1 and contains_affine_basis(F2Subset(4, m1)):
+                assert canonical_pair(4, m1, m2, True, False) in listed, (m1, m2)
+                checked += 1
+
+    def test_bc_k3_listing(self):
+        done = _classify_cli("BC(1,1)", 3)
+        assert done.returncode == 0
+        payload = json.loads(done.stdout)["payload"]
+        assert len(payload) == 191
+        listed = [(int(d["data"]["S"], 2), int(d["data"]["Sp"], 2)) for d in payload]
+        assert listed == [d.data[1:] for d in enumerate_classes("BC(1,1)", 3)]
+        rng = random.Random(31)
+        for _ in range(10):
+            m1, m2 = rng.randrange(1, 255), rng.randrange(1, 256)
+            assert canonical_pair(3, m1, m2, False, True) in listed, (m1, m2)
+
+    def test_bc_k4_exits_2(self):
+        done = _classify_cli("BC(1,1)", 4)
+        assert done.returncode == 2
+        assert b"listed up to k = 3" in done.stderr
 
 
 class TestContainsAffineBasis:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from grrs import serialize
 from grrs.catalog import a_nn_x, build, family
-from grrs.classify import enumerate_classes
+from grrs.classify import ClassDescriptor, enumerate_classes
 from grrs.cli import build_any, main
 from grrs.errors import GrrsError
 from grrs.finite import check_axioms
@@ -158,6 +158,32 @@ class TestCli:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# Every descriptor kind with its JSON data fields (the format is fixed).
+DESCRIPTOR_DATA = [
+    (("affinization",), {"type": "affinization"}),
+    (("gl",), {"type": "gl"}),
+    (("S", 0b101), {"type": "S", "S": "0b101"}),
+    (("S1S2", 0b11, 0b1), {"type": "S1S2", "S1": "0b11", "S2": "0b1"}),
+    (("SSp", 0b1, 0b10), {"type": "SSp", "S": "0b1", "Sp": "0b10"}),
+    (("s", 1), {"type": "s", "s": 1}),
+    (("Annx", 3, None), {"type": "Annx", "q": 3, "p": None}),
+    (("Annx", 5, 2), {"type": "Annx", "q": 5, "p": 2}),
+    (("C11S", 0b1), {"type": "C11S", "S": "0b1"}),
+    (("BCn", 1, 0b11, (0, 2)), {"type": "BCn", "n": 1, "S": "0b11", "H2": [0, 2]}),
+    (("BCn", 2, 0b11, 0b1, 0b10), {"type": "BCn", "n": 2, "S1": "0b11", "S2": "0b1", "S3": "0b10"}),
+]
+
+
+@pytest.mark.parametrize("data, fields", DESCRIPTOR_DATA)
+def test_descriptor_kinds_round_trip(data, fields):
+    desc = ClassDescriptor("B3", 2, data)
+    as_dict = serialize.descriptor_to_dict(desc)
+    assert as_dict == {"cl": "B3", "k": 2, "data": fields, "kacMoody": None}
+    assert serialize.descriptor_from_dict(as_dict) == desc
+    text = serialize.dumps([desc])
+    assert serialize.dumps(serialize.loads(text)) == text
+
+
 MALFORMED = {
     "no-payload": {"schemaVersion": 1, "type": "finite"},
     "zero-denominator": {
@@ -168,6 +194,14 @@ MALFORMED = {
     "descriptor-without-data": {
         "schemaVersion": 1, "type": "classes",
         "payload": [{"cl": "B3", "k": 1, "kacMoody": None}],
+    },
+    "descriptor-of-unknown-kind": {
+        "schemaVersion": 1, "type": "classes",
+        "payload": [{"cl": "B3", "k": 1, "data": {"type": "T", "S": "0b1"}, "kacMoody": None}],
+    },
+    "bcn-descriptor-without-n": {
+        "schemaVersion": 1, "type": "classes",
+        "payload": [{"cl": "BC1", "k": 1, "data": {"type": "BCn", "S": "0b1", "H2": [0]}, "kacMoody": None}],
     },
     "descriptor-of-no-type": {
         "schemaVersion": 1, "type": "classes",
