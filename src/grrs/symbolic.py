@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache, cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -24,16 +25,15 @@ from .errors import (
     NotInKernel,
     UnknownRoot,
 )
-from .finite import AxiomCheck, AxiomReport, FiniteRootSystem
+from .finite import AxiomCheck, AxiomReport, FiniteRootSystem, _combination
 from .linalg import (
     BilinearSpace,
     Lattice,
     SubspaceProjection,
     Vector,
-    independent_subset,
     is_zero,
     rank,
-    solve_in_span,
+    rref,
     unit_vector,
     vadd,
     vneg,
@@ -60,15 +60,7 @@ class CosetSet:
         modulus: Lattice,
         translate: Vector,
         reps: Sequence[Vector],
-        _canonical: bool = False,
     ):
-        if _canonical:
-            self.ambient = ambient
-            self.modulus = modulus
-            self.translate = translate
-            self.reps = tuple(reps)
-            self._repset = frozenset(self.reps)
-            return
         dim = ambient.dim
         members0 = [vadd(tuple(Q(x) for x in translate), tuple(Q(x) for x in r)) for r in reps]
         if not members0:
@@ -286,10 +278,9 @@ class SymbolicRootSystem:
             FamilyEntry(lift, fam) for lift, fam in anchored
         )
         self._by_lift: Dict[Vector, CosetSet] = {e.lift: e.family for e in self.entries}
-        self._by_cl: Dict[Vector, FamilyEntry] = {
-            self._proj.apply(e.lift): e for e in self.entries
-        }
-        self._cl_cache: Optional[FiniteRootSystem] = None
+        # each entry's class in the minimal quotient, in the order of entries
+        self._classes: Tuple[Vector, ...] = tuple(self._proj.apply(e.lift) for e in self.entries)
+        self._by_cl: Dict[Vector, FamilyEntry] = dict(zip(self._classes, self.entries))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -312,7 +303,8 @@ class SymbolicRootSystem:
 
     def splitting(self) -> Tuple[Vector, ...]:
         """Lex-first lifts forming a basis of the complement V'."""
-        return tuple(_complement_basis(self.space, self.lifts))
+        lifts = self.lifts
+        return tuple(lifts[i] for i in _splitting(self.space, lifts)[0])
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = tuple(Q(x) for x in lift)
@@ -322,12 +314,13 @@ class SymbolicRootSystem:
 
     def cl(self) -> FiniteRootSystem:
         """Minimal quotient, realized on the non-pivot coordinates of V/Ker."""
-        if self._cl_cache is None:
-            kept = self._proj.kept
-            gram = [[self.space.gram[i][j] for j in kept] for i in kept]
-            roots = [self._proj.apply(e.lift) for e in self.entries]
-            self._cl_cache = FiniteRootSystem(BilinearSpace(gram), roots)
-        return self._cl_cache
+        return self._cl
+
+    @cached_property
+    def _cl(self) -> FiniteRootSystem:
+        kept = self._proj.kept
+        gram = [[self.space.gram[i][j] for j in kept] for i in kept]
+        return FiniteRootSystem(BilinearSpace(gram), self._classes)
 
     def entry_for_cl(self, cl_root: Vector) -> FamilyEntry:
         cl_root = tuple(Q(x) for x in cl_root)
@@ -356,21 +349,17 @@ class SymbolicRootSystem:
         set is unchanged, only the complement V' (hence all lifts and
         families) moves.
         """
-        basis = list(self.splitting())
+        dim = self.space.dim
+        picked, coords = _splitting(self.space, self.lifts)
         shifts = []
-        for b in basis:
-            off = offsets.get(b, zero_vector(self.space.dim))
-            off = tuple(Q(x) for x in off)
+        for b in (self.lifts[i] for i in picked):
+            off = tuple(Q(x) for x in offsets.get(b, zero_vector(dim)))
             if not is_zero(off) and not self.family_of_lift(b).contains(off):
                 raise UnknownRoot("offset is not a member of the splitting family")
             shifts.append(off)
         new_entries = []
-        for e in self.entries:
-            coords = solve_in_span(basis + list(self.space.kernel_basis()), e.lift)
-            lam = zero_vector(self.space.dim)
-            for c, s in zip(coords[: len(basis)], shifts):
-                if c:
-                    lam = vadd(lam, vscale(c, s))
+        for e, c in zip(self.entries, coords):
+            lam = _combination(c, shifts, dim)
             new_lift = vadd(e.lift, lam)
             new_fam = e.family.shift(vneg(lam))
             new_entries.append((new_lift, new_fam))
@@ -381,28 +370,33 @@ class SymbolicRootSystem:
 # Constructions
 
 
-def _complement_basis(space: BilinearSpace, vectors: Sequence[Vector]) -> List[Vector]:
-    """The first of the vectors that are independent modulo the radical."""
-    kb = list(space.kernel_basis())
-    picked = independent_subset(kb + list(vectors))
-    return [vectors[i - len(kb)] for i in picked if i >= len(kb)]
+def _splitting(
+    space: BilinearSpace, vectors: Sequence[Vector]
+) -> Tuple[List[int], List[Vector]]:
+    """Indices of the first vectors independent modulo the radical, and every
+    vector's coordinates on them.
+
+    One elimination of the matrix whose columns are the radical basis and
+    then the vectors: the radical basis takes the first pivots, the pivots
+    after it pick the vectors, and the reduced rows below the radical's hold
+    each column's coefficients on those picked vectors.
+    """
+    m = len(space.kernel_basis())
+    reduced, pivots = rref(list(zip(*space.kernel_basis(), *vectors)))
+    rows = reduced[m:]
+    coords = [tuple(row[m + j] for row in rows) for j in range(len(vectors))]
+    return [p - m for p in pivots[m:]], coords
 
 
 def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     """View a finite system symbolically with respect to its radical."""
-    kb = list(system.space.kernel_basis())
     dim = system.space.dim
-    chosen = _complement_basis(system.space, system.roots)
+    picked, coords = _splitting(system.space, system.roots)
+    chosen = [system.roots[i] for i in picked]
     zero_mod = Lattice.zero(dim)
     groups: Dict[Vector, List[Vector]] = {}
-    for r in system.roots:
-        coords = solve_in_span(chosen + kb, r)
-        if coords is None:
-            raise GrrsError("roots do not decompose along the chosen splitting")
-        lift = zero_vector(dim)
-        for c, b in zip(coords[: len(chosen)], chosen):
-            if c:
-                lift = vadd(lift, vscale(c, b))
+    for r, c in zip(system.roots, coords):
+        lift = _combination(c, chosen, dim)
         groups.setdefault(lift, []).append(vsub(r, lift))
     ambient = Lattice.from_vectors(dim, [v for vs in groups.values() for v in vs])
     entries = []
@@ -602,42 +596,54 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
 
 
 def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
-    """Same semantics as the finite checker, family-wise."""
-    space = system.space
+    """Same semantics as the finite checker, in two layers.
 
-    gr0 = AxiomCheck(True)
-    for e in system.entries:
-        if is_zero(system._proj.apply(e.lift)):
-            gr0 = AxiomCheck(False, (e.lift,))
-            break
+    Class layer: the finite reflection rule on cl(R), read from its integer
+    view.  The lifts span a complement of the radical, so the lift above -a,
+    b +- a or r_a(b) is that combination of lifts, and the quotient's index
+    of a class stands for its entry.  GR1 splits as rank ZR = rank of the
+    classes + rank L, since L = ZR cap Ker.  Family layer: each coset test
+    depends only on the families that meet, numbered by value (id -1 is the
+    empty family of a missing class), and is decided once per tuple of ids.
+    """
+    cl = system.cl()
+    view = cl._view
+    P = view.pairings
+    # entries in their own order, each with its index in cl.roots
+    pairs = [(e, cl._index[c]) for e, c in zip(system.entries, system._classes)]
+    ids: Dict[CosetSet, int] = {}
+    fid: Dict[Optional[int], int] = {None: -1}  # cl index -> family id
+    for e, i in pairs:
+        fid[i] = ids.setdefault(e.family, len(ids))
+    fams = list(ids) + [CosetSet.empty(system.L)]
 
-    gens: List[Vector] = []
-    for e in system.entries:
-        for m in e.family.members():
-            gens.append(vadd(e.lift, m))
-        gens.extend(e.family.modulus.basis)
-    gr1 = AxiomCheck(Lattice.from_vectors(space.dim, gens).rank == space.dim)
+    @cache
+    def reflects_into(a: int, b: int, k: int, t: int) -> bool:
+        return fams[b].add(fams[a].scale(-k)).subset_of(fams[t])
 
-    by_lift = system._by_lift
+    @cache
+    def negates(a: int, m: int) -> bool:
+        return fams[m].same_set(fams[a].neg())
+
+    @cache
+    def xor(a: int, b: int, c: int, d: int):
+        return _xor_check(fams[a], fams[b], fams[c], fams[d])
+
+    zero = next((e.lift for e, i in pairs if is_zero(cl.roots[i])), None)
+    gr0 = AxiomCheck(zero is None, None if zero is None else (zero,))
+    gr1 = AxiomCheck(len(cl._span[0]) == cl.space.dim and system.L.rank == system.kernel_dim)
+
     gr2_fail = None
-    for ea in system.entries:
-        na = space.norm(ea.lift)
-        if na == 0:
-            continue
-        for eb in system.entries:
-            k = 2 * space.form(ea.lift, eb.lift) / na
-            if k.denominator != 1:
+    for ea, i in ((e, i) for e, i in pairs if P[i][i]):
+        for eb, j in pairs:
+            if 2 * P[i][j] % P[i][i]:
                 gr2_fail = (ea.lift, eb.lift)
                 break
+            k = 2 * P[i][j] // P[i][i]
             if k == 0:
                 continue
-            image = vsub(eb.lift, vscale(k, ea.lift))
-            target = by_lift.get(image)
-            if target is None:
-                gr2_fail = (ea.lift, eb.lift)
-                break
-            moved = eb.family.add(ea.family.scale(-int(k)))
-            if not moved.subset_of(target):
+            t = view.image(i, j)
+            if t is None or not reflects_into(fid[i], fid[j], k, fid[t]):
                 gr2_fail = (ea.lift, eb.lift)
                 break
         if gr2_fail:
@@ -645,28 +651,15 @@ def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
     gr2 = AxiomCheck(gr2_fail is None, gr2_fail)
 
     # R = -R at family level
-    gr3_fail = None
-    wgr3_fail = None
-    for e in system.entries:
-        neg_entry = by_lift.get(vneg(e.lift))
-        if neg_entry is None or not neg_entry.same_set(e.family.neg()):
-            gr3_fail = wgr3_fail = (e.lift,)
-            break
-
+    gr3_fail = wgr3_fail = next(
+        ((e.lift,) for e, i in pairs
+         if view.neg[i] is None or not negates(fid[i], fid[view.neg[i]])),
+        None,
+    )
     if gr3_fail is None:
-        for ea in system.entries:
-            if space.norm(ea.lift) != 0:
-                continue
-            for eb in system.entries:
-                if space.form(ea.lift, eb.lift) == 0:
-                    continue
-                plus_lift = vadd(eb.lift, ea.lift)
-                minus_lift = vsub(eb.lift, ea.lift)
-                C = by_lift.get(plus_lift)
-                D = by_lift.get(minus_lift)
-                C = C if C is not None else CosetSet.empty(system.L)
-                D = D if D is not None else CosetSet.empty(system.L)
-                ok3, okw = _xor_check(ea.family, eb.family, C, D)
+        for ea, i in ((e, i) for e, i in pairs if not P[i][i]):
+            for eb, j in ((e, j) for e, j in pairs if P[i][j]):
+                ok3, okw = xor(fid[i], fid[j], fid[view.shift(j, i, 1)], fid[view.shift(j, i, -1)])
                 if not ok3:
                     gr3_fail = gr3_fail or (ea.lift, eb.lift)
                 if not okw:

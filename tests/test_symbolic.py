@@ -1,11 +1,23 @@
+import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
 
 from grrs.catalog import a_nn_x, build, family
 from grrs.errors import KernelTooLarge, NotBijective, NotInKernel, UnknownRoot
-from grrs.finite import check_axioms, isomorphic_finite
-from grrs.linalg import BilinearSpace, Lattice, vadd, vec, vneg, vscale, vsub, zero_vector
+from grrs.finite import AxiomCheck, AxiomReport, check_axioms, isomorphic_finite
+from grrs.linalg import (
+    BilinearSpace,
+    Lattice,
+    unit_vector,
+    vadd,
+    vec,
+    vneg,
+    vscale,
+    vsub,
+    zero_vector,
+)
 from grrs.symbolic import (
     CosetSet,
     F_of,
@@ -19,6 +31,7 @@ from grrs.symbolic import (
 )
 
 from conftest import V
+from materialize import materialized_verdicts, report_verdicts
 from support import f_invariance_failures, full_coset_failures, is_transitive_grrs_quotient
 
 
@@ -403,3 +416,112 @@ class TestFamilyInvariants:
                      affinize(build("A(2,1)"), 1), affinize(build("C(2)"), 1)):
             assert is_transitive_grrs_quotient(sys_)
             assert full_coset_failures(sys_) == []
+
+
+def over_radical(diagonal, classes, kind):
+    """The given classes over a diagonal Gram matrix whose last entry is 0,
+    all carrying the family Z delta ("full") or {0} ("point"), delta the
+    last unit vector."""
+    dim = len(diagonal)
+    L = lat(dim, unit_vector(dim, dim - 1))
+    fam = {
+        "full": CosetSet.full_lattice(L),
+        "point": CosetSet(L, Lattice.zero(dim), zero_vector(dim), [zero_vector(dim)]),
+    }[kind]
+    gram = [[diagonal[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return SymbolicRootSystem(BilinearSpace(gram), [(vec(c), fam) for c in classes])
+
+
+PASS = AxiomCheck(True)
+
+
+class TestDegenerateAxioms:
+    """GR0 and GR1 failures; the expected reports are those of the checker
+    that decided the axioms in Fraction arithmetic on the lifts."""
+
+    SYSTEMS = {
+        # the zero class carries the whole radical lattice
+        "zero-class": (
+            over_radical([2, 0], [[1, 0], [-1, 0], [0, 0]], "full"),
+            AxiomReport(AxiomCheck(False, (vec([0, 0]),)), PASS, PASS, PASS, PASS),
+        ),
+        # L = ZR cap Ker is 0, of rank less than the radical's
+        "no-radical-lattice": (
+            over_radical([2, 0], [[1, 0], [-1, 0]], "point"),
+            AxiomReport(PASS, AxiomCheck(False), PASS, PASS, PASS),
+        ),
+        # the classes +-(1, 0) do not span the quotient
+        "quotient-not-spanned": (
+            over_radical([2, 2, 0], [[1, 0, 0], [-1, 0, 0]], "full"),
+            AxiomReport(PASS, AxiomCheck(False), PASS, PASS, PASS),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_report(self, name):
+        system, expected = self.SYSTEMS[name]
+        assert check_symbolic_axioms(system) == expected
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_matches_materialized(self, name):
+        system, expected = self.SYSTEMS[name]
+        assert materialized_verdicts(system) == report_verdicts(expected)
+
+
+@cache
+def oracle_systems():
+    """Systems over a one-dimensional radical, by label."""
+    out = {f"affinize {n}": affinize(build(n), 1)
+           for n in ("A2", "B2", "G2", "BC2", "B(1,1)", "C(1,1)", "A(1,1)_f")}
+    for n, p, q in ((1, 1, 2), (1, 1, 3), (1, 2, 5)):
+        out[f"a_nn_x {n} {p}/{q}"] = a_nn_x(n, p, q, 0)
+    families = [
+        ("A1", dict(S={0, 1})), ("C2", dict(S1={0, 1}, S2={0})), ("G2", dict(s=0)),
+        ("G2", dict(s=1)), ("BC(1,1)", dict(S={0}, Sp={1})), ("B(1,1)", dict(S={0})),
+    ]
+    for name, params in families:
+        out[f"family {name} {params}"] = family(name, 1, **params)
+    out["from_finite A(1,1)"] = from_finite(build("A(1,1)").restricted_to_span())
+    return out
+
+
+def defective(system, rng):
+    """One or two classes changed: the family dropped, its modulus doubled,
+    shifted by half a period, or cut to one point; half the time the class
+    of the negative root changes in step, so that R = -R may still hold."""
+    entries = {e.lift: e.family for e in system.entries}
+    for _ in range(rng.randint(1, 2)):
+        lift = rng.choice(sorted(entries))
+        kind = rng.choice(("drop", "double", "half", "point"))
+        targets = [(lift, 1)]
+        if rng.random() < 0.5 and vneg(lift) in entries:
+            targets.append((vneg(lift), -1))
+        for key, sign in targets:
+            fam = entries.pop(key)
+            amb, mod, t, reps = fam.ambient, fam.modulus, fam.translate, fam.reps
+            if kind == "double":
+                entries[key] = CosetSet(amb, mod.scaled(2), t, reps)
+            elif kind == "half":
+                half = vscale(Q(sign, 2), (mod.basis or amb.basis)[0])
+                amb = amb.add(Lattice.from_vectors(fam.dim, [half]))
+                entries[key] = CosetSet(amb, mod, vadd(t, half), reps)
+            elif kind == "point":
+                entries[key] = CosetSet(amb, Lattice.zero(fam.dim), t, reps[:1])
+    return SymbolicRootSystem(system.space, list(entries.items()))
+
+
+class TestMaterializedOracle:
+    """check_symbolic_axioms against the axioms decided on the roots listed
+    in a bounded box (tests/materialize.py), axiom by axiom."""
+
+    @pytest.mark.parametrize("label", list(oracle_systems()))
+    def test_catalog_systems(self, label):
+        system = oracle_systems()[label]
+        assert materialized_verdicts(system) == report_verdicts(check_symbolic_axioms(system))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_defective_systems(self, seed):
+        rng = random.Random(seed)
+        bases = [s for label, s in oracle_systems().items() if not label.startswith("family A1")]
+        system = defective(rng.choice(bases), rng)
+        assert materialized_verdicts(system) == report_verdicts(check_symbolic_axioms(system))
