@@ -106,11 +106,16 @@ def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
     if space.dim != d["dim"]:
         raise GrrsError("dim field does not match the gram matrix")
     entries = []
+    families = {}  # each distinct family is built once, keyed by its fields
     for f in d["families"]:
-        ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"]))
-        modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"]))
-        fam = CosetSet(ambient, modulus, _parse_vec(f["translate"]), _parse_mat(f["reps"]))
-        entries.append((_parse_vec(f["root"]), fam))
+        key = repr([f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"]])
+        if key not in families:
+            ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"]))
+            modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"]))
+            families[key] = CosetSet(
+                ambient, modulus, _parse_vec(f["translate"]), _parse_mat(f["reps"])
+            )
+        entries.append((_parse_vec(f["root"]), families[key]))
     system = SymbolicRootSystem(space, entries)
     if system.kernel_dim != d["kernelDim"]:
         raise GrrsError("kernelDim field does not match the gram matrix")

@@ -32,7 +32,6 @@ from .linalg import (
     SubspaceProjection,
     Vector,
     is_zero,
-    rank,
     rref,
     unit_vector,
     vadd,
@@ -248,34 +247,31 @@ class SymbolicRootSystem:
             cleaned.append((lift, fam))
         if not cleaned:
             raise GrrsError("symbolic system with no nonempty families")
+        # each distinct family once, in first-seen order
+        distinct = dict.fromkeys(fam for _, fam in cleaned)
+        cleaned.sort(key=lambda e: e[0])
         lifts = [lift for lift, _ in cleaned]
         if len(set(lifts)) != len(lifts):
             raise GrrsError("duplicate lifts in symbolic system")
-        if rank(list(lifts) + list(kb)) != rank(lifts) + len(kb):
+        # one elimination tests the lifts and keeps the splitting for resplit
+        self._picked, self._coords, independent = _splitting(space, lifts)
+        if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
         # kernel-part sanity for all family data
-        for _, fam in cleaned:
+        for fam in distinct:
             for v in list(fam.modulus.basis) + [fam.translate] + list(fam.reps):
                 if not space.in_kernel(v):
                     raise GrrsError("family data outside the radical")
 
         # shared lattice L = ZR cap Ker
-        gens: List[Vector] = []
-        for lift, fam in cleaned:
-            for m in fam.members():
-                gens.append(vadd(lift, m))
-            gens.extend(fam.modulus.basis)
+        gens: List[Vector] = [b for fam in distinct for b in fam.modulus.basis]
+        gens += [vadd(lift, m) for lift, fam in cleaned for m in fam.members()]
         self.L = Lattice.from_vectors(space.dim, gens).kernel_part(space)
 
-        anchored = []
-        for lift, fam in cleaned:
-            anchored.append(
-                (lift, CosetSet(self.L, fam.modulus, fam.translate, fam.reps))
-            )
-        anchored.sort(key=lambda e: e[0])
+        anchored = {fam: CosetSet(self.L, fam.modulus, fam.translate, fam.reps) for fam in distinct}
         self.entries: Tuple[FamilyEntry, ...] = tuple(
-            FamilyEntry(lift, fam) for lift, fam in anchored
+            FamilyEntry(lift, anchored[fam]) for lift, fam in cleaned
         )
         self._by_lift: Dict[Vector, CosetSet] = {e.lift: e.family for e in self.entries}
         # each entry's class in the minimal quotient, in the order of entries
@@ -303,8 +299,7 @@ class SymbolicRootSystem:
 
     def splitting(self) -> Tuple[Vector, ...]:
         """Lex-first lifts forming a basis of the complement V'."""
-        lifts = self.lifts
-        return tuple(lifts[i] for i in _splitting(self.space, lifts)[0])
+        return tuple(self.entries[i].lift for i in self._picked)
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = tuple(Q(x) for x in lift)
@@ -337,10 +332,8 @@ class SymbolicRootSystem:
         entry = self._by_cl.get(w)
         if entry is None:
             return False
-        offset = vsub(v, entry.lift)
-        if not self.space.in_kernel(offset):
-            return False
-        return entry.family.contains(offset)
+        # _by_cl is keyed by the projection along the radical: v - lift is in it
+        return entry.family.contains(vsub(v, entry.lift))
 
     def resplit(self, offsets: Dict[Vector, Vector]) -> "SymbolicRootSystem":
         """Rebuild with splitting roots shifted by the given family members.
@@ -350,19 +343,16 @@ class SymbolicRootSystem:
         families) moves.
         """
         dim = self.space.dim
-        picked, coords = _splitting(self.space, self.lifts)
         shifts = []
-        for b in (self.lifts[i] for i in picked):
+        for b in self.splitting():
             off = tuple(Q(x) for x in offsets.get(b, zero_vector(dim)))
             if not is_zero(off) and not self.family_of_lift(b).contains(off):
                 raise UnknownRoot("offset is not a member of the splitting family")
             shifts.append(off)
         new_entries = []
-        for e, c in zip(self.entries, coords):
+        for e, c in zip(self.entries, self._coords):
             lam = _combination(c, shifts, dim)
-            new_lift = vadd(e.lift, lam)
-            new_fam = e.family.shift(vneg(lam))
-            new_entries.append((new_lift, new_fam))
+            new_entries.append((vadd(e.lift, lam), e.family.shift(vneg(lam))))
         return SymbolicRootSystem(self.space, new_entries)
 
 
@@ -372,26 +362,29 @@ class SymbolicRootSystem:
 
 def _splitting(
     space: BilinearSpace, vectors: Sequence[Vector]
-) -> Tuple[List[int], List[Vector]]:
-    """Indices of the first vectors independent modulo the radical, and every
-    vector's coordinates on them.
+) -> Tuple[List[int], List[Vector], bool]:
+    """Indices of the first vectors independent modulo the radical, every
+    vector's coordinates on them, and whether the span of the vectors meets
+    the radical only in 0.
 
     One elimination of the matrix whose columns are the radical basis and
     then the vectors: the radical basis takes the first pivots, the pivots
     after it pick the vectors, and the reduced rows below the radical's hold
-    each column's coefficients on those picked vectors.
+    each column's coefficients on those picked vectors.  The radical's rows
+    hold each column's radical part, so the span meets the radical only in 0
+    exactly when they vanish at every vector column.
     """
     m = len(space.kernel_basis())
     reduced, pivots = rref(list(zip(*space.kernel_basis(), *vectors)))
-    rows = reduced[m:]
-    coords = [tuple(row[m + j] for row in rows) for j in range(len(vectors))]
-    return [p - m for p in pivots[m:]], coords
+    coords = [tuple(row[m + j] for row in reduced[m:]) for j in range(len(vectors))]
+    independent = all(x == 0 for row in reduced[:m] for x in row[m:])
+    return [p - m for p in pivots[m:]], coords, independent
 
 
 def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     """View a finite system symbolically with respect to its radical."""
     dim = system.space.dim
-    picked, coords = _splitting(system.space, system.roots)
+    picked, coords, _ = _splitting(system.space, system.roots)
     chosen = [system.roots[i] for i in picked]
     zero_mod = Lattice.zero(dim)
     groups: Dict[Vector, List[Vector]] = {}
@@ -428,14 +421,13 @@ def affinize(
 
     delta_block = [unit_vector(dim, old.dim + i) for i in range(n)]
     big = Lattice.from_vectors(dim, [pad(b) for b in system.L.basis] + delta_block)
-    entries = []
-    for e in system.entries:
-        mod = Lattice.from_vectors(
-            dim, [pad(b) for b in e.family.modulus.basis] + delta_block
-        )
-        fam = CosetSet(big, mod, pad(e.family.translate), [pad(r) for r in e.family.reps])
-        entries.append((pad(e.lift), fam))
-    return SymbolicRootSystem(space, entries)
+
+    def extend(fam: CosetSet) -> CosetSet:
+        mod = Lattice.from_vectors(dim, [pad(b) for b in fam.modulus.basis] + delta_block)
+        return CosetSet(big, mod, pad(fam.translate), [pad(r) for r in fam.reps])
+
+    extended = {fam: extend(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
+    return SymbolicRootSystem(space, [(pad(e.lift), extended[e.family]) for e in system.entries])
 
 
 def quotient(
@@ -457,28 +449,23 @@ def quotient(
     new_space = BilinearSpace(gram)
     new_dim = len(kept)
 
-    if require_bijective:
-        for e in system.entries:
-            fam = e.family
-            pm = Lattice.from_vectors(new_dim, [proj.apply(b) for b in fam.modulus.basis])
-            if pm.rank < fam.modulus.rank:
+    lattice_images = [proj.apply(b) for b in system.L.basis]
+
+    def push(fam: CosetSet) -> CosetSet:
+        mod = Lattice.from_vectors(new_dim, [proj.apply(b) for b in fam.modulus.basis])
+        if require_bijective:
+            if mod.rank < fam.modulus.rank:
                 raise NotBijective("a family coset collapses along the quotient")
             for a, b in itertools.combinations(fam.reps, 2):
-                if pm.member(proj.apply(vsub(a, b))):
+                if mod.member(proj.apply(vsub(a, b))):
                     raise NotBijective("two family cosets merge along the quotient")
+        amb = Lattice.from_vectors(new_dim, lattice_images + list(mod.basis))
+        return CosetSet(amb, mod, proj.apply(fam.translate), [proj.apply(r) for r in fam.reps])
 
-    entries = []
-    for e in system.entries:
-        fam = e.family
-        mod = Lattice.from_vectors(new_dim, [proj.apply(b) for b in fam.modulus.basis])
-        amb = Lattice.from_vectors(
-            new_dim, [proj.apply(b) for b in system.L.basis] + list(mod.basis)
-        )
-        fam2 = CosetSet(
-            amb, mod, proj.apply(fam.translate), [proj.apply(r) for r in fam.reps]
-        )
-        entries.append((proj.apply(e.lift), fam2))
-    return SymbolicRootSystem(new_space, entries)
+    pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
+    return SymbolicRootSystem(
+        new_space, [(proj.apply(e.lift), pushed[e.family]) for e in system.entries]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +527,10 @@ def gaps(system: SymbolicRootSystem) -> GapTable:
 def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
     """For all x in A, y in B: exactly/at least one of y+x in C, y-x in D.
 
-    Returns (gr3_ok, wgr3_ok).  Membership of y+x depends on (x, y) only
-    through residues mod the moduli of C and D, so the quantifier is finite
-    whenever those moduli are commensurate with the moduli of A and B.
+    Returns (gr3_ok, wgr3_ok); a WGR3 failure returns at once.  Membership
+    of y+x depends on (x, y) only through residues mod the moduli of C and
+    D, so the quantifier is finite whenever those moduli are commensurate
+    with the moduli of A and B.
     Otherwise the pairs (x, y) form a lattice M on which "y+x in C" and
     "y-x in D" each hold on finitely many cosets of a sublattice, and one of
     the two sublattices has lower rank than M.  As no coset of a lattice is
@@ -551,7 +539,6 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
     "exactly one" holds only for the two uniform dichotomies.
     """
     gr3_ok = True
-    wgr3_ok = True
     sigma = A.modulus.add(B.modulus)
     for a in A.reps:
         x0 = vadd(A.translate, a)
@@ -592,7 +579,7 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
                 gr3_ok = False
                 if not (plus_cos.subset_of(C) or minus_cos.subset_of(D)):
                     return False, False
-    return gr3_ok, wgr3_ok
+    return gr3_ok, True
 
 
 def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:

@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 from grrs.catalog import a_nn_x, build, family
-from grrs.errors import KernelTooLarge, NotBijective, NotInKernel, UnknownRoot
+from grrs.errors import GrrsError, KernelTooLarge, NotBijective, NotInKernel, UnknownRoot
 from grrs.finite import AxiomCheck, AxiomReport, check_axioms, isomorphic_finite
 from grrs.linalg import (
     BilinearSpace,
@@ -200,6 +200,10 @@ class TestQuotient:
         with pytest.raises(NotBijective):
             quotient(aff, [vec(list(Ivec) + [1])], require_bijective=True)
 
+    def test_collapsing_family_detected(self, b2):
+        with pytest.raises(NotBijective, match="a family coset collapses along the quotient"):
+            quotient(affinize(b2, 1), [V(0, 0, 1)], require_bijective=True)
+
     def test_integral_x_fails_gr3_only(self, a11_ambient):
         a11 = a11_ambient.restricted_to_span()
         aff = affinize(a11, 1)
@@ -234,6 +238,33 @@ class TestQuotient:
         q = quotient(aff, [vec(list(Ivec) + [Q(1, 3)])])
         assert len(cl(q)) == len(cl(aff))
         assert isomorphic_finite(cl(q), cl(aff)) is not None
+
+
+class TestConstructorErrors:
+    """Over Gram diag(2, 0): the radical is spanned by (0, 1)."""
+
+    space = BilinearSpace([[2, 0], [0, 0]])
+    radical = lat(2, [0, 1])
+    full = CosetSet(radical, radical, zero_vector(2), [zero_vector(2)])
+
+    def test_no_nonempty_families(self):
+        with pytest.raises(GrrsError, match="symbolic system with no nonempty families"):
+            SymbolicRootSystem(self.space, [(V(1, 0), CosetSet.empty(self.radical))])
+
+    def test_duplicate_lifts(self):
+        with pytest.raises(GrrsError, match="duplicate lifts in symbolic system"):
+            SymbolicRootSystem(self.space, [(V(1, 0), self.full), (V(1, 0), self.full)])
+
+    @pytest.mark.parametrize("lifts", [[(1, 0), (1, 1)], [(0, 1)]])
+    def test_lifts_meeting_the_radical(self, lifts):
+        with pytest.raises(GrrsError, match="lifts are not independent from the radical"):
+            SymbolicRootSystem(self.space, [(V(*lift), self.full) for lift in lifts])
+
+    def test_family_data_outside_the_radical(self):
+        plane = lat(2, [1, 0], [0, 1])
+        outside = CosetSet(plane, Lattice.zero(2), zero_vector(2), [V(1, 0)])
+        with pytest.raises(GrrsError, match="family data outside the radical"):
+            SymbolicRootSystem(self.space, [(V(1, 0), self.full), (V(-1, 0), outside)])
 
 
 class TestAnnXStructure:
