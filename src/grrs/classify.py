@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Tuple
 
 from . import catalog
@@ -490,6 +491,31 @@ def _doubled_root_lattice(fam, cat, mm, L):
     return f_eps, Lp, vadd(a, a)
 
 
+def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...]]:
+    """Index tuples i_1 <= ... <= i_size whose vectors sum to zero.
+
+    The vectors are scaled to integers; the sums of the first size // 2
+    indices are indexed in a dict, and each tuple of the remaining indices
+    looks up its negated sum among those ending at or before its first.
+    """
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    ints = [tuple(int(x * den) for x in v) for v in vectors]
+
+    def sums(m):
+        for combo in itertools.combinations_with_replacement(range(len(ints)), m):
+            yield combo, tuple(map(sum, zip(*(ints[i] for i in combo))))
+
+    low: dict = {}
+    for combo, total in sums(size // 2):
+        low.setdefault(total, []).append(combo)
+    return [
+        first + combo
+        for combo, total in sums(size - size // 2)
+        for first in low.get(tuple(-x for x in total), ())
+        if first[-1] <= combo[0]
+    ]
+
+
 def _identify_ann(system, key, hmap, cat, k, L):
     """cl = A(n,n)_f (n > 1) or C(1,1): quotient-type invariants (q, p)."""
     name = str(key)
@@ -532,15 +558,10 @@ def _identify_ann(system, key, hmap, cat, k, L):
         raise KTooLarge("the sum invariant is capped at n <= 3")
     lifts = system.lifts
     classes = set()
-    for combo in itertools.combinations_with_replacement(lifts, n + 1):
-        total = combo[0]
-        for v in combo[1:]:
-            total = vadd(total, v)
-        if any(x != 0 for x in total):
-            continue
+    for combo in _zero_sum_multisets(lifts, n + 1):
         s = None
-        for v in combo:
-            f = system.family_of_lift(v)
+        for i in combo:
+            f = system.family_of_lift(lifts[i])
             s = f if s is None else s.add(f)
         for m in s.members():
             c = L.coefficients(m)

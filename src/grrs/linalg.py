@@ -138,13 +138,15 @@ class SubspaceProjection:
         self.dim = dim
         self.rows, self.pivots = rref(spanning)
         self.kept = [i for i in range(dim) if i not in self.pivots]
+        self._support = [[(j, y) for j, y in enumerate(row) if y] for row in self.rows]
 
     def reduce(self, v: Vector) -> Vector:
         w = list(v)
-        for row, p in zip(self.rows, self.pivots):
+        for support, p in zip(self._support, self.pivots):
             f = w[p]
-            if f != 0:
-                w = [x - f * y for x, y in zip(w, row)]
+            if f:
+                for j, y in support:
+                    w[j] -= f * y
         return tuple(w)
 
     def apply(self, v: Vector) -> Vector:
@@ -221,6 +223,60 @@ def int_left_kernel(rows: Sequence[Sequence[int]]) -> list:
         if all(x == 0 for x in row[:ncols]):
             out.append(row[ncols:])
     return hnf_int(out)
+
+
+def hnf_pivots(h: Sequence[Sequence[int]]) -> tuple:
+    """Pivot column of each row of an HNF."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in h)
+
+
+def hnf_reduce(v: Sequence[int], h: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple:
+    """Canonical residue of v modulo the row lattice of the HNF h with the
+    given pivot columns: each pivot coordinate reduced into [0, pivot)."""
+    v = tuple(v)
+    for row, p in zip(h, pivots):
+        f = v[p] // row[p]
+        if f:
+            v = tuple(x - f * y for x, y in zip(v, row))
+    return v
+
+
+def _int_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], dim: int) -> list:
+    out = [0] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [p + c * q for p, q in zip(out, row)]
+    return out
+
+
+def hnf_meet(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+    """HNF of the intersection of the row lattices of two integer matrices."""
+    if not a or not b:
+        return []
+    kern = int_left_kernel(list(a) + [[-x for x in row] for row in b])
+    return hnf_int([_int_combination(x, a, len(a[0])) for x in kern])
+
+
+def hnf_cosets(
+    h: Sequence[Sequence[int]], sub: Sequence[Sequence[int]], dim: int
+) -> Optional[list]:
+    """Representatives of the row lattice of the HNF h (vectors of length
+    dim) modulo a sublattice given by integer rows, or None when the index
+    is infinite."""
+    if len(sub) < len(h):
+        return None
+    pivots = hnf_pivots(h)
+    coords = []
+    for v in sub:
+        c = []
+        for row, p in zip(h, pivots):
+            f = v[p] // row[p]
+            c.append(f)
+            v = [x - f * y for x, y in zip(v, row)]
+        coords.append(c)
+    t = hnf_int(coords)
+    ranges = [range(t[i][i]) for i in range(len(t))]
+    return [tuple(_int_combination(combo, h, dim)) for combo in itertools.product(*ranges)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +374,15 @@ class Lattice:
     The canonical basis is HNF of the generators scaled to a common
     denominator, divided back by that denominator; it does not depend on the
     generating set, so lattice equality is equality of stored bases.
+    Reductions run in integers on the basis times a common denominator,
+    kept from construction or built on first use.
     """
 
     def __init__(self, dim: int, basis: Sequence[Vector]):
         self.dim = dim
         self.basis: Tuple[Vector, ...] = tuple(tuple(Q(x) for x in b) for b in basis)
         self.pivots = [next(j for j, x in enumerate(b) if x != 0) for b in self.basis]
+        self._int: Optional[Tuple[int, list]] = None
 
     @classmethod
     def from_vectors(cls, dim: int, vectors: Sequence[Vector]) -> "Lattice":
@@ -335,8 +394,14 @@ class Lattice:
             return cls(dim, [])
         scale = lcm(*[x.denominator for v in vs for x in v])
         rows = [[int(x * scale) for x in v] for v in vs]
-        h = hnf_int(rows)
-        return cls(dim, [tuple(Q(x, scale) for x in row) for row in h])
+        return cls._from_int(dim, scale, hnf_int(rows))
+
+    @classmethod
+    def _from_int(cls, dim: int, scale: int, h: Sequence[Sequence[int]]) -> "Lattice":
+        """The lattice whose basis times `scale` has the integer HNF h."""
+        lat = cls(dim, [tuple(Q(x, scale) for x in row) for row in h])
+        lat._int = (scale, [list(row) for row in h])
+        return lat
 
     @classmethod
     def zero(cls, dim: int) -> "Lattice":
@@ -359,42 +424,58 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(dim={self.dim}, rank={self.rank})"
 
+    def _scaled(self) -> Tuple[int, list]:
+        """(s, rows): the basis times a common denominator s, in integers."""
+        if self._int is None:
+            s = lcm(1, *(x.denominator for b in self.basis for x in b))
+            self._int = (s, [[x.numerator * (s // x.denominator) for x in b] for b in self.basis])
+        return self._int
+
+    def _reduce(self, v: Vector):
+        """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
+        sum c_i basis_i; the pivot coefficients of the residue lie in [0, 1)."""
+        s, rows = self._scaled()
+        d = lcm(s, *(x.denominator for x in v))
+        w = [x.numerator * (d // x.denominator) for x in v]
+        f = d // s
+        coeffs = []
+        for row, p in zip(rows, self.pivots):
+            c = w[p] // (row[p] * f)
+            if c:
+                cf = c * f
+                w = [x - cf * y for x, y in zip(w, row)]
+            coeffs.append(c)
+        return w, d, tuple(coeffs)
+
+    def split(self, v: Vector) -> Tuple[Vector, Tuple[int, ...]]:
+        """(residue(v), c) with v = residue(v) + sum c_i basis_i, c integral."""
+        w, d, coeffs = self._reduce(v)
+        return tuple(Q(x, d) for x in w), coeffs
+
     def member(self, v: Vector) -> bool:
         if len(v) != self.dim:
             raise DimensionMismatch("vector of wrong length")
-        w = list(v)
-        for b, p in zip(self.basis, self.pivots):
-            c = w[p] / b[p]
-            if c.denominator != 1:
-                return False
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, b)]
-        return all(x == 0 for x in w)
+        return not any(self._reduce(v)[0])
 
     def residue(self, v: Vector) -> Vector:
         """Canonical representative of v + L (pivot coefficients in [0, 1))."""
-        w = list(v)
-        for b, p in zip(self.basis, self.pivots):
-            c = w[p] / b[p]
-            f = c.numerator // c.denominator
-            if f:
-                w = [x - f * y for x, y in zip(w, b)]
-        return tuple(w)
+        return self.split(v)[0]
 
-    def coefficients(self, v: Vector) -> Optional[Vector]:
+    def coefficients(self, v: Vector) -> Optional[Tuple[int, ...]]:
         """Integer coordinates of v in the canonical basis, or None."""
-        w = list(v)
-        coeffs = []
-        for b, p in zip(self.basis, self.pivots):
-            c = w[p] / b[p]
-            if c.denominator != 1:
-                return None
-            coeffs.append(c)
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, b)]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coeffs)
+        w, _, coeffs = self._reduce(v)
+        return None if any(w) else coeffs
+
+    def combine(self, coeffs: Sequence[int]) -> Vector:
+        """The member sum_i coeffs_i * basis_i."""
+        s, rows = self._scaled()
+        return tuple(Q(x, s) for x in _int_combination(coeffs, rows, self.dim))
+
+    def sublattice(self, coeff_rows: Sequence[Sequence[int]]) -> "Lattice":
+        """The sublattice generated by the members with these integer coordinates."""
+        s, rows = self._scaled()
+        gens = [_int_combination(c, rows, self.dim) for c in coeff_rows]
+        return Lattice._from_int(self.dim, s, hnf_int(gens))
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.member(b) for b in other.basis)
@@ -413,24 +494,11 @@ class Lattice:
     def intersect(self, other: "Lattice") -> "Lattice":
         if self.dim != other.dim:
             raise DimensionMismatch("lattice intersection across dimensions")
-        if not self.basis or not other.basis:
-            return Lattice.zero(self.dim)
-        dens = [x.denominator for b in self.basis for x in b]
-        dens += [x.denominator for b in other.basis for x in b]
-        s = lcm(*dens)
-        a = [[int(x * s) for x in b] for b in self.basis]
-        b = [[int(x * s) for x in bb] for bb in other.basis]
-        stacked = a + [[-x for x in row] for row in b]
-        kern = int_left_kernel(stacked)
-        gens = []
-        for x in kern:
-            coeffs = x[: len(a)]
-            g = [Q(0)] * self.dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    g = [p + c * q for p, q in zip(g, row)]
-            gens.append(tuple(g))
-        return Lattice.from_vectors(self.dim, gens)
+        (sa, ra), (sb, rb) = self._scaled(), other._scaled()
+        s = lcm(sa, sb)
+        a = [[x * (s // sa) for x in row] for row in ra]
+        b = [[x * (s // sb) for x in row] for row in rb]
+        return Lattice._from_int(self.dim, s, hnf_meet(a, b))
 
     def index_in(self, ambient: "Lattice") -> Optional[int]:
         """[ambient : self] when finite (self a finite-index sublattice)."""
@@ -438,8 +506,7 @@ class Lattice:
             raise ValueError("not a sublattice")
         if self.rank < ambient.rank:
             return None
-        coords = [ambient.coefficients(b) for b in self.basis]
-        h = hnf_int([[int(c) for c in row] for row in coords])
+        h = hnf_int([ambient.coefficients(b) for b in self.basis])
         out = 1
         for i, row in enumerate(h):
             out *= row[i]
@@ -451,43 +518,21 @@ class Lattice:
             raise ValueError("not a sublattice")
         if sub.rank < self.rank:
             raise ValueError("infinite index")
-        if not self.basis:
-            return [zero_vector(self.dim)]
-        coords = [[int(c) for c in self.coefficients(b)] for b in sub.basis]
-        h = hnf_int(coords)
-        ranges = [range(h[i][i]) for i in range(len(h))]
-        reps = []
-        for combo in itertools.product(*ranges):
-            v = [Q(0)] * self.dim
-            for c, b in zip(combo, self.basis):
-                if c:
-                    v = [p + c * q for p, q in zip(v, b)]
-            reps.append(tuple(v))
-        return reps
+        s, rows = self._scaled()
+        sub_rows = [[int(x * s) for x in b] for b in sub.basis]
+        return [tuple(Q(x, s) for x in v) for v in hnf_cosets(rows, sub_rows, self.dim)]
 
     def kernel_part(self, space: BilinearSpace) -> "Lattice":
         """Sublattice of members lying in the radical of the space's form."""
-        if not self.basis:
-            return Lattice.zero(self.dim)
-        prods = [
-            [
-                sum(b[j] * space.gram[j][i] for j in range(self.dim))
-                for i in range(self.dim)
-            ]
-            for b in self.basis
+        s, rows = self._scaled()
+        g = lcm(1, *(x.denominator for row in space.gram for x in row))
+        gram = [[x.numerator * (g // x.denominator) for x in row] for row in space.gram]
+        # the pairings of the scaled basis with the scaled Gram rows
+        int_rows = [
+            [sum(r[j] * gram[j][i] for j in range(self.dim) if r[j]) for i in range(self.dim)]
+            for r in rows
         ]
-        dens = [x.denominator for row in prods for x in row]
-        s = lcm(*dens)
-        int_rows = [[int(x * s) for x in row] for row in prods]
-        kern = int_left_kernel(int_rows)
-        gens = []
-        for x in kern:
-            g = [Q(0)] * self.dim
-            for c, row in zip(x, self.basis):
-                if c:
-                    g = [p + c * q for p, q in zip(g, row)]
-            gens.append(tuple(g))
-        return Lattice.from_vectors(self.dim, gens)
+        return self.sublattice(int_left_kernel(int_rows))
 
 
 def lattice_from_vectors(space: BilinearSpace, vectors: Sequence[Vector]) -> Lattice:

@@ -40,67 +40,100 @@ from .linalg import (
     vsub,
     zero_vector,
 )
+from .linalg import hnf_cosets, hnf_int, hnf_meet, hnf_pivots, hnf_reduce
 
 
 class CosetSet:
     """translate + {rep_1, ..., rep_m} + M, all inside one coset of L.
 
-    Canonical on construction: the translate is the canonical residue mod L
-    of any member, reps are canonical residues mod M, and M is maximized to
-    the full stabilizer of the set, so equal sets with equal ambient compare
-    literally equal.
+    Stored in integer coordinates on the canonical basis of the ambient L
+    (rank r): M is an HNF in Z^r, grown to the full stabilizer of the set,
+    and the reps are a set of r-tuples reduced by it (pivot coefficients in
+    [0, pivot)).  Only the translate is a vector of Q^n, the canonical
+    residue mod L of any member, so equal sets over equal ambients store
+    equal data.  Q^n inputs are converted once on entry; `modulus` (the
+    canonical Q^n basis of M), `reps` (residues mod it, sorted) and
+    `members()` are views derived on first read.  Operations on two sets
+    require the same ambient.
     """
 
-    __slots__ = ("ambient", "modulus", "translate", "reps", "_repset")
+    __slots__ = ("ambient", "translate", "_mod", "_piv", "_ireps", "_hash", "_modulus", "_reps")
 
     def __init__(
-        self,
-        ambient: Lattice,
-        modulus: Lattice,
-        translate: Vector,
-        reps: Sequence[Vector],
+        self, ambient: Lattice, modulus: Lattice, translate: Vector, reps: Sequence[Vector]
     ):
-        dim = ambient.dim
-        members0 = [vadd(tuple(Q(x) for x in translate), tuple(Q(x) for x in r)) for r in reps]
-        if not members0:
-            self.ambient = ambient
-            self.modulus = Lattice.zero(dim)
-            self.translate = zero_vector(dim)
-            self.reps = ()
-            self._repset = frozenset()
-            return
-        if not ambient.contains_lattice(modulus):
+        self._enter(ambient, modulus.basis, translate, reps)
+
+    @classmethod
+    def _of(cls, ambient: Lattice, mod_gens, translate: Vector, reps) -> "CosetSet":
+        """As the constructor, with the modulus given by generators in Q^n."""
+        return cls.__new__(cls)._enter(ambient, mod_gens, translate, reps)
+
+    def _enter(self, ambient: Lattice, mod_gens, translate: Vector, reps) -> "CosetSet":
+        """Convert the Q^n data once: each member splits into residue and coordinates."""
+        split = [ambient.split(vadd(translate, r)) for r in reps]
+        mod = [ambient.coefficients(b) for b in mod_gens] if split else []
+        if None in mod:
             raise GrrsError("modulus is not a sublattice of the ambient lattice")
-        t = ambient.residue(members0[0])
-        rel = []
-        for m in members0:
-            d = vsub(m, t)
-            if not ambient.member(d):
-                raise GrrsError("coset members do not lie in a single ambient coset")
-            rel.append(d)
-        mod = modulus
-        reps_c = sorted({mod.residue(r) for r in rel})
-        # grow the modulus to the full stabilizer of the set
-        while True:
-            repset = set(reps_c)
-            gained = []
-            base = reps_c[0]
-            for other in reps_c[1:]:
-                d = vsub(other, base)
-                if all(mod.residue(vadd(r, d)) in repset for r in reps_c):
-                    gained.append(d)
-            if not gained:
-                break
-            new_mod = mod.add(Lattice.from_vectors(dim, gained))
-            if new_mod == mod:
-                break
-            mod = new_mod
-            reps_c = sorted({mod.residue(r) for r in reps_c})
-        self.ambient = ambient
-        self.modulus = mod
-        self.translate = t
-        self.reps = tuple(reps_c)
-        self._repset = frozenset(reps_c)
+        if any(res != split[0][0] for res, _ in split):
+            raise GrrsError("coset members do not lie in a single ambient coset")
+        t = split[0][0] if split else zero_vector(ambient.dim)
+        return self._set(ambient, t, mod, [c for _, c in split])
+
+    def _set(self, ambient: Lattice, translate: Vector, mod, reps) -> "CosetSet":
+        """Canonical integer data.  The stabilizer of the set is M plus the
+        differences rep - rep_0 that map the set to itself, as rep_0 + s
+        lies in some rep + M for every stabilizing s."""
+        mod = hnf_int(mod)
+        piv = hnf_pivots(mod)
+        reps = {hnf_reduce(r, mod, piv) for r in reps}
+        base = next(iter(reps), None)
+        gained = [
+            d for d in (vsub(r, base) for r in reps if r != base)
+            if all(hnf_reduce(vadd(x, d), mod, piv) in reps for x in reps)
+        ]
+        if gained:
+            mod = hnf_int(mod + gained)
+            piv = hnf_pivots(mod)
+            reps = {hnf_reduce(r, mod, piv) for r in reps}
+        self.ambient, self.translate = ambient, translate
+        self._mod, self._piv, self._ireps = tuple(map(tuple, mod)), piv, frozenset(reps)
+        self._hash = self._modulus = self._reps = None
+        return self
+
+    def _moved(self, v: Vector, mod, reps) -> "CosetSet":
+        """v + {sum_i r_i b_i : r in reps} + <mod> over the same ambient."""
+        t, c = self.ambient.split(v)
+        reps = [vadd(r, c) for r in reps]
+        return CosetSet.__new__(CosetSet)._set(self.ambient, t, list(mod), reps)
+
+    def _vectors(self) -> Tuple[List[Vector], Vector, List[Vector]]:
+        """(generators of M, translate, one vector of L per coset) in Q^n,
+        as `_of` takes them."""
+        amb = self.ambient
+        mod, reps = [amb.combine(r) for r in self._mod], [amb.combine(c) for c in self._ireps]
+        return mod, self.translate, reps
+
+    def _same_ambient(self, other: "CosetSet") -> None:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
+            raise GrrsError("coset sets over different ambient lattices")
+
+    @property
+    def modulus(self) -> Lattice:
+        if self._modulus is None:
+            self._modulus = self.ambient.sublattice(self._mod)
+        return self._modulus
+
+    @property
+    def reps(self) -> Tuple[Vector, ...]:
+        if self._reps is None:
+            mod, amb = self.modulus, self.ambient
+            self._reps = tuple(sorted(mod.residue(amb.combine(c)) for c in self._ireps))
+        return self._reps
+
+    def members(self) -> List[Vector]:
+        """One representative per coset: translate + reps."""
+        return [vadd(self.translate, r) for r in self.reps]
 
     # -- basic protocol ----------------------------------------------------
 
@@ -117,43 +150,50 @@ class CosetSet:
         return self.ambient.dim
 
     def is_empty(self) -> bool:
-        return not self.reps
+        return not self._ireps
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CosetSet)
-            and self.ambient == other.ambient
-            and self.modulus == other.modulus
-            and self.translate == other.translate
-            and self.reps == other.reps
-        )
+        return isinstance(other, CosetSet) and (self is other or (
+            self._ireps == other._ireps and self._mod == other._mod
+            and self.translate == other.translate and self.ambient == other.ambient
+        ))
 
     def __hash__(self):
-        return hash((self.ambient, self.modulus, self.translate, self.reps))
+        if self._hash is None:
+            self._hash = hash((self.translate, self._mod, self._ireps))
+        return self._hash
 
     def __repr__(self):
-        return (
-            f"CosetSet(reps={len(self.reps)}, modulus_rank={self.modulus.rank}, "
-            f"translate={'0' if is_zero(self.translate) else 'shifted'})"
-        )
+        t = "0" if is_zero(self.translate) else "shifted"
+        return f"CosetSet(reps={len(self._ireps)}, modulus_rank={len(self._mod)}, translate={t})"
 
     # -- membership and set algebra ----------------------------------------
 
-    def contains(self, v: Vector) -> bool:
-        if self.is_empty():
-            return False
-        return self.modulus.residue(vsub(tuple(Q(x) for x in v), self.translate)) in self._repset
+    def _has(self, t: Vector, c) -> bool:
+        """Is t + sum_i c_i b_i in the set, for t a canonical residue?"""
+        return t == self.translate and hnf_reduce(c, self._mod, self._piv) in self._ireps
 
-    def members(self) -> List[Vector]:
-        """One representative per coset: translate + reps."""
-        return [vadd(self.translate, r) for r in self.reps]
+    def _covers(self, t: Vector, reps, mod) -> bool:
+        """Is t + reps + <mod> inside the set (mod an HNF in Z^r)?  One test
+        per coset of the meet of mod and M in mod."""
+        cosets = hnf_cosets(mod, hnf_meet(mod, self._mod), self.ambient.rank)
+        return cosets is not None and all(self._has(t, vadd(r, c)) for r in reps for c in cosets)
+
+    def _meets(self, t: Vector, c, lat) -> bool:
+        """Does the set meet t + c + <lat> (lat integer rows)?"""
+        big = hnf_int(list(self._mod) + list(lat))
+        piv = hnf_pivots(big)
+        return t == self.translate and any(
+            not any(hnf_reduce(vsub(r, c), big, piv)) for r in self._ireps
+        )
+
+    def contains(self, v: Vector) -> bool:
+        return not self.is_empty() and self._has(*self.ambient.split(v))
 
     def shift(self, v: Vector) -> "CosetSet":
         if self.is_empty():
             return self
-        return CosetSet(
-            self.ambient, self.modulus, vadd(self.translate, tuple(Q(x) for x in v)), self.reps
-        )
+        return self._moved(vadd(self.translate, v), self._mod, self._ireps)
 
     def neg(self) -> "CosetSet":
         return self.scale(-1)
@@ -163,60 +203,35 @@ class CosetSet:
             return self
         c = int(c)
         if c == 0:
-            return CosetSet(
-                self.ambient,
-                Lattice.zero(self.dim),
-                zero_vector(self.dim),
-                [zero_vector(self.dim)],
-            )
-        return CosetSet(
-            self.ambient,
-            self.modulus.scaled(c),
-            vscale(c, self.translate),
-            [vscale(c, r) for r in self.reps],
-        )
+            return self._moved(zero_vector(self.dim), (), [(0,) * self.ambient.rank])
+        mod, reps = ([tuple(c * x for x in v) for v in vs] for vs in (self._mod, self._ireps))
+        return self._moved(vscale(c, self.translate), mod, reps)
 
     def add(self, other: "CosetSet") -> "CosetSet":
+        self._same_ambient(other)
         if self.is_empty() or other.is_empty():
             return CosetSet.empty(self.ambient)
-        mod = self.modulus.add(other.modulus)
-        reps = [vadd(a, b) for a in self.reps for b in other.reps]
-        return CosetSet(self.ambient, mod, vadd(self.translate, other.translate), reps)
+        reps = [vadd(a, b) for a in self._ireps for b in other._ireps]
+        return self._moved(vadd(self.translate, other.translate), self._mod + other._mod, reps)
 
     def subset_of(self, other: "CosetSet") -> bool:
-        if self.is_empty():
-            return True
-        if other.is_empty():
-            return False
-        common = self.modulus.intersect(other.modulus)
-        if common.rank < self.modulus.rank:
-            return False
-        cosreps = self.modulus.coset_representatives(common)
-        for r in self.reps:
-            base = vadd(self.translate, r)
-            for cr in cosreps:
-                if not other.contains(vadd(base, cr)):
-                    return False
-        return True
+        self._same_ambient(other)
+        if self.is_empty() or other.is_empty():
+            return self.is_empty()
+        return other._covers(self.translate, self._ireps, self._mod)
 
     def same_set(self, other: "CosetSet") -> bool:
-        if (
-            self.modulus == other.modulus
-            and self.translate == other.translate
-            and self.reps == other.reps
-        ):
-            return True
-        return self.subset_of(other) and other.subset_of(self)
+        self._same_ambient(other)
+        return self == other
 
     def intersects_coset(self, v: Vector, lat: Lattice) -> bool:
-        """Does the set meet v + lat?"""
+        """Does the set meet v + lat (lat a sublattice of the ambient)?"""
         if self.is_empty():
             return False
-        big = self.modulus.add(lat)
-        for r in self.reps:
-            if big.member(vsub(vadd(self.translate, r), tuple(Q(x) for x in v))):
-                return True
-        return False
+        rows = [self.ambient.coefficients(b) for b in lat.basis]
+        if None in rows:
+            raise GrrsError("lattice is not a sublattice of the ambient lattice")
+        return self._meets(*self.ambient.split(v), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +273,25 @@ class SymbolicRootSystem:
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
-        # kernel-part sanity for all family data
-        for fam in distinct:
-            for v in list(fam.modulus.basis) + [fam.translate] + list(fam.reps):
-                if not space.in_kernel(v):
-                    raise GrrsError("family data outside the radical")
-
-        # shared lattice L = ZR cap Ker
-        gens: List[Vector] = [b for fam in distinct for b in fam.modulus.basis]
-        gens += [vadd(lift, m) for lift, fam in cleaned for m in fam.members()]
+        # family data lies in the radical; L = ZR cap Ker is generated by each
+        # lift plus a first member of its family, the moduli and the
+        # differences of members within each family
+        vectors = {fam: fam._vectors() for fam in distinct}
+        gens: List[Vector] = []
+        first = {}
+        for fam, (mod, t, reps) in vectors.items():
+            if not all(space.in_kernel(v) for v in [t, *mod, *reps]):
+                raise GrrsError("family data outside the radical")
+            gens += mod + [vsub(r, reps[0]) for r in reps[1:]]
+            first[fam] = vadd(t, reps[0])
+        gens += [vadd(lift, first[fam]) for lift, fam in cleaned]
         self.L = Lattice.from_vectors(space.dim, gens).kernel_part(space)
 
-        anchored = {fam: CosetSet(self.L, fam.modulus, fam.translate, fam.reps) for fam in distinct}
-        self.entries: Tuple[FamilyEntry, ...] = tuple(
-            FamilyEntry(lift, anchored[fam]) for lift, fam in cleaned
-        )
+        anchored = {
+            fam: fam if fam.ambient == self.L else CosetSet._of(self.L, *vectors[fam])
+            for fam in distinct
+        }
+        self.entries = tuple(FamilyEntry(lift, anchored[fam]) for lift, fam in cleaned)
         self._by_lift: Dict[Vector, CosetSet] = {e.lift: e.family for e in self.entries}
         # each entry's class in the minimal quotient, in the order of entries
         self._classes: Tuple[Vector, ...] = tuple(self._proj.apply(e.lift) for e in self.entries)
@@ -392,10 +411,9 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
         lift = _combination(c, chosen, dim)
         groups.setdefault(lift, []).append(vsub(r, lift))
     ambient = Lattice.from_vectors(dim, [v for vs in groups.values() for v in vs])
-    entries = []
-    for lift, offs in groups.items():
-        entries.append((lift, CosetSet(ambient, zero_mod, zero_vector(dim), offs)))
-    return SymbolicRootSystem(system.space, entries)
+    return SymbolicRootSystem(system.space, [
+        (lift, CosetSet(ambient, zero_mod, zero_vector(dim), offs)) for lift, offs in groups.items()
+    ])
 
 
 def affinize(
@@ -423,17 +441,16 @@ def affinize(
     big = Lattice.from_vectors(dim, [pad(b) for b in system.L.basis] + delta_block)
 
     def extend(fam: CosetSet) -> CosetSet:
-        mod = Lattice.from_vectors(dim, [pad(b) for b in fam.modulus.basis] + delta_block)
-        return CosetSet(big, mod, pad(fam.translate), [pad(r) for r in fam.reps])
+        gens, t, reps = fam._vectors()
+        gens = [pad(b) for b in gens] + delta_block
+        return CosetSet._of(big, gens, pad(t), [pad(r) for r in reps])
 
     extended = {fam: extend(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(space, [(pad(e.lift), extended[e.family]) for e in system.entries])
 
 
 def quotient(
-    system: SymbolicRootSystem,
-    kernel_vectors: Sequence[Vector],
-    require_bijective: bool = False,
+    system: SymbolicRootSystem, kernel_vectors: Sequence[Vector], require_bijective: bool = False
 ) -> SymbolicRootSystem:
     """Push the system forward along V -> V/U for U inside the radical."""
     vecs = [tuple(Q(x) for x in v) for v in kernel_vectors]
@@ -452,15 +469,16 @@ def quotient(
     lattice_images = [proj.apply(b) for b in system.L.basis]
 
     def push(fam: CosetSet) -> CosetSet:
-        mod = Lattice.from_vectors(new_dim, [proj.apply(b) for b in fam.modulus.basis])
+        gens, t, reps = fam._vectors()
+        mod = Lattice.from_vectors(new_dim, [proj.apply(b) for b in gens])
         if require_bijective:
-            if mod.rank < fam.modulus.rank:
+            if mod.rank < len(gens):
                 raise NotBijective("a family coset collapses along the quotient")
-            for a, b in itertools.combinations(fam.reps, 2):
+            for a, b in itertools.combinations(reps, 2):
                 if mod.member(proj.apply(vsub(a, b))):
                     raise NotBijective("two family cosets merge along the quotient")
         amb = Lattice.from_vectors(new_dim, lattice_images + list(mod.basis))
-        return CosetSet(amb, mod, proj.apply(fam.translate), [proj.apply(r) for r in fam.reps])
+        return CosetSet._of(amb, mod.basis, proj.apply(t), [proj.apply(r) for r in reps])
 
     pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(
@@ -500,19 +518,12 @@ def gaps(system: SymbolicRootSystem) -> GapTable:
     """Arithmetic-progression indices of the families over a 1-dim radical."""
     if system.kernel_dim > 1:
         raise KernelTooLarge("gaps need a one-dimensional radical")
-    L = system.L
     out = []
     for e in system.entries:
         fam = e.family
-        iso = system.space.norm(e.lift) == 0
-        g: Optional[int] = None
-        if len(fam.reps) == 1:
-            if fam.modulus.rank == 0:
-                g = 0
-            elif L.rank == 1:
-                idx = fam.modulus.index_in(L)
-                g = idx
-        if g is None and not iso:
+        # one coset of M in L = Z b: the index of M, or 0 when M = 0
+        g = (fam._mod[0][0] if fam._mod else 0) if len(fam._ireps) == 1 else None
+        if g is None and system.space.norm(e.lift) != 0:
             raise GrrsError(
                 f"no single arithmetic progression above non-isotropic class {e.lift}"
             )
@@ -539,45 +550,34 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
     "exactly one" holds only for the two uniform dichotomies.
     """
     gr3_ok = True
-    sigma = A.modulus.add(B.modulus)
-    for a in A.reps:
-        x0 = vadd(A.translate, a)
-        for b in B.reps:
-            y0 = vadd(B.translate, b)
-            splus = vadd(y0, x0)
-            sminus = vsub(y0, x0)
-            if C.is_empty() and D.is_empty():
-                return False, False
-            if C.is_empty() or D.is_empty():
-                target = D if C.is_empty() else C
-                probe = sminus if C.is_empty() else splus
-                cos = CosetSet(A.ambient, sigma, probe, [zero_vector(A.dim)])
-                if not cos.subset_of(target):
-                    return False, False
+    # the four families share their ambient; y + x and y - x are tp and tm
+    # plus integer coordinates, and an empty C or D needs no special case
+    amb = A.ambient
+    tp, op = amb.split(vadd(B.translate, A.translate))
+    tm, om = amb.split(vsub(B.translate, A.translate))
+    sigma = hnf_int(list(A._mod + B._mod))
+    cd = hnf_meet(C._mod, D._mod)
+    cos_a = hnf_cosets(A._mod, hnf_meet(A._mod, cd), amb.rank)
+    cos_b = hnf_cosets(B._mod, hnf_meet(B._mod, cd), amb.rank)
+    for a in A._ireps:
+        for b in B._ireps:
+            plus, minus = vadd(vadd(b, a), op), vadd(vsub(b, a), om)
+            if cos_a is not None and cos_b is not None:
+                for m, mp in itertools.product(cos_a, cos_b):
+                    inplus = C._has(tp, vadd(plus, vadd(m, mp)))
+                    inminus = D._has(tm, vadd(minus, vsub(mp, m)))
+                    if inplus and inminus:
+                        gr3_ok = False
+                    elif not inplus and not inminus:
+                        return False, False
                 continue
-            qa = A.modulus.intersect(C.modulus).intersect(D.modulus)
-            qb = B.modulus.intersect(C.modulus).intersect(D.modulus)
-            if qa.rank == A.modulus.rank and qb.rank == B.modulus.rank:
-                for m in A.modulus.coset_representatives(qa):
-                    for mp in B.modulus.coset_representatives(qb):
-                        inplus = C.contains(vadd(splus, vadd(m, mp)))
-                        inminus = D.contains(vadd(sminus, vsub(mp, m)))
-                        if inplus and inminus:
-                            gr3_ok = False
-                        elif not inplus and not inminus:
-                            return False, False
-                continue
-            plus_cos = CosetSet(A.ambient, sigma, splus, [zero_vector(A.dim)])
-            minus_cos = CosetSet(A.ambient, sigma, sminus, [zero_vector(A.dim)])
-            uniform_minus = (
-                not C.intersects_coset(splus, sigma) and minus_cos.subset_of(D)
-            )
-            uniform_plus = (
-                not D.intersects_coset(sminus, sigma) and plus_cos.subset_of(C)
-            )
+            plus_in_c = C._covers(tp, [plus], sigma)
+            minus_in_d = D._covers(tm, [minus], sigma)
+            uniform_minus = not C._meets(tp, plus, sigma) and minus_in_d
+            uniform_plus = not D._meets(tm, minus, sigma) and plus_in_c
             if not (uniform_minus or uniform_plus):
                 gr3_ok = False
-                if not (plus_cos.subset_of(C) or minus_cos.subset_of(D)):
+                if not (plus_in_c or minus_in_d):
                     return False, False
     return gr3_ok, True
 

@@ -22,6 +22,7 @@ from grrs.classify import (
     kac_moody_name,
     recognize_cl,
 )
+from grrs.classify import _zero_sum_multisets
 from grrs.cli import main
 from grrs.errors import BadParameters, KTooLarge, NoName, NotClassified, UnrecognizedCl
 from grrs.symbolic import affinize, from_finite
@@ -561,6 +562,28 @@ class TestIdentify:
         d15 = identify(a_nn_x(2, 1, 5, 0))
         d25 = identify(a_nn_x(2, 2, 5, 0))
         assert d15 != d25  # 1/5 and 2/5 are genuinely different classes
+
+    def test_annx_n3_finishes(self):
+        # 874 zero-sum multisets among 4-element multisets of 56 lifts
+        src = os.path.dirname(os.path.dirname(grrs.__file__))
+        code = ("from grrs.catalog import a_nn_x; from grrs.classify import identify; "
+                "print(identify(a_nn_x(3, 1, 2)).data)")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(("Annx", 2, 1))
+
+    @pytest.mark.parametrize("n, p, q", [(1, 1, 2), (1, 2, 5), (2, 1, 2), (2, 1, 3), (2, 3, 4),
+                                         (2, 2, 5)])
+    def test_zero_sum_multisets_match_brute_force(self, n, p, q):
+        lifts = a_nn_x(n, p, q).lifts
+        brute = [
+            combo for combo in itertools.combinations_with_replacement(range(len(lifts)), n + 1)
+            if all(sum(lifts[i][j] for i in combo) == 0 for j in range(len(lifts[0])))
+        ]
+        found = _zero_sum_multisets(list(lifts), n + 1)
+        assert len(found) == len(set(found))
+        assert sorted(found) == brute
 
     def test_ann_gl_branch(self):
         d = identify(affinize(build("A(2,2)"), 1))

@@ -107,6 +107,22 @@ class TestCosetSet:
         assert e.is_empty() and e.subset_of(e)
         assert not CosetSet.full_lattice(L).subset_of(e)
 
+    def test_reps_view_is_the_rational_residue(self):
+        # over L = Z(1, 1/2) + Z(0, 1) the member (2, 1) has coordinates (2, 0),
+        # reduced modulo M = 3Z x Z in coordinates; modulo the canonical basis
+        # (3, 1/2), (0, 1) of M in Q^2 its residue is (2, 0)
+        L = lat(2, [1, Q(1, 2)], [0, 1])
+        a = CosetSet(L, lat(2, [3, Q(3, 2)], [0, 1]), vec([0, 0]), [vec([2, 1])])
+        assert a.modulus.basis == (vec([3, Q(1, 2)]), vec([0, 1]))
+        assert a.reps == (vec([2, 0]),) and a.members() == [vec([2, 0])]
+
+    def test_two_sets_need_one_ambient(self):
+        # integer coordinates of two different lattices do not compare
+        a, b = CosetSet.full_lattice(lat(1, [1])), CosetSet.full_lattice(lat(1, [2]))
+        for op in (a.add, a.subset_of, a.same_set):
+            with pytest.raises(GrrsError, match="different ambient"):
+                op(b)
+
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
