@@ -32,7 +32,7 @@ from .linalg import (
     vec,
     zero_vector,
 )
-from .symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
+from .symbolic import CosetSet, SymbolicRootSystem, _padded, affinize, from_finite, quotient
 
 
 def _pm(v: Vector) -> List[Vector]:
@@ -466,20 +466,7 @@ def _family_entries(
     orbit_offsets: Sequence[Tuple[Sequence[Vector], CosetSet]],
 ) -> SymbolicRootSystem:
     """Assemble a symbolic system: cl roots padded by k kernel coordinates."""
-    dim0 = cl_system.space.dim
-    dim = dim0 + k
-    gram = [
-        [
-            cl_system.space.gram[i][j] if i < dim0 and j < dim0 else Q(0)
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    space = BilinearSpace(gram)
-
-    def pad(v: Vector) -> Vector:
-        return tuple(list(v) + [Q(0)] * k)
-
+    space, pad = _padded(cl_system.space, k)
     entries = []
     for roots, fam in orbit_offsets:
         for r in roots:
@@ -487,17 +474,25 @@ def _family_entries(
     return SymbolicRootSystem(space, entries)
 
 
-def _kernel_lattices(dim: int, k: int):
-    """(L, 2L, half L) for the k appended kernel coordinates."""
-    gens = [unit_vector(dim, dim - k + i) for i in range(k)]
-    L = Lattice.from_vectors(dim, gens)
-    return L, L.scaled(2), L.scaled(Q(1, 2))
+class _Kernel(NamedTuple):
+    """The lattice L of the k kernel coordinates appended in dimension dim,
+    with 2L and L/2, built once per family."""
+
+    dim: int
+    k: int
+    L: Lattice
+    L2: Lattice
+    Lhalf: Lattice
 
 
-def _preimage_coset(dim: int, k: int, S: PointSet, scale: Q = Q(1)) -> CosetSet:
+def _kernel_lattices(dim: int, k: int) -> _Kernel:
+    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
+    return _Kernel(dim, k, L, L.scaled(2), L.scaled(Q(1, 2)))
+
+
+def _preimage_coset(ker: _Kernel, S: PointSet, scale: Q = Q(1)) -> CosetSet:
     """scale * (preimage of S under L -> L/2L) on the appended coordinates."""
-    L, L2, Lhalf = _kernel_lattices(dim, k)
-    ambient = Lhalf if scale != 1 else L
+    dim, k = ker.dim, ker.k
     reps = []
     for p in sorted(S):
         v = [Q(0)] * dim
@@ -505,12 +500,12 @@ def _preimage_coset(dim: int, k: int, S: PointSet, scale: Q = Q(1)) -> CosetSet:
             if (p >> j) & 1:
                 v[dim - k + j] = Q(1)
         reps.append(vscale(scale, tuple(v)))
-    return CosetSet(ambient, L2.scaled(scale), zero_vector(dim), reps)
+    ambient = ker.Lhalf if scale != 1 else ker.L
+    return CosetSet(ambient, ker.L2.scaled(scale), zero_vector(dim), reps)
 
 
-def _full_coset(dim: int, k: int) -> CosetSet:
-    L, _, _ = _kernel_lattices(dim, k)
-    return CosetSet.full_lattice(L)
+def _full_coset(ker: _Kernel) -> CosetSet:
+    return CosetSet.full_lattice(ker.L)
 
 
 def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem:
@@ -541,7 +536,7 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         if not contains_affine_basis_points(k, S):
             raise BadParameters("S must contain an affine basis of F_2^k")
         cl_sys = key.system()
-        fam = _preimage_coset(cl_sys.space.dim + k, k, S)
+        fam = _preimage_coset(_kernel_lattices(cl_sys.space.dim + k, k), S)
         return _family_entries(cl_sys, k, [(cl_sys.roots, fam)])
 
     if kind in ("G2", "F4"):
@@ -551,8 +546,8 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         s = int(s)
         r = 3 if kind == "G2" else 2
         cl_sys = key.system()
-        dim = cl_sys.space.dim + k
-        L, _, _ = _kernel_lattices(dim, k)
+        ker = _kernel_lattices(cl_sys.space.dim + k, k)
+        dim = ker.dim
         gens = [unit_vector(dim, dim - k + i) for i in range(s)]
         gens += [vscale(r, unit_vector(dim, dim - k + i)) for i in range(s, k)]
         H2 = CosetSet.full_lattice(Lattice.from_vectors(dim, gens))
@@ -561,7 +556,7 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         longs = [v for v in cl_sys.roots if cl_sys.norm(v) == long_norm]
         shorts = [v for v in cl_sys.roots if cl_sys.norm(v) != long_norm]
         return _family_entries(
-            cl_sys, k, [(shorts, _full_coset(dim, k)), (longs, H2)]
+            cl_sys, k, [(shorts, _full_coset(ker)), (longs, H2)]
         )
 
     if kind == "C{}" and key.params == (2,):
@@ -572,32 +567,31 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         if not all((a ^ b) in S1 for a in S1 for b in S2):
             raise BadParameters("S1 + S2 must be contained in S1")
         cl_sys = key.system()
-        dim = cl_sys.space.dim + k
+        ker = _kernel_lattices(cl_sys.space.dim + k, k)
         shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
         longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
         return _family_entries(
             cl_sys,
             k,
             [
-                (shorts, _preimage_coset(dim, k, S1)),
-                (longs, _preimage_coset(dim, k, S2)),
+                (shorts, _preimage_coset(ker, S1)),
+                (longs, _preimage_coset(ker, S2)),
             ],
         )
 
     if kind in ("B{}", "C{}") and key.params[0] >= 3:
         S = _normalize_zero(pts("S"))
         cl_sys = key.system()
-        dim = cl_sys.space.dim + k
+        ker = _kernel_lattices(cl_sys.space.dim + k, k)
         if kind == "B{}":
             o1 = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
             o2 = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
-            L, L2, _ = _kernel_lattices(dim, k)
             return _family_entries(
                 cl_sys,
                 k,
                 [
-                    (o1, CosetSet.full_lattice(L2)),
-                    (o2, _preimage_coset(dim, k, S)),
+                    (o1, CosetSet.full_lattice(ker.L2)),
+                    (o2, _preimage_coset(ker, S)),
                 ],
             )
         o1 = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
@@ -605,7 +599,7 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         return _family_entries(
             cl_sys,
             k,
-            [(o1, _full_coset(dim, k)), (o2, _preimage_coset(dim, k, S))],
+            [(o1, _full_coset(ker)), (o2, _preimage_coset(ker, S))],
         )
 
     if kind == "BC{}":
@@ -614,20 +608,19 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
     if kind == "B({},{})":
         S = _normalize_zero(pts("S"))
         cl_sys = key.system()
-        dim = cl_sys.space.dim + k
+        ker = _kernel_lattices(cl_sys.space.dim + k, k)
         shorts = [
             v
             for v in cl_sys.roots
             if sum(1 for x in v if x != 0) == 1 and abs(next(x for x in v if x)) == 1
         ]
         rest = [v for v in cl_sys.roots if v not in set(shorts)]
-        L, L2, _ = _kernel_lattices(dim, k)
         return _family_entries(
             cl_sys,
             k,
             [
-                (rest, CosetSet.full_lattice(L2)),
-                (shorts, _preimage_coset(dim, k, S)),
+                (rest, CosetSet.full_lattice(ker.L2)),
+                (shorts, _preimage_coset(ker, S)),
             ],
         )
 
@@ -638,8 +631,8 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         if not S or not comp:
             raise BadParameters("S must be a proper nonempty subset of F_2^k")
         cl_sys = TypeKey("C({},{})", key.params).system()
-        dim = cl_sys.space.dim + k
         dim0 = cl_sys.space.dim
+        ker = _kernel_lattices(dim0 + k, k)
         eps_long = []
         dlt_long = []
         others = []
@@ -650,9 +643,9 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
             else:
                 others.append(v)
         orbit_data = [
-            (others, _full_coset(dim, k)),
-            (eps_long, _preimage_coset(dim, k, S)),
-            (dlt_long, _preimage_coset(dim, k, comp)),
+            (others, _full_coset(ker)),
+            (eps_long, _preimage_coset(ker, S)),
+            (dlt_long, _preimage_coset(ker, comp)),
         ]
         if kind == "BC({},{})":
             Sp = pts("Sp")
@@ -661,7 +654,7 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
             shorts = []
             for j in range(dim0):
                 shorts += _pm(unit_vector(dim0, j))
-            orbit_data.append((shorts, _preimage_coset(dim, k, Sp, Q(1, 2))))
+            orbit_data.append((shorts, _preimage_coset(ker, Sp, Q(1, 2))))
             cl_sys = key.system()
         return _family_entries(cl_sys, k, orbit_data)
 
@@ -671,8 +664,8 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
 def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
     n = key.params[0]
     cl_sys = key.system()
-    dim = cl_sys.space.dim + k
-    L, L2, Lhalf = _kernel_lattices(dim, k)
+    ker = _kernel_lattices(cl_sys.space.dim + k, k)
+    dim, L = ker.dim, ker.L
 
     if n == 1:
         S = pts("S")
@@ -714,7 +707,7 @@ def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
             for j, d in enumerate(digits(p)):
                 v[dim - k + j] = Q(d)
             h2_reps.append(tuple(v))
-        fam_short = _preimage_coset(dim, k, S)
+        fam_short = _preimage_coset(ker, S)
         fam_long = CosetSet(L, L.scaled(4), zero_vector(dim), h2_reps)
         shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
         longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
@@ -740,11 +733,11 @@ def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
         s2_shifts = frozenset(t ^ b for t in T for b in S2)
         if s1_shifts != s2_shifts:
             raise BadParameters("H2 + H3 and 2 H1 + H3 must coincide")
-        fam_pairs = _preimage_coset(dim, k, T)
+        fam_pairs = _preimage_coset(ker, T)
     else:
-        fam_pairs = _full_coset(dim, k)
-    fam_short = _preimage_coset(dim, k, S1, Q(1, 2))
-    fam_long = _preimage_coset(dim, k, S2)
+        fam_pairs = _full_coset(ker)
+    fam_short = _preimage_coset(ker, S1, Q(1, 2))
+    fam_long = _preimage_coset(ker, S2)
     shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
     longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
     pairs = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]

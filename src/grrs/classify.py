@@ -37,6 +37,8 @@ _MAX_K = 4
 
 
 def _check_k(k: int):
+    if k < 0:
+        raise BadParameters(f"k = {k} is outside the range 0..{_MAX_K}")
     if k > _MAX_K:
         raise KTooLarge(f"k = {k} exceeds the classification cap {_MAX_K}")
 
@@ -482,11 +484,8 @@ def _doubled_root_lattice(fam, cat, mm, L):
     2 delta, and twice the isotropic anchor a, a member above eps + delta."""
     eps, dlt = unit_vector(cat.space.dim, 0), unit_vector(cat.space.dim, mm)
     f_eps, f_dlt = fam(vscale(2, eps)), fam(vscale(2, dlt))
-    Lp = Lattice.from_vectors(
-        L.dim,
-        [v for f in (f_eps, f_dlt) for v in f.members()]
-        + [b for f in (f_eps, f_dlt) for b in f.modulus.basis],
-    )
+    members = [v for f in (f_eps, f_dlt) for v in f.members()]
+    Lp = Lattice.from_vectors(L.dim, members).add(f_eps.modulus).add(f_dlt.modulus)
     a = fam(vadd(eps, dlt)).members()[0]
     return f_eps, Lp, vadd(a, a)
 
@@ -615,9 +614,7 @@ def _identify_bcn(key, fam, cat, k, L):
     f_long = fam(vscale(2, e0))
 
     if n == 1:
-        Lp = Lattice.from_vectors(
-            L.dim, list(f_short.members()) + list(f_short.modulus.basis)
-        )
+        Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
         s_pts = _points_mod2(f_short, Lp)
         four_L = Lp.scaled(4)
         if not f_long.modulus.contains_lattice(four_L):
@@ -636,9 +633,7 @@ def _identify_bcn(key, fam, cat, k, L):
         return ClassDescriptor(str(key), k, data)
 
     f_pair = fam(vadd(e0, unit_vector(cat.space.dim, 1)))
-    Lp = Lattice.from_vectors(
-        L.dim, list(f_pair.members()) + list(f_pair.modulus.basis)
-    )
+    Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
     s1 = _points_mod2(f_short.scale(2), Lp)
     s2 = _points_mod2(f_long, Lp)
     s3 = _points_mod2(f_pair, Lp)

@@ -223,10 +223,9 @@ def cmd_subsystem(args) -> int:
     if not isinstance(payload, FiniteRootSystem):
         raise BadParameters("subsystem expects a finite system document")
     idxs = [int(x) for x in args.seeds.split(",")]
-    try:
-        seeds = [payload.roots[i] for i in idxs]
-    except IndexError:
-        raise BadParameters("seed index out of range")
+    if not all(0 <= i < len(payload.roots) for i in idxs):
+        raise BadParameters(f"seed index out of range 0..{len(payload.roots) - 1}")
+    seeds = [payload.roots[i] for i in idxs]
     _emit(generate_subsystem(payload, seeds), args)
     return 0
 

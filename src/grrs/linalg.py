@@ -1,15 +1,15 @@
 """Exact rational linear algebra: vectors, bilinear forms, and integer lattices.
 
 All coordinates are `fractions.Fraction`; there is no floating point anywhere.
-Lattices are stored in a canonical Hermite-style normal form so that equality
-of lattices is literal equality of their stored bases.
+Lattices are stored as an integer Hermite normal form over their least common
+denominator, so that equality of lattices is literal equality of integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -369,77 +369,71 @@ def kernel_basis(space: BilinearSpace) -> list:
 
 
 class Lattice:
-    """Finitely generated subgroup of Q^n in canonical normal form.
+    """Finitely generated subgroup L of Q^n in canonical normal form.
 
-    The canonical basis is HNF of the generators scaled to a common
-    denominator, divided back by that denominator; it does not depend on the
-    generating set, so lattice equality is equality of stored bases.
-    Reductions run in integers on the basis times a common denominator,
-    kept from construction or built on first use.
+    Stored in integers: `scale`, the least common denominator of the members,
+    and `rows`, the Hermite normal form of scale * L.  Both depend only on L,
+    so lattice equality is equality of (dim, scale, rows).  `basis` (rows /
+    scale) is a view built on first read.
     """
 
-    def __init__(self, dim: int, basis: Sequence[Vector]):
-        self.dim = dim
-        self.basis: Tuple[Vector, ...] = tuple(tuple(Q(x) for x in b) for b in basis)
-        self.pivots = [next(j for j, x in enumerate(b) if x != 0) for b in self.basis]
-        self._int: Optional[Tuple[int, list]] = None
+    __slots__ = ("dim", "scale", "rows", "pivots", "_basis")
+
+    def __init__(self, dim: int, scale: int, rows: Sequence[Sequence[int]]):
+        """The lattice whose multiple by `scale` has the integer HNF `rows`;
+        a common factor of scale and rows is divided out."""
+        g = gcd(scale, *(x for row in rows for x in row))
+        self.dim, self.scale = dim, scale // g
+        self.rows = tuple(tuple(x // g for x in row) for row in rows)
+        self.pivots = hnf_pivots(self.rows)
+        self._basis: Optional[Tuple[Vector, ...]] = None
 
     @classmethod
     def from_vectors(cls, dim: int, vectors: Sequence[Vector]) -> "Lattice":
-        vs = [tuple(Q(x) for x in v) for v in vectors if not is_zero(v)]
-        for v in vs:
-            if len(v) != dim:
-                raise DimensionMismatch("generator of wrong length")
-        if not vs:
-            return cls(dim, [])
-        scale = lcm(*[x.denominator for v in vs for x in v])
-        rows = [[int(x * scale) for x in v] for v in vs]
-        return cls._from_int(dim, scale, hnf_int(rows))
-
-    @classmethod
-    def _from_int(cls, dim: int, scale: int, h: Sequence[Sequence[int]]) -> "Lattice":
-        """The lattice whose basis times `scale` has the integer HNF h."""
-        lat = cls(dim, [tuple(Q(x, scale) for x in row) for row in h])
-        lat._int = (scale, [list(row) for row in h])
-        return lat
+        """The subgroup generated by vectors of ints or Fractions."""
+        vs = [v for v in vectors if any(v)]
+        if any(len(v) != dim for v in vs):
+            raise DimensionMismatch("generator of wrong length")
+        s = lcm(1, *(x.denominator for v in vs for x in v))
+        return cls(dim, s, hnf_int([[x.numerator * (s // x.denominator) for x in v] for v in vs]))
 
     @classmethod
     def zero(cls, dim: int) -> "Lattice":
-        return cls(dim, [])
+        return cls(dim, 1, ())
+
+    @property
+    def basis(self) -> Tuple[Vector, ...]:
+        """The canonical basis rows / scale in Q^n."""
+        if self._basis is None:
+            self._basis = tuple(tuple(Q(x, self.scale) for x in row) for row in self.rows)
+        return self._basis
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
             and self.dim == other.dim
-            and self.basis == other.basis
+            and self.scale == other.scale
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.dim, self.basis))
+        return hash((self.dim, self.scale, self.rows))
 
     def __repr__(self):
         return f"Lattice(dim={self.dim}, rank={self.rank})"
 
-    def _scaled(self) -> Tuple[int, list]:
-        """(s, rows): the basis times a common denominator s, in integers."""
-        if self._int is None:
-            s = lcm(1, *(x.denominator for b in self.basis for x in b))
-            self._int = (s, [[x.numerator * (s // x.denominator) for x in b] for b in self.basis])
-        return self._int
-
     def _reduce(self, v: Vector):
         """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
         sum c_i basis_i; the pivot coefficients of the residue lie in [0, 1)."""
-        s, rows = self._scaled()
-        d = lcm(s, *(x.denominator for x in v))
+        d = lcm(self.scale, *(x.denominator for x in v))
         w = [x.numerator * (d // x.denominator) for x in v]
-        f = d // s
+        f = d // self.scale
         coeffs = []
-        for row, p in zip(rows, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             c = w[p] // (row[p] * f)
             if c:
                 cf = c * f
@@ -466,51 +460,61 @@ class Lattice:
         w, _, coeffs = self._reduce(v)
         return None if any(w) else coeffs
 
+    def coordinates(self, sub: "Lattice") -> Optional[list]:
+        """Integer coordinates of the canonical basis of `sub` in this one's,
+        or None when `sub` is not a sublattice.  At equal rank they are upper
+        triangular with a positive diagonal, as both bases are echelon."""
+        if self.dim != sub.dim:
+            raise DimensionMismatch("lattices of different dimensions")
+        # basis_i of sub is rows_i / s, with the coordinates of rows_i in s * L
+        mult = self.scaled(sub.scale)
+        coords = [mult.coefficients(row) for row in sub.rows]
+        return None if None in coords else coords
+
     def combine(self, coeffs: Sequence[int]) -> Vector:
         """The member sum_i coeffs_i * basis_i."""
-        s, rows = self._scaled()
-        return tuple(Q(x, s) for x in _int_combination(coeffs, rows, self.dim))
+        return tuple(Q(x, self.scale) for x in _int_combination(coeffs, self.rows, self.dim))
 
     def sublattice(self, coeff_rows: Sequence[Sequence[int]]) -> "Lattice":
         """The sublattice generated by the members with these integer coordinates."""
-        s, rows = self._scaled()
-        gens = [_int_combination(c, rows, self.dim) for c in coeff_rows]
-        return Lattice._from_int(self.dim, s, hnf_int(gens))
+        gens = [_int_combination(c, self.rows, self.dim) for c in coeff_rows]
+        return Lattice(self.dim, self.scale, hnf_int(gens))
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.member(b) for b in other.basis)
+        return self.coordinates(other) is not None
+
+    def _at(self, s: int) -> list:
+        """The integer rows of s * L, for s a multiple of scale."""
+        return [[(s // self.scale) * x for x in row] for row in self.rows]
 
     def add(self, other: "Lattice") -> "Lattice":
         if self.dim != other.dim:
             raise DimensionMismatch("lattice sum across dimensions")
-        return Lattice.from_vectors(self.dim, list(self.basis) + list(other.basis))
+        s = lcm(self.scale, other.scale)
+        return Lattice(self.dim, s, hnf_int(self._at(s) + other._at(s)))
 
     def scaled(self, c) -> "Lattice":
+        """c * L; a positive multiple of an HNF is an HNF, and -L = L."""
         c = Q(c)
         if c == 0:
             return Lattice.zero(self.dim)
-        return Lattice.from_vectors(self.dim, [vscale(c, b) for b in self.basis])
+        p, q = abs(c.numerator), c.denominator
+        return Lattice(self.dim, self.scale * q, [[p * x for x in row] for row in self.rows])
 
     def intersect(self, other: "Lattice") -> "Lattice":
         if self.dim != other.dim:
             raise DimensionMismatch("lattice intersection across dimensions")
-        (sa, ra), (sb, rb) = self._scaled(), other._scaled()
-        s = lcm(sa, sb)
-        a = [[x * (s // sa) for x in row] for row in ra]
-        b = [[x * (s // sb) for x in row] for row in rb]
-        return Lattice._from_int(self.dim, s, hnf_meet(a, b))
+        s = lcm(self.scale, other.scale)
+        return Lattice(self.dim, s, hnf_meet(self._at(s), other._at(s)))
 
     def index_in(self, ambient: "Lattice") -> Optional[int]:
         """[ambient : self] when finite (self a finite-index sublattice)."""
-        if not ambient.contains_lattice(self):
+        coords = ambient.coordinates(self)
+        if coords is None:
             raise ValueError("not a sublattice")
         if self.rank < ambient.rank:
             return None
-        h = hnf_int([ambient.coefficients(b) for b in self.basis])
-        out = 1
-        for i, row in enumerate(h):
-            out *= row[i]
-        return out
+        return prod(row[i] for i, row in enumerate(coords))
 
     def coset_representatives(self, sub: "Lattice") -> list:
         """Vectors representing self / sub; requires finite index."""
@@ -518,21 +522,16 @@ class Lattice:
             raise ValueError("not a sublattice")
         if sub.rank < self.rank:
             raise ValueError("infinite index")
-        s, rows = self._scaled()
-        sub_rows = [[int(x * s) for x in b] for b in sub.basis]
-        return [tuple(Q(x, s) for x in v) for v in hnf_cosets(rows, sub_rows, self.dim)]
+        cosets = hnf_cosets(self.rows, sub._at(self.scale), self.dim)
+        return [tuple(Q(x, self.scale) for x in v) for v in cosets]
 
     def kernel_part(self, space: BilinearSpace) -> "Lattice":
         """Sublattice of members lying in the radical of the space's form."""
-        s, rows = self._scaled()
         g = lcm(1, *(x.denominator for row in space.gram for x in row))
         gram = [[x.numerator * (g // x.denominator) for x in row] for row in space.gram]
         # the pairings of the scaled basis with the scaled Gram rows
-        int_rows = [
-            [sum(r[j] * gram[j][i] for j in range(self.dim) if r[j]) for i in range(self.dim)]
-            for r in rows
-        ]
-        return self.sublattice(int_left_kernel(int_rows))
+        pairings = [_int_combination(r, gram, self.dim) for r in self.rows]
+        return self.sublattice(int_left_kernel(pairings))
 
 
 def lattice_from_vectors(space: BilinearSpace, vectors: Sequence[Vector]) -> Lattice:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     GrrsError,
@@ -33,7 +33,6 @@ from .linalg import (
     Vector,
     is_zero,
     rref,
-    unit_vector,
     vadd,
     vneg,
     vscale,
@@ -62,23 +61,16 @@ class CosetSet:
     def __init__(
         self, ambient: Lattice, modulus: Lattice, translate: Vector, reps: Sequence[Vector]
     ):
-        self._enter(ambient, modulus.basis, translate, reps)
-
-    @classmethod
-    def _of(cls, ambient: Lattice, mod_gens, translate: Vector, reps) -> "CosetSet":
-        """As the constructor, with the modulus given by generators in Q^n."""
-        return cls.__new__(cls)._enter(ambient, mod_gens, translate, reps)
-
-    def _enter(self, ambient: Lattice, mod_gens, translate: Vector, reps) -> "CosetSet":
-        """Convert the Q^n data once: each member splits into residue and coordinates."""
+        # the Q^n data is converted once: each member splits into residue
+        # and coordinates, the modulus is read in coordinates of the ambient
         split = [ambient.split(vadd(translate, r)) for r in reps]
-        mod = [ambient.coefficients(b) for b in mod_gens] if split else []
-        if None in mod:
+        mod = ambient.coordinates(modulus) if split else []
+        if mod is None:
             raise GrrsError("modulus is not a sublattice of the ambient lattice")
         if any(res != split[0][0] for res, _ in split):
             raise GrrsError("coset members do not lie in a single ambient coset")
         t = split[0][0] if split else zero_vector(ambient.dim)
-        return self._set(ambient, t, mod, [c for _, c in split])
+        self._set(ambient, t, mod, [c for _, c in split])
 
     def _set(self, ambient: Lattice, translate: Vector, mod, reps) -> "CosetSet":
         """Canonical integer data.  The stabilizer of the set is M plus the
@@ -108,8 +100,7 @@ class CosetSet:
         return CosetSet.__new__(CosetSet)._set(self.ambient, t, list(mod), reps)
 
     def _vectors(self) -> Tuple[List[Vector], Vector, List[Vector]]:
-        """(generators of M, translate, one vector of L per coset) in Q^n,
-        as `_of` takes them."""
+        """(generators of M, translate, one vector of L per coset) in Q^n."""
         amb = self.ambient
         mod, reps = [amb.combine(r) for r in self._mod], [amb.combine(c) for c in self._ireps]
         return mod, self.translate, reps
@@ -228,8 +219,8 @@ class CosetSet:
         """Does the set meet v + lat (lat a sublattice of the ambient)?"""
         if self.is_empty():
             return False
-        rows = [self.ambient.coefficients(b) for b in lat.basis]
-        if None in rows:
+        rows = self.ambient.coordinates(lat)
+        if rows is None:
             raise GrrsError("lattice is not a sublattice of the ambient lattice")
         return self._meets(*self.ambient.split(v), rows)
 
@@ -288,8 +279,8 @@ class SymbolicRootSystem:
         self.L = Lattice.from_vectors(space.dim, gens).kernel_part(space)
 
         anchored = {
-            fam: fam if fam.ambient == self.L else CosetSet._of(self.L, *vectors[fam])
-            for fam in distinct
+            fam: fam if fam.ambient == self.L else CosetSet(self.L, fam.modulus, t, reps)
+            for fam, (_, t, reps) in vectors.items()
         }
         self.entries = tuple(FamilyEntry(lift, anchored[fam]) for lift, fam in cleaned)
         self._by_lift: Dict[Vector, CosetSet] = {e.lift: e.family for e in self.entries}
@@ -416,6 +407,14 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     ])
 
 
+def _padded(space: BilinearSpace, n: int) -> Tuple[BilinearSpace, Callable[[Vector], Vector]]:
+    """The space with n central coordinates appended (zero rows and columns
+    of the Gram matrix), and the map appending n zeros to a vector."""
+    zeros = (Q(0),) * n
+    gram = [tuple(row) + zeros for row in space.gram] + [(Q(0),) * (space.dim + n)] * n
+    return BilinearSpace(gram), lambda v: tuple(v) + zeros
+
+
 def affinize(
     system: Union[FiniteRootSystem, SymbolicRootSystem], n: int = 1
 ) -> SymbolicRootSystem:
@@ -426,24 +425,21 @@ def affinize(
         system = from_finite(system)
     if n == 0:
         return system
-    old = system.space
-    dim = old.dim + n
-    gram = [
-        [old.gram[i][j] if i < old.dim and j < old.dim else Q(0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    space = BilinearSpace(gram)
-
-    def pad(v: Vector) -> Vector:
-        return tuple(list(v) + [Q(0)] * n)
-
-    delta_block = [unit_vector(dim, old.dim + i) for i in range(n)]
-    big = Lattice.from_vectors(dim, [pad(b) for b in system.L.basis] + delta_block)
+    old, L = system.space, system.L
+    space, pad = _padded(old, n)
+    dim, r = space.dim, L.rank
+    # L's rows padded by zeros, then scale * delta_i: already an HNF
+    big = Lattice(dim, L.scale, [row + (0,) * n for row in L.rows] + [
+        tuple(L.scale if j == old.dim + i else 0 for j in range(dim)) for i in range(n)
+    ])
+    # coordinates on big: a member of L keeps its own, delta_i is unit r + i
+    deltas = [tuple(int(j == r + i) for j in range(r + n)) for i in range(n)]
 
     def extend(fam: CosetSet) -> CosetSet:
-        gens, t, reps = fam._vectors()
-        gens = [pad(b) for b in gens] + delta_block
-        return CosetSet._of(big, gens, pad(t), [pad(r) for r in reps])
+        mod = [c + (0,) * n for c in fam._mod] + deltas
+        reps = [c + (0,) * n for c in fam._ireps]
+        # families are anchored to L; a residue mod L padded by zeros is one mod big
+        return CosetSet.__new__(CosetSet)._set(big, pad(fam.translate), mod, reps)
 
     extended = {fam: extend(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(space, [(pad(e.lift), extended[e.family]) for e in system.entries])
@@ -466,7 +462,7 @@ def quotient(
     new_space = BilinearSpace(gram)
     new_dim = len(kept)
 
-    lattice_images = [proj.apply(b) for b in system.L.basis]
+    image = Lattice.from_vectors(new_dim, [proj.apply(b) for b in system.L.basis])
 
     def push(fam: CosetSet) -> CosetSet:
         gens, t, reps = fam._vectors()
@@ -477,8 +473,7 @@ def quotient(
             for a, b in itertools.combinations(reps, 2):
                 if mod.member(proj.apply(vsub(a, b))):
                     raise NotBijective("two family cosets merge along the quotient")
-        amb = Lattice.from_vectors(new_dim, lattice_images + list(mod.basis))
-        return CosetSet._of(amb, mod.basis, proj.apply(t), [proj.apply(r) for r in reps])
+        return CosetSet(image.add(mod), mod, proj.apply(t), [proj.apply(r) for r in reps])
 
     pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(

@@ -107,6 +107,13 @@ class TestAffineCanonical:
         with pytest.raises(KTooLarge):
             canonical_mask(5, 1)
 
+    def test_negative_k(self, capsys):
+        for call in (lambda: canonical_mask(-1, 1), lambda: enumerate_classes("B3", -1)):
+            with pytest.raises(BadParameters, match=r"0\.\.4"):
+                call()
+        assert main(["classify", "--cl", "B3", "--k", "-1"]) == 2
+        assert "0..4" in capsys.readouterr().err
+
 
 def _random_affine_image(rng, k, mask):
     """The image of a mask under a random invertible affine map of F_2^k."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from grrs.linalg import (
     Lattice,
     form_eval,
     hnf_int,
+    hnf_meet,
     int_left_kernel,
     kernel_basis,
     lattice_from_vectors,
@@ -208,3 +210,84 @@ def test_residue_equivalence(vectors, probe):
     v = probe[0]
     r = L.residue(v)
     assert L.member(tuple(a - b for a, b in zip(v, r)))
+
+
+# Oracle for the integer form of `Lattice`: the Fraction construction it
+# replaced (HNF of the generators over their common denominator, divided back)
+# and Gram determinants for indices.
+
+
+def _reference_basis(vectors):
+    vs = [tuple(Q(x) for x in v) for v in vectors if any(v)]
+    s = lcm(1, *(x.denominator for v in vs for x in v))
+    rows = hnf_int([[int(x * s) for x in v] for v in vs])
+    return tuple(tuple(Q(x, s) for x in row) for row in rows)
+
+
+def _reference_meet(a, b):
+    s = lcm(1, *(x.denominator for v in a + b for x in v))
+    rows = hnf_meet([[int(x * s) for x in v] for v in a], [[int(x * s) for x in v] for v in b])
+    return tuple(tuple(Q(x, s) for x in row) for row in rows)
+
+
+def _gram_det(vectors):
+    """det of the Gram matrix of the vectors under the dot product."""
+    m = [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
+    det = Q(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Q(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(
+    st.just(d), rational_vectors(dim=d, count=3), rational_vectors(dim=d, count=3)
+)), st.randoms(use_true_random=False))
+def test_integer_lattice_matches_fraction_reference(data, rng):
+    dim, gens_a, gens_b = data
+    A, B = Lattice.from_vectors(dim, gens_a), Lattice.from_vectors(dim, gens_b)
+    assert A.basis == _reference_basis(gens_a)
+
+    # the normal form does not depend on the generating list
+    shuffled = gens_a + [gens_a[0], tuple(-x for x in gens_a[-1])]
+    shuffled += [tuple(x + y for x, y in zip(gens_a[0], gens_a[1]))]
+    rng.shuffle(shuffled)
+    again = Lattice.from_vectors(dim, shuffled)
+    assert again == A and hash(again) == hash(A)
+    assert (A.scaled(2) == A) == (A.rank == 0)
+
+    for c in (1, -1, 2, Q(-1, 2), Q(3, 4), 0):
+        assert A.scaled(c).basis == _reference_basis([[c * x for x in b] for b in A.basis])
+    S, meet = A.add(B), A.intersect(B)
+    assert S.basis == _reference_basis(A.basis + B.basis)
+    assert meet.basis == _reference_meet(A.basis, B.basis)
+    assert S == Lattice.from_vectors(dim, S.basis) and meet == Lattice.from_vectors(dim, meet.basis)
+
+    pairs = [(A, S), (meet, A), (meet, B), (A.scaled(2), A), (B.scaled(Q(3, 2)), B), (S, A)]
+    for sub, amb in pairs:
+        inside = all(amb.member(b) for b in sub.basis)
+        assert amb.contains_lattice(sub) == inside
+        if not inside:
+            with pytest.raises(ValueError):
+                sub.index_in(amb)
+            continue
+        idx = sub.index_in(amb)
+        if sub.rank < amb.rank:
+            assert idx is None
+            continue
+        assert idx ** 2 == _gram_det(sub.basis) / _gram_det(amb.basis)
+        if idx > 64:
+            continue
+        reps = amb.coset_representatives(sub)
+        assert len(reps) == idx
+        assert all(amb.member(r) for r in reps)
+        residues = {sub.residue(r) for r in reps}
+        assert len(residues) == idx and all(sub.residue(x) == x for x in residues)

@@ -132,6 +132,13 @@ class TestCli:
         vecstr = ",".join(["0"] * (sym.space.dim - 1) + ["0"])
         assert main(["quotient", str(aff), "--vector", vecstr, "-o", str(q)]) == 0
 
+    def test_subsystem_seed_out_of_range(self, tmpfiles, capsys):
+        _, paths = tmpfiles
+        # B2 has 8 roots; a negative index must not count from the end
+        for seeds in ("-1", "0,-8", "8"):
+            assert main(["subsystem", paths["B2"], "--seeds", seeds]) == 2
+            assert "out of range 0..7" in capsys.readouterr().err
+
     def test_realroots_command(self, tmp_path, capsys):
         out = tmp_path / "a2.json"
         assert main(["realroots", "--matrix", "[[2,-1],[-1,2]]", "--height", "5", "-o", str(out)]) == 0
