@@ -460,20 +460,6 @@ def contains_affine_basis_points(k: int, S: PointSet) -> bool:
     return gf2_rank([p ^ base for p in S]) >= k
 
 
-def _family_entries(
-    cl_system: FiniteRootSystem,
-    k: int,
-    orbit_offsets: Sequence[Tuple[Sequence[Vector], CosetSet]],
-) -> SymbolicRootSystem:
-    """Assemble a symbolic system: cl roots padded by k kernel coordinates."""
-    space, pad = _padded(cl_system.space, k)
-    entries = []
-    for roots, fam in orbit_offsets:
-        for r in roots:
-            entries.append((pad(r), fam))
-    return SymbolicRootSystem(space, entries)
-
-
 class _Kernel(NamedTuple):
     """The lattice L of the k kernel coordinates appended in dimension dim,
     with 2L and L/2, built once per family."""
@@ -504,8 +490,68 @@ def _preimage_coset(ker: _Kernel, S: PointSet, scale: Q = Q(1)) -> CosetSet:
     return CosetSet(ambient, ker.L2.scaled(scale), zero_vector(dim), reps)
 
 
-def _full_coset(ker: _Kernel) -> CosetSet:
-    return CosetSet.full_lattice(ker.L)
+class Orbit(NamedTuple):
+    """The roots of a classified quotient that carry one family (see
+    `orbits`), greatest first: `identify` reads the family above roots[0]."""
+
+    data: str
+    roots: Tuple[Vector, ...]
+
+
+def _layout(key: TypeKey) -> Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]:
+    """The families above the roots of a classified quotient, in the order
+    its descriptor reads them, each with the norms of the roots that carry
+    it (None: every other root).  The families are written
+      L, 2L          the full lattice L or 2L
+      S, S1, S2, T   the preimage of that subset of F_2^k = L/2L
+      ~S             the preimage of the complement of S
+      Sp/2, S1/2     half the preimage of Sp or S1
+      s              L with its last k - s generators times 3 (G2) or 2 (F4)
+      H2             the preimage of H2, a subset of (Z/4)^k = L/4L (BC1)
+    """
+    kind, n = key.kind, (key.params or (0,))[0]
+    if kind == "A1":
+        return (("S", None),)
+    if kind == "C{}" and n == 2:
+        return (("S1", (2,)), ("S2", (4,)))
+    if kind == "B{}" and n >= 3:
+        return (("2L", (2,)), ("S", (1,)))
+    if kind == "C{}" and n >= 3:
+        return (("L", (2,)), ("S", (4,)))
+    if kind in ("G2", "F4"):
+        return (("L", None), ("s", (3 if kind == "G2" else 4,)))
+    if kind == "B({},{})":
+        return (("2L", None), ("S", (1, -1)))
+    if kind in ("C({},{})", "BC({},{})"):
+        shorts = (("Sp/2", (1, -1)),) if kind == "BC({},{})" else ()
+        return (("L", None), ("S", (4,)), ("~S", (-4,))) + shorts
+    if kind == "BC{}" and n == 1:
+        return (("S", (1,)), ("H2", (4,)))
+    if kind == "BC{}":
+        return (("S1/2", (1,)), ("S2", (4,)), ("T" if n == 2 else "L", (2,)))
+    raise BadParameters(f"no affine family constructor for {key}")
+
+
+@lru_cache(maxsize=None)
+def orbits(key: TypeKey) -> Tuple[Orbit, ...]:
+    """The roots of the catalog system of a classified type, grouped by the
+    family they carry in `family` (see `_layout`), in the order its class
+    descriptor reads them.  `family` builds its families from these groups
+    and `identify` reads the data back from them."""
+    layout = _layout(key)
+    system = key.system()
+    by_norm = {norm: data for data, norms in layout for norm in norms or ()}
+    rest = next((data for data, norms in layout if norms is None), None)
+    groups: Dict[str, List[Vector]] = {data: [] for data, _ in layout}
+    for v in sorted(system.roots, reverse=True):
+        groups[by_norm.get(system.norm(v), rest)].append(v)
+    return tuple(Orbit(data, tuple(roots)) for data, roots in groups.items())
+
+
+def _parameter(data: str) -> Optional[str]:
+    """The `family` parameter a layout entry reads; None for L and 2L."""
+    name = data.lstrip("~").partition("/")[0]
+    return None if name in ("L", "2L") else name
 
 
 def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem:
@@ -520,10 +566,50 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
       BC(m,n):            S (proper nonempty), Sp (nonempty)
       BC1:                S, H2 (subset of (Z/4)^k, encoded base-4 digits)
       BC_n (n>=2):        S1, S2, and T for n == 2
+    A parameter that the type does not take raises BadParameters.
     """
     if k < 1:
         raise BadParameters("k must be at least 1")
     key = type_key(cl_name)
+    layout = orbits(key)
+    unknown = sorted(set(params) - {_parameter(o.data) for o in layout})
+    if unknown:
+        raise BadParameters(f"{key} takes no parameter {', '.join(unknown)}")
+    values = _family_values(key, k, params)
+    cl_sys = key.system()
+    ker = _kernel_lattices(cl_sys.space.dim + k, k)
+    space, pad = _padded(cl_sys.space, k)
+    entries = []
+    for o in layout:
+        fam = _orbit_family(key, ker, o.data, values)
+        entries += [(pad(r), fam) for r in o.roots]
+    return SymbolicRootSystem(space, entries)
+
+
+def _orbit_family(key: TypeKey, ker: _Kernel, data: str, values) -> CosetSet:
+    """The family a layout entry names, from the checked parameters."""
+    if data in ("L", "2L"):
+        return CosetSet.full_lattice(ker.L if data == "L" else ker.L2)
+    dim, k = ker.dim, ker.k
+    if data == "s":
+        r = 3 if key.kind == "G2" else 2
+        gens = [vscale(1 if i < values["s"] else r, unit_vector(dim, dim - k + i)) for i in range(k)]
+        return CosetSet.full_lattice(Lattice.from_vectors(dim, gens))
+    if data == "H2":
+        reps = [
+            tuple([Q(0)] * (dim - k) + [Q((p >> (2 * j)) & 3) for j in range(k)])
+            for p in sorted(values["H2"])
+        ]
+        return CosetSet(ker.L, ker.L.scaled(4), zero_vector(dim), reps)
+    name, _, half = data.lstrip("~").partition("/")
+    pts = values[name]
+    if data.startswith("~"):
+        pts = frozenset(range(1 << k)) - pts
+    return _preimage_coset(ker, pts, Q(1, 2) if half else Q(1))
+
+
+def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
+    """The parameters of `family`, checked, by name."""
     kind = key.kind
 
     def pts(name) -> PointSet:
@@ -531,34 +617,13 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
             raise BadParameters(f"missing parameter {name} for {key}")
         return _points(k, params[name])
 
-    if kind == "A1":
-        S = _normalize_zero(pts("S"))
-        if not contains_affine_basis_points(k, S):
-            raise BadParameters("S must contain an affine basis of F_2^k")
-        cl_sys = key.system()
-        fam = _preimage_coset(_kernel_lattices(cl_sys.space.dim + k, k), S)
-        return _family_entries(cl_sys, k, [(cl_sys.roots, fam)])
-
     if kind in ("G2", "F4"):
         s = params.get("s")
         if s is None or not 0 <= int(s) <= k:
             raise BadParameters("s must lie in 0..k")
-        s = int(s)
-        r = 3 if kind == "G2" else 2
-        cl_sys = key.system()
-        ker = _kernel_lattices(cl_sys.space.dim + k, k)
-        dim = ker.dim
-        gens = [unit_vector(dim, dim - k + i) for i in range(s)]
-        gens += [vscale(r, unit_vector(dim, dim - k + i)) for i in range(s, k)]
-        H2 = CosetSet.full_lattice(Lattice.from_vectors(dim, gens))
-        norms = {cl_sys.norm(v) for v in cl_sys.roots}
-        long_norm = max(norms)
-        longs = [v for v in cl_sys.roots if cl_sys.norm(v) == long_norm]
-        shorts = [v for v in cl_sys.roots if cl_sys.norm(v) != long_norm]
-        return _family_entries(
-            cl_sys, k, [(shorts, _full_coset(ker)), (longs, H2)]
-        )
-
+        return {"s": int(s)}
+    if kind == "BC{}":
+        return _bc_n_values(key, k, params, pts)
     if kind == "C{}" and key.params == (2,):
         S1 = _normalize_zero(pts("S1"))
         S2 = _normalize_zero(pts("S2"))
@@ -566,108 +631,22 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
             raise BadParameters("S1 must contain an affine basis of F_2^k")
         if not all((a ^ b) in S1 for a in S1 for b in S2):
             raise BadParameters("S1 + S2 must be contained in S1")
-        cl_sys = key.system()
-        ker = _kernel_lattices(cl_sys.space.dim + k, k)
-        shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
-        longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
-        return _family_entries(
-            cl_sys,
-            k,
-            [
-                (shorts, _preimage_coset(ker, S1)),
-                (longs, _preimage_coset(ker, S2)),
-            ],
-        )
-
-    if kind in ("B{}", "C{}") and key.params[0] >= 3:
-        S = _normalize_zero(pts("S"))
-        cl_sys = key.system()
-        ker = _kernel_lattices(cl_sys.space.dim + k, k)
-        if kind == "B{}":
-            o1 = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
-            o2 = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
-            return _family_entries(
-                cl_sys,
-                k,
-                [
-                    (o1, CosetSet.full_lattice(ker.L2)),
-                    (o2, _preimage_coset(ker, S)),
-                ],
-            )
-        o1 = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
-        o2 = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
-        return _family_entries(
-            cl_sys,
-            k,
-            [(o1, _full_coset(ker)), (o2, _preimage_coset(ker, S))],
-        )
-
-    if kind == "BC{}":
-        return _family_bc_n(key, k, params, pts)
-
-    if kind == "B({},{})":
-        S = _normalize_zero(pts("S"))
-        cl_sys = key.system()
-        ker = _kernel_lattices(cl_sys.space.dim + k, k)
-        shorts = [
-            v
-            for v in cl_sys.roots
-            if sum(1 for x in v if x != 0) == 1 and abs(next(x for x in v if x)) == 1
-        ]
-        rest = [v for v in cl_sys.roots if v not in set(shorts)]
-        return _family_entries(
-            cl_sys,
-            k,
-            [
-                (rest, CosetSet.full_lattice(ker.L2)),
-                (shorts, _preimage_coset(ker, S)),
-            ],
-        )
-
-    if kind in ("C({},{})", "BC({},{})"):
-        mm = key.params[0]
-        S = _normalize_zero(pts("S"))
-        comp = frozenset(range(1 << k)) - S
-        if not S or not comp:
-            raise BadParameters("S must be a proper nonempty subset of F_2^k")
-        cl_sys = TypeKey("C({},{})", key.params).system()
-        dim0 = cl_sys.space.dim
-        ker = _kernel_lattices(dim0 + k, k)
-        eps_long = []
-        dlt_long = []
-        others = []
-        for v in cl_sys.roots:
-            support = [j for j, x in enumerate(v) if x != 0]
-            if len(support) == 1 and abs(v[support[0]]) == 2:
-                (eps_long if support[0] < mm else dlt_long).append(v)
-            else:
-                others.append(v)
-        orbit_data = [
-            (others, _full_coset(ker)),
-            (eps_long, _preimage_coset(ker, S)),
-            (dlt_long, _preimage_coset(ker, comp)),
-        ]
-        if kind == "BC({},{})":
-            Sp = pts("Sp")
-            if not Sp:
-                raise BadParameters("Sp must be nonempty")
-            shorts = []
-            for j in range(dim0):
-                shorts += _pm(unit_vector(dim0, j))
-            orbit_data.append((shorts, _preimage_coset(ker, Sp, Q(1, 2))))
-            cl_sys = key.system()
-        return _family_entries(cl_sys, k, orbit_data)
-
-    raise BadParameters(f"no affine family constructor for {key}")
+        return {"S1": S1, "S2": S2}
+    S = _normalize_zero(pts("S"))
+    if kind == "A1" and not contains_affine_basis_points(k, S):
+        raise BadParameters("S must contain an affine basis of F_2^k")
+    if kind in ("C({},{})", "BC({},{})") and not 0 < len(S) < 1 << k:
+        raise BadParameters("S must be a proper nonempty subset of F_2^k")
+    if kind != "BC({},{})":
+        return {"S": S}
+    Sp = pts("Sp")
+    if not Sp:
+        raise BadParameters("Sp must be nonempty")
+    return {"S": S, "Sp": Sp}
 
 
-def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
-    n = key.params[0]
-    cl_sys = key.system()
-    ker = _kernel_lattices(cl_sys.space.dim + k, k)
-    dim, L = ker.dim, ker.L
-
-    if n == 1:
+def _bc_n_values(key: TypeKey, k: int, params, pts) -> Dict[str, object]:
+    if key.params == (1,):
         S = pts("S")
         H2_digits = params.get("H2")
         if H2_digits is None:
@@ -701,17 +680,7 @@ def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
             mod2 = sum(((d % 2) << j) for j, d in enumerate(digits(a)))
             if mod2 not in S:
                 raise BadParameters("H2 must reduce into S modulo 2")
-        h2_reps = []
-        for p in sorted(h2):
-            v = [Q(0)] * dim
-            for j, d in enumerate(digits(p)):
-                v[dim - k + j] = Q(d)
-            h2_reps.append(tuple(v))
-        fam_short = _preimage_coset(ker, S)
-        fam_long = CosetSet(L, L.scaled(4), zero_vector(dim), h2_reps)
-        shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
-        longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
-        return _family_entries(cl_sys, k, [(shorts, fam_short), (longs, fam_long)])
+        return {"S": S, "H2": h2}
 
     S1 = pts("S1")
     S2 = pts("S2")
@@ -721,26 +690,17 @@ def _family_bc_n(key: TypeKey, k: int, params, pts) -> SymbolicRootSystem:
         raise BadParameters("S2 must be nonempty")
     if not all((a ^ b) in S1 for a in S1 for b in S2):
         raise BadParameters("S1 + S2 must be contained in S1")
-    if n == 2:
-        T = pts("T")
-        if 0 not in T or not contains_affine_basis_points(k, T):
-            raise BadParameters("T must contain zero and a basis of F_2^k")
-        if not all((t ^ b) in T for t in T for b in S2):
-            raise BadParameters("H2 + H3 must be contained in H3")
-        if not all((t ^ b) in T for t in T for b in S1):
-            raise BadParameters("2 H1 + H3 must be contained in H3")
-        s1_shifts = frozenset(t ^ b for t in T for b in S1)
-        s2_shifts = frozenset(t ^ b for t in T for b in S2)
-        if s1_shifts != s2_shifts:
-            raise BadParameters("H2 + H3 and 2 H1 + H3 must coincide")
-        fam_pairs = _preimage_coset(ker, T)
-    else:
-        fam_pairs = _full_coset(ker)
-    fam_short = _preimage_coset(ker, S1, Q(1, 2))
-    fam_long = _preimage_coset(ker, S2)
-    shorts = [v for v in cl_sys.roots if cl_sys.norm(v) == 1]
-    longs = [v for v in cl_sys.roots if cl_sys.norm(v) == 4]
-    pairs = [v for v in cl_sys.roots if cl_sys.norm(v) == 2]
-    return _family_entries(
-        cl_sys, k, [(shorts, fam_short), (longs, fam_long), (pairs, fam_pairs)]
-    )
+    if key.params != (2,):
+        return {"S1": S1, "S2": S2}
+    T = pts("T")
+    if 0 not in T or not contains_affine_basis_points(k, T):
+        raise BadParameters("T must contain zero and a basis of F_2^k")
+    if not all((t ^ b) in T for t in T for b in S2):
+        raise BadParameters("H2 + H3 must be contained in H3")
+    if not all((t ^ b) in T for t in T for b in S1):
+        raise BadParameters("2 H1 + H3 must be contained in H3")
+    s1_shifts = frozenset(t ^ b for t in T for b in S1)
+    s2_shifts = frozenset(t ^ b for t in T for b in S2)
+    if s1_shifts != s2_shifts:
+        raise BadParameters("H2 + H3 and 2 H1 + H3 must coincide")
+    return {"S1": S1, "S2": S2, "T": T}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import catalog
 from .catalog import TypeKey, contains_affine_basis_points, type_key
@@ -26,7 +26,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, Vector, solve_in_span, unit_vector, vadd, vscale, vsub
+from .linalg import Lattice, Vector, solve_in_span, vadd, vscale, vsub
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -198,6 +198,31 @@ class ClassDescriptor:
 
 def _desc_aff(cl: str, k: int) -> ClassDescriptor:
     return ClassDescriptor(cl, k, ("affinization",))
+
+
+def canonical_data(key: TypeKey, k: int, masks: Sequence[int]) -> Tuple:
+    """Descriptor data of the F_2^k masks read off a system of type `key`, in
+    the order of `catalog.orbits(key)`: their least form under the group
+    that acts on that type's data.  This is the one statement of that group;
+    `identify` and `enumerate_classes` both call it.
+
+    - one subset S: AGL(k,2), and for C(m,m) also the complement of S (tag
+      "C11S" for the subset forms of C(1,1));
+    - C2 (S1, S2): a shared linear map and a translation on each;
+    - BC(m,n) (S, Sp): a shared linear map, translations of S, and for
+      m = n the complement of S.
+    """
+    kind = key.kind
+    if key == TypeKey("C{}", (2,)):
+        return ("S1S2",) + canonical_pair(k, *masks, translate_second=True, complement_first=False)
+    if kind == "BC({},{})":
+        m, n = key.params
+        return ("SSp",) + canonical_pair(k, *masks, translate_second=False, complement_first=m == n)
+    (mask,) = masks
+    least = canonical_mask(k, mask)
+    if kind == "C({},{})" and key.params[0] == key.params[1]:
+        least = min(least, canonical_mask(k, ((1 << (1 << k)) - 1) & ~mask))
+    return ("C11S" if key == TypeKey("C({},{})", (1, 1)) else "S", least)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +408,8 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     """Canonical class descriptor of a symbolic system.
 
     The minimal quotient is recognized against the catalog; the family data
-    is pulled back along the recognition map and canonicalized.
+    is pulled back along the recognition map, read off the first root of
+    each group of `catalog.orbits`, and canonicalized by `canonical_data`.
     """
     k = system.kernel_dim
     cl_sys = system.cl()
@@ -407,29 +433,11 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
         return _identify_ann(system, key, hmap, cat, k, L)
 
     fam = _pullback_families(system, hmap, key)
-
-    if kind == "A1":
-        _check_k(k)
-        pts = _points_mod2(fam(cat.roots[0]), L)
-        mask = canonical_mask(k, _mask_from_points(k, pts))
-        return ClassDescriptor(name, k, ("S", mask))
-
-    if key == TypeKey("C{}", (2,)):
-        _check_k(k)
-        short = next(r for r in cat.roots if cat.norm(r) == 2)
-        long_ = next(r for r in cat.roots if cat.norm(r) == 4)
-        m1 = _mask_from_points(k, _points_mod2(fam(short), L))
-        m2 = _mask_from_points(k, _points_mod2(fam(long_), L))
-        pair = canonical_pair(k, m1, m2, translate_second=True, complement_first=False)
-        return ClassDescriptor(name, k, ("S1S2",) + pair)
+    layout = catalog.orbits(key)
 
     if kind in ("G2", "F4"):
         r = 3 if kind == "G2" else 2
-        norms = sorted({cat.norm(v) for v in cat.roots})
-        short = next(v for v in cat.roots if cat.norm(v) == norms[0])
-        long_ = next(v for v in cat.roots if cat.norm(v) == norms[1])
-        Lp = _family_lattice(fam(short))
-        H2 = _family_lattice(fam(long_))
+        Lp, H2 = (_family_lattice(fam(o.roots[0])) for o in layout)
         idx = H2.index_in(Lp)
         if idx is None:
             raise UnrecognizedCl("long-root family of infinite index")
@@ -438,55 +446,36 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
             raise UnrecognizedCl("long-root family index is not a pure power")
         return ClassDescriptor(name, k, ("s", k - e))
 
-    if kind in ("B{}", "C{}"):
-        _check_k(k)
-        o1 = next(v for v in cat.roots if cat.norm(v) == 2)
-        if kind == "B{}":
-            o2 = next(v for v in cat.roots if cat.norm(v) == 1)
-            Lp = _family_lattice(fam(o1)).scaled(Q(1, 2))
-        else:
-            o2 = next(v for v in cat.roots if cat.norm(v) == 4)
-            Lp = _family_lattice(fam(o1))
-        pts = _points_mod2(fam(o2), Lp)
-        mask = canonical_mask(k, _mask_from_points(k, pts))
-        return ClassDescriptor(name, k, ("S", mask))
-
-    if kind == "B({},{})":
-        _check_k(k)
-        non_short = next(
-            v
-            for v in cat.roots
-            if sum(1 for x in v if x != 0) != 1 or abs(next(x for x in v if x)) != 1
-        )
-        short = next(
-            v
-            for v in cat.roots
-            if sum(1 for x in v if x != 0) == 1 and abs(next(x for x in v if x)) == 1
-        )
-        H1 = _family_lattice(fam(non_short))
-        Lp = H1.scaled(Q(1, 2))
-        pts = _points_mod2(fam(short), Lp)
-        mask = canonical_mask(k, _mask_from_points(k, pts))
-        return ClassDescriptor(name, k, ("S", mask))
-
+    _check_k(k)
     if kind in ("C({},{})", "BC({},{})"):
-        return _identify_cmn(key, fam, cat, k, L, with_shorts=kind == "BC({},{})")
-
+        return _identify_cmn(key, fam, layout, k, L)
+    families = [fam(o.roots[0]) for o in layout]
     if kind == "BC{}":
-        return _identify_bcn(key, fam, cat, k, L)
+        return _identify_bcn(key, families, k, L)
 
-    raise UnrecognizedCl(f"no identification rule for {name}")
+    # A1, B_n, C_n, B(m,n), C2: the subsets are read against the full-lattice
+    # family (halved for 2L), which comes first, or against L
+    ref, masks = L, []
+    for o, f in zip(layout, families):
+        if o.data in ("L", "2L"):
+            ref = _family_lattice(f)
+            if o.data == "2L":
+                ref = ref.scaled(Q(1, 2))
+        else:
+            masks.append(_mask_from_points(k, _points_mod2(f, ref)))
+    return ClassDescriptor(name, k, canonical_data(key, k, masks))
 
 
-def _doubled_root_lattice(fam, cat, mm, L):
-    """For cl = C(m,n) or BC(m,n) with eps = e_0 and delta = e_mm: the
-    family above 2 eps, the lattice generated by the families above 2 eps and
-    2 delta, and twice the isotropic anchor a, a member above eps + delta."""
-    eps, dlt = unit_vector(cat.space.dim, 0), unit_vector(cat.space.dim, mm)
-    f_eps, f_dlt = fam(vscale(2, eps)), fam(vscale(2, dlt))
+def _doubled_root_lattice(fam, reps, L):
+    """For cl = C(m,n) or BC(m,n), given the first root of each orbit of the
+    layout: the family above 2 eps (the root that carries S), the lattice
+    generated by the families above 2 eps and 2 delta (the root that carries
+    ~S), and twice the isotropic anchor a, a member above eps + delta."""
+    eps2, dlt2 = reps["S"], reps["~S"]
+    f_eps, f_dlt = fam(eps2), fam(dlt2)
     members = [v for f in (f_eps, f_dlt) for v in f.members()]
     Lp = Lattice.from_vectors(L.dim, members).add(f_eps.modulus).add(f_dlt.modulus)
-    a = fam(vadd(eps, dlt)).members()[0]
+    a = fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0]
     return f_eps, Lp, vadd(a, a)
 
 
@@ -528,14 +517,12 @@ def _identify_ann(system, key, hmap, cat, k, L):
         # the position of the isotropic anchor relative to the lattice
         # generated by the two doubled-root families: 2a inside means a
         # subset form, outside means a quotient form.
-        f_eps, Lp, two_a = _doubled_root_lattice(_pullback_families(system, hmap, key), cat, 1, L)
+        reps = {o.data: o.roots[0] for o in catalog.orbits(key)}
+        f_eps, Lp, two_a = _doubled_root_lattice(_pullback_families(system, hmap, key), reps, L)
         if Lp.rank == L.rank and Lp.member(two_a):
             _check_k(k)
-            pts = _points_mod2(f_eps, Lp)
-            mask = canonical_mask(k, _mask_from_points(k, pts))
-            full = (1 << (1 << k)) - 1
-            mask = min(mask, canonical_mask(k, full & ~mask))
-            return ClassDescriptor(name, k, ("C11S", mask))
+            mask = _mask_from_points(k, _points_mod2(f_eps, Lp))
+            return ClassDescriptor(name, k, canonical_data(key, k, [mask]))
 
     noniso = next(r for r in cat.roots if cat.norm(r) != 0)
     F = fam(noniso)
@@ -572,32 +559,21 @@ def _identify_ann(system, key, hmap, cat, k, L):
     return ClassDescriptor(name, k, ("Annx", q, p))
 
 
-def _identify_cmn(key, fam, cat, k, L, with_shorts: bool):
+def _identify_cmn(key, fam, layout, k, L):
     """cl = C(m,n) (mn > 1) or BC(m,n): subset data of Prop-6 shape."""
-    _check_k(k)
-    mm, nn = key.params
-    f_eps, Lp, two_a = _doubled_root_lattice(fam, cat, mm, L)
+    reps = {o.data: o.roots[0] for o in layout}
+    f_eps, Lp, two_a = _doubled_root_lattice(fam, reps, L)
     if not Lp.member(two_a):
         # shifted presentation: enlarge the reference lattice by 2a
         Lp = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
-    pts = _points_mod2(f_eps, Lp)
-    mask = _mask_from_points(k, pts)
-    if not with_shorts:
-        m1 = canonical_mask(k, mask)
-        if mm == nn:
-            full = (1 << (1 << k)) - 1
-            m1 = min(m1, canonical_mask(k, full & ~mask))
-        return ClassDescriptor(str(key), k, ("S", m1))
-    f_short = fam(unit_vector(cat.space.dim, 0)).scale(2)
-    pts2 = _points_mod2(f_short, Lp)
-    mask2 = _mask_from_points(k, pts2)
-    pair = canonical_pair(
-        k, mask, mask2, translate_second=False, complement_first=(mm == nn)
-    )
-    return ClassDescriptor(str(key), k, ("SSp",) + pair)
+    masks = [_mask_from_points(k, _points_mod2(f_eps, Lp))]
+    if "Sp/2" in reps:
+        f_short = fam(reps["Sp/2"]).scale(2)
+        masks.append(_mask_from_points(k, _points_mod2(f_short, Lp)))
+    return ClassDescriptor(str(key), k, canonical_data(key, k, masks))
 
 
-def _identify_bcn(key, fam, cat, k, L):
+def _identify_bcn(key, families, k, L):
     """cl = BC_n: partially canonicalized data; the classification of this
     case is incomplete, so descriptor equality is only reliable between
     like presentations.
@@ -607,11 +583,8 @@ def _identify_bcn(key, fam, cat, k, L):
     short offsets live in half the reference lattice and all data reduces
     modulo twice it.
     """
-    _check_k(k)
     n = key.params[0]
-    e0 = unit_vector(cat.space.dim, 0)
-    f_short = fam(e0)
-    f_long = fam(vscale(2, e0))
+    f_short, f_long = families[:2]
 
     if n == 1:
         Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
@@ -632,7 +605,7 @@ def _identify_bcn(key, fam, cat, k, L):
         data = ("BCn", 1, _mask_from_points(k, s_pts), tuple(sorted(digits)))
         return ClassDescriptor(str(key), k, data)
 
-    f_pair = fam(vadd(e0, unit_vector(cat.space.dim, 1)))
+    f_pair = families[2]
     Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
     s1 = _points_mod2(f_short.scale(2), Lp)
     s2 = _points_mod2(f_long, Lp)
@@ -665,6 +638,8 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
         # the name identify gives: C(1,2) is recognized as C(2,1)
         name = recognize_cl(key.system())[0]
 
+    if kind in ("G2", "F4"):
+        return [ClassDescriptor(name, k, ("s", s)) for s in range(k + 1)]
     if kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
         masks = _orbit_minima(k)
         if kind == "A1":
@@ -673,23 +648,16 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
         elif kind == "C({},{})":
             # a proper subset; for m = n it is read up to its complement
             masks = [m for m in masks if m != full]
-            if key.params[0] == key.params[1]:
-                masks = sorted({min(m, canonical_mask(k, full ^ m)) for m in masks})
-        return [ClassDescriptor(name, k, ("S", m)) for m in masks]
-
-    if kind in ("G2", "F4"):
-        return [ClassDescriptor(name, k, ("s", s)) for s in range(k + 1)]
-
-    if key == TypeKey("C{}", (2,)) or kind == "BC({},{})":
+        data = {canonical_data(key, k, [m]) for m in masks}
+    elif key == TypeKey("C{}", (2,)) or kind == "BC({},{})":
         c2 = kind == "C{}"
         if not c2 and k > 3:
             raise KTooLarge(
                 f"{name} at k = {k} takes 30 first masks x 65 535 second masks at 0.3 to "
                 "0.4 s per canonical_pair call, which is days; BC(m,n) is listed up to k = 3"
             )
-        complement = not c2 and key.params[0] == key.params[1]
         translations = _point_maps(k)[1]
-        pairs = set()
+        data = set()
         # Translations and linear maps act on the first mask, so every pair
         # orbit has a member whose first mask is an orbit minimum.
         for m1 in _orbit_minima(k):
@@ -697,8 +665,9 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
                 # BC(m,n): a proper first subset, any nonempty second one
                 seconds = range(1, full + 1) if m1 != full else ()
             elif m1 == full:
-                # every affine map fixes the full set: the second is read up to AGL(k,2)
-                pairs.update((full, m2) for m2 in _orbit_minima(k))
+                # every affine map fixes the full set, so the data is (full,
+                # the least form of S2 under AGL(k,2)) without a pair walk
+                data.update(("S1S2", full, m2) for m2 in _orbit_minima(k))
                 continue
             elif contains_affine_basis(F2Subset(k, m1)):
                 # S1 + S2 <= S1 holds for the S2 through 0 inside the period
@@ -709,17 +678,12 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
                         seconds += [m2 | 1 << t for m2 in seconds]
             else:
                 continue
-            pairs.update(
-                canonical_pair(k, m1, m2, translate_second=c2, complement_first=complement)
-                for m2 in seconds
-            )
-        tag = "S1S2" if c2 else "SSp"
-        return [ClassDescriptor(name, k, (tag,) + p) for p in sorted(pairs)]
-
-    if kind == "BC{}":
+            data.update(canonical_data(key, k, [m1, m2]) for m2 in seconds)
+    elif kind == "BC{}":
         raise NotClassified(f"no complete classification for cl = {name}")
-
-    raise NotClassified(f"no enumeration rule for {name}")
+    else:
+        raise NotClassified(f"no enumeration rule for {name}")
+    return [ClassDescriptor(name, k, d) for d in sorted(data)]
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,28 @@ def _split_args(text: str) -> List[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _keywords(parts: List[str]) -> dict:
+    """key=value arguments by key; a repeated key raises BadParameters."""
+    kw = {}
+    for part in parts:
+        key, _, val = part.partition("=")
+        key = key.strip()
+        if key in kw:
+            raise BadParameters(f"parameter {key} given twice")
+        kw[key] = val.strip()
+    return kw
+
+
 def build_any(name: str):
     """Catalog dispatch: finite names, Ann_x(...), or family(...)."""
     name = name.strip()
     m = _ANNX_RE.match(name)
     if m:
-        kw = {}
-        for part in _split_args(m.group(1)):
-            key, _, val = part.partition("=")
-            kw[key.strip()] = int(val)
+        kw = _keywords(_split_args(m.group(1)))
+        unknown = sorted(set(kw) - {"n", "p", "q", "k"})
+        if unknown:
+            raise BadParameters(f"Ann_x takes no parameter {', '.join(unknown)}")
+        kw = {key: int(val) for key, val in kw.items()}
         return catalog.a_nn_x(
             kw.get("n", 1), kw.get("p", 1), kw.get("q", 2), kw.get("k", 0)
         )
@@ -79,24 +92,13 @@ def build_any(name: str):
         parts = _split_args(m.group(1))
         if not parts:
             raise BadParameters("family(...) needs a quotient name")
-        cl_name = parts[0]
-        k = None
-        params = {}
-        for part in parts[1:]:
-            key, _, val = part.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key == "k":
-                k = int(val)
-            elif key == "s":
-                params["s"] = int(val)
-            elif key in ("S", "S1", "S2", "Sp", "T", "H2"):
-                params[key] = _parse_set(val)
-            else:
-                raise BadParameters(f"unknown family parameter {key}")
-        if k is None:
+        kw = _keywords(parts[1:])
+        if "k" not in kw:
             raise BadParameters("family(...) needs k=<int>")
-        return catalog.family(cl_name, k, **params)
+        k = int(kw.pop("k"))
+        # catalog.family rejects the names its type does not take
+        params = {key: int(val) if key == "s" else _parse_set(val) for key, val in kw.items()}
+        return catalog.family(parts[0], k, **params)
     return catalog.build(name)
 
 

@@ -121,12 +121,6 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]
     return tuple(coeffs)
 
 
-def independent_subset(vectors: Sequence[Vector]) -> list:
-    """Indices of a maximal independent subset, scanning in the given order:
-    the pivot columns of the matrix whose columns are the vectors."""
-    return rref(list(zip(*vectors)))[1]
-
-
 class SubspaceProjection:
     """Quotient map V -> V/U realized on the non-pivot standard coordinates.
 
@@ -261,22 +255,17 @@ def hnf_cosets(
     h: Sequence[Sequence[int]], sub: Sequence[Sequence[int]], dim: int
 ) -> Optional[list]:
     """Representatives of the row lattice of the HNF h (vectors of length
-    dim) modulo a sublattice given by integer rows, or None when the index
-    is infinite."""
+    dim) modulo a sublattice given by the rows of its own HNF, or None when
+    the index is infinite.
+
+    At equal rank both HNFs have the same pivot columns p_i, so the
+    coordinates of the sublattice on h are upper triangular with the
+    positive diagonal sub[i][p_i] / h[i][p_i], and the box of that diagonal
+    is a set of representatives."""
     if len(sub) < len(h):
         return None
-    pivots = hnf_pivots(h)
-    coords = []
-    for v in sub:
-        c = []
-        for row, p in zip(h, pivots):
-            f = v[p] // row[p]
-            c.append(f)
-            v = [x - f * y for x, y in zip(v, row)]
-        coords.append(c)
-    t = hnf_int(coords)
-    ranges = [range(t[i][i]) for i in range(len(t))]
-    return [tuple(_int_combination(combo, h, dim)) for combo in itertools.product(*ranges)]
+    box = [range(v[p] // row[p]) for v, row, p in zip(sub, h, hnf_pivots(h))]
+    return [tuple(_int_combination(combo, h, dim)) for combo in itertools.product(*box)]
 
 
 # ---------------------------------------------------------------------------

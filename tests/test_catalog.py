@@ -7,7 +7,9 @@ from grrs.catalog import (
     build,
     family,
     generating_roots,
+    orbits,
     real_roots_from_matrix,
+    type_key,
 )
 from grrs.errors import BadMatrix, BadParameters
 from grrs.finite import check_axioms, is_reduced, isomorphic_finite
@@ -210,6 +212,24 @@ class TestFamily:
         assert check_symbolic_axioms(ok).is_grrs
         with pytest.raises(BadParameters):
             family("BC2", 1, S1={0, 1}, S2={0}, T={0})  # T lacks a basis
+
+    def test_rejects_parameters_the_type_does_not_take(self):
+        with pytest.raises(BadParameters, match="B3 takes no parameter Sp"):
+            family("B3", 1, S={0}, Sp={1})
+        with pytest.raises(BadParameters, match="no parameter S$"):
+            family("C2", 1, S={0, 1}, S1={0, 1}, S2={0})
+        with pytest.raises(BadParameters, match="no parameter s"):
+            family("A1", 1, S={0, 1}, s=0)
+
+    def test_layout_covers_every_root_once(self):
+        for name in ["A1", "B3", "C3", "C2", "G2", "F4", "B(2,1)", "C(1,2)", "BC(2,1)",
+                     "BC1", "BC2", "BC3"]:
+            key = type_key(name)
+            groups = [o.roots for o in orbits(key)]
+            assert sorted(r for roots in groups for r in roots) == list(key.system().roots)
+            assert all(roots and roots[0] == max(roots) for roots in groups)
+        with pytest.raises(BadParameters):
+            orbits(type_key("D4"))
 
     def test_all_constructions_pass_checks(self):
         systems = [

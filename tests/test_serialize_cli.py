@@ -12,7 +12,7 @@ from grrs import serialize
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import ClassDescriptor, enumerate_classes
 from grrs.cli import build_any, main
-from grrs.errors import GrrsError
+from grrs.errors import BadParameters, GrrsError
 from grrs.finite import check_axioms
 from grrs.symbolic import affinize, check_symbolic_axioms
 
@@ -97,6 +97,14 @@ class TestCli:
         assert main(["catalog", "family(G2,k=2,s=3)"]) == 2
         assert main(["catalog", "Nope99"]) == 2
         assert main(["classify", "--cl", "BC2", "--k", "1"]) == 2
+
+    def test_unknown_or_repeated_parameters_exit_2(self):
+        assert main(["catalog", "Ann_x(n=1,p=1,Q=3)"]) == 2
+        assert main(["catalog", "Ann_x(n=1,p=1,p=2,q=3)"]) == 2
+        assert main(["catalog", "family(B3,k=1,S={0},S={0,1})"]) == 2
+        assert main(["catalog", "family(B3,k=1,S={0},Sp={1})"]) == 2
+        with pytest.raises(BadParameters, match="given twice"):
+            build_any("family(B3,k=1,S={0},S={0,1})")
 
     def test_iso_exit_codes(self, tmp_path):
         a13 = tmp_path / "a13.json"
