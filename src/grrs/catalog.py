@@ -637,6 +637,8 @@ def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
         raise BadParameters("S must contain an affine basis of F_2^k")
     if kind in ("C({},{})", "BC({},{})") and not 0 < len(S) < 1 << k:
         raise BadParameters("S must be a proper nonempty subset of F_2^k")
+    if not S:
+        raise BadParameters("S must be nonempty")
     if kind != "BC({},{})":
         return {"S": S}
     Sp = pts("Sp")

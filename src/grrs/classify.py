@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -26,7 +25,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, Vector, solve_in_span, vadd, vscale, vsub
+from .linalg import Lattice, Vector, clear_denominators, solve_in_span, vadd, vscale, vsub
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -486,8 +485,7 @@ def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...
     indices are indexed in a dict, and each tuple of the remaining indices
     looks up its negated sum among those ending at or before its first.
     """
-    den = lcm(*(x.denominator for v in vectors for x in v))
-    ints = [tuple(int(x * den) for x in v) for v in vectors]
+    ints = clear_denominators(vectors)[1]
 
     def sums(m):
         for combo in itertools.combinations_with_replacement(range(len(ints)), m):

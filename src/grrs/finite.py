@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +27,8 @@ from .linalg import (
     BilinearSpace,
     Lattice,
     Vector,
-    rank,
+    clear_denominators,
+    column_basis,
     rref,
     solve_in_span,
     vadd,
@@ -97,11 +97,9 @@ class FiniteRootSystem:
     @cached_property
     def _span(self) -> Tuple[List[int], Tuple[Vector, ...], Tuple[Vector, ...]]:
         """The lex-first maximal independent roots, as indices and vectors,
-        and every root's coordinates in them: the pivot columns and the
-        reduced rows of the matrix whose columns are the roots."""
-        reduced, pivots = rref(list(zip(*self.roots)))
-        coords = tuple(tuple(row[j] for row in reduced) for j in range(len(self.roots)))
-        return pivots, tuple(self.roots[i] for i in pivots), coords
+        and every root's coordinates in them."""
+        picked, coords, _ = column_basis(self.roots)
+        return picked, tuple(self.roots[i] for i in picked), tuple(coords)
 
     def span_basis(self) -> Tuple[Vector, ...]:
         """Lexicographically first maximal independent subset of the roots."""
@@ -127,21 +125,19 @@ class FiniteRootSystem:
 class _PairingView:
     """A finite system in integers: the pairings and reflections of its roots.
 
-    With d the common denominator of the root coordinates and g > 0 the
-    factor that makes gG a primitive integer matrix, root i (indexed as in
-    `system.roots`) is the integer vector R[i] = d r_i, its Gram row is W[i] =
-    R[i] gG and its pairings are P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the
-    factor d^2 g cancels from every Cartan number and sign.
+    With d the common denominator of the root coordinates and g that of the
+    Gram matrix G, root i (indexed as in `system.roots`) is the integer
+    vector R[i] = d r_i, its Gram row is W[i] = R[i] gG and its pairings are
+    P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the factor d^2 g cancels from
+    every Cartan number and sign.
     """
 
     def __init__(self, system: FiniteRootSystem):
         self.roots = system.roots
-        self.scale = d = lcm(*(x.denominator for r in self.roots for x in r))
-        entries = [x for row in system.space.gram for x in row]
-        g = Q(lcm(*(x.denominator for x in entries)), gcd(*(x.numerator for x in entries)) or 1)
-        gram = [[int(x * g) for x in row] for row in system.space.gram]
-        self.unit = 1 / (d * d * g)
-        self.vectors = [tuple(int(x * d) for x in r) for r in self.roots]
+        d, vectors = clear_denominators(self.roots)
+        g, gram = clear_denominators(system.space.gram)
+        self.scale, self.unit = d, Q(1, d * d * g)
+        self.vectors = [tuple(v) for v in vectors]
         self.rows = [tuple(sum(map(mul, v, row)) for row in gram) for v in self.vectors]
         self.pairings = [[sum(map(mul, w, v)) for v in self.vectors] for w in self.rows]
         self.norms = tuple(self.unit * p[i] for i, p in enumerate(self.pairings))
@@ -496,7 +492,7 @@ def isomorphic_finite(
                 ):
                     continue
                 assignment.append(c)
-                if rank([b.roots[m] for m in assignment]) == len(assignment) and extend(i + 1):
+                if len(rref([b.roots[m] for m in assignment])[0]) == i + 1 and extend(i + 1):
                     return True
                 assignment.pop()
             return False

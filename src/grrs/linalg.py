@@ -1,8 +1,10 @@
 """Exact rational linear algebra: vectors, bilinear forms, and integer lattices.
 
-All coordinates are `fractions.Fraction`; there is no floating point anywhere.
-Lattices are stored as an integer Hermite normal form over their least common
-denominator, so that equality of lattices is literal equality of integers.
+Vectors have `fractions.Fraction` coordinates; there is no floating point
+anywhere.  Elimination and lattices run in integers over one common
+denominator: `rref` is a fraction-free Gauss-Jordan, and a lattice is an
+integer Hermite normal form over its least denominator, so that equality of
+lattices is literal equality of integers.
 """
 
 from __future__ import annotations
@@ -61,41 +63,70 @@ def parse_rational(s: str) -> Q:
 
 
 # ---------------------------------------------------------------------------
-# Rational Gaussian elimination
+# Integer elimination
+
+
+def clear_denominators(vectors: Sequence[Sequence[Q]], d: int = 1) -> Tuple[int, list]:
+    """(s, rows): s the least common multiple of d and every denominator in
+    the vectors, and rows the integer lists s * v."""
+    s = lcm(d, *(x.denominator for v in vectors for x in v))
+    return s, [[x.numerator * (s // x.denominator) for x in v] for v in vectors]
+
+
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows: Sequence[Vector]):
-    """Reduced row echelon form with deterministic pivoting.
+    """Reduced row echelon form in integers, with deterministic pivoting.
 
-    Scans columns left to right, picks the first row with a nonzero entry.
-    Returns (reduced nonzero rows, pivot column indices).
+    The rows are scaled to integers over their common denominator and
+    eliminated fraction-free: the pivot row p of column c is the first
+    remaining row nonzero there, and every other row r becomes the primitive
+    part of p[c] * r - r[c] * p.  Returns (nonzero rows, pivot columns): each
+    row is a primitive integer tuple with a positive pivot and zeros at the
+    other pivot columns; row / row[pivot] is the row of the rational RREF.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    mat = [_primitive(row) for row in clear_denominators(rows)[1]]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        prow, p = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if a and i != r:
+                mat[i] = _primitive([p * x - a * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[0])
+def column_basis(columns: Sequence[Vector], fixed: Sequence[Vector] = ()):
+    """Indices of the lex-first columns independent modulo span(fixed),
+    every column's coordinates on them, and whether the span of the columns
+    meets span(fixed) only in 0.
+
+    One elimination of the matrix whose columns are `fixed` and then
+    `columns`: the fixed vectors take the first pivots, the pivots after them
+    pick the columns, and the reduced rows below the fixed ones hold each
+    column's coefficients on the picked columns.  The fixed rows hold each
+    column's part in span(fixed), so the two spans meet only in 0 exactly
+    when those rows vanish at every column.
+    """
+    m = len(fixed)
+    reduced, pivots = rref(list(zip(*fixed, *columns)))
+    f = sum(p < m for p in pivots)
+    rows = list(zip(reduced[f:], pivots[f:]))
+    coords = [tuple(Q(row[m + j], row[p]) for row, p in rows) for j in range(len(columns))]
+    meets_zero = not any(x for row in reduced[:f] for x in row[m:])
+    return [p - m for p in pivots[f:]], coords, meets_zero
 
 
 def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]:
@@ -103,22 +134,14 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]
 
     Free coefficients are set to zero, so the answer is deterministic.
     """
-    if not vectors:
-        return () if is_zero(target) else None
-    n = len(target)
+    if any(len(v) != len(target) for v in vectors):
+        raise DimensionMismatch("vectors of different lengths")
     k = len(vectors)
-    rows = [tuple(v[i] for v in vectors) + (target[i],) for i in range(n)]
-    red, pivots = rref(rows)
-    coeffs = [Q(0)] * k
-    for row, p in zip(red, pivots):
-        if p == k:
-            return None
-        coeffs[p] = row[k] - sum(row[j] * coeffs[j] for j in range(p + 1, k))
-    # rref normalizes pivot rows, so back substitution above is literal readout
-    check = [sum(vectors[j][i] * coeffs[j] for j in range(k)) for i in range(n)]
-    if tuple(check) != tuple(target):
+    picked, coords, _ = column_basis([*vectors, target])
+    if k in picked:
         return None
-    return tuple(coeffs)
+    coeffs = dict(zip(picked, coords[k]))
+    return tuple(coeffs.get(i, Q(0)) for i in range(k))
 
 
 class SubspaceProjection:
@@ -130,9 +153,10 @@ class SubspaceProjection:
 
     def __init__(self, dim: int, spanning: Sequence[Vector]):
         self.dim = dim
-        self.rows, self.pivots = rref(spanning)
+        rows, self.pivots = rref(spanning)
         self.kept = [i for i in range(dim) if i not in self.pivots]
-        self._support = [[(j, y) for j, y in enumerate(row) if y] for row in self.rows]
+        self._support = [[(j, Q(y, row[p])) for j, y in enumerate(row) if y]
+                         for row, p in zip(rows, self.pivots)]
 
     def reduce(self, v: Vector) -> Vector:
         w = list(v)
@@ -325,7 +349,7 @@ class BilinearSpace:
                 v = [Q(0)] * self.dim
                 v[f] = Q(1)
                 for row, p in zip(red, pivots):
-                    v[p] = -row[f]
+                    v[p] = Q(-row[f], row[p])
                 basis.append(tuple(v))
             self._kernel = tuple(basis)
         return self._kernel
@@ -383,8 +407,8 @@ class Lattice:
         vs = [v for v in vectors if any(v)]
         if any(len(v) != dim for v in vs):
             raise DimensionMismatch("generator of wrong length")
-        s = lcm(1, *(x.denominator for v in vs for x in v))
-        return cls(dim, s, hnf_int([[x.numerator * (s // x.denominator) for x in v] for v in vs]))
+        s, rows = clear_denominators(vs)
+        return cls(dim, s, hnf_int(rows))
 
     @classmethod
     def zero(cls, dim: int) -> "Lattice":
@@ -418,8 +442,7 @@ class Lattice:
     def _reduce(self, v: Vector):
         """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
         sum c_i basis_i; the pivot coefficients of the residue lie in [0, 1)."""
-        d = lcm(self.scale, *(x.denominator for x in v))
-        w = [x.numerator * (d // x.denominator) for x in v]
+        d, (w,) = clear_denominators([v], self.scale)
         f = d // self.scale
         coeffs = []
         for row, p in zip(self.rows, self.pivots):
@@ -516,8 +539,7 @@ class Lattice:
 
     def kernel_part(self, space: BilinearSpace) -> "Lattice":
         """Sublattice of members lying in the radical of the space's form."""
-        g = lcm(1, *(x.denominator for row in space.gram for x in row))
-        gram = [[x.numerator * (g // x.denominator) for x in row] for row in space.gram]
+        _, gram = clear_denominators(space.gram)
         # the pairings of the scaled basis with the scaled Gram rows
         pairings = [_int_combination(r, gram, self.dim) for r in self.rows]
         return self.sublattice(int_left_kernel(pairings))

@@ -31,8 +31,8 @@ from .linalg import (
     Lattice,
     SubspaceProjection,
     Vector,
+    column_basis,
     is_zero,
-    rref,
     vadd,
     vneg,
     vscale,
@@ -260,7 +260,7 @@ class SymbolicRootSystem:
         if len(set(lifts)) != len(lifts):
             raise GrrsError("duplicate lifts in symbolic system")
         # one elimination tests the lifts and keeps the splitting for resplit
-        self._picked, self._coords, independent = _splitting(space, lifts)
+        self._picked, self._coords, independent = column_basis(lifts, kb)
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
@@ -370,31 +370,10 @@ class SymbolicRootSystem:
 # Constructions
 
 
-def _splitting(
-    space: BilinearSpace, vectors: Sequence[Vector]
-) -> Tuple[List[int], List[Vector], bool]:
-    """Indices of the first vectors independent modulo the radical, every
-    vector's coordinates on them, and whether the span of the vectors meets
-    the radical only in 0.
-
-    One elimination of the matrix whose columns are the radical basis and
-    then the vectors: the radical basis takes the first pivots, the pivots
-    after it pick the vectors, and the reduced rows below the radical's hold
-    each column's coefficients on those picked vectors.  The radical's rows
-    hold each column's radical part, so the span meets the radical only in 0
-    exactly when they vanish at every vector column.
-    """
-    m = len(space.kernel_basis())
-    reduced, pivots = rref(list(zip(*space.kernel_basis(), *vectors)))
-    coords = [tuple(row[m + j] for row in reduced[m:]) for j in range(len(vectors))]
-    independent = all(x == 0 for row in reduced[:m] for x in row[m:])
-    return [p - m for p in pivots[m:]], coords, independent
-
-
 def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     """View a finite system symbolically with respect to its radical."""
     dim = system.space.dim
-    picked, coords, _ = _splitting(system.space, system.roots)
+    picked, coords, _ = column_basis(system.roots, system.space.kernel_basis())
     chosen = [system.roots[i] for i in picked]
     zero_mod = Lattice.zero(dim)
     groups: Dict[Vector, List[Vector]] = {}

@@ -33,7 +33,9 @@ from functools import cache
 from math import ceil, lcm
 from operator import mul
 
-from grrs.linalg import rank, vadd, vscale
+from grrs.linalg import vadd, vscale
+
+from fraction_reference import rank
 
 AXIOMS = ("gr0", "gr1", "gr2", "gr3", "wgr3")
 

@@ -201,6 +201,13 @@ class TestFamily:
         with pytest.raises(BadParameters):
             family("C2", 2, S1={0, 1, 2}, S2={0, 3})
 
+    @pytest.mark.parametrize("name", ["B3", "C3", "B4", "C4", "B(1,1)", "B(2,1)"])
+    def test_s_must_be_nonempty(self, name):
+        with pytest.raises(BadParameters, match="S must be nonempty"):
+            family(name, 1, S=[])
+        with pytest.raises(BadParameters, match="S must be nonempty"):
+            family(name, 2, S=set())
+
     def test_cmn_proper(self):
         with pytest.raises(BadParameters):
             family("C(2,1)", 1, S={0, 1})

@@ -13,6 +13,7 @@ from grrs import serialize
 from grrs.catalog import build
 from grrs.errors import (
     AmbiguousReflection,
+    DimensionMismatch,
     IsotropicBase,
     IsotropicPresent,
     MissingImage,
@@ -313,14 +314,20 @@ class TestIsomorphism:
     def test_same_size_nonisomorphic(self):
         assert isomorphic_finite(build("G2"), build("BC2")) is None
 
+    def test_apply_rejects_wrong_length(self, b2):
+        h = isomorphic_finite(b2, b2)
+        for v in (V(1), V(1, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                h.apply(v)
+
     @staticmethod
     def assert_homothety(h, src, dst):
         assert h is not None
         images = [h.apply(r) for r in src.roots]
         assert sorted(images) == sorted(dst.roots)
-        for u in src.roots:
-            for v in src.roots:
-                assert dst.space.form(h.apply(u), h.apply(v)) == h.scale * src.space.form(u, v)
+        for u, hu in zip(src.roots, images):
+            for v, hv in zip(src.roots, images):
+                assert dst.space.form(hu, hv) == h.scale * src.space.form(u, v)
 
     def test_rotated_rank2_set_both_ways(self):
         # the first assignment of the spanning roots found for the right
@@ -338,6 +345,48 @@ class TestIsomorphism:
         h = isomorphic_finite(a11_ambient, other)
         self.assert_homothety(h, a11_ambient, other)
         assert all(len(v) == 4 for v in h.basis + h.images)
+
+
+# ---------------------------------------------------------------------------
+# Random isometries: an oracle for `isomorphic_finite`.  A signed permutation
+# of the coordinates, w_i = e_i v_pi(i), carries the form G to the form with
+# entries e_i e_j G[pi(i)][pi(j)]; scaling that form by c makes the map a
+# homothety of scale c.  The search must find a homothety both ways, and must
+# still tell the non-isomorphic pairs apart.
+
+ISOMETRY_NAMES = ["A2", "B3", "C3", "G2", "BC2", "F4", "D4", "A(1,1)", "B(1,1)", "C(2,1)",
+                  "BC(1,1)", "D(2,1;a=1/2)", "G(3)"]
+
+
+def _signed_permutation(system, rng, c):
+    n = system.space.dim
+    perm = rng.sample(range(n), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    g = system.space.gram
+    gram = [[c * sign[i] * sign[j] * g[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    roots = [tuple(sign[i] * r[perm[i]] for i in range(n)) for r in system.roots]
+    return FiniteRootSystem(BilinearSpace(gram), roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ISOMETRY_NAMES), st.randoms(use_true_random=False),
+       st.fractions(min_value=Q(-9), max_value=Q(9), max_denominator=9).filter(bool))
+def test_isomorphic_finite_finds_random_isometries(name, rng, c):
+    system = build(name)
+    image = _signed_permutation(system, rng, c)
+    TestIsomorphism.assert_homothety(isomorphic_finite(system, image), system, image)
+    TestIsomorphism.assert_homothety(isomorphic_finite(image, system), image, system)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([("B3", "C3"), ("C3", "B3"), ("G2", "BC2"), ("BC2", "G2")]),
+       st.randoms(use_true_random=False),
+       st.fractions(min_value=Q(-9), max_value=Q(9), max_denominator=9).filter(bool))
+def test_random_isometries_keep_nonisomorphic_pairs_apart(names, rng, c):
+    a, b = build(names[0]), build(names[1])
+    image = _signed_permutation(b, rng, c)
+    assert isomorphic_finite(a, image) is None
+    assert isomorphic_finite(image, a) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from grrs.errors import DimensionMismatch
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
+    column_basis,
     form_eval,
     hnf_int,
     hnf_meet,
@@ -17,11 +18,13 @@ from grrs.linalg import (
     kernel_basis,
     lattice_from_vectors,
     lattice_member,
-    rank,
+    rref,
     solve_in_span,
     standard_space,
     vec,
 )
+
+import fraction_reference as reference
 
 
 def V(*xs):
@@ -82,6 +85,21 @@ class TestKernelBasis:
         probe = V(1, -1, 0)
         assert sp.in_kernel(probe)
         assert solve_in_span(kb, probe) is not None
+
+
+class TestSolveInSpan:
+    def test_free_coefficients_are_zero(self):
+        assert solve_in_span([V(1, 0), V(2, 0), V(0, 1)], V(4, 3)) == V(4, 0, 3)
+
+    def test_outside_span(self):
+        assert solve_in_span([V(1, 1)], V(1, 0)) is None
+        assert solve_in_span([], V(0, 1)) is None
+        assert solve_in_span([], V(0, 0)) == ()
+
+    @pytest.mark.parametrize("target", [V(1), V(1, 0, 0)])
+    def test_length_mismatch(self, target):
+        with pytest.raises(DimensionMismatch):
+            solve_in_span([V(1, 0), V(0, 1)], target)
 
 
 class TestHnf:
@@ -190,7 +208,7 @@ def test_lattice_normal_form_idempotent(vectors):
 @given(rational_vectors())
 def test_lattice_rank_equals_span_rank(vectors):
     L = Lattice.from_vectors(3, vectors)
-    assert L.rank == rank(vectors)
+    assert L.rank == reference.rank(vectors)
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,3 +309,59 @@ def test_integer_lattice_matches_fraction_reference(data, rng):
         assert all(amb.member(r) for r in reps)
         residues = {sub.residue(r) for r in reps}
         assert len(residues) == idx and all(sub.residue(x) == x for x in residues)
+
+
+# Oracle for the integer elimination: the Fraction Gauss-Jordan it replaced
+# (tests/fraction_reference.py), on random rational matrices with many zeros
+# and with dependent rows.
+
+sparse_rational = st.one_of(st.just(Q(0)), small_rational)
+
+
+@st.composite
+def rational_matrices(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    rows = [tuple(draw(sparse_rational) for _ in range(n)) for _ in range(m)]
+    if rows and draw(st.booleans()):
+        a, b = draw(small_rational), draw(small_rational)
+        rows.append(tuple(a * x + b * y for x, y in zip(rows[0], rows[-1])))
+    return draw(st.permutations(rows)) if rows else rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.lists(small_rational, min_size=4, max_size=4), st.booleans())
+def test_integer_rref_matches_fraction_reference(rows, coeffs, in_span):
+    red, pivots = rref(rows)
+    ref_red, ref_pivots = reference.rref(rows)
+    assert pivots == ref_pivots
+    assert [tuple(Q(x, row[p]) for x in row) for row, p in zip(red, pivots)] == ref_red
+    assert all(type(x) is int for row in red for x in row)
+    assert all(row[p] > 0 and gcd(*row) == 1 for row, p in zip(red, pivots))
+
+    # the rows as vectors, and a target in their span or (likely) outside it
+    n = len(rows[0]) if rows else 3
+    target = tuple(sum((c * v[i] for c, v in zip(coeffs, rows)), Q(0)) for i in range(n))
+    if not in_span:
+        target = tuple(coeffs[i % 4] + i for i in range(n))
+    assert solve_in_span(rows, target) == reference.solve(rows, target)
+
+    # an indefinite symmetric form sum_r +-r r^T, radical at least the rows' kernel
+    signs = (1, -1) * 3
+    gram = [[sum((s * v[i] * v[j] for s, v in zip(signs, rows)), Q(0)) for j in range(n)]
+            for i in range(n)]
+    assert kernel_basis(BilinearSpace(gram)) == reference.kernel(gram)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.integers(0, 2))
+def test_column_basis_against_reference_ranks(vectors, m):
+    fixed, columns = vectors[:m], vectors[m:]
+    picked, coords, meets_zero = column_basis(columns, fixed)
+    rank = lambda vs: reference.rank(fixed + vs)
+    assert picked == [j for j in range(len(columns)) if rank(columns[:j + 1]) > rank(columns[:j])]
+    # each column minus its combination of the picked ones lies in span(fixed)
+    for v, c in zip(columns, coords):
+        rest = tuple(x - sum((a * columns[i][t] for a, i in zip(c, picked)), Q(0))
+                     for t, x in enumerate(v))
+        assert rank([rest]) == rank([])
+    assert meets_zero == (rank(columns) == rank([]) + reference.rank(columns))

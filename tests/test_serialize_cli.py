@@ -97,6 +97,8 @@ class TestCli:
         assert main(["catalog", "family(G2,k=2,s=3)"]) == 2
         assert main(["catalog", "Nope99"]) == 2
         assert main(["classify", "--cl", "BC2", "--k", "1"]) == 2
+        assert main(["catalog", "family(B3,k=1,S={})"]) == 2
+        assert main(["catalog", "family(B(1,1),k=1,S={})"]) == 2
 
     def test_unknown_or_repeated_parameters_exit_2(self):
         assert main(["catalog", "Ann_x(n=1,p=1,Q=3)"]) == 2
