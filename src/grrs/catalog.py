@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import BadMatrix, BadParameters
+from .errors import BadMatrix, BadParameters, UnrecognizedCl
 from .finite import FiniteRootSystem, reflect
 from .linalg import (
     BilinearSpace,
@@ -460,34 +460,44 @@ def contains_affine_basis_points(k: int, S: PointSet) -> bool:
     return gf2_rank([p ^ base for p in S]) >= k
 
 
-class _Kernel(NamedTuple):
-    """The lattice L of the k kernel coordinates appended in dimension dim,
-    with 2L and L/2, built once per family."""
-
-    dim: int
-    k: int
-    L: Lattice
-    L2: Lattice
-    Lhalf: Lattice
+# A point of L/rL = (Z/r)^k is the integer whose base-r digits are its
+# coordinates on the basis of L; for r = 2 its bits are the point of F_2^k.
+# `_coordinates` and `_point` are the two conversions; `family` writes its
+# families through `_preimage`, and `identify` reads them back through
+# `points_mod`.
 
 
-def _kernel_lattices(dim: int, k: int) -> _Kernel:
-    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
-    return _Kernel(dim, k, L, L.scaled(2), L.scaled(Q(1, 2)))
+def _coordinates(p: int, k: int, r: int = 2) -> List[int]:
+    """The k coordinates of the point p of (Z/r)^k."""
+    return [p // r**j % r for j in range(k)]
 
 
-def _preimage_coset(ker: _Kernel, S: PointSet, scale: Q = Q(1)) -> CosetSet:
-    """scale * (preimage of S under L -> L/2L) on the appended coordinates."""
-    dim, k = ker.dim, ker.k
-    reps = []
-    for p in sorted(S):
-        v = [Q(0)] * dim
-        for j in range(k):
-            if (p >> j) & 1:
-                v[dim - k + j] = Q(1)
-        reps.append(vscale(scale, tuple(v)))
-    ambient = ker.Lhalf if scale != 1 else ker.L
-    return CosetSet(ambient, ker.L2.scaled(scale), zero_vector(dim), reps)
+def _point(coords: Sequence[int], r: int = 2) -> int:
+    """The point of (Z/r)^k with these integer coordinates, reduced mod r."""
+    return sum(c % r * r**j for j, c in enumerate(coords))
+
+
+def _preimage(L: Lattice, points: PointSet, r: int = 2, scale=1) -> CosetSet:
+    """scale * (the preimage of the points under L -> L/rL)."""
+    reps = [vscale(scale, L.combine(_coordinates(p, L.rank, r))) for p in sorted(points)]
+    return CosetSet(L.scaled(scale), L.scaled(r * scale), zero_vector(L.dim), reps)
+
+
+def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> PointSet:
+    """The points of ref/r*ref that the family meets, on the basis of ref:
+    for fam = `_preimage(ref, points, r)` these are the points."""
+    r_ref = ref.scaled(r)
+    if not fam.modulus.contains_lattice(r_ref):
+        raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
+    cosreps = fam.modulus.coset_representatives(r_ref)
+    pts = set()
+    for m in fam.members():
+        for cr in cosreps:
+            coeffs = ref.coefficients(vadd(m, cr))
+            if coeffs is None:
+                raise UnrecognizedCl("family member outside the reference lattice")
+            pts.add(_point(coeffs, r))
+    return frozenset(pts)
 
 
 class Orbit(NamedTuple):
@@ -577,35 +587,32 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
         raise BadParameters(f"{key} takes no parameter {', '.join(unknown)}")
     values = _family_values(key, k, params)
     cl_sys = key.system()
-    ker = _kernel_lattices(cl_sys.space.dim + k, k)
+    dim = cl_sys.space.dim + k
+    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
     space, pad = _padded(cl_sys.space, k)
     entries = []
     for o in layout:
-        fam = _orbit_family(key, ker, o.data, values)
+        fam = _orbit_family(key, L, o.data, values)
         entries += [(pad(r), fam) for r in o.roots]
     return SymbolicRootSystem(space, entries)
 
 
-def _orbit_family(key: TypeKey, ker: _Kernel, data: str, values) -> CosetSet:
-    """The family a layout entry names, from the checked parameters."""
+def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:
+    """The family a layout entry names, from the checked parameters, over
+    the lattice L of the appended coordinates."""
     if data in ("L", "2L"):
-        return CosetSet.full_lattice(ker.L if data == "L" else ker.L2)
-    dim, k = ker.dim, ker.k
+        return CosetSet.full_lattice(L if data == "L" else L.scaled(2))
     if data == "s":
         r = 3 if key.kind == "G2" else 2
-        gens = [vscale(1 if i < values["s"] else r, unit_vector(dim, dim - k + i)) for i in range(k)]
-        return CosetSet.full_lattice(Lattice.from_vectors(dim, gens))
+        gens = [vscale(1 if i < values["s"] else r, b) for i, b in enumerate(L.basis)]
+        return CosetSet.full_lattice(Lattice.from_vectors(L.dim, gens))
     if data == "H2":
-        reps = [
-            tuple([Q(0)] * (dim - k) + [Q((p >> (2 * j)) & 3) for j in range(k)])
-            for p in sorted(values["H2"])
-        ]
-        return CosetSet(ker.L, ker.L.scaled(4), zero_vector(dim), reps)
+        return _preimage(L, values["H2"], r=4)
     name, _, half = data.lstrip("~").partition("/")
     pts = values[name]
     if data.startswith("~"):
-        pts = frozenset(range(1 << k)) - pts
-    return _preimage_coset(ker, pts, Q(1, 2) if half else Q(1))
+        pts = frozenset(range(1 << L.rank)) - pts
+    return _preimage(L, pts, scale=Q(1, 2) if half else 1)
 
 
 def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
@@ -661,26 +668,13 @@ def _bc_n_values(key: TypeKey, k: int, params, pts) -> Dict[str, object]:
                 raise BadParameters("H2 points must be base-4 digit masks")
         if not h2:
             raise BadParameters("H2 must be nonempty")
-
-        def digits(p):
-            return [(p >> (2 * j)) & 3 for j in range(k)]
-
-        # closure H2 + 2 H2 in (Z/4)^k
-        def addmod(a, b, mult):
-            return [
-                (x + mult * y) % 4 for x, y in zip(digits(a), digits(b))
-            ]
-
-        def undig(ds):
-            return sum(d << (2 * j) for j, d in enumerate(ds))
-
+        coords = {p: _coordinates(p, k, 4) for p in h2}
         for a in h2:
             for b in h2:
-                if undig(addmod(a, b, 2)) not in h2:
+                if _point([x + 2 * y for x, y in zip(coords[a], coords[b])], 4) not in h2:
                     raise BadParameters("H2 + 2 H2 must be contained in H2")
         for a in h2:
-            mod2 = sum(((d % 2) << j) for j, d in enumerate(digits(a)))
-            if mod2 not in S:
+            if _point(coords[a]) not in S:
                 raise BadParameters("H2 must reduce into S modulo 2")
         return {"S": S, "H2": h2}
 

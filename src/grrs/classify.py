@@ -35,9 +35,9 @@ from .symbolic import CosetSet, SymbolicRootSystem
 _MAX_K = 4
 
 
-def _check_k(k: int):
-    if k < 0:
-        raise BadParameters(f"k = {k} is outside the range 0..{_MAX_K}")
+def _check_k(k: int, least: int = 0):
+    if k < least:
+        raise BadParameters(f"k = {k} is outside the range {least}..{_MAX_K}")
     if k > _MAX_K:
         raise KTooLarge(f"k = {k} exceeds the classification cap {_MAX_K}")
 
@@ -66,10 +66,6 @@ class F2Subset:
 
     def __len__(self):
         return bin(self.mask).count("1")
-
-
-def _mask_from_points(k: int, points) -> int:
-    return F2Subset.from_points(k, points).mask
 
 
 @lru_cache(maxsize=None)
@@ -339,24 +335,9 @@ def _family_lattice(fam: CosetSet) -> Lattice:
     return fam.modulus
 
 
-def _points_mod2(fam: CosetSet, L: Lattice) -> frozenset:
-    """Members of the family as points of L/2L, expanding the modulus."""
-    two_L = L.scaled(2)
-    if not fam.modulus.contains_lattice(two_L):
-        raise UnrecognizedCl("family is not a union of doubled-lattice cosets")
-    cosreps = fam.modulus.coset_representatives(two_L)
-    pts = set()
-    for m in fam.members():
-        for cr in cosreps:
-            coeffs = L.coefficients(vadd(m, cr))
-            if coeffs is None:
-                raise UnrecognizedCl("family member outside the reference lattice")
-            p = 0
-            for j, c in enumerate(coeffs):
-                if int(c) % 2:
-                    p |= 1 << j
-            pts.add(p)
-    return frozenset(pts)
+def _mask(points) -> int:
+    """The mask of a set of points of F_2^k."""
+    return sum(1 << p for p in points)
 
 
 def _index_power(idx: int, r: int) -> Optional[int]:
@@ -384,6 +365,7 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
         vadd(e.lift, min(e.family.members())) for e in entries
     ]
 
+    @lru_cache(maxsize=None)
     def fam(cat_root: Vector) -> CosetSet:
         w = hmap.apply(cat_root)
         e = system.entry_for_cl(w)
@@ -446,36 +428,38 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
         return ClassDescriptor(name, k, ("s", k - e))
 
     _check_k(k)
-    if kind in ("C({},{})", "BC({},{})"):
-        return _identify_cmn(key, fam, layout, k, L)
-    families = [fam(o.roots[0]) for o in layout]
     if kind == "BC{}":
-        return _identify_bcn(key, families, k, L)
+        return _identify_bcn(key, [fam(o.roots[0]) for o in layout], k, L)
 
-    # A1, B_n, C_n, B(m,n), C2: the subsets are read against the full-lattice
-    # family (halved for 2L), which comes first, or against L
-    ref, masks = L, []
-    for o, f in zip(layout, families):
+    # The subsets are read in a reference lattice: for C(m,n) and BC(m,n) the
+    # doubled-root lattice, enlarged by 2a for a shifted presentation (~S is
+    # the complement of S); otherwise the full-lattice family (halved for
+    # 2L), which comes first, or L.  A family "X/2" is read doubled.
+    ref, read, masks = L, layout, []
+    if kind in ("C({},{})", "BC({},{})"):
+        Lp, two_a = _doubled_root_lattice(fam, {o.data: o.roots[0] for o in layout}, L)
+        ref = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
+        read = [o for o in layout if o.data not in ("L", "~S")]
+    for o in read:
+        f = fam(o.roots[0])
         if o.data in ("L", "2L"):
-            ref = _family_lattice(f)
-            if o.data == "2L":
-                ref = ref.scaled(Q(1, 2))
+            ref = _family_lattice(f).scaled(Q(1, 2) if o.data == "2L" else 1)
         else:
-            masks.append(_mask_from_points(k, _points_mod2(f, ref)))
+            masks.append(_mask(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref)))
     return ClassDescriptor(name, k, canonical_data(key, k, masks))
 
 
 def _doubled_root_lattice(fam, reps, L):
     """For cl = C(m,n) or BC(m,n), given the first root of each orbit of the
-    layout: the family above 2 eps (the root that carries S), the lattice
-    generated by the families above 2 eps and 2 delta (the root that carries
-    ~S), and twice the isotropic anchor a, a member above eps + delta."""
+    layout: the lattice generated by the families above 2 eps (the root that
+    carries S) and 2 delta (the root that carries ~S), and twice the
+    isotropic anchor a, a member above eps + delta."""
     eps2, dlt2 = reps["S"], reps["~S"]
     f_eps, f_dlt = fam(eps2), fam(dlt2)
     members = [v for f in (f_eps, f_dlt) for v in f.members()]
     Lp = Lattice.from_vectors(L.dim, members).add(f_eps.modulus).add(f_dlt.modulus)
     a = fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0]
-    return f_eps, Lp, vadd(a, a)
+    return Lp, vadd(a, a)
 
 
 def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...]]:
@@ -516,10 +500,11 @@ def _identify_ann(system, key, hmap, cat, k, L):
         # generated by the two doubled-root families: 2a inside means a
         # subset form, outside means a quotient form.
         reps = {o.data: o.roots[0] for o in catalog.orbits(key)}
-        f_eps, Lp, two_a = _doubled_root_lattice(_pullback_families(system, hmap, key), reps, L)
+        pulled = _pullback_families(system, hmap, key)
+        Lp, two_a = _doubled_root_lattice(pulled, reps, L)
         if Lp.rank == L.rank and Lp.member(two_a):
             _check_k(k)
-            mask = _mask_from_points(k, _points_mod2(f_eps, Lp))
+            mask = _mask(catalog.points_mod(pulled(reps["S"]), Lp))
             return ClassDescriptor(name, k, canonical_data(key, k, [mask]))
 
     noniso = next(r for r in cat.roots if cat.norm(r) != 0)
@@ -557,20 +542,6 @@ def _identify_ann(system, key, hmap, cat, k, L):
     return ClassDescriptor(name, k, ("Annx", q, p))
 
 
-def _identify_cmn(key, fam, layout, k, L):
-    """cl = C(m,n) (mn > 1) or BC(m,n): subset data of Prop-6 shape."""
-    reps = {o.data: o.roots[0] for o in layout}
-    f_eps, Lp, two_a = _doubled_root_lattice(fam, reps, L)
-    if not Lp.member(two_a):
-        # shifted presentation: enlarge the reference lattice by 2a
-        Lp = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
-    masks = [_mask_from_points(k, _points_mod2(f_eps, Lp))]
-    if "Sp/2" in reps:
-        f_short = fam(reps["Sp/2"]).scale(2)
-        masks.append(_mask_from_points(k, _points_mod2(f_short, Lp)))
-    return ClassDescriptor(str(key), k, canonical_data(key, k, masks))
-
-
 def _identify_bcn(key, families, k, L):
     """cl = BC_n: partially canonicalized data; the classification of this
     case is incomplete, so descriptor equality is only reliable between
@@ -579,43 +550,23 @@ def _identify_bcn(key, families, k, L):
     For n = 1 the short offsets generate the reference lattice and the
     doubled-root offsets are read modulo four times it; for n >= 2 the
     short offsets live in half the reference lattice and all data reduces
-    modulo twice it.
+    modulo twice it.  The subsets and H2 are read by `catalog.points_mod`,
+    the one reader of points of L/rL, which the single loop of `identify`
+    also uses for every other subset type; BC_n keeps this branch because
+    its reference lattice is generated by its own families.
     """
     n = key.params[0]
-    f_short, f_long = families[:2]
-
+    f_short = families[0]
     if n == 1:
         Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
-        s_pts = _points_mod2(f_short, Lp)
-        four_L = Lp.scaled(4)
-        if not f_long.modulus.contains_lattice(four_L):
-            raise UnrecognizedCl("doubled-root family not of (Z/4)-shape")
-        digits = set()
-        for m in f_long.members():
-            for cr in f_long.modulus.coset_representatives(four_L):
-                coeffs = Lp.coefficients(vadd(m, cr))
-                if coeffs is None:
-                    raise UnrecognizedCl("doubled-root family outside the lattice")
-                d = 0
-                for j, c in enumerate(coeffs):
-                    d |= (int(c) % 4) << (2 * j)
-                digits.add(d)
-        data = ("BCn", 1, _mask_from_points(k, s_pts), tuple(sorted(digits)))
-        return ClassDescriptor(str(key), k, data)
-
-    f_pair = families[2]
-    Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
-    s1 = _points_mod2(f_short.scale(2), Lp)
-    s2 = _points_mod2(f_long, Lp)
-    s3 = _points_mod2(f_pair, Lp)
-    data = (
-        "BCn",
-        n,
-        _mask_from_points(k, s1),
-        _mask_from_points(k, s2),
-        _mask_from_points(k, s3),
-    )
-    return ClassDescriptor(str(key), k, data)
+        h2 = catalog.points_mod(families[1], Lp, 4)
+        data = (1, _mask(catalog.points_mod(f_short, Lp)), tuple(sorted(h2)))
+    else:
+        f_pair = families[2]
+        Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
+        subsets = (f_short.scale(2), *families[1:])
+        data = (n, *(_mask(catalog.points_mod(f, Lp)) for f in subsets))
+    return ClassDescriptor(str(key), k, ("BCn", *data))
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +574,9 @@ def _identify_bcn(key, families, k, L):
 
 
 def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
-    """Complete duplicate-free descriptor list for the classified types."""
-    _check_k(k)
+    """Complete duplicate-free descriptor list for the classified types, at
+    1 <= k <= 4 central directions (at k = 0 there is no affine system)."""
+    _check_k(k, 1)
     key = type_key(cl_name)
     kind, name = key.kind, str(key)
     if key.case_i:

@@ -171,40 +171,26 @@ def descriptor_from_dict(d: dict) -> ClassDescriptor:
     return ClassDescriptor(str(type_key(d["cl"])), d["k"], tup)
 
 
-def document_to_dict(payload: Payload) -> dict:
-    if isinstance(payload, FiniteRootSystem):
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "type": "finite",
-            "payload": finite_to_dict(payload),
-        }
-    if isinstance(payload, SymbolicRootSystem):
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "type": "symbolic",
-            "payload": symbolic_to_dict(payload),
-        }
-    if isinstance(payload, AxiomReport):
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "type": "report",
-            "payload": report_to_dict(payload),
-        }
-    if isinstance(payload, list):
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "type": "classes",
-            "payload": [descriptor_to_dict(x) for x in payload],
-        }
-    raise GrrsError(f"cannot serialize {type(payload)!r}")
-
-
+# The document types: the payload class and encoder of each, and its decoder.
+_TO_DICT = {
+    "finite": (FiniteRootSystem, finite_to_dict),
+    "symbolic": (SymbolicRootSystem, symbolic_to_dict),
+    "report": (AxiomReport, report_to_dict),
+    "classes": (list, lambda payload: [descriptor_to_dict(x) for x in payload]),
+}
 _FROM_DICT = {
     "finite": finite_from_dict,
     "symbolic": symbolic_from_dict,
     "report": report_from_dict,
     "classes": lambda payload: [descriptor_from_dict(x) for x in payload],
 }
+
+
+def document_to_dict(payload: Payload) -> dict:
+    for t, (cls, encode) in _TO_DICT.items():
+        if isinstance(payload, cls):
+            return {"schemaVersion": SCHEMA_VERSION, "type": t, "payload": encode(payload)}
+    raise GrrsError(f"cannot serialize {type(payload)!r}")
 
 
 def document_from_dict(d: dict) -> Payload:

@@ -13,9 +13,12 @@ constructed affine system must satisfy:
 """
 
 from fractions import Fraction as Q
+from functools import reduce
 
+from grrs.catalog import family
+from grrs.errors import BadParameters
 from grrs.finite import check_axioms, isotropic_reflect, k_value
-from grrs.linalg import is_zero, vadd, vneg, vscale, vsub, zero_vector
+from grrs.linalg import Lattice, is_zero, vadd, vneg, vscale, vsub, zero_vector
 from grrs.symbolic import CosetSet, SymbolicRootSystem, check_symbolic_axioms
 
 
@@ -118,3 +121,87 @@ def full_coset_failures(system: SymbolicRootSystem):
         if not e.family.same_set(full):
             fails.append(e.lift)
     return fails
+
+
+def radical_change(system: SymbolicRootSystem, ops) -> SymbolicRootSystem:
+    """The same system after the unimodular changes x_i += x_j, for (i, j)
+    in `ops`, of the radical coordinates (the last kernel_dim): an isometry,
+    as the form vanishes on the radical."""
+    d0 = system.space.dim - system.kernel_dim
+
+    def f(v):
+        v = list(v)
+        for i, j in ops:
+            v[d0 + i] += v[d0 + j]
+        return tuple(v)
+
+    def lattice(lat):
+        return Lattice.from_vectors(lat.dim, [f(b) for b in lat.basis])
+
+    entries = [
+        (f(e.lift), CosetSet(lattice(e.family.ambient), lattice(e.family.modulus),
+                             f(e.family.translate), [f(x) for x in e.family.reps]))
+        for e in system.entries
+    ]
+    return SymbolicRootSystem(system.space, entries)
+
+
+def shear(system: SymbolicRootSystem, rng, den: int) -> SymbolicRootSystem:
+    """The image of the system under x -> x + sum_i x_i t_i, the sum over
+    the quotient coordinates i, for seeded t_i in (1/den) L: an isometry, as
+    each t_i lies in the radical.  Each family moves by sum_i lift_i t_i."""
+    basis = system.L.basis
+    t = [
+        reduce(vadd, (vscale(Q(rng.randint(-den, den), den), b) for b in basis))
+        for _ in range(system.space.dim - system.kernel_dim)
+    ]
+
+    def move(lift):
+        return reduce(vadd, (vscale(x, ti) for x, ti in zip(lift, t)), zero_vector(len(lift)))
+
+    return SymbolicRootSystem(system.space, [(e.lift, e.family.shift(move(e.lift))) for e in system.entries])
+
+
+def valid_family_params(cl: str, k: int, rng, count: int):
+    """Up to `count` distinct seeded parameter sets that `family(cl, k, ...)`
+    accepts, for BC<n> and C(1,1): candidates are drawn at random (BC1's H2
+    closed under H2 + 2 H2, its S the reduction of H2 plus random points) and
+    kept when `family` accepts them."""
+    n = 1 << k
+
+    def subset(zero=False):
+        return sorted({p for p in range(n) if rng.random() < 0.5 or zero and p == 0})
+
+    found, tried = [], set()
+    for _ in range(2000):
+        if cl == "C(1,1)":
+            params = {"S": subset()}
+        elif cl == "BC1":
+            h2 = {rng.randrange(4 ** k) for _ in range(rng.randint(1, 3))}
+            while True:
+                grown = h2 | {_digit_sum(a, b, k) for a in h2 for b in h2}
+                if grown == h2:
+                    break
+                h2 = grown
+            reduced = {sum((a >> 2 * j & 1) << j for j in range(k)) for a in h2}
+            params = {"S": sorted(reduced | set(subset(zero=True))), "H2": sorted(h2)}
+        else:
+            params = {"S1": subset(zero=True), "S2": subset()}
+            if cl == "BC2":
+                params["T"] = subset(zero=True)
+        if repr(params) in tried:
+            continue
+        tried.add(repr(params))
+        try:
+            family(cl, k, **params)
+        except BadParameters:
+            continue
+        found.append(params)
+        if len(found) == count:
+            break
+    return found
+
+
+def _digit_sum(a: int, b: int, k: int) -> int:
+    """a + 2 b in (Z/4)^k, points written in base-4 digits."""
+    return sum((((a >> 2 * j) + 2 * (b >> 2 * j)) & 3) << 2 * j for j in range(k))

@@ -108,11 +108,23 @@ class TestAffineCanonical:
             canonical_mask(5, 1)
 
     def test_negative_k(self, capsys):
-        for call in (lambda: canonical_mask(-1, 1), lambda: enumerate_classes("B3", -1)):
-            with pytest.raises(BadParameters, match=r"0\.\.4"):
-                call()
+        with pytest.raises(BadParameters, match=r"0\.\.4"):
+            canonical_mask(-1, 1)
+        with pytest.raises(BadParameters, match=r"1\.\.4"):
+            enumerate_classes("B3", -1)
         assert main(["classify", "--cl", "B3", "--k", "-1"]) == 2
-        assert "0..4" in capsys.readouterr().err
+        assert "1..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cl", ["C(2,1)", "C(2,2)", "BC(1,1)", "BC(2,1)", "A1", "B3", "A2"])
+    def test_listings_start_at_k_1(self, cl, capsys):
+        # no affine system has k = 0; the listing would be empty or name
+        # an affinization with no central direction
+        with pytest.raises(BadParameters, match=r"1\.\.4"):
+            enumerate_classes(cl, 0)
+        assert main(["classify", "--cl", cl, "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "1..4" in captured.err and captured.out == ""
+        assert canonical_mask(0, 1) == 1
 
 
 def _random_affine_image(rng, k, mask):
