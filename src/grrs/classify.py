@@ -391,8 +391,12 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     The minimal quotient is recognized against the catalog; the family data
     is pulled back along the recognition map, read off the first root of
     each group of `catalog.orbits`, and canonicalized by `canonical_data`.
+    A system without a central direction is finite, not affine, and raises
+    BadParameters.
     """
     k = system.kernel_dim
+    if k < 1:
+        raise BadParameters("identify needs an affine system, with k >= 1 central directions")
     cl_sys = system.cl()
     name, hmap, cat = recognize_cl(cl_sys)
     key = type_key(name)

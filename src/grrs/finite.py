@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     AmbiguousReflection,
@@ -29,7 +29,6 @@ from .linalg import (
     Vector,
     clear_denominators,
     column_basis,
-    rref,
     solve_in_span,
     vadd,
     vneg,
@@ -248,47 +247,70 @@ class AxiomReport:
 def check_axioms(system: FiniteRootSystem) -> AxiomReport:
     """Evaluate the defining axioms, recording a witness for each failure.
 
-    The span/lattice axiom is tested as: the lattice generated by the roots
-    has rank equal to dim V.  Over the rationals this is equivalent to the
-    tensored map being bijective, and also to the roots spanning V.
+    Each root is its own class, so above a class nothing is left to test
+    but how many of beta +- alpha are roots.
     """
-    roots = system.roots
+    return check_classes(
+        system, range(len(system.roots)), system.roots.__getitem__, True,
+        lambda i, j, k, t: True, lambda i, m: True,
+        lambda i, j, plus, minus: ((plus is None) != (minus is None), {plus, minus} != {None}),
+    )
+
+
+def check_classes(
+    system: FiniteRootSystem,
+    order: Sequence[int],
+    witness: Callable[[int], Vector],
+    radical_ok: bool,
+    reflects: Callable[[int, int, int, int], bool],
+    negates: Callable[[int, int], bool],
+    images: Callable[[int, int, Optional[int], Optional[int]], Tuple[bool, bool]],
+) -> AxiomReport:
+    """The axioms on the classes of a root system: the roots of the finite
+    `system`, as indices into `system.roots`, visited in `order`.
+
+    A failure is named by `witness` of its indices.  What lies above the
+    classes is tested by the callbacks, each called only where the rule on
+    the classes holds: `reflects(i, j, k, t)` for r_i(j) = j - k i = t,
+    `negates(i, m)` for m = -i, and `images(i, j, plus, minus)` -> (GR3
+    holds, WGR3 holds) for isotropic i paired with j, where plus and minus
+    index j + i and j - i or are None.  GR1 asks that the classes span and
+    that `radical_ok`: over the rationals the lattice a finite set generates
+    has the rank of its span.  GR3 and WGR3 take their equivalent form:
+    R = -R, and for isotropic alpha and any beta with (alpha, beta) != 0 the
+    set {beta +- alpha} meets R in exactly one (at least one) element.
+    """
     view = system._view
     P = view.pairings
-    n = len(roots)
 
-    zero = next((r for r, w in zip(roots, view.rows) if not any(w)), None)
-    gr0 = AxiomCheck(zero is None, None if zero is None else (zero,))
+    def check(failure: Optional[tuple]) -> AxiomCheck:
+        return AxiomCheck(failure is None, failure and tuple(map(witness, failure)))
 
-    gr1 = AxiomCheck(n > 0 and system.root_lattice().rank == system.space.dim)
+    def reflected(i: int, j: int) -> bool:
+        k, rest = divmod(2 * P[i][j], P[i][i])
+        if rest:
+            return False
+        if k == 0:
+            return True
+        t = view.image(i, j)
+        return t is not None and reflects(i, j, k, t)
 
-    gr2 = AxiomCheck(True)
-    for i in (i for i in range(n) if P[i][i]):
-        j = next((j for j in range(n) if 2 * P[i][j] % P[i][i] or view.image(i, j) is None), None)
-        if j is not None:
-            gr2 = AxiomCheck(False, (roots[i], roots[j]))
+    gr0 = check(next(((i,) for i in order if not any(view.rows[i])), None))
+    gr1 = AxiomCheck(bool(order) and len(system._span[0]) == system.space.dim and radical_ok)
+    gr2 = check(next(((i, j) for i in order if P[i][i] for j in order if not reflected(i, j)),
+                     None))
+    neg = view.neg
+    gr3_fail = wgr3_fail = next(
+        ((i,) for i in order if neg[i] is None or not negates(i, neg[i])), None
+    )
+    pairs = () if gr3_fail else ((i, j) for i in order if not P[i][i] for j in order if P[i][j])
+    for i, j in pairs:
+        ok3, okw = images(i, j, view.shift(j, i, 1), view.shift(j, i, -1))
+        gr3_fail = gr3_fail or (None if ok3 else (i, j))
+        wgr3_fail = wgr3_fail or (None if okw else (i, j))
+        if gr3_fail and wgr3_fail:
             break
-
-    # GR3/WGR3 via the equivalent form: R = -R, and for isotropic alpha and
-    # any beta with (alpha, beta) != 0 the set {beta +- alpha} meets R in
-    # exactly one (at least one) element.
-    gr3_fail = wgr3_fail = None
-    if None in view.neg:
-        gr3_fail = wgr3_fail = (roots[view.neg.index(None)],)
-    else:
-        for i in (i for i in range(n) if P[i][i] == 0):
-            for j in (j for j in range(n) if P[i][j]):
-                found = (view.shift(j, i, 1) is not None) + (view.shift(j, i, -1) is not None)
-                if found != 1:
-                    gr3_fail = gr3_fail or (roots[i], roots[j])
-                if found == 0:
-                    wgr3_fail = wgr3_fail or (roots[i], roots[j])
-            if gr3_fail and wgr3_fail:
-                break
-
-    gr3 = AxiomCheck(gr3_fail is None, gr3_fail)
-    wgr3 = AxiomCheck(wgr3_fail is None, wgr3_fail)
-    return AxiomReport(gr0, gr1, gr2, gr3, wgr3)
+    return AxiomReport(gr0, gr1, gr2, check(gr3_fail), check(wgr3_fail))
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +473,34 @@ def isomorphic_finite(
 ) -> Optional[Homothety]:
     """Search for a homothety carrying one root set onto the other.
 
-    Candidate form scales come from ratios of nonzero norms; roots are
-    matched by backtracking over a spanning subset, pruned by the multiset
-    of form values each root takes against the whole system.  A complete
-    assignment is accepted only if it carries every root onto a root.
+    Candidate form scales come from ratios of nonzero norms; the lex-first
+    spanning roots of `sys_a` are matched by backtracking, pruned by the
+    multiset of form values each root takes against the whole system.  A
+    complete assignment is accepted when it carries the roots of `sys_a`
+    onto pairwise distinct roots of `sys_b`.  They are then all of R_b, as
+    |R_a| = |R_b|, and R_b spans a space of the rank of R_a's, so the map is
+    one to one on the span.  Neither system need span its ambient space.
     """
     if len(sys_a) != len(sys_b):
         return None
-    a = sys_a.restricted_to_span()
-    b = sys_b.restricted_to_span()
-    if a.space.dim != b.space.dim:
+    basis, basis_vectors, coords = sys_a._span
+    if len(basis) != len(sys_b._span[0]):
         return None
-    va, vb = a._view, b._view
+    va, vb = sys_a._view, sys_b._view
     Pa, Pb = va.pairings, vb.pairings
     candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
     # each root's pairings against the whole system, sorted
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
-    basis, basis_vectors, coords = a._span
+    # root i of sys_a is sum_j coords[i][j] basis_vectors[j], with den * coords integral
+    den, icoords = clear_denominators(coords)
+
+    def onto_roots(assignment: List[int]) -> bool:
+        # den times the images of the roots, in sys_b's integer vectors
+        cols = [[vb.vectors[m][k] for m in assignment] for k in range(sys_b.space.dim)]
+        images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
+        hit = {vb.lookup.get(tuple(x // den for x in v))
+               for v in images if not any(x % den for x in v)}
+        return None not in hit and len(hit) == len(images)
 
     for x in candidates:
         # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
@@ -483,8 +516,7 @@ def isomorphic_finite(
 
         def extend(i: int) -> bool:
             if i == len(basis):
-                images = [b.roots[m] for m in assignment]
-                return all(b.contains(_combination(c, images, b.space.dim)) for c in coords)
+                return onto_roots(assignment)
             bi = basis[i]
             for c in cand[bi]:
                 if q * Pb[c][c] != p * Pa[bi][bi] or any(
@@ -492,21 +524,11 @@ def isomorphic_finite(
                 ):
                     continue
                 assignment.append(c)
-                if len(rref([b.roots[m] for m in assignment])[0]) == i + 1 and extend(i + 1):
+                if extend(i + 1):
                     return True
                 assignment.pop()
             return False
 
         if extend(0):
-            images = [b.roots[m] for m in assignment]
-            return Homothety(_lift(sys_a, a, basis_vectors), _lift(sys_b, b, images), x)
+            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x)
     return None
-
-
-def _lift(system: FiniteRootSystem, restricted: FiniteRootSystem, vectors) -> List[Vector]:
-    """Vectors given in the coordinates of `restricted`, the system
-    restricted to its span, in the coordinates of the system itself."""
-    if restricted is system:
-        return list(vectors)
-    span = system.span_basis()
-    return [_combination(v, span, system.space.dim) for v in vectors]

@@ -25,7 +25,7 @@ from .errors import (
     NotInKernel,
     UnknownRoot,
 )
-from .finite import AxiomCheck, AxiomReport, FiniteRootSystem, _combination
+from .finite import AxiomReport, FiniteRootSystem, _combination, check_classes
 from .linalg import (
     BilinearSpace,
     Lattice,
@@ -559,77 +559,32 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
 def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
     """Same semantics as the finite checker, in two layers.
 
-    Class layer: the finite reflection rule on cl(R), read from its integer
-    view.  The lifts span a complement of the radical, so the lift above -a,
-    b +- a or r_a(b) is that combination of lifts, and the quotient's index
-    of a class stands for its entry.  GR1 splits as rank ZR = rank of the
-    classes + rank L, since L = ZR cap Ker.  Family layer: each coset test
-    depends only on the families that meet, numbered by value (id -1 is the
-    empty family of a missing class), and is decided once per tuple of ids.
+    Class layer: `check_classes` on cl(R), in the order of the entries, each
+    class named by its lift.  The lifts span a complement of the radical, so
+    the lift above -a, b +- a or r_a(b) is that combination of lifts, and
+    the quotient's index of a class stands for its entry.  GR1 splits as
+    rank ZR = rank of the classes + rank L, since L = ZR cap Ker.  Family
+    layer: each coset test depends only on the families that meet, numbered
+    by value (id -1 is the empty family of a missing class), and is decided
+    once per tuple of ids.
     """
     cl = system.cl()
-    view = cl._view
-    P = view.pairings
-    # entries in their own order, each with its index in cl.roots
-    pairs = [(e, cl._index[c]) for e, c in zip(system.entries, system._classes)]
+    # each entry's index in cl.roots, in the order of entries
+    order = [cl._index[c] for c in system._classes]
     ids: Dict[CosetSet, int] = {}
     fid: Dict[Optional[int], int] = {None: -1}  # cl index -> family id
-    for e, i in pairs:
+    for e, i in zip(system.entries, order):
         fid[i] = ids.setdefault(e.family, len(ids))
     fams = list(ids) + [CosetSet.empty(system.L)]
+    lifts = dict(zip(order, system.lifts))
 
-    @cache
-    def reflects_into(a: int, b: int, k: int, t: int) -> bool:
-        return fams[b].add(fams[a].scale(-k)).subset_of(fams[t])
-
-    @cache
-    def negates(a: int, m: int) -> bool:
-        return fams[m].same_set(fams[a].neg())
-
-    @cache
-    def xor(a: int, b: int, c: int, d: int):
-        return _xor_check(fams[a], fams[b], fams[c], fams[d])
-
-    zero = next((e.lift for e, i in pairs if is_zero(cl.roots[i])), None)
-    gr0 = AxiomCheck(zero is None, None if zero is None else (zero,))
-    gr1 = AxiomCheck(len(cl._span[0]) == cl.space.dim and system.L.rank == system.kernel_dim)
-
-    gr2_fail = None
-    for ea, i in ((e, i) for e, i in pairs if P[i][i]):
-        for eb, j in pairs:
-            if 2 * P[i][j] % P[i][i]:
-                gr2_fail = (ea.lift, eb.lift)
-                break
-            k = 2 * P[i][j] // P[i][i]
-            if k == 0:
-                continue
-            t = view.image(i, j)
-            if t is None or not reflects_into(fid[i], fid[j], k, fid[t]):
-                gr2_fail = (ea.lift, eb.lift)
-                break
-        if gr2_fail:
-            break
-    gr2 = AxiomCheck(gr2_fail is None, gr2_fail)
-
-    # R = -R at family level
-    gr3_fail = wgr3_fail = next(
-        ((e.lift,) for e, i in pairs
-         if view.neg[i] is None or not negates(fid[i], fid[view.neg[i]])),
-        None,
+    # the family tests, by family id
+    reflects = cache(lambda a, b, k, t: fams[b].add(fams[a].scale(-k)).subset_of(fams[t]))
+    negates = cache(lambda a, m: fams[m].same_set(fams[a].neg()))
+    xor = cache(lambda a, b, c, d: _xor_check(fams[a], fams[b], fams[c], fams[d]))
+    return check_classes(
+        cl, order, lifts.__getitem__, system.L.rank == system.kernel_dim,
+        lambda i, j, k, t: reflects(fid[i], fid[j], k, fid[t]),
+        lambda i, m: negates(fid[i], fid[m]),
+        lambda i, j, plus, minus: xor(fid[i], fid[j], fid[plus], fid[minus]),
     )
-    if gr3_fail is None:
-        for ea, i in ((e, i) for e, i in pairs if not P[i][i]):
-            for eb, j in ((e, j) for e, j in pairs if P[i][j]):
-                ok3, okw = xor(fid[i], fid[j], fid[view.shift(j, i, 1)], fid[view.shift(j, i, -1)])
-                if not ok3:
-                    gr3_fail = gr3_fail or (ea.lift, eb.lift)
-                if not okw:
-                    wgr3_fail = wgr3_fail or (ea.lift, eb.lift)
-                if gr3_fail and wgr3_fail:
-                    break
-            if gr3_fail and wgr3_fail:
-                break
-
-    gr3 = AxiomCheck(gr3_fail is None, gr3_fail)
-    wgr3 = AxiomCheck(wgr3_fail is None, wgr3_fail)
-    return AxiomReport(gr0, gr1, gr2, gr3, wgr3)

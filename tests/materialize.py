@@ -26,6 +26,10 @@ finite classes lie in the box already.  A failing pair moves into the box:
 All of these lie within 2(O + P).  The box holds each finite family whole
 and two roots of each periodic class, so it has the rank of R (GR1) and
 meets every class.
+
+The verdicts themselves are read off any finite list of roots by
+`listed_verdicts`; on the whole root list of a finite system, with its own
+membership test, it is an oracle for the finite checker.
 """
 
 from fractions import Fraction as Q
@@ -66,13 +70,17 @@ def box_roots(system):
 
 
 def materialized_verdicts(system) -> dict:
-    """Pass/fail of each axiom, with the semantics of the finite checker.
+    """Pass/fail of each axiom on the roots of a symbolic system in the box."""
+    return listed_verdicts(system.space, box_roots(system), system.contains)
+
+
+def listed_verdicts(space, roots, contains) -> dict:
+    """Pass/fail of each axiom, with the semantics of the finite checker,
+    decided on the listed roots with `contains` as membership in R.
 
     Roots are scaled to integer vectors d * r and the Gram matrix to the
     integer matrix g * G, so form[i][j] = d^2 g (r_i, r_j).
     """
-    space = system.space
-    roots = box_roots(system)
     d = lcm(*(x.denominator for r in roots for x in r))
     g = lcm(*(x.denominator for row in space.gram for x in row))
     ints = [tuple(int(x * d) for x in r) for r in roots]
@@ -82,7 +90,7 @@ def materialized_verdicts(system) -> dict:
 
     @cache
     def member(v) -> bool:
-        return system.contains(tuple(Q(x, d) for x in v))
+        return contains(tuple(Q(x, d) for x in v))
 
     def comb(j, k, i):
         """root j + k * root i, scaled by d"""

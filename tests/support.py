@@ -18,7 +18,9 @@ from functools import reduce
 from grrs.catalog import family
 from grrs.errors import BadParameters
 from grrs.finite import check_axioms, isotropic_reflect, k_value
-from grrs.linalg import Lattice, is_zero, vadd, vneg, vscale, vsub, zero_vector
+from grrs.linalg import (
+    BilinearSpace, Lattice, is_zero, unit_vector, vadd, vec, vneg, vscale, vsub, zero_vector,
+)
 from grrs.symbolic import CosetSet, SymbolicRootSystem, check_symbolic_axioms
 
 
@@ -205,3 +207,17 @@ def valid_family_params(cl: str, k: int, rng, count: int):
 def _digit_sum(a: int, b: int, k: int) -> int:
     """a + 2 b in (Z/4)^k, points written in base-4 digits."""
     return sum((((a >> 2 * j) + 2 * (b >> 2 * j)) & 3) << 2 * j for j in range(k))
+
+
+def over_radical(diagonal, classes, kind):
+    """The given classes over a diagonal Gram matrix whose last entry is 0,
+    all carrying the family Z delta ("full") or {0} ("point"), delta the
+    last unit vector."""
+    dim = len(diagonal)
+    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - 1)])
+    fam = {
+        "full": CosetSet.full_lattice(L),
+        "point": CosetSet(L, Lattice.zero(dim), zero_vector(dim), [zero_vector(dim)]),
+    }[kind]
+    gram = [[diagonal[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return SymbolicRootSystem(BilinearSpace(gram), [(vec(c), fam) for c in classes])

@@ -527,6 +527,17 @@ class TestRecognize:
 
 
 class TestIdentify:
+    @pytest.mark.parametrize("cl", ["C(2,1)", "C(2,2)", "BC(1,1)", "B3", "A1", "A2"])
+    def test_identify_rejects_k_0(self, cl, tmp_path, capsys):
+        # a finite system is not affine; F_2^0 data would name no listed class
+        system = from_finite(build(cl))
+        with pytest.raises(BadParameters, match="k >= 1"):
+            identify(system)
+        doc = tmp_path / "finite.json"
+        doc.write_text(grrs.serialize.dumps(system))
+        assert main(["iso", str(doc), str(doc)]) == 2
+        assert "k >= 1" in capsys.readouterr().err
+
     def test_affinizations_are_case_i(self):
         for name in ("A2", "D4", "A(2,1)", "C(2)", "D(2,1;a=1/2)", "G(3)", "F(4)"):
             d = identify(affinize(build(name), 1))

@@ -35,7 +35,7 @@ from grrs.finite import (
     reflect_root,
     weyl_orbits,
 )
-from grrs.linalg import BilinearSpace, standard_space, vadd, vec, vneg, vscale, vsub
+from grrs.linalg import BilinearSpace, standard_space, unit_vector, vadd, vec, vneg, vscale, vsub
 
 from conftest import V
 
@@ -352,7 +352,9 @@ class TestIsomorphism:
 # of the coordinates, w_i = e_i v_pi(i), carries the form G to the form with
 # entries e_i e_j G[pi(i)][pi(j)]; scaling that form by c makes the map a
 # homothety of scale c.  The search must find a homothety both ways, and must
-# still tell the non-isomorphic pairs apart.
+# still tell the non-isomorphic pairs apart.  Some inputs do not span their
+# space (A(n,n) on all 2n + 2 coordinates, B3 and G(3) with a coordinate no
+# root uses); the search takes them as given.
 
 ISOMETRY_NAMES = ["A2", "B3", "C3", "G2", "BC2", "F4", "D4", "A(1,1)", "B(1,1)", "C(2,1)",
                   "BC(1,1)", "D(2,1;a=1/2)", "G(3)"]
@@ -368,14 +370,48 @@ def _signed_permutation(system, rng, c):
     return FiniteRootSystem(BilinearSpace(gram), roots)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(ISOMETRY_NAMES), st.randoms(use_true_random=False),
+def _type_a_ambient(n):
+    """A(n,n) on all 2n + 2 coordinates, where its roots span a hyperplane."""
+    dim = 2 * n + 2
+    roots = [vsub(unit_vector(dim, i), unit_vector(dim, j))
+             for i in range(dim) for j in range(dim) if i != j]
+    return FiniteRootSystem(standard_space(n + 1, n + 1), roots)
+
+
+def _appended(name, norm):
+    """The named system with one more coordinate, of the given norm, that
+    no root uses."""
+    system = build(name)
+    n = system.space.dim
+    gram = [list(row) + [0] for row in system.space.gram] + [[0] * n + [norm]]
+    return FiniteRootSystem(BilinearSpace(gram), [tuple(r) + (Q(0),) for r in system.roots])
+
+
+NON_SPANNING = {
+    "A(1,1) on 4 coordinates": lambda: _type_a_ambient(1),
+    "A(2,2) on 6 coordinates": lambda: _type_a_ambient(2),
+    "B3 and a radical coordinate": lambda: _appended("B3", 0),
+    "G(3) and a coordinate of norm 1": lambda: _appended("G(3)", 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ISOMETRY_NAMES + sorted(NON_SPANNING)), st.randoms(use_true_random=False),
        st.fractions(min_value=Q(-9), max_value=Q(9), max_denominator=9).filter(bool))
 def test_isomorphic_finite_finds_random_isometries(name, rng, c):
-    system = build(name)
+    system = NON_SPANNING[name]() if name in NON_SPANNING else build(name)
     image = _signed_permutation(system, rng, c)
     TestIsomorphism.assert_homothety(isomorphic_finite(system, image), system, image)
     TestIsomorphism.assert_homothety(isomorphic_finite(image, system), image, system)
+
+
+@pytest.mark.parametrize("label", sorted(NON_SPANNING))
+def test_isomorphic_finite_to_the_restricted_copy(label):
+    system = NON_SPANNING[label]()
+    restricted = system.restricted_to_span()
+    assert restricted.space.dim < system.space.dim
+    TestIsomorphism.assert_homothety(isomorphic_finite(system, restricted), system, restricted)
+    TestIsomorphism.assert_homothety(isomorphic_finite(restricted, system), restricted, system)
 
 
 @settings(max_examples=10, deadline=None)

@@ -10,7 +10,6 @@ from grrs.finite import AxiomCheck, AxiomReport, check_axioms, isomorphic_finite
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
-    unit_vector,
     vadd,
     vec,
     vneg,
@@ -32,7 +31,9 @@ from grrs.symbolic import (
 
 from conftest import V
 from materialize import materialized_verdicts, report_verdicts
-from support import f_invariance_failures, full_coset_failures, is_transitive_grrs_quotient
+from support import (
+    f_invariance_failures, full_coset_failures, is_transitive_grrs_quotient, over_radical,
+)
 
 
 def lat(dim, *vs):
@@ -463,20 +464,6 @@ class TestFamilyInvariants:
                      affinize(build("A(2,1)"), 1), affinize(build("C(2)"), 1)):
             assert is_transitive_grrs_quotient(sys_)
             assert full_coset_failures(sys_) == []
-
-
-def over_radical(diagonal, classes, kind):
-    """The given classes over a diagonal Gram matrix whose last entry is 0,
-    all carrying the family Z delta ("full") or {0} ("point"), delta the
-    last unit vector."""
-    dim = len(diagonal)
-    L = lat(dim, unit_vector(dim, dim - 1))
-    fam = {
-        "full": CosetSet.full_lattice(L),
-        "point": CosetSet(L, Lattice.zero(dim), zero_vector(dim), [zero_vector(dim)]),
-    }[kind]
-    gram = [[diagonal[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return SymbolicRootSystem(BilinearSpace(gram), [(vec(c), fam) for c in classes])
 
 
 PASS = AxiomCheck(True)
