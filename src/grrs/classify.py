@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import catalog
 from .catalog import TypeKey, contains_affine_basis_points, type_key
@@ -24,8 +24,8 @@ from .errors import (
     NotClassified,
     UnrecognizedCl,
 )
-from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, Vector, clear_denominators, solve_in_span, vadd, vscale, vsub
+from .finite import FiniteRootSystem, Homothety, _combination, isomorphic_finite
+from .linalg import Lattice, Vector, clear_denominators, is_zero, solve_in_span, vadd, vneg, vscale
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -111,11 +111,21 @@ def _walk_orbit(k: int, start: int, visited: bytearray) -> List[int]:
     return orbit
 
 
+def _full(k: int, *masks: int) -> int:
+    """The mask of all of F_2^k, once k is within the cap and each mask names
+    a subset of F_2^k."""
+    _check_k(k)
+    full = (1 << (1 << k)) - 1
+    for mask in masks:
+        if not 0 <= mask <= full:
+            raise BadParameters(f"mask {mask} is outside the range 0..{full} of subsets of F_2^{k}")
+    return full
+
+
 def canonical_mask(k: int, mask: int) -> int:
     """Lex-min mask over the affine group orbit."""
-    _check_k(k)
-    visited = bytearray(1 << (1 << k))
-    return min(_walk_orbit(k, mask & (len(visited) - 1), visited))
+    visited = bytearray(_full(k, mask) + 1)
+    return min(_walk_orbit(k, mask, visited))
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +166,11 @@ def canonical_pair(
     their least translate: a linear map carries the translates of a subset
     onto those of its image.
     """
-    _check_k(k)
+    full = _full(k, mask1, mask2)
     transvections, translations = _point_maps(k)
-    full = (1 << (1 << k)) - 1
     reduce = lru_cache(maxsize=None)(lambda mask: min(_image(t, mask) for t in translations))
     second = reduce if translate_second else (lambda mask: mask)
-    start = (reduce(mask1 & full), second(mask2 & full))
+    start = (reduce(mask1), second(mask2))
     seen = {start}
     orbit = [start]
     for m1, m2 in orbit:
@@ -196,19 +205,30 @@ def _desc_aff(cl: str, k: int) -> ClassDescriptor:
 
 
 def canonical_data(key: TypeKey, k: int, masks: Sequence[int]) -> Tuple:
-    """Descriptor data of the F_2^k masks read off a system of type `key`, in
-    the order of `catalog.orbits(key)`: their least form under the group
-    that acts on that type's data.  This is the one statement of that group;
+    """Descriptor data of the values `masks` read off a system of type `key`,
+    in the order of `catalog.orbits(key)`: their least form under the group that
+    acts on that type's data, behind the type's tag.  This is the one
+    statement of that group and the one writer of F_2^k descriptor data;
     `identify` and `enumerate_classes` both call it.
 
     - one subset S: AGL(k,2), and for C(m,m) also the complement of S (tag
       "C11S" for the subset forms of C(1,1));
     - C2 (S1, S2): a shared linear map and a translation on each;
     - BC(m,n) (S, Sp): a shared linear map, translations of S, and for
-      m = n the complement of S.
+      m = n the complement of S;
+    - G2, F4 (the scale index s): the trivial group;
+    - BC_n (the data of `_identify_bcn`): returned as read, since the group
+      acting on it is not derived.
     """
     kind = key.kind
+    if kind in ("G2", "F4"):
+        return ("s", *masks)
+    if kind == "BC{}":
+        return ("BCn", *masks)
     if key == TypeKey("C{}", (2,)):
+        if masks[0] == _full(k):
+            # every affine map fixes the full set: no pair walk
+            return ("S1S2", masks[0], canonical_mask(k, masks[1]))
         return ("S1S2",) + canonical_pair(k, *masks, translate_second=True, complement_first=False)
     if kind == "BC({},{})":
         m, n = key.params
@@ -216,7 +236,7 @@ def canonical_data(key: TypeKey, k: int, masks: Sequence[int]) -> Tuple:
     (mask,) = masks
     least = canonical_mask(k, mask)
     if kind == "C({},{})" and key.params[0] == key.params[1]:
-        least = min(least, canonical_mask(k, ((1 << (1 << k)) - 1) & ~mask))
+        least = min(least, canonical_mask(k, _full(k) ^ mask))
     return ("C11S" if key == TypeKey("C({},{})", (1, 1)) else "S", least)
 
 
@@ -328,8 +348,6 @@ def recognize_cl(fin: FiniteRootSystem):
 
 def _family_lattice(fam: CosetSet) -> Lattice:
     """The family as a subgroup; requires a single unshifted full coset."""
-    from .linalg import is_zero
-
     if len(fam.reps) != 1 or not is_zero(fam.translate) or not is_zero(fam.reps[0]):
         raise UnrecognizedCl("family is not a lattice; not of the classified shape")
     return fam.modulus
@@ -340,43 +358,40 @@ def _mask(points) -> int:
     return sum(1 << p for p in points)
 
 
-def _index_power(idx: int, r: int) -> Optional[int]:
-    """e with r**e == idx, if any."""
-    e = 0
-    while idx > 1:
-        if idx % r:
-            return None
-        idx //= r
-        e += 1
-    return e
+def _scale_index(fam: CosetSet, ref: Lattice, r: int, k: int) -> int:
+    """The G2/F4 scale index s = k - e of the family "s", whose lattice has
+    index r^e in the reference lattice."""
+    idx, e = _family_lattice(fam).index_in(ref), 0
+    if idx is None:
+        raise UnrecognizedCl("long-root family of infinite index")
+    while idx % r == 0:
+        idx, e = idx // r, e + 1
+    if idx != 1 or e > k:
+        raise UnrecognizedCl("long-root family index is not a pure power")
+    return k - e
 
 
 def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey):
     """Family lookup normalized to the generated-subsystem convention.
 
-    Roots are chosen above the standard generating classes of the recognized
-    quotient; every family is then shifted as if the splitting ran through
-    those roots, making the extracted data independent of the presentation.
+    Every family is shifted as if the splitting ran through the roots
+    lift_g + m_g above the standard generating classes g of the recognized
+    quotient, m_g the least member above g, which makes the extracted data
+    independent of the presentation.  The lifts meet the radical only in 0
+    (the constructor checks it), so the lift above w = sum c_g g is
+    sum c_g lift_g, and the family above w moves by -sum c_g m_g.
     """
-    gens = catalog.generating_roots(key)
-    gen_cl = [hmap.apply(g) for g in gens]
-    entries = [system.entry_for_cl(w) for w in gen_cl]
-    anchors = [
-        vadd(e.lift, min(e.family.members())) for e in entries
-    ]
+    gen_cl = [hmap.apply(g) for g in catalog.generating_roots(key)]
+    least = [min(system.entry_for_cl(w).family.members()) for w in gen_cl]
 
     @lru_cache(maxsize=None)
     def fam(cat_root: Vector) -> CosetSet:
         w = hmap.apply(cat_root)
-        e = system.entry_for_cl(w)
+        family = system.entry_for_cl(w).family
         coords = solve_in_span(gen_cl, w)
         if coords is None:
             raise UnrecognizedCl("quotient class outside the generated span")
-        shift = e.lift
-        for c, anchor in zip(coords, anchors):
-            if c:
-                shift = vsub(shift, vscale(c, anchor))
-        return e.family.shift(shift)
+        return family.shift(vneg(_combination(coords, least, len(least[0]))))
 
     return fam
 
@@ -414,56 +429,46 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
                 )
         return _desc_aff(name, k)
 
-    if key == TypeKey("C({},{})", (1, 1)) or kind == "A({},{})_f":
+    # C(1,1) at k = 1 and A(n,n)_f are read as rational quotients
+    c11 = key == TypeKey("C({},{})", (1, 1))
+    if kind == "A({},{})_f" or (c11 and k == 1):
         return _identify_ann(system, key, hmap, cat, k, L)
 
     fam = _pullback_families(system, hmap, key)
     layout = catalog.orbits(key)
 
-    if kind in ("G2", "F4"):
-        r = 3 if kind == "G2" else 2
-        Lp, H2 = (_family_lattice(fam(o.roots[0])) for o in layout)
-        idx = H2.index_in(Lp)
-        if idx is None:
-            raise UnrecognizedCl("long-root family of infinite index")
-        e = _index_power(idx, r)
-        if e is None or e > k:
-            raise UnrecognizedCl("long-root family index is not a pure power")
-        return ClassDescriptor(name, k, ("s", k - e))
-
-    _check_k(k)
-    if kind == "BC{}":
-        return _identify_bcn(key, [fam(o.roots[0]) for o in layout], k, L)
-
-    # The subsets are read in a reference lattice: for C(m,n) and BC(m,n) the
-    # doubled-root lattice, enlarged by 2a for a shifted presentation (~S is
-    # the complement of S); otherwise the full-lattice family (halved for
-    # 2L), which comes first, or L.  A family "X/2" is read doubled.
-    ref, read, masks = L, layout, []
+    # The data are read in a reference lattice: for C(m,n) and BC(m,n) the
+    # lattice Lp of the families above 2 eps (which carries S) and 2 delta
+    # (~S, the complement of S), enlarged by 2a for a shifted presentation,
+    # a a member above eps + delta; otherwise the full-lattice family (halved
+    # for 2L), which comes first, or L.  A family "X/2" is read doubled, and
+    # the G2/F4 family "s" by its index in the reference lattice.
+    ref, read, values = L, layout, []
     if kind in ("C({},{})", "BC({},{})"):
-        Lp, two_a = _doubled_root_lattice(fam, {o.data: o.roots[0] for o in layout}, L)
+        eps2, dlt2 = (o.roots[0] for o in layout if o.data in ("S", "~S"))
+        f_eps, f_dlt = fam(eps2), fam(dlt2)
+        Lp = Lattice.from_vectors(L.dim, f_eps.members() + f_dlt.members())
+        Lp = Lp.add(f_eps.modulus).add(f_dlt.modulus)
+        two_a = vscale(2, fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0])
+        if c11 and not (Lp.rank == k and Lp.member(two_a)):
+            # 2a outside a full-rank Lp: a rational quotient, not a subset form
+            return _identify_ann(system, key, hmap, cat, k, L)
         ref = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
         read = [o for o in layout if o.data not in ("L", "~S")]
+    if kind not in ("G2", "F4"):
+        _check_k(k)
+    if kind == "BC{}":
+        # BC_n reads in a reference lattice generated by its own families
+        values, read = _identify_bcn(key, [fam(o.roots[0]) for o in layout], L), ()
     for o in read:
         f = fam(o.roots[0])
         if o.data in ("L", "2L"):
             ref = _family_lattice(f).scaled(Q(1, 2) if o.data == "2L" else 1)
+        elif o.data == "s":
+            values.append(_scale_index(f, ref, 3 if kind == "G2" else 2, k))
         else:
-            masks.append(_mask(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref)))
-    return ClassDescriptor(name, k, canonical_data(key, k, masks))
-
-
-def _doubled_root_lattice(fam, reps, L):
-    """For cl = C(m,n) or BC(m,n), given the first root of each orbit of the
-    layout: the lattice generated by the families above 2 eps (the root that
-    carries S) and 2 delta (the root that carries ~S), and twice the
-    isotropic anchor a, a member above eps + delta."""
-    eps2, dlt2 = reps["S"], reps["~S"]
-    f_eps, f_dlt = fam(eps2), fam(dlt2)
-    members = [v for f in (f_eps, f_dlt) for v in f.members()]
-    Lp = Lattice.from_vectors(L.dim, members).add(f_eps.modulus).add(f_dlt.modulus)
-    a = fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0]
-    return Lp, vadd(a, a)
+            values.append(_mask(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref)))
+    return ClassDescriptor(name, k, canonical_data(key, k, values))
 
 
 def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...]]:
@@ -491,25 +496,13 @@ def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...
 
 
 def _identify_ann(system, key, hmap, cat, k, L):
-    """cl = A(n,n)_f (n > 1) or C(1,1): quotient-type invariants (q, p)."""
+    """The rational quotients, cl = A(n,n)_f (n > 1) or C(1,1): the
+    quotient-type invariants (q, p)."""
     name = str(key)
     n = key.params[0]
 
     def fam(cat_root):
         return system.entry_for_cl(hmap.apply(cat_root)).family
-
-    if k >= 2 and n == 1:
-        # Split the subset forms C(1,1)(S) from the rational quotients by
-        # the position of the isotropic anchor relative to the lattice
-        # generated by the two doubled-root families: 2a inside means a
-        # subset form, outside means a quotient form.
-        reps = {o.data: o.roots[0] for o in catalog.orbits(key)}
-        pulled = _pullback_families(system, hmap, key)
-        Lp, two_a = _doubled_root_lattice(pulled, reps, L)
-        if Lp.rank == L.rank and Lp.member(two_a):
-            _check_k(k)
-            mask = _mask(catalog.points_mod(pulled(reps["S"]), Lp))
-            return ClassDescriptor(name, k, canonical_data(key, k, [mask]))
 
     noniso = next(r for r in cat.roots if cat.norm(r) != 0)
     F = fam(noniso)
@@ -546,17 +539,17 @@ def _identify_ann(system, key, hmap, cat, k, L):
     return ClassDescriptor(name, k, ("Annx", q, p))
 
 
-def _identify_bcn(key, families, k, L):
-    """cl = BC_n: partially canonicalized data; the classification of this
-    case is incomplete, so descriptor equality is only reliable between
-    like presentations.
+def _identify_bcn(key, families, L):
+    """cl = BC_n: the descriptor data as read, before the tag; the
+    classification of this case is incomplete, so descriptor equality is
+    only reliable between like presentations.
 
     For n = 1 the short offsets generate the reference lattice and the
     doubled-root offsets are read modulo four times it; for n >= 2 the
     short offsets live in half the reference lattice and all data reduces
     modulo twice it.  The subsets and H2 are read by `catalog.points_mod`,
     the one reader of points of L/rL, which the single loop of `identify`
-    also uses for every other subset type; BC_n keeps this branch because
+    also uses for every other subset type; BC_n keeps this reader because
     its reference lattice is generated by its own families.
     """
     n = key.params[0]
@@ -564,13 +557,11 @@ def _identify_bcn(key, families, k, L):
     if n == 1:
         Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
         h2 = catalog.points_mod(families[1], Lp, 4)
-        data = (1, _mask(catalog.points_mod(f_short, Lp)), tuple(sorted(h2)))
-    else:
-        f_pair = families[2]
-        Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
-        subsets = (f_short.scale(2), *families[1:])
-        data = (n, *(_mask(catalog.points_mod(f, Lp)) for f in subsets))
-    return ClassDescriptor(str(key), k, ("BCn", *data))
+        return (1, _mask(catalog.points_mod(f_short, Lp)), tuple(sorted(h2)))
+    f_pair = families[2]
+    Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
+    subsets = (f_short.scale(2), *families[1:])
+    return (n, *(_mask(catalog.points_mod(f, Lp)) for f in subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +576,7 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     kind, name = key.kind, str(key)
     if key.case_i:
         return [_desc_aff(name, k)]
-    full = (1 << (1 << k)) - 1
+    full = _full(k)
     if key == TypeKey("C({},{})", (1, 1)):
         raise NotClassified("C(1,1) admits infinitely many classes (rational quotients)")
     if kind in ("C({},{})", "BC({},{})"):
@@ -593,8 +584,8 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
         name = recognize_cl(key.system())[0]
 
     if kind in ("G2", "F4"):
-        return [ClassDescriptor(name, k, ("s", s)) for s in range(k + 1)]
-    if kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
+        data = {canonical_data(key, k, [s]) for s in range(k + 1)}
+    elif kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
         masks = _orbit_minima(k)
         if kind == "A1":
             # A1 keeps the subsets that contain an affine basis, an affine invariant
@@ -619,10 +610,8 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
                 # BC(m,n): a proper first subset, any nonempty second one
                 seconds = range(1, full + 1) if m1 != full else ()
             elif m1 == full:
-                # every affine map fixes the full set, so the data is (full,
-                # the least form of S2 under AGL(k,2)) without a pair walk
-                data.update(("S1S2", full, m2) for m2 in _orbit_minima(k))
-                continue
+                # every affine map fixes the full set: S2 is read up to AGL(k,2)
+                seconds = _orbit_minima(k)
             elif contains_affine_basis(F2Subset(k, m1)):
                 # S1 + S2 <= S1 holds for the S2 through 0 inside the period
                 # group {t : S1 + t = S1}

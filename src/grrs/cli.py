@@ -8,6 +8,7 @@ Exit codes: 0 success (and: input is a GRRS / inputs isomorphic),
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import List, Optional
@@ -246,6 +247,7 @@ def cmd_realroots(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="grrs",

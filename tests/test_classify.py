@@ -25,7 +25,8 @@ from grrs.classify import (
 from grrs.classify import _zero_sum_multisets
 from grrs.cli import main
 from grrs.errors import BadParameters, KTooLarge, NoName, NotClassified, UnrecognizedCl
-from grrs.symbolic import affinize, from_finite
+from grrs.linalg import Lattice, unit_vector, vadd, vscale
+from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite
 
 
 def brute_force_affine_orbit(k, mask):
@@ -106,6 +107,19 @@ class TestAffineCanonical:
         monkeypatch.setenv("GRRS_MAX_K", "5")
         with pytest.raises(KTooLarge):
             canonical_mask(5, 1)
+
+    def test_masks_outside_the_range_are_rejected(self):
+        # a mask names a subset of the 2^k points: 0..2^(2^k) - 1
+        with pytest.raises(BadParameters, match=r"0\.\.15"):
+            affine_canonical(F2Subset(2, 0b10000))
+        for mask in (0b111, 0b100, -1):
+            with pytest.raises(BadParameters, match=r"0\.\.3"):
+                canonical_mask(1, mask)
+            with pytest.raises(BadParameters, match=r"0\.\.3"):
+                canonical_pair(1, mask, 0b1, True, False)
+            with pytest.raises(BadParameters, match=r"0\.\.3"):
+                canonical_pair(1, 0b1, mask, False, True)
+        assert canonical_mask(1, 0b11) == 0b11 and canonical_mask(0, 0) == 0
 
     def test_negative_k(self, capsys):
         with pytest.raises(BadParameters, match=r"0\.\.4"):
@@ -566,6 +580,37 @@ class TestIdentify:
         mats = [identify(family("G2", 2, s=s)) for s in range(3)]
         assert mats == d
 
+    @pytest.mark.parametrize("cl", ["G2", "F4"])
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_g2_f4_take_any_k(self, cl, k):
+        # the scale index needs no AGL(k,2) walk, so the k cap does not apply
+        for s in (0, 2, k):
+            assert identify(family(cl, k, s=s)) == ClassDescriptor(cl, k, ("s", s))
+
+    @staticmethod
+    def _g2_with_long_family(gens):
+        """family("G2", 2, s=1) with the family above every long root
+        replaced by the full lattice on gens (coordinates on b_0, b_1)."""
+        system = family("G2", 2, s=1)
+        b = [unit_vector(4, 2), unit_vector(4, 3)]
+        lattice = Lattice.from_vectors(4, [vadd(vscale(x, b[0]), vscale(y, b[1])) for x, y in gens])
+        entries = [
+            (e.lift, CosetSet.full_lattice(lattice) if system.space.norm(e.lift) == 3 else e.family)
+            for e in system.entries
+        ]
+        return SymbolicRootSystem(system.space, entries)
+
+    def test_g2_long_family_of_infinite_index(self):
+        with pytest.raises(UnrecognizedCl, match="long-root family of infinite index"):
+            identify(self._g2_with_long_family([(1, 0)]))
+
+    def test_g2_long_family_index_not_a_power(self):
+        with pytest.raises(UnrecognizedCl, match="long-root family index is not a pure power"):
+            identify(self._g2_with_long_family([(5, 0), (0, 1)]))
+        # 3^4 is a power of 3, but of more than k = 2 factors
+        with pytest.raises(UnrecognizedCl, match="long-root family index is not a pure power"):
+            identify(self._g2_with_long_family([(9, 0), (0, 9)]))
+
     def test_b11_names(self):
         d0 = identify(family("B(1,1)", 1, S={0}))
         d1 = identify(family("B(1,1)", 1, S={0, 1}))
@@ -674,7 +719,9 @@ class TestIdentify:
     def test_invariant_under_resplit(self):
         rng = random.Random(11)
         for sys_ in (a_nn_x(1, 1, 3, 0), family("B3", 1, S={0, 1}),
-                     family("BC(1,1)", 1, S={0}, Sp={1}), family("G2", 2, s=1)):
+                     family("BC(1,1)", 1, S={0}, Sp={1}), family("G2", 2, s=1),
+                     family("C(2,1)", 2, S={0, 3}), family("C(1,1)", 2, S={0}),
+                     family("F4", 2, s=1), family("C2", 2, S1={0, 1, 2, 3}, S2={0, 1})):
             d0 = identify(sys_)
             offsets = {}
             for b in sys_.splitting():
