@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadMatrix, BadParameters, UnrecognizedCl
 from .finite import FiniteRootSystem, reflect
@@ -418,53 +418,50 @@ def a_nn_x(n: int, p: int, q: int, extra_affinizations: int = 0) -> SymbolicRoot
 # Classified affine families over F_2^k data
 
 
-PointSet = FrozenSet[int]
+# A subset of F_2^k (of (Z/4)^k for the BC1 H2) is a mask, bit p set for each
+# point p, from the parameters of `family` to the class descriptor.  A point of
+# L/rL = (Z/r)^k is the integer whose base-r digits are its coordinates on the
+# basis of L.  `family` writes its families through `_preimage`, and
+# `identify` reads them back through `points_mod`.
 
 
-def _points(k: int, S) -> PointSet:
-    pts = frozenset(int(x) for x in S)
+def subset_mask(k: int, points) -> int:
+    """The mask of a list of points of F_2^k."""
+    pts = frozenset(int(x) for x in points)
     for p in pts:
-        if not 0 <= p < (1 << k):
+        if p < 0 or p.bit_length() > k:
             raise BadParameters(f"point {p} outside F_2^{k}")
-    return pts
+    return sum(1 << p for p in pts)
 
 
-def _normalize_zero(S: PointSet) -> PointSet:
-    """Translate so the set contains 0 (by its minimal element)."""
-    if not S:
-        return S
-    s = min(S)
-    return frozenset(p ^ s for p in S)
+def _bits(mask: int) -> List[int]:
+    """The points of a mask, ascending."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-def gf2_rank(vectors: Sequence[int]) -> int:
-    """Rank over F_2 of bitmask-encoded vectors."""
-    pivots: Dict[int, int] = {}
-    for v in vectors:
-        cur = v
-        while cur:
-            h = cur.bit_length() - 1
-            if h in pivots:
-                cur ^= pivots[h]
-            else:
-                pivots[h] = cur
-                break
-    return len(pivots)
+def _sumset(a: int, b: int) -> int:
+    """The mask of A + B = {x ^ y : x in A, y in B}."""
+    xs, out = _bits(a), 0
+    for y in _bits(b):
+        for x in xs:
+            out |= 1 << (x ^ y)
+    return out
 
 
-def contains_affine_basis_points(k: int, S: PointSet) -> bool:
-    """Some k+1 points of S affinely span F_2^k."""
-    if not S:
-        return False
-    base = min(S)
-    return gf2_rank([p ^ base for p in S]) >= k
+def _normalize_zero(mask: int) -> int:
+    """Translate so the set contains 0, by its least point."""
+    return _sumset(mask, mask & -mask)
 
 
-# A point of L/rL = (Z/r)^k is the integer whose base-r digits are its
-# coordinates on the basis of L; for r = 2 its bits are the point of F_2^k.
-# `_coordinates` and `_point` are the two conversions; `family` writes its
-# families through `_preimage`, and `identify` reads them back through
-# `points_mod`.
+def spans_affinely(k: int, mask: int) -> bool:
+    """Some k+1 points of the subset affinely span F_2^k: the linear span of
+    its translate through 0, grown one point at a time, is all of F_2^k."""
+    zeroed = _normalize_zero(mask)
+    span = zeroed & 1  # {0}, or nothing for the empty set
+    for p in _bits(zeroed):
+        if not span >> p & 1:
+            span |= _sumset(span, 1 << p)
+    return span == (1 << (1 << k)) - 1
 
 
 def _coordinates(p: int, k: int, r: int = 2) -> List[int]:
@@ -477,27 +474,27 @@ def _point(coords: Sequence[int], r: int = 2) -> int:
     return sum(c % r * r**j for j, c in enumerate(coords))
 
 
-def _preimage(L: Lattice, points: PointSet, r: int = 2, scale=1) -> CosetSet:
-    """scale * (the preimage of the points under L -> L/rL)."""
-    reps = [vscale(scale, L.combine(_coordinates(p, L.rank, r))) for p in sorted(points)]
+def _preimage(L: Lattice, mask: int, r: int = 2, scale=1) -> CosetSet:
+    """scale * (the preimage of the points of the mask under L -> L/rL)."""
+    reps = [vscale(scale, L.combine(_coordinates(p, L.rank, r))) for p in _bits(mask)]
     return CosetSet(L.scaled(scale), L.scaled(r * scale), zero_vector(L.dim), reps)
 
 
-def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> PointSet:
-    """The points of ref/r*ref that the family meets, on the basis of ref:
-    for fam = `_preimage(ref, points, r)` these are the points."""
+def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
+    """The mask of the points of ref/r*ref that the family meets, on the
+    basis of ref: for fam = `_preimage(ref, mask, r)` this is the mask."""
     r_ref = ref.scaled(r)
     if not fam.modulus.contains_lattice(r_ref):
         raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
     cosreps = fam.modulus.coset_representatives(r_ref)
-    pts = set()
+    mask = 0
     for m in fam.members():
         for cr in cosreps:
             coeffs = ref.coefficients(vadd(m, cr))
             if coeffs is None:
                 raise UnrecognizedCl("family member outside the reference lattice")
-            pts.add(_point(coeffs, r))
-    return frozenset(pts)
+            mask |= 1 << _point(coeffs, r)
+    return mask
 
 
 class Orbit(NamedTuple):
@@ -609,20 +606,20 @@ def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:
     if data == "H2":
         return _preimage(L, values["H2"], r=4)
     name, _, half = data.lstrip("~").partition("/")
-    pts = values[name]
+    mask = values[name]
     if data.startswith("~"):
-        pts = frozenset(range(1 << L.rank)) - pts
-    return _preimage(L, pts, scale=Q(1, 2) if half else 1)
+        mask ^= (1 << (1 << L.rank)) - 1
+    return _preimage(L, mask, scale=Q(1, 2) if half else 1)
 
 
 def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
     """The parameters of `family`, checked, by name."""
     kind = key.kind
 
-    def pts(name) -> PointSet:
+    def mask(name) -> int:
         if params.get(name) is None:
             raise BadParameters(f"missing parameter {name} for {key}")
-        return _points(k, params[name])
+        return subset_mask(k, params[name])
 
     if kind in ("G2", "F4"):
         s = params.get("s")
@@ -630,73 +627,71 @@ def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
             raise BadParameters("s must lie in 0..k")
         return {"s": int(s)}
     if kind == "BC{}":
-        return _bc_n_values(key, k, params, pts)
+        return _bc_n_values(key, k, params, mask)
     if kind == "C{}" and key.params == (2,):
-        S1 = _normalize_zero(pts("S1"))
-        S2 = _normalize_zero(pts("S2"))
-        if not contains_affine_basis_points(k, S1):
+        S1 = _normalize_zero(mask("S1"))
+        S2 = _normalize_zero(mask("S2"))
+        if not spans_affinely(k, S1):
             raise BadParameters("S1 must contain an affine basis of F_2^k")
-        if not all((a ^ b) in S1 for a in S1 for b in S2):
+        if _sumset(S1, S2) & ~S1:
             raise BadParameters("S1 + S2 must be contained in S1")
         return {"S1": S1, "S2": S2}
-    S = _normalize_zero(pts("S"))
-    if kind == "A1" and not contains_affine_basis_points(k, S):
+    S = _normalize_zero(mask("S"))
+    if kind == "A1" and not spans_affinely(k, S):
         raise BadParameters("S must contain an affine basis of F_2^k")
-    if kind in ("C({},{})", "BC({},{})") and not 0 < len(S) < 1 << k:
+    if kind in ("C({},{})", "BC({},{})") and not 0 < S < (1 << (1 << k)) - 1:
         raise BadParameters("S must be a proper nonempty subset of F_2^k")
     if not S:
         raise BadParameters("S must be nonempty")
     if kind != "BC({},{})":
         return {"S": S}
-    Sp = pts("Sp")
+    Sp = mask("Sp")
     if not Sp:
         raise BadParameters("Sp must be nonempty")
     return {"S": S, "Sp": Sp}
 
 
-def _bc_n_values(key: TypeKey, k: int, params, pts) -> Dict[str, object]:
+def _bc_n_values(key: TypeKey, k: int, params, mask) -> Dict[str, object]:
     if key.params == (1,):
-        S = pts("S")
+        S = mask("S")
         H2_digits = params.get("H2")
         if H2_digits is None:
             raise BadParameters("missing parameter H2 for BC1")
-        if 0 not in S or not contains_affine_basis_points(k, S):
+        if not S & 1 or not spans_affinely(k, S):
             raise BadParameters("S must contain zero and a basis of F_2^k")
-        h2 = frozenset(int(x) for x in H2_digits)
-        for p in h2:
-            if not 0 <= p < (1 << (2 * k)):
-                raise BadParameters("H2 points must be base-4 digit masks")
+        try:
+            h2 = subset_mask(2 * k, H2_digits)  # a point of (Z/4)^k has 2k bits
+        except BadParameters:
+            raise BadParameters("H2 points must be base-4 digit masks") from None
         if not h2:
             raise BadParameters("H2 must be nonempty")
-        coords = {p: _coordinates(p, k, 4) for p in h2}
-        for a in h2:
-            for b in h2:
-                if _point([x + 2 * y for x, y in zip(coords[a], coords[b])], 4) not in h2:
-                    raise BadParameters("H2 + 2 H2 must be contained in H2")
-        for a in h2:
-            if _point(coords[a]) not in S:
-                raise BadParameters("H2 must reduce into S modulo 2")
+        # The digits of 2 H2 are 0 and 2, and adding 2 to a digit mod 4 flips
+        # its high bit: H2 + 2 H2 is the sumset of the two masks.
+        twice = [_point([2 * c for c in _coordinates(p, k, 4)], 4) for p in _bits(h2)]
+        if _sumset(h2, subset_mask(2 * k, twice)) & ~h2:
+            raise BadParameters("H2 + 2 H2 must be contained in H2")
+        if any(not S >> _point(_coordinates(p, k, 4)) & 1 for p in _bits(h2)):
+            raise BadParameters("H2 must reduce into S modulo 2")
         return {"S": S, "H2": h2}
 
-    S1 = pts("S1")
-    S2 = pts("S2")
-    if 0 not in S1:
+    S1 = mask("S1")
+    S2 = mask("S2")
+    if not S1 & 1:
         raise BadParameters("S1 must contain zero")
     if not S2:
         raise BadParameters("S2 must be nonempty")
-    if not all((a ^ b) in S1 for a in S1 for b in S2):
+    if _sumset(S1, S2) & ~S1:
         raise BadParameters("S1 + S2 must be contained in S1")
     if key.params != (2,):
         return {"S1": S1, "S2": S2}
-    T = pts("T")
-    if 0 not in T or not contains_affine_basis_points(k, T):
+    T = mask("T")
+    if not T & 1 or not spans_affinely(k, T):
         raise BadParameters("T must contain zero and a basis of F_2^k")
-    if not all((t ^ b) in T for t in T for b in S2):
+    s1_shifts, s2_shifts = _sumset(T, S1), _sumset(T, S2)
+    if s2_shifts & ~T:
         raise BadParameters("H2 + H3 must be contained in H3")
-    if not all((t ^ b) in T for t in T for b in S1):
+    if s1_shifts & ~T:
         raise BadParameters("2 H1 + H3 must be contained in H3")
-    s1_shifts = frozenset(t ^ b for t in T for b in S1)
-    s2_shifts = frozenset(t ^ b for t in T for b in S2)
     if s1_shifts != s2_shifts:
         raise BadParameters("H2 + H3 and 2 H1 + H3 must coincide")
     return {"S1": S1, "S2": S2, "T": T}

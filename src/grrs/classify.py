@@ -15,10 +15,9 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from . import catalog
-from .catalog import TypeKey, contains_affine_basis_points, type_key
+from .catalog import TypeKey, _bits, _sumset, spans_affinely, subset_mask, type_key
 from .errors import (
     BadParameters,
-    GrrsError,
     KTooLarge,
     NoName,
     NotClassified,
@@ -48,21 +47,27 @@ def _check_k(k: int, least: int = 0):
 
 @dataclass(frozen=True)
 class F2Subset:
+    """A subset of F_2^k as a mask, bit p set for each point p.  Construction
+    checks k >= 0 and the range of the mask, without the cap on k."""
+
     k: int
     mask: int
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise BadParameters(f"k = {self.k} is negative: there is no F_2^k")
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.k:
+            top = (1 << (1 << self.k)) - 1 if self.k <= _MAX_K else f"2^{1 << self.k} - 1"
+            raise BadParameters(
+                f"mask {self.mask} is outside the range 0..{top} of subsets of F_2^{self.k}"
+            )
+
     def points(self) -> Tuple[int, ...]:
-        return tuple(p for p in range(1 << self.k) if (self.mask >> p) & 1)
+        return tuple(_bits(self.mask))
 
     @classmethod
     def from_points(cls, k: int, points) -> "F2Subset":
-        mask = 0
-        for p in points:
-            p = int(p)
-            if not 0 <= p < (1 << k):
-                raise GrrsError(f"point {p} outside F_2^{k}")
-            mask |= 1 << p
-        return cls(k, mask)
+        return cls(k, subset_mask(k, points))
 
     def __len__(self):
         return bin(self.mask).count("1")
@@ -115,11 +120,9 @@ def _full(k: int, *masks: int) -> int:
     """The mask of all of F_2^k, once k is within the cap and each mask names
     a subset of F_2^k."""
     _check_k(k)
-    full = (1 << (1 << k)) - 1
     for mask in masks:
-        if not 0 <= mask <= full:
-            raise BadParameters(f"mask {mask} is outside the range 0..{full} of subsets of F_2^{k}")
-    return full
+        F2Subset(k, mask)
+    return (1 << (1 << k)) - 1
 
 
 def canonical_mask(k: int, mask: int) -> int:
@@ -147,7 +150,7 @@ def affine_canonical(S: F2Subset) -> F2Subset:
 
 
 def contains_affine_basis(S: F2Subset) -> bool:
-    return contains_affine_basis_points(S.k, frozenset(S.points()))
+    return spans_affinely(S.k, S.mask)
 
 
 def canonical_pair(
@@ -353,11 +356,6 @@ def _family_lattice(fam: CosetSet) -> Lattice:
     return fam.modulus
 
 
-def _mask(points) -> int:
-    """The mask of a set of points of F_2^k."""
-    return sum(1 << p for p in points)
-
-
 def _scale_index(fam: CosetSet, ref: Lattice, r: int, k: int) -> int:
     """The G2/F4 scale index s = k - e of the family "s", whose lattice has
     index r^e in the reference lattice."""
@@ -467,7 +465,7 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
         elif o.data == "s":
             values.append(_scale_index(f, ref, 3 if kind == "G2" else 2, k))
         else:
-            values.append(_mask(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref)))
+            values.append(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref))
     return ClassDescriptor(name, k, canonical_data(key, k, values))
 
 
@@ -547,21 +545,19 @@ def _identify_bcn(key, families, L):
     For n = 1 the short offsets generate the reference lattice and the
     doubled-root offsets are read modulo four times it; for n >= 2 the
     short offsets live in half the reference lattice and all data reduces
-    modulo twice it.  The subsets and H2 are read by `catalog.points_mod`,
-    the one reader of points of L/rL, which the single loop of `identify`
-    also uses for every other subset type; BC_n keeps this reader because
-    its reference lattice is generated by its own families.
+    modulo twice it.  The subsets and H2 are read by `catalog.points_mod`
+    in that reference lattice, which BC_n's own families generate.
     """
     n = key.params[0]
     f_short = families[0]
     if n == 1:
         Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
         h2 = catalog.points_mod(families[1], Lp, 4)
-        return (1, _mask(catalog.points_mod(f_short, Lp)), tuple(sorted(h2)))
+        return (1, catalog.points_mod(f_short, Lp), tuple(_bits(h2)))
     f_pair = families[2]
     Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
     subsets = (f_short.scale(2), *families[1:])
-    return (n, *(_mask(catalog.points_mod(f, Lp)) for f in subsets))
+    return (n, *(catalog.points_mod(f, Lp) for f in subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +566,16 @@ def _identify_bcn(key, families, L):
 
 def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     """Complete duplicate-free descriptor list for the classified types, at
-    1 <= k <= 4 central directions (at k = 0 there is no affine system)."""
-    _check_k(k, 1)
+    k >= 1 central directions (at k = 0 there is no affine system); the
+    types listed through canonical forms of subsets take k <= 4."""
+    if k < 1:
+        _check_k(k, 1)
     key = type_key(cl_name)
     kind, name = key.kind, str(key)
     if key.case_i:
         return [_desc_aff(name, k)]
+    if kind in ("G2", "F4"):
+        return [ClassDescriptor(name, k, canonical_data(key, k, [s])) for s in range(k + 1)]
     full = _full(k)
     if key == TypeKey("C({},{})", (1, 1)):
         raise NotClassified("C(1,1) admits infinitely many classes (rational quotients)")
@@ -583,13 +583,11 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
         # the name identify gives: C(1,2) is recognized as C(2,1)
         name = recognize_cl(key.system())[0]
 
-    if kind in ("G2", "F4"):
-        data = {canonical_data(key, k, [s]) for s in range(k + 1)}
-    elif kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
+    if kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
         masks = _orbit_minima(k)
         if kind == "A1":
             # A1 keeps the subsets that contain an affine basis, an affine invariant
-            masks = [m for m in masks if contains_affine_basis(F2Subset(k, m))]
+            masks = [m for m in masks if spans_affinely(k, m)]
         elif kind == "C({},{})":
             # a proper subset; for m = n it is read up to its complement
             masks = [m for m in masks if m != full]
@@ -601,7 +599,6 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
                 f"{name} at k = {k} takes 30 first masks x 65 535 second masks at 0.3 to "
                 "0.4 s per canonical_pair call, which is days; BC(m,n) is listed up to k = 3"
             )
-        translations = _point_maps(k)[1]
         data = set()
         # Translations and linear maps act on the first mask, so every pair
         # orbit has a member whose first mask is an orbit minimum.
@@ -612,12 +609,12 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
             elif m1 == full:
                 # every affine map fixes the full set: S2 is read up to AGL(k,2)
                 seconds = _orbit_minima(k)
-            elif contains_affine_basis(F2Subset(k, m1)):
+            elif spans_affinely(k, m1):
                 # S1 + S2 <= S1 holds for the S2 through 0 inside the period
                 # group {t : S1 + t = S1}
                 seconds = [1]
                 for t in range(1, 1 << k):
-                    if _image(translations[t], m1) == m1:
+                    if _sumset(m1, 1 << t) == m1:
                         seconds += [m2 | 1 << t for m2 in seconds]
             else:
                 continue

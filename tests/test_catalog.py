@@ -1,19 +1,25 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from grrs.catalog import (
+    _orbit_family,
+    _preimage,
+    _sumset,
     a_nn_x,
     build,
     family,
     generating_roots,
     orbits,
+    points_mod,
     real_roots_from_matrix,
+    subset_mask,
     type_key,
 )
 from grrs.errors import BadMatrix, BadParameters
 from grrs.finite import check_axioms, is_reduced, isomorphic_finite
-from grrs.linalg import Lattice, kernel_basis, vadd, vec, vscale
+from grrs.linalg import Lattice, kernel_basis, unit_vector, vadd, vec, vscale
 from grrs.symbolic import affinize, check_symbolic_axioms, from_finite, gaps
 
 from conftest import V
@@ -258,3 +264,51 @@ class TestFamily:
         ]
         for sys_ in systems:
             assert check_symbolic_axioms(sys_).is_grrs
+
+
+class TestSubsetCodec:
+    """A subset is a mask from `family` to the descriptor: `subset_mask`
+    reads point lists, `_preimage` writes a mask as a family over L and
+    `points_mod` reads the family back."""
+
+    @staticmethod
+    def _lattice(k):
+        # a skewed basis in a larger space: coordinates on L are not ambient ones
+        dim = k + 1
+        return Lattice.from_vectors(
+            dim, [vadd(unit_vector(dim, i), vscale(i + 1, unit_vector(dim, i + 1))) for i in range(k)]
+        )
+
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("scale", [1, Q(1, 2)])
+    def test_preimage_reads_back(self, r, scale):
+        rng = random.Random(7)
+        for k in (1, 2, 3):
+            L = self._lattice(k)
+            full = (1 << r**k) - 1
+            for mask in [1, full] + [rng.randrange(1, full) for _ in range(6)]:
+                fam = _preimage(L, mask, r, scale)
+                assert points_mod(fam, L.scaled(scale), r) == mask, (k, mask)
+
+    def test_complement_reads_back(self):
+        key = type_key("C(2,1)")
+        for k in (1, 2, 3):
+            L = self._lattice(k)
+            full = (1 << (1 << k)) - 1
+            for mask in {1, 0b0110 & full or 1, full ^ 1 or 1}:
+                fam = _orbit_family(key, L, "~S", {"S": mask})
+                assert points_mod(fam, L) == full ^ mask, (k, mask)
+
+    def test_subset_mask(self):
+        assert subset_mask(3, [5, 0, 5, "2"]) == 0b100101
+        assert subset_mask(3, []) == 0
+        for bad in (8, -1):
+            with pytest.raises(BadParameters, match=rf"point {bad} outside F_2\^3"):
+                subset_mask(3, [0, bad])
+
+    def test_sumset(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            a, b = rng.randrange(1 << 16), rng.randrange(1 << 16)
+            want = {x ^ y for x in range(16) if a >> x & 1 for y in range(16) if b >> y & 1}
+            assert _sumset(a, b) == sum(1 << p for p in want)

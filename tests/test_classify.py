@@ -448,6 +448,50 @@ class TestContainsAffineBasis:
         assert contains_affine_basis(F2Subset.from_points(2, [0, 1, 2]))
         assert contains_affine_basis(F2Subset.from_points(2, [1, 2, 3]))
 
+    def test_matches_rank_oracle(self):
+        # oracle: the F_2 rank of the differences to one point, by pivots
+        for k in range(4):
+            for mask in range(1 << (1 << k)):
+                pts = [p for p in range(1 << k) if mask >> p & 1]
+                pivots = {}
+                for v in (p ^ pts[0] for p in pts):
+                    while v and v.bit_length() in pivots:
+                        v ^= pivots[v.bit_length()]
+                    if v:
+                        pivots[v.bit_length()] = v
+                want = bool(pts) and len(pivots) == k
+                assert contains_affine_basis(F2Subset(k, mask)) == want, (k, mask)
+
+
+class TestF2Subset:
+    def test_checked_at_construction(self):
+        # bit 4 is no point of F_2^2: len() and points() would disagree on it
+        with pytest.raises(BadParameters, match=r"mask 19 is outside the range 0\.\.15"):
+            F2Subset(2, 0b10011)
+        with pytest.raises(BadParameters, match=r"0\.\.3 of subsets of F_2\^1"):
+            F2Subset(1, -1)
+        with pytest.raises(BadParameters, match="negative"):
+            F2Subset(-1, 0)
+
+    def test_k_is_not_capped(self):
+        S = F2Subset(5, 0b1000_0000_0000_0001_0000_0001_0001_0111)
+        assert S.points() == (0, 1, 2, 4, 8, 16, 31) and len(S) == 7
+        assert contains_affine_basis(S)
+        assert not contains_affine_basis(F2Subset(5, 0b1_0001_0111))
+        with pytest.raises(BadParameters, match=r"0\.\.2\^32 - 1"):
+            F2Subset(5, 1 << 32)
+        with pytest.raises(KTooLarge):
+            affine_canonical(S)
+
+    def test_from_points_reads_like_family(self):
+        assert F2Subset.from_points(2, [3, "0", 3]) == F2Subset(2, 0b1001)
+        with pytest.raises(BadParameters, match=r"point 5 outside F_2\^2"):
+            F2Subset.from_points(2, [5])
+        with pytest.raises(BadParameters, match=r"point 0 outside F_2\^-1"):
+            F2Subset.from_points(-1, [0])
+        with pytest.raises(BadParameters, match=r"point 5 outside F_2\^2"):
+            family("B3", 2, S=[5])
+
 
 class TestEnumerate:
     def test_case_i_single_class(self):
@@ -502,6 +546,20 @@ class TestEnumerate:
     def test_bc_and_weak_counts(self):
         assert len(enumerate_classes("BC(1,1)", 1)) == 3
         assert len(enumerate_classes("C(2,1)", 1)) == 1
+
+    @pytest.mark.parametrize("cl, k", [("G2", 5), ("F4", 6), ("A2", 5), ("D4", 7)])
+    def test_listings_without_canonical_forms_take_any_k(self, cl, k, capsys):
+        # the scale indices and the affinization walk no AGL(k,2) orbit
+        descs = enumerate_classes(cl, k)
+        if cl in ("G2", "F4"):
+            assert descs == [ClassDescriptor(cl, k, ("s", s)) for s in range(k + 1)]
+            assert identify(family(cl, k, s=2)) in descs
+        else:
+            assert descs == [ClassDescriptor(cl, k, ("affinization",))]
+        assert main(["classify", "--cl", cl, "--k", str(k)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(descs)
+        with pytest.raises(KTooLarge):
+            enumerate_classes("B3", k)
 
     def test_not_classified(self):
         with pytest.raises(NotClassified):
