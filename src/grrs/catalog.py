@@ -687,11 +687,11 @@ def _bc_n_values(key: TypeKey, k: int, params, mask) -> Dict[str, object]:
     T = mask("T")
     if not T & 1 or not spans_affinely(k, T):
         raise BadParameters("T must contain zero and a basis of F_2^k")
-    s1_shifts, s2_shifts = _sumset(T, S1), _sumset(T, S2)
-    if s2_shifts & ~T:
+    if _sumset(T, S2) & ~T:
         raise BadParameters("H2 + H3 must be contained in H3")
-    if s1_shifts & ~T:
+    if _sumset(T, S1) & ~T:
         raise BadParameters("2 H1 + H3 must be contained in H3")
-    if s1_shifts != s2_shifts:
-        raise BadParameters("H2 + H3 and 2 H1 + H3 must coincide")
+    # H2 + H3 and 2 H1 + H3 then coincide: each translate T + s for s in S1
+    # or S2 lies in T and has its size, so it is T; as 0 is in S1 and S2 is
+    # nonempty, T + S1 = T = T + S2.
     return {"S1": S1, "S2": S2, "T": T}

@@ -43,7 +43,7 @@ class FiniteRootSystem:
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
         self.space = space
-        rs = sorted({tuple(Q(x) for x in r) for r in roots})
+        rs = sorted({vec(r) for r in roots})
         for r in rs:
             space.check_vector(r)
         self.roots: Tuple[Vector, ...] = tuple(rs)
@@ -441,7 +441,7 @@ class Homothety:
         self.scale = scale
 
     def apply(self, v: Vector) -> Vector:
-        coeffs = solve_in_span(list(self.basis), tuple(Q(x) for x in v))
+        coeffs = solve_in_span(list(self.basis), vec(v))
         if coeffs is None:
             raise DimensionMismatch("vector outside the domain span")
         return _combination(coeffs, self.images, len(self.images[0]))

@@ -20,8 +20,9 @@ Vector = Tuple[Q, ...]
 
 
 def vec(xs: Iterable) -> Vector:
-    """Build a vector of exact rationals from ints/strings/Fractions."""
-    return tuple(Q(x) for x in xs)
+    """Build a vector of exact rationals from ints/strings/Fractions; a
+    `Fraction` is kept as it is."""
+    return tuple(x if type(x) is Q else Q(x) for x in xs)
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -176,56 +177,41 @@ class SubspaceProjection:
 # Integer matrices: Hermite normal form and kernels
 
 
-def _xgcd(a: int, b: int):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
-
-
 def hnf_int(rows: Sequence[Sequence[int]]) -> list:
     """Row-style Hermite normal form of an integer matrix.
 
     Nonzero rows with positive pivots at strictly increasing columns;
-    entries above each pivot reduced into [0, pivot).
+    entries above each pivot reduced into [0, pivot).  Each column is
+    cleared by sweeps: every live row (nonzero there) is reduced against the
+    one with the least entry in absolute value, until one live row is left.
     """
     mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        # clear column c below row r down to a single pivot
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                mat[r], mat[i] = mat[i], mat[r]
-                break
-            i, j = live[0], live[1]
-            a, b = mat[i][c], mat[j][c]
-            x, y, g = _xgcd(a, b)
-            ai, bj = mat[i], mat[j]
-            new_i = [x * p + y * q for p, q in zip(ai, bj)]
-            new_j = [(-b // g) * p + (a // g) * q for p, q in zip(ai, bj)]
-            mat[i], mat[j] = new_i, new_j
-        if mat[r][c] != 0:
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            p = mat[r][c]
-            for i in range(r):
-                f = mat[i][c] // p
-                if f:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-            r += 1
-    return [row for row in mat[:r]]
+    out = []
+    for c in range(len(mat[0]) if mat else 0):
+        live = [row for row in mat if row[c]]
+        if not live:
+            continue
+        rest = [row for row in mat if not row[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[c]))
+            a, kept = p[c], [p]
+            for row in live:
+                if row is not p:
+                    q = row[c] // a
+                    row = [x - q * y for x, y in zip(row, p)]
+                    if row[c]:
+                        kept.append(row)
+                    elif any(row):
+                        rest.append(row)
+            live = kept
+        p = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+        for i, row in enumerate(out):
+            f = row[c] // p[c]
+            if f:
+                out[i] = [x - f * y for x, y in zip(row, p)]
+        out.append(p)
+        mat = rest
+    return out
 
 
 def int_left_kernel(rows: Sequence[Sequence[int]]) -> list:
@@ -300,7 +286,7 @@ class BilinearSpace:
     """A rational vector space with a symmetric bilinear form."""
 
     def __init__(self, gram: Sequence[Sequence]):
-        g = tuple(tuple(Q(x) for x in row) for row in gram)
+        g = tuple(vec(row) for row in gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise DimensionMismatch("gram matrix is not square")

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -31,11 +32,14 @@ from .linalg import (
     Lattice,
     SubspaceProjection,
     Vector,
+    clear_denominators,
     column_basis,
     is_zero,
+    rref,
     vadd,
     vneg,
     vscale,
+    vec,
     vsub,
     zero_vector,
 )
@@ -242,51 +246,71 @@ class SymbolicRootSystem:
         self.space = space
         kb = space.kernel_basis()
         self.kernel_dim = len(kb)
-        self._proj = SubspaceProjection(space.dim, kb)
 
         cleaned: List[Tuple[Vector, CosetSet]] = []
         for lift, fam in entries:
-            lift = tuple(Q(x) for x in lift)
+            lift = vec(lift)
             space.check_vector(lift)
-            if fam.is_empty():
-                continue
-            cleaned.append((lift, fam))
+            if not fam.is_empty():
+                cleaned.append((lift, fam))
         if not cleaned:
             raise GrrsError("symbolic system with no nonempty families")
-        # each distinct family once, in first-seen order
-        distinct = dict.fromkeys(fam for _, fam in cleaned)
-        cleaned.sort(key=lambda e: e[0])
-        lifts = [lift for lift, _ in cleaned]
-        if len(set(lifts)) != len(lifts):
+        # the lifts, then each distinct family's (generators of M, translate,
+        # members of L) in first-seen order, all over one denominator D: the
+        # tests below and the generators of L run on these integer rows
+        vectors = {fam: fam._vectors() for fam in dict.fromkeys(fam for _, fam in cleaned)}
+        D, rows = clear_denominators(
+            [lift for lift, _ in cleaned]
+            + [v for mod, t, reps in vectors.values() for v in (*mod, t, *reps)]
+        )
+        n = len(cleaned)
+        order = sorted(range(n), key=rows.__getitem__)
+        if len({tuple(row) for row in rows[:n]}) != n:
             raise GrrsError("duplicate lifts in symbolic system")
         # one elimination tests the lifts and keeps the splitting for resplit
-        self._picked, self._coords, independent = column_basis(lifts, kb)
+        self._picked, self._coords, independent = column_basis([rows[i] for i in order], kb)
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
         # family data lies in the radical; L = ZR cap Ker is generated by each
         # lift plus a first member of its family, the moduli and the
         # differences of members within each family
-        vectors = {fam: fam._vectors() for fam in distinct}
-        gens: List[Vector] = []
-        first = {}
+        gram = clear_denominators(space.gram)[1]
+        gens, first, at = [], {}, n
         for fam, (mod, t, reps) in vectors.items():
-            if not all(space.in_kernel(v) for v in [t, *mod, *reps]):
+            space.check_vector(t)
+            data = rows[at:at + len(mod) + 1 + len(reps)]
+            at += len(data)
+            if any(sum(map(mul, g, v)) for v in data for g in gram):
                 raise GrrsError("family data outside the radical")
-            gens += mod + [vsub(r, reps[0]) for r in reps[1:]]
-            first[fam] = vadd(t, reps[0])
-        gens += [vadd(lift, first[fam]) for lift, fam in cleaned]
-        self.L = Lattice.from_vectors(space.dim, gens).kernel_part(space)
+            mod, (t, *reps) = data[:len(mod)], data[len(mod):]
+            gens += mod + [[x - y for x, y in zip(r, reps[0])] for r in reps[1:]]
+            first[fam] = [x + y for x, y in zip(t, reps[0])]
+        gens += [[x + y for x, y in zip(lift, first[fam])] for lift, (_, fam) in zip(rows, cleaned)]
+        self.L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
         anchored = {
             fam: fam if fam.ambient == self.L else CosetSet(self.L, fam.modulus, t, reps)
             for fam, (_, t, reps) in vectors.items()
         }
-        self.entries = tuple(FamilyEntry(lift, anchored[fam]) for lift, fam in cleaned)
-        self._by_lift: Dict[Vector, CosetSet] = {e.lift: e.family for e in self.entries}
-        # each entry's class in the minimal quotient, in the order of entries
-        self._classes: Tuple[Vector, ...] = tuple(self._proj.apply(e.lift) for e in self.entries)
-        self._by_cl: Dict[Vector, FamilyEntry] = dict(zip(self._classes, self.entries))
+        self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[cleaned[i][1]]) for i in order)
+
+    @cached_property
+    def _proj(self) -> SubspaceProjection:
+        return SubspaceProjection(self.space.dim, self.space.kernel_basis())
+
+    @cached_property
+    def _classes(self) -> Tuple[Vector, ...]:
+        """Each entry's class in the minimal quotient, in the order of entries."""
+        return tuple(self._proj.apply(e.lift) for e in self.entries)
+
+    @cached_property
+    def _by_lift(self) -> Dict[Vector, CosetSet]:
+        return {e.lift: e.family for e in self.entries}
+
+    @cached_property
+    def _by_cl(self) -> Dict[Vector, FamilyEntry]:
+        return dict(zip(self._classes, self.entries))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -312,7 +336,7 @@ class SymbolicRootSystem:
         return tuple(self.entries[i].lift for i in self._picked)
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
-        lift = tuple(Q(x) for x in lift)
+        lift = vec(lift)
         if lift not in self._by_lift:
             raise UnknownRoot(f"{lift} is not a class of the system")
         return self._by_lift[lift]
@@ -328,7 +352,7 @@ class SymbolicRootSystem:
         return FiniteRootSystem(BilinearSpace(gram), self._classes)
 
     def entry_for_cl(self, cl_root: Vector) -> FamilyEntry:
-        cl_root = tuple(Q(x) for x in cl_root)
+        cl_root = vec(cl_root)
         if len(cl_root) == self.space.dim:
             cl_root = self._proj.apply(cl_root)
         if cl_root not in self._by_cl:
@@ -336,7 +360,7 @@ class SymbolicRootSystem:
         return self._by_cl[cl_root]
 
     def contains(self, v: Vector) -> bool:
-        v = tuple(Q(x) for x in v)
+        v = vec(v)
         self.space.check_vector(v)
         w = self._proj.apply(v)
         entry = self._by_cl.get(w)
@@ -355,7 +379,7 @@ class SymbolicRootSystem:
         dim = self.space.dim
         shifts = []
         for b in self.splitting():
-            off = tuple(Q(x) for x in offsets.get(b, zero_vector(dim)))
+            off = vec(offsets.get(b, zero_vector(dim)))
             if not is_zero(off) and not self.family_of_lift(b).contains(off):
                 raise UnknownRoot("offset is not a member of the splitting family")
             shifts.append(off)
@@ -371,18 +395,26 @@ class SymbolicRootSystem:
 
 
 def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
-    """View a finite system symbolically with respect to its radical."""
-    dim = system.space.dim
-    picked, coords, _ = column_basis(system.roots, system.space.kernel_basis())
-    chosen = [system.roots[i] for i in picked]
-    zero_mod = Lattice.zero(dim)
+    """View a finite system symbolically with respect to its radical.
+
+    Each root's lift is the root minus its part in the radical.  In the RREF
+    of [radical basis | roots] the independent radical basis takes the first
+    k pivots, and row i holds every root's coefficient on its vector i."""
+    dim, kb = system.space.dim, system.space.kernel_basis()
+    k, zero = len(kb), zero_vector(dim)
+    reduced = rref(list(zip(*kb, *system.roots)))[0][:k] if k else []
     groups: Dict[Vector, List[Vector]] = {}
-    for r, c in zip(system.roots, coords):
-        lift = _combination(c, chosen, dim)
-        groups.setdefault(lift, []).append(vsub(r, lift))
+    for j, r in enumerate(system.roots):
+        off = _combination([Q(row[k + j], row[i]) for i, row in enumerate(reduced)], kb, dim)
+        groups.setdefault(vsub(r, off) if k else r, []).append(off)
     ambient = Lattice.from_vectors(dim, [v for vs in groups.values() for v in vs])
+    # one coset set per distinct offset set
+    families: Dict[frozenset, CosetSet] = {}
+    for offs in groups.values():
+        if frozenset(offs) not in families:
+            families[frozenset(offs)] = CosetSet(ambient, Lattice.zero(dim), zero, offs)
     return SymbolicRootSystem(system.space, [
-        (lift, CosetSet(ambient, zero_mod, zero_vector(dim), offs)) for lift, offs in groups.items()
+        (lift, families[frozenset(offs)]) for lift, offs in groups.items()
     ])
 
 
@@ -428,7 +460,7 @@ def quotient(
     system: SymbolicRootSystem, kernel_vectors: Sequence[Vector], require_bijective: bool = False
 ) -> SymbolicRootSystem:
     """Push the system forward along V -> V/U for U inside the radical."""
-    vecs = [tuple(Q(x) for x in v) for v in kernel_vectors]
+    vecs = [vec(v) for v in kernel_vectors]
     for v in vecs:
         system.space.check_vector(v)
         if not system.space.in_kernel(v):

@@ -1,13 +1,35 @@
-"""Reference Fraction Gauss-Jordan elimination, the oracle for `linalg.rref`.
+"""Reference implementations of paths that `grrs` replaced, kept as oracles.
 
-This is the rational elimination `grrs.linalg` used before it ran in
-integers: every pivot row is divided by its pivot and the pivot column is
-cleared in every other row, all in `Fraction` arithmetic.  It is kept here
-only to check the integer elimination and to give the tests a rank that does
-not go through it.
+- `rref`, `rank`, `solve`, `kernel`: the rational elimination `grrs.linalg`
+  used before it ran in integers: every pivot row is divided by its pivot
+  and the pivot column is cleared in every other row, all in `Fraction`
+  arithmetic.  They check the integer elimination and give the tests a rank
+  that does not go through it.
+- `hnf_int`: the Hermite normal form by pairwise extended-gcd steps that
+  `linalg.hnf_int` used before its sweeps; the HNF is unique, so both must
+  agree on every input.
+- `symbolic_system` and `from_finite_entries`: the `Fraction` bookkeeping
+  of `SymbolicRootSystem.__init__` and `from_finite` before both ran on
+  integer rows (sort, duplicate and radical tests, generators of L, lifts
+  re-summed from rank-many chosen roots).
 """
 
 from fractions import Fraction as Q
+from types import SimpleNamespace
+
+from grrs.errors import GrrsError
+from grrs.finite import FiniteRootSystem, _combination
+from grrs.linalg import (
+    BilinearSpace,
+    Lattice,
+    SubspaceProjection,
+    clear_denominators,
+    column_basis,
+    vadd,
+    vsub,
+    zero_vector,
+)
+from grrs.symbolic import CosetSet
 
 
 def rref(rows):
@@ -69,3 +91,119 @@ def kernel(rows):
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def _xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return x, y, g
+
+
+def hnf_int(rows):
+    """Row-style HNF: column by column, the first two live rows are
+    replaced by their xgcd combinations until one live row is left."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return []
+    r = 0
+    for c in range(len(mat[0])):
+        if r == len(mat):
+            break
+        while True:
+            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                i = live[0]
+                mat[r], mat[i] = mat[i], mat[r]
+                break
+            i, j = live[0], live[1]
+            a, b = mat[i][c], mat[j][c]
+            x, y, g = _xgcd(a, b)
+            ai, bj = mat[i], mat[j]
+            mat[i] = [x * p + y * q for p, q in zip(ai, bj)]
+            mat[j] = [(-b // g) * p + (a // g) * q for p, q in zip(ai, bj)]
+        if mat[r][c] != 0:
+            if mat[r][c] < 0:
+                mat[r] = [-x for x in mat[r]]
+            p = mat[r][c]
+            for i in range(r):
+                f = mat[i][c] // p
+                if f:
+                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            r += 1
+    return mat[:r]
+
+
+def _lattice(dim, vectors):
+    """`Lattice.from_vectors` with the HNF above."""
+    s, rows = clear_denominators([v for v in vectors if any(v)])
+    return Lattice(dim, s, hnf_int(rows))
+
+
+def symbolic_system(space, entries):
+    """What `SymbolicRootSystem(space, entries)` computes, in `Fraction`s:
+    a namespace with L, entries ((lift, family) pairs in order), splitting,
+    coords (each lift's coordinates on the splitting) and cl."""
+    kb = space.kernel_basis()
+    cleaned = []
+    for lift, fam in entries:
+        lift = tuple(Q(x) for x in lift)
+        space.check_vector(lift)
+        if fam.is_empty():
+            continue
+        cleaned.append((lift, fam))
+    if not cleaned:
+        raise GrrsError("symbolic system with no nonempty families")
+    distinct = dict.fromkeys(fam for _, fam in cleaned)
+    cleaned.sort(key=lambda e: e[0])
+    lifts = [lift for lift, _ in cleaned]
+    if len(set(lifts)) != len(lifts):
+        raise GrrsError("duplicate lifts in symbolic system")
+    picked, coords, independent = column_basis(lifts, kb)
+    if not independent:
+        raise GrrsError("lifts are not independent from the radical")
+    vectors = {fam: fam._vectors() for fam in distinct}
+    gens, first = [], {}
+    for fam, (mod, t, reps) in vectors.items():
+        if not all(space.in_kernel(v) for v in [t, *mod, *reps]):
+            raise GrrsError("family data outside the radical")
+        gens += mod + [vsub(r, reps[0]) for r in reps[1:]]
+        first[fam] = vadd(t, reps[0])
+    gens += [vadd(lift, first[fam]) for lift, fam in cleaned]
+    L = _lattice(space.dim, gens).kernel_part(space)
+    anchored = {
+        fam: fam if fam.ambient == L else CosetSet(L, fam.modulus, t, reps)
+        for fam, (_, t, reps) in vectors.items()
+    }
+    proj = SubspaceProjection(space.dim, kb)
+    gram = [[space.gram[i][j] for j in proj.kept] for i in proj.kept]
+    return SimpleNamespace(
+        L=L,
+        entries=[(lift, anchored[fam]) for lift, fam in cleaned],
+        splitting=tuple(lifts[i] for i in picked),
+        coords=coords,
+        cl=FiniteRootSystem(BilinearSpace(gram), [proj.apply(lift) for lift in lifts]),
+    )
+
+
+def from_finite_entries(system):
+    """The (lift, family) pairs `from_finite` hands to the constructor: each
+    lift re-summed from the lex-first roots independent modulo the radical,
+    one coset set per lift."""
+    dim = system.space.dim
+    picked, coords, _ = column_basis(system.roots, system.space.kernel_basis())
+    chosen = [system.roots[i] for i in picked]
+    groups = {}
+    for r, c in zip(system.roots, coords):
+        lift = _combination(c, chosen, dim)
+        groups.setdefault(lift, []).append(vsub(r, lift))
+    ambient = _lattice(dim, [v for vs in groups.values() for v in vs])
+    return [
+        (lift, CosetSet(ambient, Lattice.zero(dim), zero_vector(dim), offs))
+        for lift, offs in groups.items()
+    ]

@@ -17,11 +17,13 @@ from functools import reduce
 
 from grrs.catalog import family
 from grrs.errors import BadParameters
-from grrs.finite import check_axioms, isotropic_reflect, k_value
+from grrs.finite import FiniteRootSystem, check_axioms, isotropic_reflect, k_value
 from grrs.linalg import (
     BilinearSpace, Lattice, is_zero, unit_vector, vadd, vec, vneg, vscale, vsub, zero_vector,
 )
 from grrs.symbolic import CosetSet, SymbolicRootSystem, check_symbolic_axioms
+
+import fraction_reference as reference
 
 
 def _entry_map(system):
@@ -221,3 +223,18 @@ def over_radical(diagonal, classes, kind):
     }[kind]
     gram = [[diagonal[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
     return SymbolicRootSystem(BilinearSpace(gram), [(vec(c), fam) for c in classes])
+
+
+def base_change(system: FiniteRootSystem, A) -> FiniteRootSystem:
+    """The image of the system under v -> v A for an invertible rational
+    matrix A: roots v A and Gram matrix A^-1 G A^-T, so every pairing is
+    kept.  The radical moves to (radical) A."""
+    n = len(A)
+    reduced, _ = reference.rref([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(A)])
+    inv = [row[n:] for row in reduced]
+    g = system.space.gram
+    half = [[sum(inv[i][a] * g[a][b] for a in range(n)) for b in range(n)] for i in range(n)]
+    gram = [[sum(half[i][b] * inv[j][b] for b in range(n)) for j in range(n)] for i in range(n)]
+    roots = [tuple(sum(r[i] * A[i][j] for i in range(n)) for j in range(n)) for r in system.roots]
+    return FiniteRootSystem(BilinearSpace(gram), roots)

@@ -7,6 +7,7 @@ fails here.  Parsing the text back must give the same bytes.
 """
 
 import hashlib
+from fractions import Fraction as Q
 
 import pytest
 
@@ -14,6 +15,8 @@ from grrs import serialize
 from grrs.catalog import a_nn_x, build
 from grrs.linalg import unit_vector
 from grrs.symbolic import affinize, from_finite, quotient
+
+from support import base_change
 
 
 def _quotient_2_to_1():
@@ -29,6 +32,13 @@ def _resplit():
     return system.resplit({first: system.family_of_lift(first).modulus.basis[0]})
 
 
+# rational changes of basis of A(1,1) (det 1 and -1/2): its radical basis
+# leaves the lattice of unit vectors
+A11_BASE_CHANGES = {
+    "A(1,1) base change 1": [[1, Q(1, 2), 0], [0, 1, Q(-2, 3)], [3, 0, 2]],
+    "A(1,1) base change 2": [[2, 0, 0], [Q(1, 3), -1, 0], [1, Q(5, 2), Q(1, 4)]],
+}
+
 CONSTRUCTIONS = {
     **{
         f"affinize {name} k={k}": (lambda name=name, k=k: affinize(build(name), k))
@@ -40,6 +50,12 @@ CONSTRUCTIONS = {
     "a_nn_x(1, 1, 2)": lambda: a_nn_x(1, 1, 2),
     "a_nn_x(2, 1, 3)": lambda: a_nn_x(2, 1, 3),
     "from_finite A(1,1)": lambda: from_finite(build("A(1,1)")),
+    "from_finite A(2,2)": lambda: from_finite(build("A(2,2)")),
+    "from_finite A(3,3)": lambda: from_finite(build("A(3,3)")),
+    **{
+        f"from_finite {label}": (lambda A=A: from_finite(base_change(build("A(1,1)"), A)))
+        for label, A in A11_BASE_CHANGES.items()
+    },
 }
 
 DIGESTS = {
@@ -58,6 +74,10 @@ DIGESTS = {
     "affinize G2 k=1": "48e0d7ebae10cb0e0855bcd94a78e9ab490dfdb9f25a5ceb501af50002318a7c",
     "affinize G2 k=2": "f2127eaf8344a0deda70977dc1f88fa76b81f336d19b272d02d54f4224d16499",
     "from_finite A(1,1)": "6688f634a2add9a8e0cfc167cbc1dc415aff529e85615c5753e5dc3a1b7a9a6d",
+    "from_finite A(1,1) base change 1": "ccdc6c5b4f77dba76ce744f22cb2ac2cb239f048892a69db4411de8481d379c2",
+    "from_finite A(1,1) base change 2": "99035c0f00ecfe62cb1b91f8f0d897707d82ba9b15557103ed1945da7bc40fa7",
+    "from_finite A(2,2)": "a47f7327ba28f2baac1acb70289322ed249bd76e25c7abd4d85eb2964ff94f0f",
+    "from_finite A(3,3)": "0138d7e2fc0194f9c1d991ee82cad94c73f0f2753f534ad8b0d36e33282c7140",
     "quotient B3 k=2 by delta_1 + delta_2": "1b723e93db180aeb695318c952abfe12f4717d5b13004e25b9da8f2d4e262fdb",
     "resplit G2 k=1": "b372fd111b4b978496e530dd9044fc9b0b656dc0a5ffed56ab05affcc06f440d",
 }

@@ -312,3 +312,54 @@ class TestSubsetCodec:
             a, b = rng.randrange(1 << 16), rng.randrange(1 << 16)
             want = {x ^ y for x in range(16) if a >> x & 1 for y in range(16) if b >> y & 1}
             assert _sumset(a, b) == sum(1 << p for p in want)
+
+
+def _bc2_message(k, S1, S2, T):
+    """The first failed check on BC2's (S1, S2, T), as point sets, in the
+    order `family` runs them, or None; the last check (T + S1 = T + S2) is
+    the one the library leaves out as implied by the two before it."""
+    def plus(A, B):
+        return {a ^ b for a in A for b in B}
+
+    def spans(A):
+        basis = []  # xor basis, reduced by leading bit
+        for x in A:
+            for b in basis:
+                x = min(x, x ^ b)
+            if x:
+                basis.append(x)
+        return len(basis) == k
+
+    checks = [
+        (0 not in S1, "S1 must contain zero"),
+        (not S2, "S2 must be nonempty"),
+        (not plus(S1, S2) <= S1, "S1 + S2 must be contained in S1"),
+        (0 not in T or not spans(T), "T must contain zero and a basis of F_2^k"),
+        (not plus(T, S2) <= T, "H2 + H3 must be contained in H3"),
+        (not plus(T, S1) <= T, "2 H1 + H3 must be contained in H3"),
+        (plus(T, S1) != plus(T, S2), "H2 + H3 and 2 H1 + H3 must coincide"),
+    ]
+    return next((msg for failed, msg in checks if failed), None)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bc2_parameters_exhaustive(k):
+    """Every (S1, S2, T) at k: `family("BC2", ...)` raises the first failed
+    check's message, and what it accepts has T + S1 = T = T + S2, so the
+    coincidence check can never be the one that fails."""
+    subsets = [{p for p in range(1 << k) if m >> p & 1} for m in range(1 << (1 << k))]
+    accepted = 0
+    for S1 in subsets:
+        for S2 in subsets:
+            for T in subsets:
+                msg = _bc2_message(k, S1, S2, T)
+                assert msg != "H2 + H3 and 2 H1 + H3 must coincide"
+                if msg is not None:
+                    with pytest.raises(BadParameters) as err:
+                        family("BC2", k, S1=S1, S2=S2, T=T)
+                    assert str(err.value) == msg, (S1, S2, T)
+                    continue
+                family("BC2", k, S1=S1, S2=S2, T=T)
+                assert {t ^ s for t in T for s in S1} == T == {t ^ s for t in T for s in S2}
+                accepted += 1
+    assert accepted

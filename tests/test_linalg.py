@@ -365,3 +365,22 @@ def test_column_basis_against_reference_ranks(vectors, m):
                      for t, x in enumerate(v))
         assert rank([rest]) == rank([])
     assert meets_zero == (rank(columns) == rank([]) + reference.rank(columns))
+
+
+@st.composite
+def tall_integer_matrices(draw):
+    """Up to 80 rows drawn, with repeats, from a few random rows and the zero
+    row; entries of either sign, some large."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10 ** 6, 10 ** 6))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=12))
+    base.append([0] * ncols)
+    return [list(base[i]) for i in draw(st.lists(st.integers(0, len(base) - 1), max_size=80))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_integer_matrices())
+def test_hnf_int_against_pairwise_reference(rows):
+    before = [list(r) for r in rows]
+    assert hnf_int(rows) == reference.hnf_int(rows)
+    assert rows == before

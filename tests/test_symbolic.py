@@ -29,6 +29,7 @@ from grrs.symbolic import (
     quotient,
 )
 
+import fraction_reference as reference
 from conftest import V
 from materialize import materialized_verdicts, report_verdicts
 from support import (
@@ -258,30 +259,38 @@ class TestQuotient:
 
 
 class TestConstructorErrors:
-    """Over Gram diag(2, 0): the radical is spanned by (0, 1)."""
+    """Over Gram diag(2, 0): the radical is spanned by (0, 1).  Each error is
+    raised with the same message by the constructor and its `Fraction`
+    reference."""
 
     space = BilinearSpace([[2, 0], [0, 0]])
     radical = lat(2, [0, 1])
     full = CosetSet(radical, radical, zero_vector(2), [zero_vector(2)])
 
+    def assert_raises(self, message, entries):
+        for construct in (SymbolicRootSystem, reference.symbolic_system):
+            with pytest.raises(GrrsError) as err:
+                construct(self.space, entries)
+            assert str(err.value) == message
+
     def test_no_nonempty_families(self):
-        with pytest.raises(GrrsError, match="symbolic system with no nonempty families"):
-            SymbolicRootSystem(self.space, [(V(1, 0), CosetSet.empty(self.radical))])
+        self.assert_raises("symbolic system with no nonempty families",
+                           [(V(1, 0), CosetSet.empty(self.radical))])
 
     def test_duplicate_lifts(self):
-        with pytest.raises(GrrsError, match="duplicate lifts in symbolic system"):
-            SymbolicRootSystem(self.space, [(V(1, 0), self.full), (V(1, 0), self.full)])
+        self.assert_raises("duplicate lifts in symbolic system",
+                           [(V(1, 0), self.full), (V(1, 0), self.full)])
 
     @pytest.mark.parametrize("lifts", [[(1, 0), (1, 1)], [(0, 1)]])
     def test_lifts_meeting_the_radical(self, lifts):
-        with pytest.raises(GrrsError, match="lifts are not independent from the radical"):
-            SymbolicRootSystem(self.space, [(V(*lift), self.full) for lift in lifts])
+        self.assert_raises("lifts are not independent from the radical",
+                           [(V(*lift), self.full) for lift in lifts])
 
     def test_family_data_outside_the_radical(self):
         plane = lat(2, [1, 0], [0, 1])
         outside = CosetSet(plane, Lattice.zero(2), zero_vector(2), [V(1, 0)])
-        with pytest.raises(GrrsError, match="family data outside the radical"):
-            SymbolicRootSystem(self.space, [(V(1, 0), self.full), (V(-1, 0), outside)])
+        self.assert_raises("family data outside the radical",
+                           [(V(1, 0), self.full), (V(-1, 0), outside)])
 
 
 class TestAnnXStructure:
