@@ -23,6 +23,7 @@ from .linalg import (
     BilinearSpace,
     Lattice,
     Vector,
+    column_basis,
     standard_space,
     unit_vector,
     vadd,
@@ -553,6 +554,27 @@ def orbits(key: TypeKey) -> Tuple[Orbit, ...]:
     for v in sorted(system.roots, reverse=True):
         groups[by_norm.get(system.norm(v), rest)].append(v)
     return tuple(Orbit(data, tuple(roots)) for data, roots in groups.items())
+
+
+@lru_cache(maxsize=None)
+def generating_coordinates(key: TypeKey) -> Dict[Vector, Vector]:
+    """Each root of the catalog system of a type written on
+    `generating_roots(key)`: the coefficients `solve_in_span` gives, zero on
+    a generator dependent on earlier ones.
+
+    One elimination of the generators followed by all the roots: its pivots
+    among the generators are those of every `solve_in_span` call, and as the
+    generators span the roots, no root is a pivot.
+    """
+    gens = generating_roots(key)
+    roots = key.system().roots
+    picked, coords, _ = column_basis([*gens, *roots])
+    g = len(gens)
+    if picked and picked[-1] >= g:
+        raise UnrecognizedCl(f"the generating roots of {key} do not span its roots")
+    slot = {p: j for j, p in enumerate(picked)}
+    return {root: tuple(c[slot[i]] if i in slot else Q(0) for i in range(g))
+            for root, c in zip(roots, coords[g:])}
 
 
 def _parameter(data: str) -> Optional[str]:

@@ -24,7 +24,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, _combination, isomorphic_finite
-from .linalg import Lattice, Vector, clear_denominators, is_zero, solve_in_span, vadd, vneg, vscale
+from .linalg import Lattice, Vector, clear_denominators, is_zero, vadd, vneg, vscale
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -309,10 +309,18 @@ def _d21a_candidates(fin: FiniteRootSystem) -> List[Q]:
     return sorted(cands)
 
 
+# Recognitions are kept per process, keyed by the value of the quotient:
+# every system over one quotient shares its answer.  A failure is not kept.
+_RECOGNITIONS = 128
+
+
+@lru_cache(maxsize=_RECOGNITIONS)
 def recognize_cl(fin: FiniteRootSystem):
     """Match a finite system against the catalog.
 
     Returns (name, homothety from the catalog copy onto the input, copy).
+    The answer is memoized on the value of `fin` and shared between equal
+    quotients, so it must not be mutated.
     """
     d = fin.space.dim
     count = len(fin)
@@ -377,19 +385,19 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     quotient, m_g the least member above g, which makes the extracted data
     independent of the presentation.  The lifts meet the radical only in 0
     (the constructor checks it), so the lift above w = sum c_g g is
-    sum c_g lift_g, and the family above w moves by -sum c_g m_g.
+    sum c_g lift_g, and the family above w moves by -sum c_g m_g.  The
+    coefficients c_g of a catalog root are those of its image, as the
+    homothety is linear and one to one on the span, so they are read from
+    `catalog.generating_coordinates` and the image from `hmap.roots`.
     """
-    gen_cl = [hmap.apply(g) for g in catalog.generating_roots(key)]
-    least = [min(system.entry_for_cl(w).family.members()) for w in gen_cl]
+    coords = catalog.generating_coordinates(key)
+    least = [min(system.entry_for_cl(hmap.roots[g]).family.members())
+             for g in catalog.generating_roots(key)]
 
     @lru_cache(maxsize=None)
     def fam(cat_root: Vector) -> CosetSet:
-        w = hmap.apply(cat_root)
-        family = system.entry_for_cl(w).family
-        coords = solve_in_span(gen_cl, w)
-        if coords is None:
-            raise UnrecognizedCl("quotient class outside the generated span")
-        return family.shift(vneg(_combination(coords, least, len(least[0]))))
+        family = system.entry_for_cl(hmap.roots[cat_root]).family
+        return family.shift(vneg(_combination(coords[cat_root], least, len(least[0]))))
 
     return fam
 
@@ -500,7 +508,7 @@ def _identify_ann(system, key, hmap, cat, k, L):
     n = key.params[0]
 
     def fam(cat_root):
-        return system.entry_for_cl(hmap.apply(cat_root)).family
+        return system.entry_for_cl(hmap.roots[cat_root]).family
 
     noniso = next(r for r in cat.roots if cat.norm(r) != 0)
     F = fam(noniso)

@@ -23,7 +23,7 @@ from .finite import (
     isomorphic_finite,
     weyl_orbits,
 )
-from .linalg import format_rational, parse_rational, vec
+from .linalg import format_rational, format_vector, parse_rational, vec
 from .symbolic import (
     SymbolicRootSystem,
     affinize,
@@ -188,7 +188,7 @@ def cmd_orbits(args) -> int:
         raise BadParameters("orbits expects a finite system document")
     orbits = weyl_orbits(payload) if args.group == "weyl" else gw_orbits(payload)
     for i, orb in enumerate(orbits):
-        mem = " ".join("(" + ",".join(format_rational(x) for x in v) + ")" for v in orb)
+        mem = " ".join(map(format_vector, orb))
         print(f"orbit {i}: size {len(orb)}: {mem}")
     return 0
 
@@ -216,8 +216,7 @@ def cmd_gaps(args) -> int:
         raise BadParameters("gaps expects a symbolic system document")
     table = gaps(payload)
     for lift, g in table.entries:
-        root = "(" + ",".join(format_rational(x) for x in lift) + ")"
-        print(f"{root}: {'undefined' if g is None else g}")
+        print(f"{format_vector(lift)}: {'undefined' if g is None else g}")
     return 0
 
 

@@ -1,6 +1,13 @@
 """Exception types shared across the package."""
 
 
+def _spelled(v) -> str:
+    # linalg imports this module, so the spelling is looked up on first use
+    from .linalg import format_vector
+
+    return format_vector(v)
+
+
 class GrrsError(Exception):
     """Base class for all library errors."""
 
@@ -19,7 +26,9 @@ class AmbiguousReflection(GrrsError):
     def __init__(self, alpha, beta, message=None):
         self.alpha = alpha
         self.beta = beta
-        super().__init__(message or f"both images of {beta} under r_{alpha} are roots")
+        super().__init__(
+            message or f"both images of {_spelled(beta)} under r_{_spelled(alpha)} are roots"
+        )
 
 
 class MissingImage(GrrsError):
@@ -28,7 +37,9 @@ class MissingImage(GrrsError):
     def __init__(self, alpha, beta, message=None):
         self.alpha = alpha
         self.beta = beta
-        super().__init__(message or f"no image of {beta} under r_{alpha} is a root")
+        super().__init__(
+            message or f"no image of {_spelled(beta)} under r_{_spelled(alpha)} is a root"
+        )
 
 
 class OrthogonalSeed(GrrsError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     AmbiguousReflection,
@@ -29,6 +29,7 @@ from .linalg import (
     Vector,
     clear_denominators,
     column_basis,
+    format_vector,
     solve_in_span,
     vadd,
     vneg,
@@ -154,7 +155,7 @@ class _PairingView:
         n, p = self.pairings[i][i], self.pairings[i][j]
         if n == 0 and j in (i, self.neg[i]):
             if self.neg[j] is None:
-                raise UnknownRoot(f"the negative of {self.roots[j]} is not a root")
+                raise UnknownRoot(f"the negative of {format_vector(self.roots[j])} is not a root")
             return self.neg[j]
         if p == 0:
             return j
@@ -177,7 +178,7 @@ def k_value(space: BilinearSpace, alpha: Vector, beta: Vector) -> Q:
     """Cartan pairing 2(alpha, beta)/(alpha, alpha)."""
     nn = space.norm(alpha)
     if nn == 0:
-        raise IsotropicBase(f"k-value at isotropic vector {alpha}")
+        raise IsotropicBase(f"k-value at isotropic vector {format_vector(alpha)}")
     return 2 * space.form(alpha, beta) / nn
 
 
@@ -194,7 +195,7 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if not system.is_isotropic(alpha):
-        raise IsotropicBase(f"{alpha} is not isotropic")
+        raise IsotropicBase(f"{format_vector(alpha)} is not isotropic")
     i, j = system._index.get(alpha), system._index.get(beta)
     if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
@@ -329,12 +330,14 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
         raise OrthogonalSeed("empty seed set")
     for v in X:
         if not system.contains(v):
-            raise UnknownRoot(f"{v} is not a root")
+            raise UnknownRoot(f"{format_vector(v)} is not a root")
     view = system._view
     members = sorted(system._index[v] for v in X)
     for i in members:
         if not any(view.pairings[i][j] for j in members):
-            raise OrthogonalSeed(f"{system.roots[i]} is orthogonal to the whole seed set")
+            raise OrthogonalSeed(
+                f"{format_vector(system.roots[i])} is orthogonal to the whole seed set"
+            )
     inside = set(members)
     # Each member is paired, both ways, with itself and every earlier member.
     for done, x in enumerate(members):
@@ -342,7 +345,8 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
             for i, j in ((x, y), (y, x)):
                 img = view.image(i, j)
                 if img is None or view.neg[img] is None:
-                    raise UnknownRoot(f"+-r_{system.roots[i]}({system.roots[j]}) is not a root")
+                    a, b = format_vector(system.roots[i]), format_vector(system.roots[j])
+                    raise UnknownRoot(f"+-r_{a}{b} is not a root")
                 for w in (img, view.neg[img]):
                     if w not in inside:
                         inside.add(w)
@@ -433,12 +437,19 @@ def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSyste
 
 
 class Homothety:
-    """Linear map defined on the span of a root system, scaling the form."""
+    """Linear map defined on the span of a root system, scaling the form.
 
-    def __init__(self, basis: Sequence[Vector], images: Sequence[Vector], scale: Q):
+    `roots` maps each root of the domain system to its image root, so that
+    reading a root's image needs no elimination; `apply` takes any vector
+    of the span.
+    """
+
+    def __init__(self, basis: Sequence[Vector], images: Sequence[Vector], scale: Q,
+                 roots: Dict[Vector, Vector]):
         self.basis = tuple(basis)
         self.images = tuple(images)
         self.scale = scale
+        self.roots = roots
 
     def apply(self, v: Vector) -> Vector:
         coeffs = solve_in_span(list(self.basis), vec(v))
@@ -480,6 +491,7 @@ def isomorphic_finite(
     onto pairwise distinct roots of `sys_b`.  They are then all of R_b, as
     |R_a| = |R_b|, and R_b spans a space of the rank of R_a's, so the map is
     one to one on the span.  Neither system need span its ambient space.
+    The returned map keeps those images as its `roots`.
     """
     if len(sys_a) != len(sys_b):
         return None
@@ -494,13 +506,15 @@ def isomorphic_finite(
     # root i of sys_a is sum_j coords[i][j] basis_vectors[j], with den * coords integral
     den, icoords = clear_denominators(coords)
 
-    def onto_roots(assignment: List[int]) -> bool:
+    def onto_roots(assignment: List[int]) -> Optional[List[int]]:
+        """The index in sys_b of the image of each root of sys_a, when they
+        are pairwise distinct roots; else None."""
         # den times the images of the roots, in sys_b's integer vectors
         cols = [[vb.vectors[m][k] for m in assignment] for k in range(sys_b.space.dim)]
         images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
-        hit = {vb.lookup.get(tuple(x // den for x in v))
-               for v in images if not any(x % den for x in v)}
-        return None not in hit and len(hit) == len(images)
+        hit = [None if any(x % den for x in v) else vb.lookup.get(tuple(x // den for x in v))
+               for v in images]
+        return hit if None not in hit and len(set(hit)) == len(hit) else None
 
     for x in candidates:
         # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
@@ -514,7 +528,7 @@ def isomorphic_finite(
             continue
         assignment: List[int] = []
 
-        def extend(i: int) -> bool:
+        def extend(i: int) -> Optional[List[int]]:
             if i == len(basis):
                 return onto_roots(assignment)
             bi = basis[i]
@@ -524,11 +538,14 @@ def isomorphic_finite(
                 ):
                     continue
                 assignment.append(c)
-                if extend(i + 1):
-                    return True
+                hit = extend(i + 1)
+                if hit is not None:
+                    return hit
                 assignment.pop()
-            return False
+            return None
 
-        if extend(0):
-            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x)
+        hit = extend(0)
+        if hit is not None:
+            roots = {r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)}
+            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x, roots)
     return None

@@ -59,6 +59,11 @@ def format_rational(x: Q) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def format_vector(v: Iterable) -> str:
+    """Spell a vector as "(p,q/r,...)", each coordinate by `format_rational`."""
+    return "(" + ",".join(map(format_rational, vec(v))) + ")"
+
+
 def parse_rational(s: str) -> Q:
     return Q(s)
 

@@ -34,6 +34,7 @@ from .linalg import (
     Vector,
     clear_denominators,
     column_basis,
+    format_vector,
     is_zero,
     rref,
     vadd,
@@ -338,7 +339,7 @@ class SymbolicRootSystem:
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = vec(lift)
         if lift not in self._by_lift:
-            raise UnknownRoot(f"{lift} is not a class of the system")
+            raise UnknownRoot(f"{format_vector(lift)} is not a class of the system")
         return self._by_lift[lift]
 
     def cl(self) -> FiniteRootSystem:
@@ -356,7 +357,7 @@ class SymbolicRootSystem:
         if len(cl_root) == self.space.dim:
             cl_root = self._proj.apply(cl_root)
         if cl_root not in self._by_cl:
-            raise UnknownRoot(f"{cl_root} is not a root of the minimal quotient")
+            raise UnknownRoot(f"{format_vector(cl_root)} is not a root of the minimal quotient")
         return self._by_cl[cl_root]
 
     def contains(self, v: Vector) -> bool:
@@ -464,7 +465,7 @@ def quotient(
     for v in vecs:
         system.space.check_vector(v)
         if not system.space.in_kernel(v):
-            raise NotInKernel(f"{v} is not in the radical")
+            raise NotInKernel(f"{format_vector(v)} is not in the radical")
     proj = SubspaceProjection(system.space.dim, vecs)
     if not proj.pivots:
         return system

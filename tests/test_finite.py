@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import grrs
 from grrs import serialize
-from grrs.catalog import build
+from grrs.catalog import build, generating_coordinates, generating_roots, orbits, type_key
 from grrs.errors import (
     AmbiguousReflection,
     DimensionMismatch,
@@ -35,7 +35,17 @@ from grrs.finite import (
     reflect_root,
     weyl_orbits,
 )
-from grrs.linalg import BilinearSpace, standard_space, unit_vector, vadd, vec, vneg, vscale, vsub
+from grrs.linalg import (
+    BilinearSpace,
+    solve_in_span,
+    standard_space,
+    unit_vector,
+    vadd,
+    vec,
+    vneg,
+    vscale,
+    vsub,
+)
 
 from conftest import V
 
@@ -325,6 +335,9 @@ class TestIsomorphism:
         assert h is not None
         images = [h.apply(r) for r in src.roots]
         assert sorted(images) == sorted(dst.roots)
+        # the root map is the same bijection, read without an elimination
+        assert sorted(h.roots) == sorted(src.roots)
+        assert [h.roots[r] for r in src.roots] == images
         for u, hu in zip(src.roots, images):
             for v, hv in zip(src.roots, images):
                 assert dst.space.form(hu, hv) == h.scale * src.space.form(u, v)
@@ -345,6 +358,26 @@ class TestIsomorphism:
         h = isomorphic_finite(a11_ambient, other)
         self.assert_homothety(h, a11_ambient, other)
         assert all(len(v) == 4 for v in h.basis + h.images)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "BC2", "F4", "D4", "E6", "A(1,1)",
+                                  "B(1,1)", "C(2,1)", "BC(2,1)", "D(2,1;a=1/2)", "G(3)"])
+def test_catalog_self_maps_carry_a_root_map(name):
+    system = build(name)
+    TestIsomorphism.assert_homothety(isomorphic_finite(system, system), system, system)
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "B4", "C2", "C3", "C4", "G2", "F4", "B(1,1)",
+                                  "B(2,1)", "C(1,1)", "C(1,2)", "C(2,2)", "BC(1,1)", "BC(2,1)",
+                                  "BC(1,2)", "BC1", "BC2", "BC3"])
+def test_generating_coordinates_are_the_solved_ones(name):
+    key = type_key(name)
+    orbits(key)  # the types `orbits` lays out
+    gens = generating_roots(key)
+    table = generating_coordinates(key)
+    assert sorted(table) == list(key.system().roots)
+    for r in key.system().roots:
+        assert table[r] == solve_in_span(gens, r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ import copy
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grrs
 from grrs import serialize
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import ClassDescriptor, enumerate_classes
@@ -142,6 +145,14 @@ class TestCli:
         vecstr = ",".join(["0"] * (sym.space.dim - 1) + ["0"])
         assert main(["quotient", str(aff), "--vector", vecstr, "-o", str(q)]) == 0
 
+    def test_vector_in_error_is_spelled_like_the_output(self, tmp_path, capsys):
+        a2, aff = tmp_path / "a2.json", tmp_path / "a2aff.json"
+        assert main(["catalog", "A2", "-o", str(a2)]) == 0
+        assert main(["affinize", str(a2), "-n", "1", "-o", str(aff)]) == 0
+        capsys.readouterr()
+        assert main(["quotient", str(aff), "--vector", "1,0,0"]) == 2
+        assert capsys.readouterr().err == "error: (1,0,0) is not in the radical\n"
+
     def test_subsystem_seed_out_of_range(self, tmpfiles, capsys):
         _, paths = tmpfiles
         # B2 has 8 roots; a negative index must not count from the end
@@ -173,6 +184,22 @@ class TestCli:
         assert main(["catalog", "family(B3,k=1,S={0,1})", "-o", str(p1)]) == 0
         assert main(["catalog", "family(B3,k=1,S={0,1})", "-o", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _python_m_grrs(*argv):
+    src = os.path.dirname(os.path.dirname(grrs.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "grrs", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+    )
+
+
+def test_python_m_grrs_runs_the_command(capsysbinary):
+    done = _python_m_grrs("catalog", "A2", "--json")
+    assert done.returncode == 0
+    assert main(["catalog", "A2", "--json"]) == 0
+    assert done.stdout == capsysbinary.readouterr().out
+    assert _python_m_grrs("classify", "--cl", "A1", "--k", "0").returncode == 2
 
 
 # Every descriptor kind with its JSON data fields (the format is fixed).

@@ -1,16 +1,26 @@
-"""Work counts of symbolic construction, pinned by monkeypatching.
+"""Work counts of symbolic construction and identification, pinned by
+monkeypatching.
 
 `from_finite` builds one coset set per distinct offset set, not one per
 lift, and `SymbolicRootSystem.__init__` generates L from its integer rows
-without `Lattice.from_vectors`.  A change that brings back per-root or
-per-entry work fails here, although every answer would still be right.
+without `Lattice.from_vectors`.  `identify` searches a homothety once per
+distinct minimal quotient, and pulls families back through the root map of
+the recognition and the catalog's coordinate table, with no elimination.  A
+change that brings back per-root, per-entry or per-call work fails here,
+although every answer would still be right.
 """
 
+import sys
 from fractions import Fraction as Q
 
+from grrs import classify
 from grrs.catalog import a_nn_x, build, family
-from grrs.linalg import Lattice, unit_vector, vadd
+from grrs.classify import identify, recognize_cl
+from grrs.finite import Homothety
+from grrs.linalg import Lattice, solve_in_span, unit_vector, vadd
 from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
+
+from support import radical_change
 
 
 def test_from_finite_e6_builds_one_coset_set(monkeypatch):
@@ -60,3 +70,51 @@ def test_constructor_calls_no_from_vectors(monkeypatch):
     g2.resplit({first: g2.family_of_lift(first).modulus.basis[0]})
     assert len(built) >= 12
     assert calls == []
+
+
+def _counted(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_identify_searches_once_per_distinct_quotient(monkeypatch):
+    recognize_cl.cache_clear()
+    searches = []
+    _counted(monkeypatch, classify, "isomorphic_finite", searches)
+    systems = [family("B3", 2, S=s) for s in ({0}, {0, 1}, {0, 1, 2}, {1, 2, 3})]
+    for system in systems:
+        identify(system)
+    assert len(searches) == 1
+    # a change of radical coordinates leaves the quotient equal
+    changed = radical_change(systems[1], [(0, 1)])
+    assert changed.cl() == systems[1].cl()
+    assert identify(changed) == identify(systems[1])
+    assert len(searches) == 1
+    identify(family("C2", 2, S1=[0, 1, 2, 3], S2=[0]))
+    assert len(searches) > 1
+
+
+def test_identify_pulls_back_without_elimination(monkeypatch):
+    recognize_cl.cache_clear()
+    solves, applied = [], []
+    for mod in [m for n, m in sys.modules.items() if n.startswith("grrs.")]:
+        if getattr(mod, "solve_in_span", None) is solve_in_span:
+            _counted(monkeypatch, mod, "solve_in_span", solves)
+    _counted(monkeypatch, Homothety, "apply", applied)
+    systems = [
+        family("B3", 2, S={0, 3}),
+        family("C2", 2, S1=[0, 1, 2, 3], S2=[0]),
+        family("G2", 2, s=1),
+        family("C(2,1)", 2, S={1}),
+        family("BC(2,1)", 2, S={0}, Sp={1, 2}),
+        family("BC2", 1, S1={0, 1}, S2={0}, T={0, 1}),
+        a_nn_x(1, 1, 3),
+    ]
+    for system in systems:
+        identify(system)
+    assert solves == [] and applied == []
