@@ -200,46 +200,89 @@ def _cmn_gens(m: int, n: int) -> List[Vector]:
 class _Type(NamedTuple):
     system: Callable[..., FiniteRootSystem]  # the finite constructor
     case_i: bool  # transitive quotient: only affinizations lie above it
+    tries: Callable[[int, FiniteRootSystem], List[Tuple]]  # for recognition; see _TYPES
     gens: Optional[Callable[..., List[Vector]]] = None
     valid: Callable[..., bool] = lambda *params: True
     needs: str = ""  # the parameter range, for the error message
+    isotropic: bool = False  # some roots are isotropic: tried on such quotients only
+
+
+def _at(dim: int):
+    """`tries` for a kind without parameters, whose system has dimension `dim`."""
+    return lambda d, q: [()] * (d == dim)
+
+
+def _rank(least: int, most: Optional[int] = None):
+    """`tries` for a kind (n) of dimension n: n = d when least <= d (<= most)."""
+    return lambda d, q: [(d,)] * (least <= d <= (most or d))
+
+
+def _splits(least: int):
+    """`tries` for a kind (m, n) of dimension m + n: m >= least, n >= 1, m descending."""
+    return lambda d, q: [(m, d - m) for m in range(d - 1, least - 1, -1)]
+
+
+def _d21a_tries(d: int, q: FiniteRootSystem) -> List[Tuple]:
+    """The a of D(2,1;a) tried on a quotient of dimension 3: the ratios
+    +-u/v of its root norms, ascending, each replaced by the least a of its
+    orbit under a -> 1/a and a -> -1 - a, whose systems are isomorphic."""
+    norms = {q.norm(r) for r in q.nonisotropic_roots()} if d == 3 else ()
+    ratios = sorted({s * u / v for u in norms for v in norms for s in (1, -1)} - {-1})
+    least = (min(a, 1 / a, -1 - a, -1 / (1 + a), -(1 + a) / a, -a / (1 + a)) for a in ratios)
+    return [(a,) for a in dict.fromkeys(least)]
 
 
 # Keyed by kind: the spelling with "{}" in place of each parameter.  Names
-# are matched against the kinds in this order, so A1 precedes A{}.
+# are parsed against the kinds in this order, so A1 precedes A{}.
+# `classify.recognize_cl` walks them in this order too: for a quotient q of
+# dimension d, each kind whose roots are isotropic when q's are tries the
+# parameters `tries(d, q)`, and the first catalog system of q's dimension
+# and root counts with a homothety onto q names it.  So the order and the
+# tries decide: A1, not C1 (C_n from n = 2); C2, not B2 (B_n from n = 3); A3,
+# not D3 (D_n from n = 3, so A1 x A1 is unrecognized); A(1,0), not C(2);
+# C(1,1), not A(1,1)_f (A(n,n)_f from n = 2); A, C and BC(m,n) with m > n;
+# D(2,1), not D(2,1;a=1).  Among unlike systems of equal counts the order
+# makes failed searches few (E6 precedes B6 and C6, G2 BC2, B_n C_n), and the
+# classified types come early, so few other systems are built to name them.
 _TYPES: Dict[str, _Type] = {
-    "A1": _Type(lambda: _type_a(2, 0), False, _a_gens),
-    "A{}": _Type(lambda n: _type_a(n + 1, 0), True, _a_gens,
+    "G2": _Type(_g2, False, _at(2), lambda: [vec([1, 0]), vec([0, 1])]),
+    "F4": _Type(_f4, False, _at(4), _f4_gens),
+    "E{}": _Type(_e_series, True, _rank(6, 8), None,
+                 lambda n: n in (6, 7, 8), "E_n needs n in 6, 7, 8"),
+    "B{}": _Type(lambda n: _type_bcd(n, 0, (1,), ()), False, _rank(3),
+                 lambda n: _chain(n, range(n), 1), lambda n: n >= 2, "B_n needs n >= 2"),
+    "C{}": _Type(lambda n: _type_bcd(n, 0, (2,), ()), False, _rank(2),
+                 lambda n: _chain(n, range(n), 2), lambda n: n >= 1, "C_n needs n >= 1"),
+    "A1": _Type(lambda: _type_a(2, 0), False, _at(1), _a_gens),
+    "A{}": _Type(lambda n: _type_a(n + 1, 0), True, _rank(2), _a_gens,
                  lambda n: n >= 2, "A_n needs n >= 1"),
-    "B{}": _Type(lambda n: _type_bcd(n, 0, (1,), ()), False, lambda n: _chain(n, range(n), 1),
-                 lambda n: n >= 2, "B_n needs n >= 2"),
-    "C{}": _Type(lambda n: _type_bcd(n, 0, (2,), ()), False, lambda n: _chain(n, range(n), 2),
-                 lambda n: n >= 1, "C_n needs n >= 1"),
-    "D{}": _Type(lambda n: _type_bcd(n, 0, (), ()), True, None,
+    "D{}": _Type(lambda n: _type_bcd(n, 0, (), ()), True, _rank(3), None,
                  lambda n: n >= 2, "D_n needs n >= 2"),
-    "BC{}": _Type(lambda n: _type_bcd(n, 0, (1, 2), ()), False, lambda n: _chain(n, range(n), 1),
-                  lambda n: n >= 1, "BC_n needs n >= 1"),
-    "E{}": _Type(_e_series, True, None, lambda n: n in (6, 7, 8), "E_n needs n in 6, 7, 8"),
-    "F4": _Type(_f4, False, _f4_gens),
-    "G2": _Type(_g2, False, lambda: [vec([1, 0]), vec([0, 1])]),
-    "A({},{})": _Type(lambda m, n: _type_a(m + 1, n + 1), True),
-    "A({},{})_f": _Type(lambda m, n: from_finite(_type_a(n + 1, n + 1)).cl(), False, None,
-                        lambda m, n: m == n >= 1, "the _f quotient applies to A(n,n), n >= 1"),
-    "B({},{})": _Type(lambda m, n: _type_bcd(m, n, (1,), (1, 2)), False,
+    "BC{}": _Type(lambda n: _type_bcd(n, 0, (1, 2), ()), False, _rank(1),
+                  lambda n: _chain(n, range(n), 1), lambda n: n >= 1, "BC_n needs n >= 1"),
+    "B({},{})": _Type(lambda m, n: _type_bcd(m, n, (1,), (1, 2)), False, _splits(1),
                       lambda m, n: _chain(m + n, [*range(m, m + n), *range(m)], 1),
-                      lambda m, n: m >= 1 and n >= 1, "B(m,n) needs m, n >= 1"),
-    "C({})": _Type(lambda n: _type_bcd(1, n - 1, (), (2,)), True, None,
-                   lambda n: n >= 2, "C(n) needs n >= 2"),
-    "C({},{})": _Type(lambda m, n: _type_bcd(m, n, (2,), (2,)), False, _cmn_gens,
-                      lambda m, n: m >= 1 and n >= 1, "C(m,n) needs m, n >= 1"),
-    "BC({},{})": _Type(lambda m, n: _type_bcd(m, n, (1, 2), (1, 2)), False, _cmn_gens,
-                       lambda m, n: m >= 1 and n >= 1, "BC(m,n) needs m, n >= 1"),
-    "D({},{})": _Type(lambda m, n: _type_bcd(m, n, (), (2,)), True, None,
-                      lambda m, n: m >= 2 and n >= 1, "D(m,n) needs m >= 2, n >= 1"),
-    "D(2,1;a={})": _Type(_d21a, True, None,
-                         lambda a: a not in (0, -1), "D(2,1;a) needs a outside {0, -1}"),
-    "F(4)": _Type(_super_f4, True),
-    "G(3)": _Type(_super_g3, True),
+                      lambda m, n: m >= 1 and n >= 1, "B(m,n) needs m, n >= 1", isotropic=True),
+    "C({},{})": _Type(lambda m, n: _type_bcd(m, n, (2,), (2,)), False, _splits(1), _cmn_gens,
+                      lambda m, n: m >= 1 and n >= 1, "C(m,n) needs m, n >= 1", isotropic=True),
+    "BC({},{})": _Type(lambda m, n: _type_bcd(m, n, (1, 2), (1, 2)), False, _splits(1), _cmn_gens,
+                       lambda m, n: m >= 1 and n >= 1, "BC(m,n) needs m, n >= 1", isotropic=True),
+    "A({},{})": _Type(lambda m, n: _type_a(m + 1, n + 1), True,
+                      lambda d, q: [(m, d - 1 - m) for m in range(d - 1, (d - 1) // 2, -1)],
+                      isotropic=True),
+    "A({},{})_f": _Type(lambda m, n: from_finite(_type_a(n + 1, n + 1)).cl(), False,
+                        lambda d, q: [(d // 2, d // 2)] * (d >= 4 and d % 2 == 0), None,
+                        lambda m, n: m == n >= 1, "the _f quotient applies to A(n,n), n >= 1",
+                        isotropic=True),
+    "D({},{})": _Type(lambda m, n: _type_bcd(m, n, (), (2,)), True, _splits(2), None,
+                      lambda m, n: m >= 2 and n >= 1, "D(m,n) needs m >= 2, n >= 1",
+                      isotropic=True),
+    "C({})": _Type(lambda n: _type_bcd(1, n - 1, (), (2,)), True, _rank(2), None,
+                   lambda n: n >= 2, "C(n) needs n >= 2", isotropic=True),
+    "G(3)": _Type(_super_g3, True, _at(3), isotropic=True),
+    "F(4)": _Type(_super_f4, True, _at(4), isotropic=True),
+    "D(2,1;a={})": _Type(_d21a, True, _d21a_tries, None, lambda a: a not in (0, -1),
+                         "D(2,1;a) needs a outside {0, -1}", isotropic=True),
 }
 
 
@@ -403,12 +446,11 @@ def a_nn_x(n: int, p: int, q: int, extra_affinizations: int = 0) -> SymbolicRoot
         raise BadParameters("A(1,1)_x needs a non-integral x")
     if extra_affinizations < 0:
         raise BadParameters("extra affinization count must be nonnegative")
-    fin = _type_a(n + 1, n + 1)
-    sym = from_finite(fin)
+    sym = from_finite(_type_a(n + 1, n + 1))
     if sym.L.rank != 1:
         raise BadParameters("unexpected radical for A(n,n)")
     Ivec = sym.L.basis[0]
-    aff = affinize(fin, 1 + extra_affinizations)
+    aff = affinize(sym, 1 + extra_affinizations)
     direction = tuple(
         list(Ivec) + [Q(p, q)] + [Q(0)] * extra_affinizations
     )
@@ -589,7 +631,7 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
     Accepted parameter shapes:
       A1:                 S  (points of F_2^k containing an affine basis)
       B_n (n>=3), C_n (n>=3), B(m,n): S (nonempty)
-      C2:                 S1, S2
+      C2:                 S1, S2 (S2 nonempty)
       G2, F4:             s in 0..k
       C(m,n):             S (proper nonempty)
       BC(m,n):            S (proper nonempty), Sp (nonempty)
@@ -653,6 +695,8 @@ def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
     if kind == "C{}" and key.params == (2,):
         S1 = _normalize_zero(mask("S1"))
         S2 = _normalize_zero(mask("S2"))
+        if not S2:
+            raise BadParameters("S2 must be nonempty")
         if not spans_affinely(k, S1):
             raise BadParameters("S1 must contain an affine basis of F_2^k")
         if _sumset(S1, S2) & ~S1:

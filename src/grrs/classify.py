@@ -247,68 +247,6 @@ def canonical_data(key: TypeKey, k: int, masks: Sequence[int]) -> Tuple:
 # Recognition of the minimal quotient
 
 
-def _candidate_names(fin: FiniteRootSystem) -> List[TypeKey]:
-    d = fin.space.dim
-    n_iso = len(fin.isotropic_roots())
-    names: List[TypeKey] = []
-    if d == 0:
-        return names
-    if n_iso == 0:
-        if d == 2:
-            names += [TypeKey("G2"), TypeKey("C{}", (2,))]
-        if d == 4:
-            names.append(TypeKey("F4"))
-        if d in (6, 7, 8):
-            names.append(TypeKey("E{}", (d,)))
-        names.append(TypeKey("A{}", (d,)) if d > 1 else TypeKey("A1"))
-        if d >= 3:
-            names.append(TypeKey("D{}", (d,)))
-        if d >= 2:
-            names += [TypeKey("B{}", (d,)), TypeKey("C{}", (d,))]
-        names.append(TypeKey("BC{}", (d,)))
-    else:
-        if d == 2:
-            names.append(TypeKey("C({},{})", (1, 1)))
-        if d % 2 == 0 and d >= 4:
-            names.append(TypeKey("A({},{})_f", (d // 2, d // 2)))
-        for mm in range(d - 1, -1, -1):
-            nn = d - 1 - mm
-            if 0 <= nn < mm:
-                names.append(TypeKey("A({},{})", (mm, nn)))
-        # super pairs over the full dimension
-        for m in range(1, d):
-            names.append(TypeKey("B({},{})", (m, d - m)))
-        for m in range(2, d):
-            names.append(TypeKey("D({},{})", (m, d - m)))
-        if d >= 2:
-            names.append(TypeKey("C({})", (d,)))
-        if d == 3:
-            names.append(TypeKey("G(3)"))
-        if d == 4:
-            names.append(TypeKey("F(4)"))
-        for m in range(d - 1, 0, -1):
-            n = d - m
-            if m >= n:
-                names += [TypeKey("C({},{})", (m, n)), TypeKey("BC({},{})", (m, n))]
-                if m != n:
-                    names += [TypeKey("C({},{})", (n, m)), TypeKey("BC({},{})", (n, m))]
-    return names
-
-
-def _d21a_candidates(fin: FiniteRootSystem) -> List[Q]:
-    norms = sorted({fin.norm(r) for r in fin.roots if fin.norm(r) != 0})
-    cands = set()
-    for u in norms:
-        for v in norms:
-            if v != 0:
-                a = u / v
-                if a not in (0, -1):
-                    cands.add(a)
-                if -a not in (0, -1):
-                    cands.add(-a)
-    return sorted(cands)
-
-
 # Recognitions are kept per process, keyed by the value of the quotient:
 # every system over one quotient shares its answer.  A failure is not kept.
 _RECOGNITIONS = 128
@@ -316,7 +254,8 @@ _RECOGNITIONS = 128
 
 @lru_cache(maxsize=_RECOGNITIONS)
 def recognize_cl(fin: FiniteRootSystem):
-    """Match a finite system against the catalog.
+    """Match a finite system against the catalog, walking the kinds of
+    `catalog._TYPES` in their order of precedence (see there).
 
     Returns (name, homothety from the catalog copy onto the input, copy).
     The answer is memoized on the value of `fin` and shared between equal
@@ -325,29 +264,18 @@ def recognize_cl(fin: FiniteRootSystem):
     d = fin.space.dim
     count = len(fin)
     n_iso = len(fin.isotropic_roots())
-    seen = set()
-    for key in _candidate_names(fin):
-        if key in seen:
+    for kind, row in catalog._TYPES.items():
+        if row.isotropic != (n_iso > 0):
             continue
-        seen.add(key)
-        cat = catalog.build(key)
-        if len(cat) != count or cat.space.dim != d:
-            continue
-        if len(cat.isotropic_roots()) != n_iso:
-            continue
-        h = isomorphic_finite(cat, fin)
-        if h is not None:
-            return str(key), h, cat
-    if d == 3 and n_iso == 8 and count == 14:
-        for a in _d21a_candidates(fin):
-            cat = catalog.build(TypeKey("D(2,1;a={})", (a,)))
+        for params in row.tries(d, fin):
+            key = TypeKey(kind, params)
+            cat = catalog.build(key)
+            # the isotropic count builds the pairing view: after the cheap tests
+            if (cat.space.dim, len(cat)) != (d, count) or len(cat.isotropic_roots()) != n_iso:
+                continue
             h = isomorphic_finite(cat, fin)
             if h is not None:
-                orbit = {a, 1 / a, -1 - a}
-                orbit |= {1 / x for x in list(orbit) if x != 0}
-                orbit |= {-1 - x for x in list(orbit)}
-                canon = min(x for x in orbit if x not in (0, -1))
-                return str(TypeKey("D(2,1;a={})", (canon,))), h, cat
+                return str(key), h, cat
     raise UnrecognizedCl(
         f"no catalog match for dim {d}, {count} roots, {n_iso} isotropic"
     )
@@ -575,10 +503,12 @@ def _identify_bcn(key, families, L):
 def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     """Complete duplicate-free descriptor list for the classified types, at
     k >= 1 central directions (at k = 0 there is no affine system); the
-    types listed through canonical forms of subsets take k <= 4."""
+    types listed through canonical forms of subsets take k <= 4.  A type is
+    listed under the name `identify` gives it (B2 as C2); a name that is no
+    minimal quotient (A(n,n), D2) raises UnrecognizedCl."""
     if k < 1:
         _check_k(k, 1)
-    key = type_key(cl_name)
+    key = type_key(recognize_cl(type_key(cl_name).system())[0])
     kind, name = key.kind, str(key)
     if key.case_i:
         return [_desc_aff(name, k)]
@@ -587,11 +517,8 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
     full = _full(k)
     if key == TypeKey("C({},{})", (1, 1)):
         raise NotClassified("C(1,1) admits infinitely many classes (rational quotients)")
-    if kind in ("C({},{})", "BC({},{})"):
-        # the name identify gives: C(1,2) is recognized as C(2,1)
-        name = recognize_cl(key.system())[0]
 
-    if kind in ("A1", "B({},{})", "C({},{})") or (kind in ("B{}", "C{}") and key.params[0] >= 3):
+    if kind in ("A1", "B{}", "B({},{})", "C({},{})") or (kind == "C{}" and key.params[0] >= 3):
         masks = _orbit_minima(k)
         if kind == "A1":
             # A1 keeps the subsets that contain an affine basis, an affine invariant

@@ -531,9 +531,8 @@ def gaps(system: SymbolicRootSystem) -> GapTable:
         # one coset of M in L = Z b: the index of M, or 0 when M = 0
         g = (fam._mod[0][0] if fam._mod else 0) if len(fam._ireps) == 1 else None
         if g is None and system.space.norm(e.lift) != 0:
-            raise GrrsError(
-                f"no single arithmetic progression above non-isotropic class {e.lift}"
-            )
+            raise GrrsError("no single arithmetic progression above non-isotropic class "
+                            + format_vector(e.lift))
         out.append((e.lift, g))
     return GapTable(tuple(out))
 

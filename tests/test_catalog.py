@@ -207,6 +207,12 @@ class TestFamily:
         with pytest.raises(BadParameters):
             family("C2", 2, S1={0, 1, 2}, S2={0, 3})
 
+    def test_c2_s2_must_be_nonempty(self):
+        # without S2 only the short classes are left, and their quotient is not C2
+        for k, S1 in ((1, {0, 1}), (2, {0, 1, 2, 3})):
+            with pytest.raises(BadParameters, match="S2 must be nonempty"):
+                family("C2", k, S1=S1, S2=[])
+
     @pytest.mark.parametrize("name", ["B3", "C3", "B4", "C4", "B(1,1)", "B(2,1)"])
     def test_s_must_be_nonempty(self, name):
         with pytest.raises(BadParameters, match="S must be nonempty"):

@@ -841,7 +841,7 @@ class TestTypeNames:
     def test_whitespace_and_rationals_normalize(self):
         assert str(type_key(" B ( 1 , 2 ) ")) == "B(1,2)"
         assert type_key("D(2,1;a=2/4)") == type_key("D(2,1;a=1/2)")
-        assert [d.cl for d in enumerate_classes("D(2,1;a=2/4)", 1)] == ["D(2,1;a=1/2)"]
+        assert [d.cl for d in enumerate_classes("D(2,1;a=2/4)", 1)] == ["D(2,1;a=-3)"]
 
     @pytest.mark.parametrize("name", REJECTED_NAMES)
     def test_names_of_no_type_are_rejected(self, name):

@@ -17,7 +17,7 @@ from grrs.classify import ClassDescriptor, enumerate_classes
 from grrs.cli import build_any, main
 from grrs.errors import BadParameters, GrrsError
 from grrs.finite import check_axioms
-from grrs.symbolic import affinize, check_symbolic_axioms
+from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, check_symbolic_axioms
 
 
 FINITE_NAMES = [
@@ -152,6 +152,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["quotient", str(aff), "--vector", "1,0,0"]) == 2
         assert capsys.readouterr().err == "error: (1,0,0) is not in the radical\n"
+
+    def test_gap_error_spells_the_class(self, tmp_path, capsys):
+        a = affinize(build("A1"), 1)
+        # two cosets of 3L above every class: no single progression
+        fam = CosetSet(a.L, a.L.scaled(3), (0, 0), [(0, 0), a.L.basis[0]])
+        system = SymbolicRootSystem(a.space, [(e.lift, fam) for e in a.entries])
+        path = tmp_path / "two_cosets.json"
+        path.write_text(serialize.dumps(system))
+        capsys.readouterr()
+        assert main(["gaps", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no single arithmetic progression above non-isotropic class (-1,0)\n"
+        )
+
+    def test_c2_without_s2_exits_2(self, capsys):
+        assert main(["catalog", "family(C2,k=1,S1={0,1},S2={})"]) == 2
+        assert capsys.readouterr().err == "error: S2 must be nonempty\n"
 
     def test_subsystem_seed_out_of_range(self, tmpfiles, capsys):
         _, paths = tmpfiles
