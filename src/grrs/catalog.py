@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadMatrix, BadParameters, UnrecognizedCl
-from .finite import FiniteRootSystem, reflect
+from .finite import FiniteRootSystem
 from .linalg import (
     BilinearSpace,
     Lattice,
@@ -385,12 +386,15 @@ def real_roots_from_matrix(
         for j in range(n):
             if C[i][j] != C[j][i]:
                 raise BadMatrix("matrix is not symmetric")
+    A = [[0] * n for _ in range(n)]
     for i in range(n):
         if C[i][i] == 0:
             raise BadMatrix("zero diagonal entry")
         for j in range(n):
-            if (2 * C[i][j] / C[i][i]).denominator != 1:
+            a = 2 * C[i][j] / C[i][i]
+            if a.denominator != 1:
                 raise BadMatrix("2 c_ij / c_ii must be integral")
+            A[i][j] = a.numerator
     J = sorted(set(J))
     for j in J:
         if not 0 <= j < n:
@@ -401,33 +405,30 @@ def real_roots_from_matrix(
     if height_bound < 1:
         raise BadMatrix("height bound must be positive")
 
-    space = BilinearSpace(C)
-    simple = [unit_vector(n, i) for i in range(n)]
-
-    def height(v: Vector) -> Q:
-        return sum(abs(x) for x in v)
-
-    seeds = list(simple) + [vscale(2, unit_vector(n, j)) for j in J]
+    # in the simple basis r_i(v) = v - (sum_j a_ij v_j) e_i: the closure runs
+    # on integer tuples and touches coordinate i only
+    seeds = [(i, 1) for i in range(n)] + [(j, 2) for j in J]
     found = set()
     frontier = []
     truncated = False
-    for s in seeds:
-        for v in (s, vneg(s)):
+    for i, c in seeds:
+        for s in (c, -c):
+            v = tuple(s if j == i else 0 for j in range(n))
             if v not in found:
                 found.add(v)
                 frontier.append(v)
     while frontier:
         v = frontier.pop()
-        for a in simple:
-            img = reflect(space, a, v)
+        for i, row in enumerate(A):
+            img = v[:i] + (v[i] - sum(map(mul, row, v)),) + v[i + 1:]
             if img in found:
                 continue
-            if height(img) > height_bound:
+            if sum(map(abs, img)) > height_bound:
                 truncated = True
                 continue
             found.add(img)
             frontier.append(img)
-    return FiniteRootSystem(space, sorted(found)), truncated
+    return FiniteRootSystem(BilinearSpace(C), sorted(found)), truncated
 
 
 # ---------------------------------------------------------------------------

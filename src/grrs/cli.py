@@ -112,17 +112,17 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str):
+_KINDS = {"finite": FiniteRootSystem, "symbolic": SymbolicRootSystem}
+
+
+def _load(path: str, command: str, *kinds: str):
+    """The document at path; BadParameters unless it is a system of one of
+    the kinds ("finite", "symbolic") the command takes."""
     with open(path) as fh:
-        return serialize.loads(fh.read())
-
-
-def _report_of(payload):
-    if isinstance(payload, FiniteRootSystem):
-        return check_axioms(payload)
-    if isinstance(payload, SymbolicRootSystem):
-        return check_symbolic_axioms(payload)
-    raise BadParameters("check expects a finite or symbolic system document")
+        payload = serialize.loads(fh.read())
+    if not isinstance(payload, tuple(_KINDS[k] for k in kinds)):
+        raise BadParameters(f"{command} expects a {' or '.join(kinds)} system document")
+    return payload
 
 
 def cmd_catalog(args) -> int:
@@ -132,8 +132,11 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_check(args) -> int:
-    payload = _load(args.file)
-    report = _report_of(payload)
+    payload = _load(args.file, "check", "finite", "symbolic")
+    if isinstance(payload, FiniteRootSystem):
+        report = check_axioms(payload)
+    else:
+        report = check_symbolic_axioms(payload)
     if args.json:
         sys.stdout.write(serialize.dumps(report))
     else:
@@ -170,22 +173,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
-    if isinstance(a, FiniteRootSystem) and isinstance(b, FiniteRootSystem):
-        same = isomorphic_finite(a, b) is not None
-    elif isinstance(a, SymbolicRootSystem) and isinstance(b, SymbolicRootSystem):
-        same = classify.identify(a) == classify.identify(b)
-    else:
+    a = _load(args.a, "iso", "finite", "symbolic")
+    b = _load(args.b, "iso", "finite", "symbolic")
+    if type(a) is not type(b):
         same = False
+    elif isinstance(a, FiniteRootSystem):
+        same = isomorphic_finite(a, b) is not None
+    else:
+        same = classify.identify(a) == classify.identify(b)
     print("isomorphic" if same else "not isomorphic")
     return 0 if same else 1
 
 
 def cmd_orbits(args) -> int:
-    payload = _load(args.file)
-    if not isinstance(payload, FiniteRootSystem):
-        raise BadParameters("orbits expects a finite system document")
+    payload = _load(args.file, "orbits", "finite")
     orbits = weyl_orbits(payload) if args.group == "weyl" else gw_orbits(payload)
     for i, orb in enumerate(orbits):
         mem = " ".join(map(format_vector, orb))
@@ -194,26 +195,20 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_affinize(args) -> int:
-    payload = _load(args.file)
-    if not isinstance(payload, (FiniteRootSystem, SymbolicRootSystem)):
-        raise BadParameters("affinize expects a system document")
+    payload = _load(args.file, "affinize", "finite", "symbolic")
     _emit(affinize(payload, args.n), args)
     return 0
 
 
 def cmd_quotient(args) -> int:
-    payload = _load(args.file)
-    if not isinstance(payload, SymbolicRootSystem):
-        raise BadParameters("quotient expects a symbolic system document")
+    payload = _load(args.file, "quotient", "symbolic")
     vectors = [vec([parse_rational(x) for x in v.split(",")]) for v in args.vector]
     _emit(quotient(payload, vectors, require_bijective=args.bijective), args)
     return 0
 
 
 def cmd_gaps(args) -> int:
-    payload = _load(args.file)
-    if not isinstance(payload, SymbolicRootSystem):
-        raise BadParameters("gaps expects a symbolic system document")
+    payload = _load(args.file, "gaps", "symbolic")
     table = gaps(payload)
     for lift, g in table.entries:
         print(f"{format_vector(lift)}: {'undefined' if g is None else g}")
@@ -221,9 +216,7 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_subsystem(args) -> int:
-    payload = _load(args.file)
-    if not isinstance(payload, FiniteRootSystem):
-        raise BadParameters("subsystem expects a finite system document")
+    payload = _load(args.file, "subsystem", "finite")
     idxs = [int(x) for x in args.seeds.split(",")]
     if not all(0 <= i < len(payload.roots) for i in idxs):
         raise BadParameters(f"seed index out of range 0..{len(payload.roots) - 1}")
@@ -234,7 +227,7 @@ def cmd_subsystem(args) -> int:
 
 def cmd_realroots(args) -> int:
     rows = []
-    text = args.matrix.strip()
+    text = "".join(args.matrix.split())
     if not (text.startswith("[[") and text.endswith("]]")):
         raise BadMatrix("matrix syntax: [[2,-1],[-1,2]]")
     for row in text[2:-2].split("],["):

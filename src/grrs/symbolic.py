@@ -485,7 +485,8 @@ def quotient(
             for a, b in itertools.combinations(reps, 2):
                 if mod.member(proj.apply(vsub(a, b))):
                     raise NotBijective("two family cosets merge along the quotient")
-        return CosetSet(image.add(mod), mod, proj.apply(t), [proj.apply(r) for r in reps])
+        # the family lies over system.L, so its data projects into image
+        return CosetSet(image, mod, proj.apply(t), [proj.apply(r) for r in reps])
 
     pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(

@@ -12,20 +12,26 @@
   of `SymbolicRootSystem.__init__` and `from_finite` before both ran on
   integer rows (sort, duplicate and radical tests, generators of L, lifts
   re-summed from rank-many chosen roots).
+- `real_roots_from_matrix`: the reflection closure of a symmetric matrix by
+  `finite.reflect` on `Fraction` vectors, one `k_value` per step, before the
+  closure ran on the integer Cartan matrix.
 """
 
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
-from grrs.errors import GrrsError
-from grrs.finite import FiniteRootSystem, _combination
+from grrs.errors import BadMatrix, GrrsError
+from grrs.finite import FiniteRootSystem, _combination, reflect
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
     SubspaceProjection,
     clear_denominators,
     column_basis,
+    unit_vector,
     vadd,
+    vneg,
+    vscale,
     vsub,
     zero_vector,
 )
@@ -207,3 +213,60 @@ def from_finite_entries(system):
         (lift, CosetSet(ambient, Lattice.zero(dim), zero_vector(dim), offs))
         for lift, offs in groups.items()
     ]
+
+
+def real_roots_from_matrix(matrix, J=(), height_bound=20):
+    """Closure of the unit basis (plus doubled J-entries) under the simple
+    reflections of `BilinearSpace(matrix)`, truncated at the given height;
+    returns (system, truncated)."""
+    C = [[Q(x) for x in row] for row in matrix]
+    n = len(C)
+    if any(len(row) != n for row in C):
+        raise BadMatrix("matrix is not square")
+    for i in range(n):
+        for j in range(n):
+            if C[i][j] != C[j][i]:
+                raise BadMatrix("matrix is not symmetric")
+    for i in range(n):
+        if C[i][i] == 0:
+            raise BadMatrix("zero diagonal entry")
+        for j in range(n):
+            if (2 * C[i][j] / C[i][i]).denominator != 1:
+                raise BadMatrix("2 c_ij / c_ii must be integral")
+    J = sorted(set(J))
+    for j in J:
+        if not 0 <= j < n:
+            raise BadMatrix("J index out of range")
+        for i in range(n):
+            if (C[j][i] / C[j][j]).denominator != 1:
+                raise BadMatrix("c_ji / c_jj must be integral for j in J")
+    if height_bound < 1:
+        raise BadMatrix("height bound must be positive")
+
+    space = BilinearSpace(C)
+    simple = [unit_vector(n, i) for i in range(n)]
+
+    def height(v):
+        return sum(abs(x) for x in v)
+
+    seeds = list(simple) + [vscale(2, unit_vector(n, j)) for j in J]
+    found = set()
+    frontier = []
+    truncated = False
+    for s in seeds:
+        for v in (s, vneg(s)):
+            if v not in found:
+                found.add(v)
+                frontier.append(v)
+    while frontier:
+        v = frontier.pop()
+        for a in simple:
+            img = reflect(space, a, v)
+            if img in found:
+                continue
+            if height(img) > height_bound:
+                truncated = True
+                continue
+            found.add(img)
+            frontier.append(img)
+    return FiniteRootSystem(space, sorted(found)), truncated

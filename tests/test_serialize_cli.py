@@ -84,17 +84,25 @@ class TestCli:
             paths[name] = str(p)
         return tmp_path, paths
 
-    def test_catalog_and_check_exit_codes(self, tmpfiles):
+    def test_catalog_and_check_exit_codes(self, tmpfiles, capsys):
         tmp_path, paths = tmpfiles
         assert main(["check", paths["B2"]]) == 0
         assert main(["check", paths["C(1,1)"]]) == 3
+        capsys.readouterr()
+        # --json writes the report document; the exit code follows the verdict
+        for name, code in (("B2", 0), ("C(1,1)", 3)):
+            assert main(["check", paths[name], "--json"]) == code
+            assert serialize.loads(capsys.readouterr().out) == check_axioms(build(name))
 
-    def test_axiom_failure_exit_code(self, tmp_path):
+    def test_axiom_failure_exit_code(self, tmp_path, capsys):
         doc = serialize.document_to_dict(build("B2"))
         doc["payload"]["roots"].append(["0", "0"])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["check", str(bad)]) == 4
+        capsys.readouterr()
+        assert main(["check", str(bad), "--json"]) == 4
+        assert not serialize.loads(capsys.readouterr().out).gr0.passed
 
     def test_bad_parameters_exit_code(self):
         assert main(["catalog", "family(G2,k=2,s=3)"]) == 2
@@ -130,6 +138,11 @@ class TestCli:
         assert main(["catalog", "A2", "-o", str(a2)]) == 0
         assert main(["iso", str(b2), str(c2)]) == 0
         assert main(["iso", str(b2), str(a2)]) == 1
+        # a finite system against a symbolic one is not isomorphic
+        aff = tmp_path / "b2aff.json"
+        assert main(["affinize", str(b2), "-o", str(aff)]) == 0
+        assert main(["iso", str(b2), str(aff)]) == 1
+        assert main(["iso", str(aff), str(b2)]) == 1
 
     def test_transform_commands(self, tmpfiles, capsys):
         tmp_path, paths = tmpfiles
@@ -183,6 +196,49 @@ class TestCli:
         text = capsys.readouterr().out
         assert "truncated: no" in text
         assert main(["realroots", "--matrix", "[[2,-3],[-3,2]]", "--height", "6"]) == 0
+        capsys.readouterr()
+        assert main(["realroots", "--matrix", "[[2,-1],[-1,2]]", "--json"]) == 0
+        tight = capsys.readouterr().out
+        # spaces in the matrix are ignored
+        assert main(["realroots", "--matrix", " [[2, -1], [ -1 , 2]] ", "--json"]) == 0
+        assert capsys.readouterr().out == tight
+
+    def test_classify_json_and_output_write_classes(self, tmp_path, capsys):
+        out = tmp_path / "classes.json"
+        assert main(["classify", "--cl", "G2", "--k", "1", "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["classify", "--cl", "G2", "--k", "1", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert serialize.loads(printed) == enumerate_classes("G2", 1)
+
+    WRONG_DOCUMENTS = [
+        ("check", "a finite or symbolic", "report", []),
+        ("check", "a finite or symbolic", "classes", []),
+        ("iso", "a finite or symbolic", "report", []),
+        ("iso", "a finite or symbolic", "classes", []),
+        ("orbits", "a finite", "symbolic", []),
+        ("affinize", "a finite or symbolic", "classes", []),
+        ("quotient", "a symbolic", "finite", ["--vector", "0,0"]),
+        ("gaps", "a symbolic", "finite", []),
+        ("subsystem", "a finite", "symbolic", ["--seeds", "0"]),
+    ]
+
+    @pytest.mark.parametrize("command, takes, wrong, extra", WRONG_DOCUMENTS,
+                             ids=[f"{c[0]}-{c[2]}" for c in WRONG_DOCUMENTS])
+    def test_wrong_document_exits_2(self, tmp_path, capsys, command, takes, wrong, extra):
+        docs = {
+            "finite": build("B2"),
+            "symbolic": affinize(build("B2"), 1),
+            "report": check_axioms(build("B2")),
+            "classes": enumerate_classes("B3", 1),
+        }
+        path = tmp_path / f"{wrong}.json"
+        path.write_text(serialize.dumps(docs[wrong]))
+        files = [str(path)] * (2 if command == "iso" else 1)
+        capsys.readouterr()
+        assert main([command, *files, *extra]) == 2
+        assert capsys.readouterr().err == f"error: {command} expects {takes} system document\n"
 
     def test_classify_table(self, capsys):
         assert main(["classify", "--cl", "B3", "--k", "1"]) == 0

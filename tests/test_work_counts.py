@@ -5,7 +5,9 @@ monkeypatching.
 lift, and `SymbolicRootSystem.__init__` generates L from its integer rows
 without `Lattice.from_vectors`.  `identify` searches a homothety once per
 distinct minimal quotient, and pulls families back through the root map of
-the recognition and the catalog's coordinate table, with no elimination.  A
+the recognition and the catalog's coordinate table, with no elimination.
+`quotient` builds each pushed family over the image of L, which is the L of
+the quotient, so the constructor keeps the families it is handed.  A
 change that brings back per-root, per-entry or per-call work fails here,
 although every answer would still be right.
 """
@@ -70,6 +72,27 @@ def test_constructor_calls_no_from_vectors(monkeypatch):
     g2.resplit({first: g2.family_of_lift(first).modulus.basis[0]})
     assert len(built) >= 12
     assert calls == []
+
+
+def test_quotient_pushes_each_family_over_the_image(monkeypatch):
+    g2 = affinize(build("G2"), 2)
+    a_nn = a_nn_x(2, 1, 3, 1)
+    dim = g2.space.dim
+    cases = [
+        (g2, [vadd(unit_vector(dim, dim - 2), tuple(Q(1, 3) * x for x in unit_vector(dim, dim - 1)))]),
+        (g2, [unit_vector(dim, dim - 1)]),
+        (a_nn, [unit_vector(a_nn.space.dim, a_nn.space.dim - 1)]),
+    ]
+    built, sums = [], []
+    _counted(monkeypatch, CosetSet, "__init__", built)
+    _counted(monkeypatch, Lattice, "add", sums)
+    for system, vectors in cases:
+        del built[:]
+        q = quotient(system, vectors)
+        # one coset set per distinct family, none re-anchored by the constructor
+        assert len(built) == len({e.family for e in system.entries})
+        assert all(e.family.ambient == q.L for e in q.entries)
+    assert sums == []
 
 
 def _counted(monkeypatch, owner, name, calls):
