@@ -479,8 +479,13 @@ def subset_mask(k: int, points) -> int:
 
 
 def _bits(mask: int) -> List[int]:
-    """The points of a mask, ascending."""
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+    """The points of a mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _sumset(a: int, b: int) -> int:
@@ -498,14 +503,21 @@ def _normalize_zero(mask: int) -> int:
 
 
 def spans_affinely(k: int, mask: int) -> bool:
-    """Some k+1 points of the subset affinely span F_2^k: the linear span of
-    its translate through 0, grown one point at a time, is all of F_2^k."""
-    zeroed = _normalize_zero(mask)
-    span = zeroed & 1  # {0}, or nothing for the empty set
-    for p in _bits(zeroed):
-        if not span >> p & 1:
-            span |= _sumset(span, 1 << p)
-    return span == (1 << (1 << k)) - 1
+    """Some k+1 points of the subset affinely span F_2^k: the differences
+    p ^ p0 from its least point p0 have rank k over F_2.  Each difference is
+    reduced against an XOR basis kept by leading bit; a point outside F_2^k
+    never spans."""
+    if not mask or mask.bit_length() > 1 << k:
+        return False
+    p0, *rest = _bits(mask)
+    basis: Dict[int, int] = {}
+    for p in rest:
+        d = p ^ p0
+        while d and d.bit_length() in basis:
+            d ^= basis[d.bit_length()]
+        if d:
+            basis[d.bit_length()] = d
+    return len(basis) == k
 
 
 def _coordinates(p: int, k: int, r: int = 2) -> List[int]:
@@ -519,9 +531,12 @@ def _point(coords: Sequence[int], r: int = 2) -> int:
 
 
 def _preimage(L: Lattice, mask: int, r: int = 2, scale=1) -> CosetSet:
-    """scale * (the preimage of the points of the mask under L -> L/rL)."""
-    reps = [vscale(scale, L.combine(_coordinates(p, L.rank, r))) for p in _bits(mask)]
-    return CosetSet(L.scaled(scale), L.scaled(r * scale), zero_vector(L.dim), reps)
+    """scale * (the preimage of the points of the mask under L -> L/rL),
+    built on the basis of scale * L: the points' coordinates modulo r I."""
+    k = L.rank
+    reps = [_coordinates(p, k, r) for p in _bits(mask)]
+    mod = [[r * (i == j) for j in range(k)] for i in range(k)] if reps else []
+    return CosetSet.__new__(CosetSet)._set(L.scaled(scale), zero_vector(L.dim), mod, reps)
 
 
 def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
@@ -648,15 +663,24 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
     if unknown:
         raise BadParameters(f"{key} takes no parameter {', '.join(unknown)}")
     values = _family_values(key, k, params)
-    cl_sys = key.system()
-    dim = cl_sys.space.dim + k
-    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
-    space, pad = _padded(cl_sys.space, k)
+    space, L, lifts = _frame(key, k)
     entries = []
-    for o in layout:
+    for o, above in zip(layout, lifts):
         fam = _orbit_family(key, L, o.data, values)
-        entries += [(pad(r), fam) for r in o.roots]
+        entries += [(lift, fam) for lift in above]
     return SymbolicRootSystem(space, entries)
+
+
+@lru_cache(maxsize=None)
+def _frame(key: TypeKey, k: int):
+    """(space, L, lifts), what `family(key, k, ...)` shares for every
+    parameter: the space of the quotient with k central coordinates
+    appended, the lattice L of those coordinates, and the roots of each
+    group of `orbits(key)` padded into it."""
+    space, pad = _padded(key.system().space, k)
+    dim = space.dim
+    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
+    return space, L, tuple(tuple(pad(r) for r in o.roots) for o in orbits(key))
 
 
 def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:
@@ -665,9 +689,9 @@ def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:
     if data in ("L", "2L"):
         return CosetSet.full_lattice(L if data == "L" else L.scaled(2))
     if data == "s":
-        r = 3 if key.kind == "G2" else 2
-        gens = [vscale(1 if i < values["s"] else r, b) for i, b in enumerate(L.basis)]
-        return CosetSet.full_lattice(Lattice.from_vectors(L.dim, gens))
+        r, k = 3 if key.kind == "G2" else 2, L.rank
+        scaled = [[(1 if i < values["s"] else r) * (i == j) for j in range(k)] for i in range(k)]
+        return CosetSet.full_lattice(L.sublattice(scaled))
     if data == "H2":
         return _preimage(L, values["H2"], r=4)
     name, _, half = data.lstrip("~").partition("/")
@@ -706,7 +730,7 @@ def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
     S = _normalize_zero(mask("S"))
     if kind == "A1" and not spans_affinely(k, S):
         raise BadParameters("S must contain an affine basis of F_2^k")
-    if kind in ("C({},{})", "BC({},{})") and not 0 < S < (1 << (1 << k)) - 1:
+    if kind in ("C({},{})", "BC({},{})") and not 0 < S.bit_count() < 1 << k:
         raise BadParameters("S must be a proper nonempty subset of F_2^k")
     if not S:
         raise BadParameters("S must be nonempty")

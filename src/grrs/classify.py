@@ -310,7 +310,8 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
 
     Every family is shifted as if the splitting ran through the roots
     lift_g + m_g above the standard generating classes g of the recognized
-    quotient, m_g the least member above g, which makes the extracted data
+    quotient, m_g the least member above g (the translate plus the least
+    rep, the reps being sorted), which makes the extracted data
     independent of the presentation.  The lifts meet the radical only in 0
     (the constructor checks it), so the lift above w = sum c_g g is
     sum c_g lift_g, and the family above w moves by -sum c_g m_g.  The
@@ -319,8 +320,8 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     `catalog.generating_coordinates` and the image from `hmap.roots`.
     """
     coords = catalog.generating_coordinates(key)
-    least = [min(system.entry_for_cl(hmap.roots[g]).family.members())
-             for g in catalog.generating_roots(key)]
+    least = [vadd(f.translate, f.reps[0]) for f in
+             (system.entry_for_cl(hmap.roots[g]).family for g in catalog.generating_roots(key))]
 
     @lru_cache(maxsize=None)
     def fam(cat_root: Vector) -> CosetSet:

@@ -430,10 +430,10 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(dim={self.dim}, rank={self.rank})"
 
-    def _reduce(self, v: Vector):
-        """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
-        sum c_i basis_i; the pivot coefficients of the residue lie in [0, 1)."""
-        d, (w,) = clear_denominators([v], self.scale)
+    def reduce_int(self, w: Sequence[int], d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(u, c) for the vector w / d, w integral and d a multiple of scale:
+        u / d is its residue and w / d - u / d = sum c_i basis_i; the pivot
+        coefficients of the residue lie in [0, 1)."""
         f = d // self.scale
         coeffs = []
         for row, p in zip(self.rows, self.pivots):
@@ -442,7 +442,14 @@ class Lattice:
                 cf = c * f
                 w = [x - cf * y for x, y in zip(w, row)]
             coeffs.append(c)
-        return w, d, tuple(coeffs)
+        return tuple(w), tuple(coeffs)
+
+    def _reduce(self, v: Vector):
+        """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
+        sum c_i basis_i."""
+        d, (w,) = clear_denominators([v], self.scale)
+        w, coeffs = self.reduce_int(w, d)
+        return w, d, coeffs
 
     def split(self, v: Vector) -> Tuple[Vector, Tuple[int, ...]]:
         """(residue(v), c) with v = residue(v) + sum c_i basis_i, c integral."""

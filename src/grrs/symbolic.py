@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
+from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,7 +45,7 @@ from .linalg import (
     vsub,
     zero_vector,
 )
-from .linalg import hnf_cosets, hnf_int, hnf_meet, hnf_pivots, hnf_reduce
+from .linalg import _int_combination, hnf_cosets, hnf_int, hnf_meet, hnf_pivots, hnf_reduce
 
 
 class CosetSet:
@@ -104,12 +105,6 @@ class CosetSet:
         reps = [vadd(r, c) for r in reps]
         return CosetSet.__new__(CosetSet)._set(self.ambient, t, list(mod), reps)
 
-    def _vectors(self) -> Tuple[List[Vector], Vector, List[Vector]]:
-        """(generators of M, translate, one vector of L per coset) in Q^n."""
-        amb = self.ambient
-        mod, reps = [amb.combine(r) for r in self._mod], [amb.combine(c) for c in self._ireps]
-        return mod, self.translate, reps
-
     def _same_ambient(self, other: "CosetSet") -> None:
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise GrrsError("coset sets over different ambient lattices")
@@ -123,8 +118,13 @@ class CosetSet:
     @property
     def reps(self) -> Tuple[Vector, ...]:
         if self._reps is None:
+            # residues mod M of the reps in integers over the ambient's scale,
+            # a multiple of M's; sorted there, as one positive denominator
+            # keeps the lexicographic order
             mod, amb = self.modulus, self.ambient
-            self._reps = tuple(sorted(mod.residue(amb.combine(c)) for c in self._ireps))
+            rows = sorted(mod.reduce_int(_int_combination(c, amb.rows, amb.dim), amb.scale)[0]
+                          for c in self._ireps)
+            self._reps = tuple(tuple(Q(x, amb.scale) for x in row) for row in rows)
         return self._reps
 
     def members(self) -> List[Vector]:
@@ -139,7 +139,9 @@ class CosetSet:
 
     @classmethod
     def full_lattice(cls, ambient: Lattice) -> "CosetSet":
-        return cls(ambient, ambient, zero_vector(ambient.dim), [zero_vector(ambient.dim)])
+        r = ambient.rank
+        unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        return cls.__new__(cls)._set(ambient, zero_vector(ambient.dim), unit, [(0,) * r])
 
     @property
     def dim(self) -> int:
@@ -256,17 +258,17 @@ class SymbolicRootSystem:
                 cleaned.append((lift, fam))
         if not cleaned:
             raise GrrsError("symbolic system with no nonempty families")
-        # the lifts, then each distinct family's (generators of M, translate,
-        # members of L) in first-seen order, all over one denominator D: the
-        # tests below and the generators of L run on these integer rows
-        vectors = {fam: fam._vectors() for fam in dict.fromkeys(fam for _, fam in cleaned)}
-        D, rows = clear_denominators(
-            [lift for lift, _ in cleaned]
-            + [v for mod, t, reps in vectors.values() for v in (*mod, t, *reps)]
-        )
+        # the lifts and each distinct family's (generators of M, translate,
+        # members of L) in first-seen order, all as integer rows over one
+        # denominator D: the family data are read off the HNF of its ambient
+        fams = list(dict.fromkeys(fam for _, fam in cleaned))
+        D, rows = clear_denominators([lift for lift, _ in cleaned], lcm(
+            *(fam.ambient.scale for fam in fams),
+            *(x.denominator for fam in fams for x in fam.translate),
+        ))
         n = len(cleaned)
         order = sorted(range(n), key=rows.__getitem__)
-        if len({tuple(row) for row in rows[:n]}) != n:
+        if len({tuple(row) for row in rows}) != n:
             raise GrrsError("duplicate lifts in symbolic system")
         # one elimination tests the lifts and keeps the splitting for resplit
         self._picked, self._coords, independent = column_basis([rows[i] for i in order], kb)
@@ -277,23 +279,35 @@ class SymbolicRootSystem:
         # lift plus a first member of its family, the moduli and the
         # differences of members within each family
         gram = clear_denominators(space.gram)[1]
-        gens, first, at = [], {}, n
-        for fam, (mod, t, reps) in vectors.items():
-            space.check_vector(t)
-            data = rows[at:at + len(mod) + 1 + len(reps)]
-            at += len(data)
-            if any(sum(map(mul, g, v)) for v in data for g in gram):
+        gens, first, data = [], {}, {}
+        for fam in fams:
+            space.check_vector(fam.translate)
+            amb = fam.ambient
+            f = D // amb.scale
+            mod, reps = ([[f * x for x in _int_combination(c, amb.rows, space.dim)] for c in cs]
+                         for cs in (fam._mod, fam._ireps))
+            t = [x.numerator * (D // x.denominator) for x in fam.translate]
+            if any(sum(map(mul, g, v)) for v in (*mod, t, *reps) for g in gram):
                 raise GrrsError("family data outside the radical")
-            mod, (t, *reps) = data[:len(mod)], data[len(mod):]
             gens += mod + [[x - y for x, y in zip(r, reps[0])] for r in reps[1:]]
             first[fam] = [x + y for x, y in zip(t, reps[0])]
+            data[fam] = mod, t, reps
         gens += [[x + y for x, y in zip(lift, first[fam])] for lift, (_, fam) in zip(rows, cleaned)]
-        self.L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
+        self.L = L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
-        anchored = {
-            fam: fam if fam.ambient == self.L else CosetSet(self.L, fam.modulus, t, reps)
-            for fam, (_, t, reps) in vectors.items()
-        }
+        # a family over another ambient is re-anchored on L, D being a
+        # multiple of L's scale: its members lie in one coset of L, whose
+        # residue is the translate, and M lies in L
+        anchored = {}
+        for fam, (mod, t, reps) in data.items():
+            if fam.ambient == L:
+                anchored[fam] = fam
+                continue
+            split = [L.reduce_int([x + y for x, y in zip(t, r)], D) for r in reps]
+            anchored[fam] = CosetSet.__new__(CosetSet)._set(
+                L, tuple(Q(x, D) for x in split[0][0]),
+                [L.reduce_int(m, D)[1] for m in mod], [c for _, c in split],
+            )
         self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[cleaned[i][1]]) for i in order)
 
     @cached_property
@@ -474,19 +488,22 @@ def quotient(
     new_space = BilinearSpace(gram)
     new_dim = len(kept)
 
-    image = Lattice.from_vectors(new_dim, [proj.apply(b) for b in system.L.basis])
+    basis = [proj.apply(b) for b in system.L.basis]
+    image = Lattice.from_vectors(new_dim, basis)
 
     def push(fam: CosetSet) -> CosetSet:
-        gens, t, reps = fam._vectors()
-        mod = Lattice.from_vectors(new_dim, [proj.apply(b) for b in gens])
+        # the family lies over system.L: its data are combinations of L's
+        # basis, so their images lie in image
+        gens, reps = ([_combination(c, basis, new_dim) for c in cs]
+                      for cs in (fam._mod, fam._ireps))
+        mod = Lattice.from_vectors(new_dim, gens)
         if require_bijective:
             if mod.rank < len(gens):
                 raise NotBijective("a family coset collapses along the quotient")
             for a, b in itertools.combinations(reps, 2):
-                if mod.member(proj.apply(vsub(a, b))):
+                if mod.member(vsub(a, b)):
                     raise NotBijective("two family cosets merge along the quotient")
-        # the family lies over system.L, so its data projects into image
-        return CosetSet(image, mod, proj.apply(t), [proj.apply(r) for r in reps])
+        return CosetSet(image, mod, proj.apply(fam.translate), reps)
 
     pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
     return SymbolicRootSystem(

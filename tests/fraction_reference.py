@@ -151,6 +151,12 @@ def _lattice(dim, vectors):
     return Lattice(dim, s, hnf_int(rows))
 
 
+def _vectors(fam):
+    """(generators of M, translate, one vector of L per coset) in Q^n."""
+    amb = fam.ambient
+    return [amb.combine(r) for r in fam._mod], fam.translate, [amb.combine(c) for c in fam._ireps]
+
+
 def symbolic_system(space, entries):
     """What `SymbolicRootSystem(space, entries)` computes, in `Fraction`s:
     a namespace with L, entries ((lift, family) pairs in order), splitting,
@@ -173,7 +179,7 @@ def symbolic_system(space, entries):
     picked, coords, independent = column_basis(lifts, kb)
     if not independent:
         raise GrrsError("lifts are not independent from the radical")
-    vectors = {fam: fam._vectors() for fam in distinct}
+    vectors = {fam: _vectors(fam) for fam in distinct}
     gens, first = [], {}
     for fam, (mod, t, reps) in vectors.items():
         if not all(space.in_kernel(v) for v in [t, *mod, *reps]):

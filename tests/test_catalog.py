@@ -221,8 +221,14 @@ class TestFamily:
             family(name, 2, S=set())
 
     def test_cmn_proper(self):
-        with pytest.raises(BadParameters):
-            family("C(2,1)", 1, S={0, 1})
+        # the test counts points, so no mask of all 2^k points is built
+        for k in range(1, 5):
+            for params in ({}, {"Sp": {1}}):
+                name = "BC(2,1)" if params else "C(2,1)"
+                for S in (range(1 << k), []):
+                    with pytest.raises(BadParameters, match="proper nonempty"):
+                        family(name, k, S=S, **params)
+                assert family(name, k, S=range(1, 1 << k), **params).kernel_dim == k
 
     def test_bc_n_data_validation(self):
         with pytest.raises(BadParameters):

@@ -463,6 +463,51 @@ class TestContainsAffineBasis:
                 assert contains_affine_basis(F2Subset(k, mask)) == want, (k, mask)
 
 
+def _spans_by_span_growth(k, mask):
+    """The former `spans_affinely`: translate the set through 0 by its least
+    point, then grow the linear span one point at a time as a mask of
+    2^k bits."""
+    def bits(m):
+        return [p for p in range(m.bit_length()) if m >> p & 1]
+
+    def sumset(a, b):
+        out = 0
+        for y in bits(b):
+            for x in bits(a):
+                out |= 1 << (x ^ y)
+        return out
+
+    zeroed = sumset(mask, mask & -mask)
+    span = zeroed & 1
+    for p in bits(zeroed):
+        if not span >> p & 1:
+            span |= sumset(span, 1 << p)
+    return span == (1 << (1 << k)) - 1
+
+
+class TestAffineBasisAtLargeK:
+    def test_matches_span_growth_exhaustively(self):
+        for k in range(5):
+            for mask in range(1 << (1 << k)):
+                want = _spans_by_span_growth(k, mask)
+                assert contains_affine_basis(F2Subset(k, mask)) == want, (k, mask)
+
+    def test_no_mask_of_all_f2k_is_built(self):
+        # a mask holds one bit per point: at k = 99 only small points fit
+        assert not contains_affine_basis(F2Subset.from_points(99, [0]))
+        assert not contains_affine_basis(F2Subset.from_points(99, range(64)))
+        basis = [0] + [1 << i for i in range(20)]
+        assert contains_affine_basis(F2Subset.from_points(20, basis))
+        assert contains_affine_basis(F2Subset.from_points(20, [p ^ 5 for p in basis]))
+        assert not contains_affine_basis(F2Subset.from_points(20, basis[:-1] + [3]))
+
+    def test_family_a1_at_large_k(self):
+        with pytest.raises(BadParameters, match="affine basis"):
+            family("A1", 99, S={0})
+        system = family("A1", 20, S={0} | {1 << i for i in range(20)})
+        assert system.kernel_dim == 20 and len(system.entries[0].family.reps) == 21
+
+
 class TestF2Subset:
     def test_checked_at_construction(self):
         # bit 4 is no point of F_2^2: len() and points() would disagree on it

@@ -72,8 +72,8 @@ def test_catalog_affinizations(parity, name, k):
 
 def _random_family_params(cl, k, rng, count):
     """Up to `count` seeded parameter sets `family(cl, k, ...)` accepts."""
-    names = {"A1": "S", "B3": "S", "C3": "S", "C(2,1)": "S", "B(1,1)": "S", "C2": "S1 S2",
-             "BC(1,1)": "S Sp", "G2": "s", "F4": "s"}[cl].split()
+    names = {"A1": "S", "B3": "S", "C3": "S", "C(2,1)": "S", "C(2,2)": "S", "B(1,1)": "S",
+             "C2": "S1 S2", "BC(1,1)": "S Sp", "BC(2,1)": "S Sp", "G2": "s", "F4": "s"}[cl].split()
     found = []
     for _ in range(200):
         params = {
@@ -90,9 +90,12 @@ def _random_family_params(cl, k, rng, count):
     return found
 
 
-# seeded BC2 data at k = 3 is almost never accepted, so BC2 runs at k = 2 only
+# seeded BC2 data at k = 3 is almost never accepted, so BC2 runs at k = 2 only.
+# The types cover every ambient the constructor re-anchors: 2L (B3, B(1,1)),
+# half of L (BC(m,n)) and the scaled lattice "s" (G2, F4).
 @pytest.mark.parametrize("cl, k", [
-    (cl, k) for cl in ["A1", "B3", "C2", "C(2,1)", "BC(1,1)", "G2", "BC1", "BC2", "C(1,1)"]
+    (cl, k) for cl in ["A1", "B3", "C3", "C2", "F4", "C(2,1)", "C(2,2)", "B(1,1)", "BC(1,1)",
+                       "BC(2,1)", "G2", "BC1", "BC2", "C(1,1)"]
     for k in (2, 3) if (cl, k) != ("BC2", 3)
 ])
 def test_family_under_radical_changes(parity, cl, k):

@@ -230,6 +230,21 @@ def test_residue_equivalence(vectors, probe):
     assert L.member(tuple(a - b for a, b in zip(v, r)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_vectors(count=3), rational_vectors(count=1), st.integers(1, 6))
+def test_reduce_int_at_any_multiple_of_the_scale(vectors, probe, m):
+    """`reduce_int` on w at a scale d: the residue and coefficients of
+    `split(w / d)` for every multiple d of the lattice's scale and of the
+    denominators of the vector."""
+    L = Lattice.from_vectors(3, vectors)
+    v = probe[0]
+    d = L.scale * m * lcm(*(x.denominator for x in v))
+    residue, coeffs = L.split(v)
+    assert L.reduce_int([x.numerator * (d // x.denominator) for x in v], d) == (
+        tuple(x * d for x in residue), coeffs
+    )
+
+
 # Oracle for the integer form of `Lattice`: the Fraction construction it
 # replaced (HNF of the generators over their common denominator, divided back)
 # and Gram determinants for indices.

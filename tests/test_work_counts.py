@@ -7,7 +7,9 @@ without `Lattice.from_vectors`.  `identify` searches a homothety once per
 distinct minimal quotient, and pulls families back through the root map of
 the recognition and the catalog's coordinate table, with no elimination.
 `quotient` builds each pushed family over the image of L, which is the L of
-the quotient, so the constructor keeps the families it is handed.  A
+the quotient, so the constructor keeps the families it is handed.  `family`
+writes its families on integer coordinates and the constructor reads and
+re-anchors them there, with no `Fraction` vector in between.  A
 change that brings back per-root, per-entry or per-call work fails here,
 although every answer would still be right.
 """
@@ -15,7 +17,7 @@ although every answer would still be right.
 import sys
 from fractions import Fraction as Q
 
-from grrs import classify
+from grrs import catalog, classify
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import identify, recognize_cl
 from grrs.finite import Homothety
@@ -141,3 +143,45 @@ def test_identify_pulls_back_without_elimination(monkeypatch):
     for system in systems:
         identify(system)
     assert solves == [] and applied == []
+
+
+def test_family_stays_on_integer_coordinates(monkeypatch):
+    depth, entered, calls = [0], [], []
+
+    def inside(owner, name):
+        fn = getattr(owner, name)
+
+        def flagged(*args, **kwargs):
+            depth[0] += 1
+            entered.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(owner, name, flagged)
+
+    def counted(name):
+        fn = getattr(Lattice, name)
+
+        def wrapper(*args):
+            if depth[0]:
+                calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(Lattice, name, wrapper)
+
+    inside(SymbolicRootSystem, "__init__")
+    inside(catalog, "_preimage")
+    counted("combine")
+    counted("split")
+    systems = [
+        family("B3", 2, S={0, 3}),
+        family("C(2,1)", 2, S={1}),
+        family("BC(1,1)", 2, S={0}, Sp={1, 2}),
+        family("G2", 2, s=1),
+    ]
+    for system in systems:
+        identify(system)
+    assert entered.count("__init__") >= 4 and "_preimage" in entered
+    assert calls == []
