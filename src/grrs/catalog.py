@@ -116,12 +116,9 @@ def _e_series(n: int) -> FiniteRootSystem:
     roots = _e8_roots()
     if n == 8:
         return FiniteRootSystem(sp, roots)
-    walls = [vadd(unit_vector(8, 6), unit_vector(8, 7))]
-    if n == 6:
-        walls.append(vadd(unit_vector(8, 5), unit_vector(8, 7)))
-    picked = [
-        r for r in roots if all(sp.form(r, w) == 0 for w in walls)
-    ]
+    # the Gram matrix is the identity: r is orthogonal to the wall e_6 + e_7
+    # (and for E6 to e_5 + e_7) when those coordinates cancel
+    picked = [r for r in roots if r[6] + r[7] == 0 and (n == 7 or r[5] + r[7] == 0)]
     return FiniteRootSystem(sp, picked).restricted_to_span()
 
 
@@ -466,7 +463,10 @@ def a_nn_x(n: int, p: int, q: int, extra_affinizations: int = 0) -> SymbolicRoot
 # point p, from the parameters of `family` to the class descriptor.  A point of
 # L/rL = (Z/r)^k is the integer whose base-r digits are its coordinates on the
 # basis of L.  `family` writes its families through `_preimage`, and
-# `identify` reads them back through `points_mod`.
+# `identify` reads them back through `points_mod`.  No mask is wider than
+# _MASK_BITS bits: a listed point lies below it, and the complement of S, a
+# mask over all 2^k points, is written only for k <= 20.
+_MASK_BITS = 1 << 20
 
 
 def subset_mask(k: int, points) -> int:
@@ -475,6 +475,8 @@ def subset_mask(k: int, points) -> int:
     for p in pts:
         if p < 0 or p.bit_length() > k:
             raise BadParameters(f"point {p} outside F_2^{k}")
+        if p >= _MASK_BITS:
+            raise BadParameters(f"point {p} is not below the mask bound 2^20")
     return sum(1 << p for p in pts)
 
 
@@ -727,6 +729,8 @@ def _family_values(key: TypeKey, k: int, params) -> Dict[str, object]:
         if _sumset(S1, S2) & ~S1:
             raise BadParameters("S1 + S2 must be contained in S1")
         return {"S1": S1, "S2": S2}
+    if kind in ("C({},{})", "BC({},{})") and k >= _MASK_BITS.bit_length():
+        raise BadParameters(f"{key} at k = {k} writes a mask of 2^k bits, over the bound 2^20")
     S = _normalize_zero(mask("S"))
     if kind == "A1" and not spans_affinely(k, S):
         raise BadParameters("S must contain an affine basis of F_2^k")
@@ -750,10 +754,10 @@ def _bc_n_values(key: TypeKey, k: int, params, mask) -> Dict[str, object]:
             raise BadParameters("missing parameter H2 for BC1")
         if not S & 1 or not spans_affinely(k, S):
             raise BadParameters("S must contain zero and a basis of F_2^k")
-        try:
-            h2 = subset_mask(2 * k, H2_digits)  # a point of (Z/4)^k has 2k bits
-        except BadParameters:
-            raise BadParameters("H2 points must be base-4 digit masks") from None
+        digits = [int(p) for p in H2_digits]
+        if any(p < 0 or p.bit_length() > 2 * k for p in digits):  # (Z/4)^k has 2k bits
+            raise BadParameters("H2 points must be base-4 digit masks")
+        h2 = subset_mask(2 * k, digits)
         if not h2:
             raise BadParameters("H2 must be nonempty")
         # The digits of 2 H2 are 0 and 2, and adding 2 to a digit mod 4 flips

@@ -220,14 +220,16 @@ def canonical_data(key: TypeKey, k: int, masks: Sequence[int]) -> Tuple:
     - BC(m,n) (S, Sp): a shared linear map, translations of S, and for
       m = n the complement of S;
     - G2, F4 (the scale index s): the trivial group;
-    - BC_n (the data of `_identify_bcn`): returned as read, since the group
-      acting on it is not derived.
+    - BC_n: as read, (1, S, the points of H2) or (n, S1, S2, S3), since the
+      group acting on it is not derived (the classification is incomplete,
+      so equal data is only reliable between like presentations).
     """
     kind = key.kind
     if kind in ("G2", "F4"):
         return ("s", *masks)
     if kind == "BC{}":
-        return ("BCn", *masks)
+        n = key.params[0]
+        return ("BCn", n, masks[0], tuple(_bits(masks[1]))) if n == 1 else ("BCn", n, *masks)
     if key == TypeKey("C{}", (2,)):
         if masks[0] == _full(k):
             # every affine map fixes the full set: no pair walk
@@ -290,6 +292,12 @@ def _family_lattice(fam: CosetSet) -> Lattice:
     if len(fam.reps) != 1 or not is_zero(fam.translate) or not is_zero(fam.reps[0]):
         raise UnrecognizedCl("family is not a lattice; not of the classified shape")
     return fam.modulus
+
+
+def _generated(families: Sequence[CosetSet]) -> Lattice:
+    """The lattice the members and moduli of the families generate."""
+    return Lattice.from_vectors(families[0].dim, [
+        v for f in families for v in (*f.members(), *f.modulus.basis)])
 
 
 def _scale_index(fam: CosetSet, ref: Lattice, r: int, k: int) -> int:
@@ -373,36 +381,37 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     layout = catalog.orbits(key)
 
     # The data are read in a reference lattice: for C(m,n) and BC(m,n) the
-    # lattice Lp of the families above 2 eps (which carries S) and 2 delta
-    # (~S, the complement of S), enlarged by 2a for a shifted presentation,
-    # a a member above eps + delta; otherwise the full-lattice family (halved
-    # for 2L), which comes first, or L.  A family "X/2" is read doubled, and
-    # the G2/F4 family "s" by its index in the reference lattice.
+    # lattice Lp the families above 2 eps (which carries S) and 2 delta (~S,
+    # the complement of S) generate, enlarged by 2a for a shifted
+    # presentation, a a member above eps + delta; for BC_n the lattice the
+    # short family (n = 1) or the family above e_i +- e_j (n >= 2)
+    # generates, where the entry L is read as a subset too; otherwise the
+    # full-lattice family (halved for 2L), which comes first, or L.  A
+    # family "X/2" is read doubled, the BC1 H2 in (Z/4)^k, and the G2/F4
+    # family "s" by its index in the reference lattice.
     ref, read, values = L, layout, []
     if kind in ("C({},{})", "BC({},{})"):
         eps2, dlt2 = (o.roots[0] for o in layout if o.data in ("S", "~S"))
-        f_eps, f_dlt = fam(eps2), fam(dlt2)
-        Lp = Lattice.from_vectors(L.dim, f_eps.members() + f_dlt.members())
-        Lp = Lp.add(f_eps.modulus).add(f_dlt.modulus)
+        Lp = _generated([fam(eps2), fam(dlt2)])
         two_a = vscale(2, fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0])
         if c11 and not (Lp.rank == k and Lp.member(two_a)):
             # 2a outside a full-rank Lp: a rational quotient, not a subset form
             return _identify_ann(system, key, hmap, cat, k, L)
         ref = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
         read = [o for o in layout if o.data not in ("L", "~S")]
+    elif kind == "BC{}":
+        ref = _generated([fam(layout[0 if key.params == (1,) else 2].roots[0])])
     if kind not in ("G2", "F4"):
         _check_k(k)
-    if kind == "BC{}":
-        # BC_n reads in a reference lattice generated by its own families
-        values, read = _identify_bcn(key, [fam(o.roots[0]) for o in layout], L), ()
     for o in read:
         f = fam(o.roots[0])
-        if o.data in ("L", "2L"):
+        if o.data in ("L", "2L") and kind != "BC{}":
             ref = _family_lattice(f).scaled(Q(1, 2) if o.data == "2L" else 1)
         elif o.data == "s":
             values.append(_scale_index(f, ref, 3 if kind == "G2" else 2, k))
         else:
-            values.append(catalog.points_mod(f.scale(2) if o.data.endswith("/2") else f, ref))
+            read_as = f.scale(2) if o.data.endswith("/2") else f
+            values.append(catalog.points_mod(read_as, ref, 4 if o.data == "H2" else 2))
     return ClassDescriptor(name, k, canonical_data(key, k, values))
 
 
@@ -472,29 +481,6 @@ def _identify_ann(system, key, hmap, cat, k, L):
     nonzero = {min(c, (q - c) % q) for c in classes if c % q != 0}
     p = min(nonzero) if nonzero else 0
     return ClassDescriptor(name, k, ("Annx", q, p))
-
-
-def _identify_bcn(key, families, L):
-    """cl = BC_n: the descriptor data as read, before the tag; the
-    classification of this case is incomplete, so descriptor equality is
-    only reliable between like presentations.
-
-    For n = 1 the short offsets generate the reference lattice and the
-    doubled-root offsets are read modulo four times it; for n >= 2 the
-    short offsets live in half the reference lattice and all data reduces
-    modulo twice it.  The subsets and H2 are read by `catalog.points_mod`
-    in that reference lattice, which BC_n's own families generate.
-    """
-    n = key.params[0]
-    f_short = families[0]
-    if n == 1:
-        Lp = Lattice.from_vectors(L.dim, f_short.members()).add(f_short.modulus)
-        h2 = catalog.points_mod(families[1], Lp, 4)
-        return (1, catalog.points_mod(f_short, Lp), tuple(_bits(h2)))
-    f_pair = families[2]
-    Lp = Lattice.from_vectors(L.dim, f_pair.members()).add(f_pair.modulus)
-    subsets = (f_short.scale(2), *families[1:])
-    return (n, *(catalog.points_mod(f, Lp) for f in subsets))
 
 
 # ---------------------------------------------------------------------------

@@ -239,15 +239,18 @@ def hnf_pivots(h: Sequence[Sequence[int]]) -> tuple:
     return tuple(next(j for j, x in enumerate(row) if x) for row in h)
 
 
-def hnf_reduce(v: Sequence[int], h: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple:
-    """Canonical residue of v modulo the row lattice of the HNF h with the
-    given pivot columns: each pivot coordinate reduced into [0, pivot)."""
-    v = tuple(v)
+def hnf_reduce(v: Sequence[int], h: Sequence[Sequence[int]], pivots, f: int = 1) -> tuple:
+    """(u, c): u the canonical residue of v modulo the row lattice of f * h,
+    for h an HNF with the given pivot columns (each pivot coordinate of u
+    reduced into [0, f * pivot)), and v - u = sum c_i f h_i."""
+    coeffs = []
     for row, p in zip(h, pivots):
-        f = v[p] // row[p]
-        if f:
-            v = tuple(x - f * y for x, y in zip(v, row))
-    return v
+        c = v[p] // (row[p] * f)
+        if c:
+            cf = c * f
+            v = [x - cf * y for x, y in zip(v, row)]
+        coeffs.append(c)
+    return tuple(v), tuple(coeffs)
 
 
 def _int_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], dim: int) -> list:
@@ -434,15 +437,7 @@ class Lattice:
         """(u, c) for the vector w / d, w integral and d a multiple of scale:
         u / d is its residue and w / d - u / d = sum c_i basis_i; the pivot
         coefficients of the residue lie in [0, 1)."""
-        f = d // self.scale
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p] // (row[p] * f)
-            if c:
-                cf = c * f
-                w = [x - cf * y for x, y in zip(w, row)]
-            coeffs.append(c)
-        return tuple(w), tuple(coeffs)
+        return hnf_reduce(w, self.rows, self.pivots, d // self.scale)
 
     def _reduce(self, v: Vector):
         """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
@@ -476,10 +471,10 @@ class Lattice:
         triangular with a positive diagonal, as both bases are echelon."""
         if self.dim != sub.dim:
             raise DimensionMismatch("lattices of different dimensions")
-        # basis_i of sub is rows_i / s, with the coordinates of rows_i in s * L
-        mult = self.scaled(sub.scale)
-        coords = [mult.coefficients(row) for row in sub.rows]
-        return None if None in coords else coords
+        # basis_i of sub is rows_i / sub.scale, reduced at the common scale d
+        d = lcm(self.scale, sub.scale)
+        split = [self.reduce_int(row, d) for row in sub._at(d)]
+        return None if any(any(w) for w, _ in split) else [c for _, c in split]
 
     def combine(self, coeffs: Sequence[int]) -> Vector:
         """The member sum_i coeffs_i * basis_i."""

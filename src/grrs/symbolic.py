@@ -21,6 +21,7 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    DimensionMismatch,
     GrrsError,
     KernelTooLarge,
     NotBijective,
@@ -67,16 +68,26 @@ class CosetSet:
     def __init__(
         self, ambient: Lattice, modulus: Lattice, translate: Vector, reps: Sequence[Vector]
     ):
-        # the Q^n data is converted once: each member splits into residue
-        # and coordinates, the modulus is read in coordinates of the ambient
-        split = [ambient.split(vadd(translate, r)) for r in reps]
-        mod = ambient.coordinates(modulus) if split else []
-        if mod is None:
+        # the Q^n data is scaled to integers over one denominator, once
+        members = [vadd(translate, r) for r in reps]
+        if members and modulus.dim != ambient.dim:
+            raise DimensionMismatch("lattices of different dimensions")
+        d, rows = clear_denominators(members, lcm(ambient.scale, modulus.scale))
+        self._anchor(ambient, d, modulus._at(d) if members else [], rows)
+
+    def _anchor(self, ambient: Lattice, d: int, mod, members) -> "CosetSet":
+        """The members plus the row lattice of mod, all integer rows over d
+        (a multiple of the ambient's scale), on the coordinates of the
+        ambient: M must lie in it, and the members in one coset of it, whose
+        residue is the translate."""
+        mod = [ambient.reduce_int(m, d) for m in mod]
+        if any(any(w) for w, _ in mod):
             raise GrrsError("modulus is not a sublattice of the ambient lattice")
-        if any(res != split[0][0] for res, _ in split):
+        split = [ambient.reduce_int(m, d) for m in members]
+        if any(w != split[0][0] for w, _ in split):
             raise GrrsError("coset members do not lie in a single ambient coset")
-        t = split[0][0] if split else zero_vector(ambient.dim)
-        self._set(ambient, t, mod, [c for _, c in split])
+        t = tuple(Q(x, d) for x in split[0][0]) if split else zero_vector(ambient.dim)
+        return self._set(ambient, t, [c for _, c in mod], [c for _, c in split])
 
     def _set(self, ambient: Lattice, translate: Vector, mod, reps) -> "CosetSet":
         """Canonical integer data.  The stabilizer of the set is M plus the
@@ -84,16 +95,16 @@ class CosetSet:
         lies in some rep + M for every stabilizing s."""
         mod = hnf_int(mod)
         piv = hnf_pivots(mod)
-        reps = {hnf_reduce(r, mod, piv) for r in reps}
+        reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
         base = next(iter(reps), None)
         gained = [
             d for d in (vsub(r, base) for r in reps if r != base)
-            if all(hnf_reduce(vadd(x, d), mod, piv) in reps for x in reps)
+            if all(hnf_reduce(vadd(x, d), mod, piv)[0] in reps for x in reps)
         ]
         if gained:
             mod = hnf_int(mod + gained)
             piv = hnf_pivots(mod)
-            reps = {hnf_reduce(r, mod, piv) for r in reps}
+            reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
         self.ambient, self.translate = ambient, translate
         self._mod, self._piv, self._ireps = tuple(map(tuple, mod)), piv, frozenset(reps)
         self._hash = self._modulus = self._reps = None
@@ -169,7 +180,7 @@ class CosetSet:
 
     def _has(self, t: Vector, c) -> bool:
         """Is t + sum_i c_i b_i in the set, for t a canonical residue?"""
-        return t == self.translate and hnf_reduce(c, self._mod, self._piv) in self._ireps
+        return t == self.translate and hnf_reduce(c, self._mod, self._piv)[0] in self._ireps
 
     def _covers(self, t: Vector, reps, mod) -> bool:
         """Is t + reps + <mod> inside the set (mod an HNF in Z^r)?  One test
@@ -182,7 +193,7 @@ class CosetSet:
         big = hnf_int(list(self._mod) + list(lat))
         piv = hnf_pivots(big)
         return t == self.translate and any(
-            not any(hnf_reduce(vsub(r, c), big, piv)) for r in self._ireps
+            not any(hnf_reduce(vsub(r, c), big, piv)[0]) for r in self._ireps
         )
 
     def contains(self, v: Vector) -> bool:
@@ -286,7 +297,7 @@ class SymbolicRootSystem:
             f = D // amb.scale
             mod, reps = ([[f * x for x in _int_combination(c, amb.rows, space.dim)] for c in cs]
                          for cs in (fam._mod, fam._ireps))
-            t = [x.numerator * (D // x.denominator) for x in fam.translate]
+            t = clear_denominators([fam.translate], D)[1][0]
             if any(sum(map(mul, g, v)) for v in (*mod, t, *reps) for g in gram):
                 raise GrrsError("family data outside the radical")
             gens += mod + [[x - y for x, y in zip(r, reps[0])] for r in reps[1:]]
@@ -296,18 +307,12 @@ class SymbolicRootSystem:
         self.L = L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
         # a family over another ambient is re-anchored on L, D being a
-        # multiple of L's scale: its members lie in one coset of L, whose
-        # residue is the translate, and M lies in L
-        anchored = {}
-        for fam, (mod, t, reps) in data.items():
-            if fam.ambient == L:
-                anchored[fam] = fam
-                continue
-            split = [L.reduce_int([x + y for x, y in zip(t, r)], D) for r in reps]
-            anchored[fam] = CosetSet.__new__(CosetSet)._set(
-                L, tuple(Q(x, D) for x in split[0][0]),
-                [L.reduce_int(m, D)[1] for m in mod], [c for _, c in split],
-            )
+        # multiple of L's scale
+        anchored = {
+            fam: fam if fam.ambient == L else CosetSet.__new__(CosetSet)._anchor(
+                L, D, mod, [[x + y for x, y in zip(t, r)] for r in reps])
+            for fam, (mod, t, reps) in data.items()
+        }
         self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[cleaned[i][1]]) for i in order)
 
     @cached_property

@@ -49,6 +49,7 @@ CONSTRUCTIONS = {
     "resplit G2 k=1": _resplit,
     "a_nn_x(1, 1, 2)": lambda: a_nn_x(1, 1, 2),
     "a_nn_x(2, 1, 3)": lambda: a_nn_x(2, 1, 3),
+    **{f"build {name}": (lambda name=name: build(name)) for name in ["E6", "E7", "E8"]},
     "from_finite A(1,1)": lambda: from_finite(build("A(1,1)")),
     "from_finite A(2,2)": lambda: from_finite(build("A(2,2)")),
     "from_finite A(3,3)": lambda: from_finite(build("A(3,3)")),
@@ -73,6 +74,9 @@ DIGESTS = {
     "affinize D(2,1;a=1/2) k=2": "ee35cd931ff851f5af30493d4be126277152ccd3f39f10cc4b7d60d73ff3faf7",
     "affinize G2 k=1": "48e0d7ebae10cb0e0855bcd94a78e9ab490dfdb9f25a5ceb501af50002318a7c",
     "affinize G2 k=2": "f2127eaf8344a0deda70977dc1f88fa76b81f336d19b272d02d54f4224d16499",
+    "build E6": "4fedb31fd72ddc415e3a9d441b6d82c2d9b6edd972b018d901a369a996cb3666",
+    "build E7": "17b6502efc03dabd479e4b52ddf12d42c8f58e6dffc6e2e7ba2ae816ae6bef1e",
+    "build E8": "8cf31ae8bfa8bc0d72020c54d48db7cec56b9db22a60a27b95db71d3f00e3689",
     "from_finite A(1,1)": "6688f634a2add9a8e0cfc167cbc1dc415aff529e85615c5753e5dc3a1b7a9a6d",
     "from_finite A(1,1) base change 1": "ccdc6c5b4f77dba76ce744f22cb2ac2cb239f048892a69db4411de8481d379c2",
     "from_finite A(1,1) base change 2": "99035c0f00ecfe62cb1b91f8f0d897707d82ba9b15557103ed1945da7bc40fa7",

@@ -507,6 +507,21 @@ class TestAffineBasisAtLargeK:
         system = family("A1", 20, S={0} | {1 << i for i in range(20)})
         assert system.kernel_dim == 20 and len(system.entries[0].family.reps) == 21
 
+    def test_no_mask_is_wider_than_2_to_the_20(self, capsys):
+        # a point at 2^20 is a point of F_2^21, but its mask would have 2^20 + 1 bits
+        with pytest.raises(BadParameters, match=r"mask bound 2\^20"):
+            family("B3", 21, S={0, 1 << 20})
+        assert main(["catalog", "family(B3,k=21,S={0,1048576})"]) == 2
+        with pytest.raises(BadParameters, match=r"mask bound 2\^20"):
+            family("BC1", 11, S={0} | {1 << i for i in range(11)}, H2={0, 1 << 20})
+        # the complement of S in C(m,n) and BC(m,n) is a mask of 2^k bits
+        for cl, params in (("C(2,1)", {}), ("BC(2,1)", {"Sp": {0}})):
+            with pytest.raises(BadParameters, match=r"bound 2\^20"):
+                family(cl, 21, S={0}, **params)
+        assert main(["catalog", "family(C(2,1),k=21,S={0})"]) == 2
+        assert "bound 2^20" in capsys.readouterr().err
+        assert family("B3", 20, S={0, (1 << 20) - 1}).kernel_dim == 20
+
 
 class TestF2Subset:
     def test_checked_at_construction(self):

@@ -19,3 +19,20 @@ def test_demo_runs(path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    """The README's library quick start runs, and each `print` line writes
+    what the `# ...` comment on that line says."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(") and "#" in line
+    ]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected

@@ -9,11 +9,13 @@ the recognition and the catalog's coordinate table, with no elimination.
 `quotient` builds each pushed family over the image of L, which is the L of
 the quotient, so the constructor keeps the families it is handed.  `family`
 writes its families on integer coordinates and the constructor reads and
-re-anchors them there, with no `Fraction` vector in between.  A
+re-anchors them there, with no `Fraction` vector in between, through the
+same integer anchoring as `CosetSet(...)`.  A
 change that brings back per-root, per-entry or per-call work fails here,
 although every answer would still be right.
 """
 
+import random
 import sys
 from fractions import Fraction as Q
 
@@ -185,3 +187,36 @@ def test_family_stays_on_integer_coordinates(monkeypatch):
         identify(system)
     assert entered.count("__init__") >= 4 and "_preimage" in entered
     assert calls == []
+
+
+def test_coset_data_has_one_anchoring(monkeypatch):
+    """`CosetSet(...)` and the constructor's re-anchoring of a family over
+    another ambient run the one integer anchoring: no member is split and
+    no modulus is read through `Lattice.coordinates`."""
+    calls = []
+    _counted(monkeypatch, Lattice, "split", calls)
+    _counted(monkeypatch, Lattice, "coordinates", calls)
+    rng = random.Random(21)
+    built = []
+    for den in (2, 3):
+        for _ in range(20):
+            dim = rng.randint(1, 3)
+            ambient = Lattice.from_vectors(
+                dim, [[Q(rng.randint(-4, 4), den) for _ in range(dim)] for _ in range(dim)]
+            )
+            coeffs = lambda: [rng.randint(-3, 3) for _ in range(ambient.rank)]
+            modulus = ambient.sublattice([coeffs() for _ in range(rng.randint(0, 2))])
+            translate = tuple(Q(rng.randint(-5, 5), den) for _ in range(dim))
+            reps = [ambient.combine(coeffs()) for _ in range(rng.randint(1, 3))]
+            built.append((CosetSet(ambient, modulus, translate, reps), translate, reps))
+    systems = [
+        family("B3", 2, S={0, 3}),
+        family("BC(2,1)", 2, S={0}, Sp={1, 2}),
+        family("BC2", 1, S1={0, 1}, S2={0}, T={0, 1}),
+        family("G2", 2, s=1),
+    ]
+    assert calls == []
+    # the 2L, half-L and "s" families are re-anchored on L
+    assert all(e.family.ambient == s.L for s in systems for e in s.entries)
+    for fam, translate, reps in built:
+        assert all(fam.contains(vadd(translate, r)) for r in reps)
