@@ -130,6 +130,14 @@ class _PairingView:
     vector R[i] = d r_i, its Gram row is W[i] = R[i] gG and its pairings are
     P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the factor d^2 g cancels from
     every Cartan number and sign.
+
+    A reflection step R[j] + m R[i] is read on packed keys: key(v) = sum_c
+    v_c B^c is linear, so key(R[j] + m R[i]) = key(R[j]) + m key(R[i]).  With
+    M the largest |coordinate| of a root and K = max(1, floor(2 max |P_ij| /
+    min nonzero |P_ii|)), every step taken has |m| <= K (an integral Cartan
+    number, or +-1), so its coordinates are at most (K + 1) M in absolute
+    value; B = 2 (K + 1) M + 1 makes the packing one to one on all such
+    vectors, roots included, and a key found in the index is that root.
     """
 
     def __init__(self, system: FiniteRootSystem):
@@ -144,10 +152,28 @@ class _PairingView:
         self.lookup = {v: i for i, v in enumerate(self.vectors)}
         self.neg = [self.lookup.get(tuple(-x for x in v)) for v in self.vectors]
 
-    def shift(self, j: int, i: int, sign: int) -> Optional[int]:
-        """Index of root j + sign * root i, or None."""
-        v = tuple(b + sign * a for a, b in zip(self.vectors[i], self.vectors[j]))
-        return self.lookup.get(v)
+    @cached_property
+    def _packed(self) -> Tuple[List[int], Dict[int, int]]:
+        """Each root's packed key, and the index key -> root; built on the
+        first step, so that a view that never reflects pays nothing."""
+        P = self.pairings
+        M = max((abs(x) for v in self.vectors for x in v), default=0)
+        n = min((abs(p[i]) for i, p in enumerate(P) if p[i]), default=0)
+        K = max(1, 2 * max(abs(x) for p in P for x in p) // n) if n else 1
+        B = 2 * (K + 1) * M + 1
+        keys = []
+        for v in self.vectors:
+            key = 0
+            for x in reversed(v):
+                key = key * B + x
+            keys.append(key)
+        return keys, {key: i for i, key in enumerate(keys)}
+
+    def shift(self, j: int, i: int, m: int) -> Optional[int]:
+        """Index of root j + m * root i, or None; m is +-1 or minus an
+        integral Cartan number k_ij."""
+        keys, index = self._packed
+        return index.get(keys[j] + m * keys[i])
 
     def image(self, i: int, j: int) -> Optional[int]:
         """Index of r_i(root j); None when a linear reflection leaves the
@@ -160,7 +186,10 @@ class _PairingView:
         if p == 0:
             return j
         if n:
-            # n times the image; k = 2p/n need not be integral for it to be a root
+            k, rest = divmod(2 * p, n)
+            if not rest:
+                return self.shift(j, i, -k)
+            # n times the image; a non-integral k = 2p/n may still give a root
             img = [n * b - 2 * p * a for a, b in zip(self.vectors[i], self.vectors[j])]
             return None if any(x % n for x in img) else self.lookup.get(tuple(x // n for x in img))
         plus, minus = self.shift(j, i, 1), self.shift(j, i, -1)
@@ -293,7 +322,7 @@ def check_classes(
             return False
         if k == 0:
             return True
-        t = view.image(i, j)
+        t = view.shift(j, i, -k)
         return t is not None and reflects(i, j, k, t)
 
     gr0 = check(next(((i,) for i in order if not any(view.rows[i])), None))
@@ -479,19 +508,29 @@ def _scaled(values: Tuple[int, ...], m: int) -> Tuple[int, ...]:
     return tuple(m * v for v in (values if m > 0 else reversed(values)))
 
 
+def _fingerprint_index(fps: Sequence[Tuple[int, ...]], q: int) -> Dict[Tuple[int, ...], List[int]]:
+    """The indices of the fingerprints, by fingerprint scaled by q."""
+    by_fp: Dict[Tuple[int, ...], List[int]] = {}
+    for s, fp in enumerate(fps):
+        by_fp.setdefault(_scaled(fp, q), []).append(s)
+    return by_fp
+
+
 def isomorphic_finite(
     sys_a: FiniteRootSystem, sys_b: FiniteRootSystem
 ) -> Optional[Homothety]:
     """Search for a homothety carrying one root set onto the other.
 
-    Candidate form scales come from ratios of nonzero norms; the lex-first
-    spanning roots of `sys_a` are matched by backtracking, pruned by the
-    multiset of form values each root takes against the whole system.  A
-    complete assignment is accepted when it carries the roots of `sys_a`
-    onto pairwise distinct roots of `sys_b`.  They are then all of R_b, as
-    |R_a| = |R_b|, and R_b spans a space of the rank of R_a's, so the map is
-    one to one on the span.  Neither system need span its ambient space.
-    The returned map keeps those images as its `roots`.
+    Candidate form scales come from ratios of nonzero norms; a scale that
+    does not carry the multiset of norms of `sys_a` onto that of `sys_b` is
+    passed over.  The lex-first spanning roots of `sys_a` are matched by
+    backtracking, pruned by the multiset of form values each root takes
+    against the whole system.  A complete assignment is accepted when it
+    carries the roots of `sys_a` onto pairwise distinct roots of `sys_b`.
+    They are then all of R_b, as |R_a| = |R_b|, and R_b spans a space of
+    the rank of R_a's, so the map is one to one on the span.  Neither
+    system need span its ambient space.  The returned map keeps those
+    images as its `roots`.
     """
     if len(sys_a) != len(sys_b):
         return None
@@ -501,7 +540,8 @@ def isomorphic_finite(
     va, vb = sys_a._view, sys_b._view
     Pa, Pb = va.pairings, vb.pairings
     candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
-    # each root's pairings against the whole system, sorted
+    # the sorted norms, and each root's pairings against the whole system, sorted
+    norms_a, norms_b = (tuple(sorted(p[i] for i, p in enumerate(P))) for P in (Pa, Pb))
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
     # root i of sys_a is sum_j coords[i][j] basis_vectors[j], with den * coords integral
     den, icoords = clear_denominators(coords)
@@ -520,9 +560,9 @@ def isomorphic_finite(
         # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
         t = x * va.unit / vb.unit
         p, q = t.numerator, t.denominator
-        by_fp = {}
-        for s, fp in enumerate(fp_b):
-            by_fp.setdefault(_scaled(fp, q), []).append(s)
+        if _scaled(norms_a, p) != _scaled(norms_b, q):
+            continue  # a homothety carries the norms of R_a onto those of R_b
+        by_fp = _fingerprint_index(fp_b, q)
         cand = [by_fp.get(_scaled(fp, p)) for fp in fp_a]
         if None in cand:
             continue

@@ -15,13 +15,27 @@
 - `real_roots_from_matrix`: the reflection closure of a symmetric matrix by
   `finite.reflect` on `Fraction` vectors, one `k_value` per step, before the
   closure ran on the integer Cartan matrix.
+- `reflection_image` and `shifted`: the reflection step of the finite
+  pairing view, computed on the `Fraction` roots themselves and found by
+  tuple lookup, before it ran on packed integer keys.
+- `isomorphic_finite`: the homothety search before it passed over the
+  candidate scales that do not match the norms: it builds the fingerprint
+  index for every candidate in turn.
 """
 
 from fractions import Fraction as Q
+from operator import mul
 from types import SimpleNamespace
 
-from grrs.errors import BadMatrix, GrrsError
-from grrs.finite import FiniteRootSystem, _combination, reflect
+from grrs.errors import AmbiguousReflection, BadMatrix, GrrsError, MissingImage, UnknownRoot
+from grrs.finite import (
+    FiniteRootSystem,
+    Homothety,
+    _combination,
+    _form_values,
+    _scaled,
+    reflect,
+)
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
@@ -276,3 +290,82 @@ def real_roots_from_matrix(matrix, J=(), height_bound=20):
             found.add(img)
             frontier.append(img)
     return FiniteRootSystem(space, sorted(found)), truncated
+
+
+def shifted(system, j, i, m):
+    """Index of root j + m * root i, or None."""
+    return system._index.get(vadd(system.roots[j], vscale(m, system.roots[i])))
+
+
+def reflection_image(system, i, j):
+    """Index of r_i(root j), or None, raising as `finite.isotropic_reflect`
+    does for an isotropic root i."""
+    space, a, b = system.space, system.roots[i], system.roots[j]
+    n, p = space.norm(a), space.form(a, b)
+    if n == 0 and b in (a, vneg(a)):
+        if not system.contains(vneg(b)):
+            raise UnknownRoot("the negative is not a root")
+        return system._index[vneg(b)]
+    if p == 0:
+        return j
+    if n:
+        return system._index.get(vsub(b, vscale(2 * p / n, a)))
+    plus, minus = shifted(system, j, i, 1), shifted(system, j, i, -1)
+    if (plus is None) == (minus is None):
+        raise (MissingImage if plus is None else AmbiguousReflection)(a, b)
+    return minus if plus is None else plus
+
+
+def isomorphic_finite(sys_a, sys_b):
+    """A homothety carrying one root set onto the other, or None, tried
+    scale by scale in the order of `finite.isomorphic_finite`."""
+    if len(sys_a) != len(sys_b):
+        return None
+    basis, basis_vectors, coords = sys_a._span
+    if len(basis) != len(sys_b._span[0]):
+        return None
+    va, vb = sys_a._view, sys_b._view
+    Pa, Pb = va.pairings, vb.pairings
+    candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
+    fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
+    den, icoords = clear_denominators(coords)
+
+    def onto_roots(assignment):
+        cols = [[vb.vectors[m][k] for m in assignment] for k in range(sys_b.space.dim)]
+        images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
+        hit = [None if any(x % den for x in v) else vb.lookup.get(tuple(x // den for x in v))
+               for v in images]
+        return hit if None not in hit and len(set(hit)) == len(hit) else None
+
+    for x in candidates:
+        t = x * va.unit / vb.unit
+        p, q = t.numerator, t.denominator
+        by_fp = {}
+        for s, fp in enumerate(fp_b):
+            by_fp.setdefault(_scaled(fp, q), []).append(s)
+        cand = [by_fp.get(_scaled(fp, p)) for fp in fp_a]
+        if None in cand:
+            continue
+        assignment = []
+
+        def extend(i):
+            if i == len(basis):
+                return onto_roots(assignment)
+            bi = basis[i]
+            for c in cand[bi]:
+                if q * Pb[c][c] != p * Pa[bi][bi] or any(
+                    q * Pb[c][assignment[j]] != p * Pa[bi][basis[j]] for j in range(i)
+                ):
+                    continue
+                assignment.append(c)
+                hit = extend(i + 1)
+                if hit is not None:
+                    return hit
+                assignment.pop()
+            return None
+
+        hit = extend(0)
+        if hit is not None:
+            roots = {r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)}
+            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x, roots)
+    return None

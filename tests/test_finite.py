@@ -1,11 +1,12 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grrs
@@ -47,6 +48,7 @@ from grrs.linalg import (
     vsub,
 )
 
+import fraction_reference as reference
 from conftest import V
 
 
@@ -525,3 +527,123 @@ def test_answers_are_invariant_under_scaling(name, drop, lam, mu):
         for u in h.basis:
             for v in h.basis:
                 assert dst.space.form(h.apply(u), h.apply(v)) == h.scale * src.space.form(u, v)
+
+
+# ---------------------------------------------------------------------------
+# The reflection kernel: an oracle for the packed keys of the pairing view.
+# `image` and `shift` must answer as a step on the Fraction roots themselves,
+# found by tuple lookup, on every pair: for roots with large coordinates and
+# Cartan numbers, isotropic roots, non-integral 2p/n and missing negatives.
+
+
+@st.composite
+def kernel_cases(draw):
+    """(gram, roots): seeds with coordinates up to 3 and up to 10^4, some of
+    their images under reflections and isotropic shifts, and some negatives.
+    A short root paired with a long one has a large Cartan number."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    gram = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            gram[i][j] = gram[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    seeds = []
+    for bound, most in ((3, 2), (10**4, 3)):
+        coordinate = st.integers(min_value=-bound, max_value=bound)
+        seeds += draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=most))
+    if draw(st.booleans()):
+        # an isotropic first coordinate, and a root along it
+        gram[0][0] = 0
+        seeds.append(vscale(draw(st.sampled_from((1, -1, 2))), unit_vector(d, 0)))
+    space = BilinearSpace(gram)
+    seeds = [vec(v) for v in seeds]
+    roots = set(seeds)
+    pairs = st.tuples(st.sampled_from(seeds), st.sampled_from(seeds), st.booleans())
+    for a, b, up in draw(st.lists(pairs, max_size=6)):
+        n = space.norm(a)
+        roots.add(vsub(b, vscale(2 * space.form(a, b) / n, a)) if n else
+                  (vadd if up else vsub)(b, a))
+    for r in sorted(roots):
+        if draw(st.booleans()):
+            roots.add(vneg(r))
+    return gram, sorted(roots)
+
+
+def _pm(*vectors):
+    return [w for v in vectors for w in (V(*v), vneg(V(*v)))]
+
+
+# Here K = 6 and M = 1: a base 2M + 1 = 3 would take r_(-1,0)(0,-1) = (2,-1),
+# not a root, for the root (-1,0) (both pack to -1).
+ALIASING = ([[1, 1], [1, 3]], _pm((1, 0), (0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+@example(ALIASING)
+@example(([[1, 0], [0, 1]], _pm((1, 0), (100, 1), (-100, 1))))  # k = 200
+@example(([[1, 0], [0, 1]], _pm((2, 2), (1, 0), (0, 1))))  # k = 1/2, image (0, -1)
+@example(([[0, 1], [1, 0]], _pm((1, 0), (0, 1)) + [V(1, 1)]))  # isotropic, one of b +- a
+@example(([[0, 1], [1, 0]], [V(1, 0), V(0, 1), V(1, 1), V(-1, 1)]))  # missing negatives
+def test_reflection_kernel_matches_the_fraction_reference(case):
+    gram, roots = case
+    system = FiniteRootSystem(BilinearSpace(gram), roots)
+    view, P = system._view, system._view.pairings
+    for i in range(len(system)):
+        for j in range(len(system)):
+            assert _outcome(view.image, i, j) == _outcome(reference.reflection_image, system, i, j)
+            steps = [1, -1]
+            if P[i][i] and 2 * P[i][j] % P[i][i] == 0:
+                steps.append(-2 * P[i][j] // P[i][i])
+            for m in steps:
+                assert view.shift(j, i, m) == reference.shifted(system, j, i, m)
+
+
+def test_packing_base_keeps_a_far_image_off_the_roots():
+    system = FiniteRootSystem(BilinearSpace(ALIASING[0]), ALIASING[1])
+    a, b = system._index[V(-1, 0)], system._index[V(0, -1)]
+    assert system._view.image(a, b) is None
+    assert check_axioms(system).gr2.witness == (V(-1, 0), V(0, -1))
+
+
+# ---------------------------------------------------------------------------
+# The norm prune of `isomorphic_finite` passes over scales no homothety can
+# have, so the scale and root map it returns are the ones the unpruned
+# search returns: on the finite systems of the benchmark against seeded
+# isometric images, and where norms come in opposite pairs, so that a
+# negative scale is tried first.
+
+PARITY_NAMES = [
+    "A4", "B4", "C4", "D5", "G2", "F4", "E6", "A(3,2)", "A(3,3)", "B(2,2)", "C(3)", "D(2,2)",
+    "D(2,1;a=1/2)", "G(3)", "F(4)", "C(1,1)", "C(2,1)", "BC(1,1)", "BC(2,1)",
+]
+SIGN_SYMMETRIC = {
+    "A(1,1)": lambda: build("A(1,1)"),
+    "A(2,2)": lambda: build("A(2,2)"),
+    "hyperbolic plane": lambda: FiniteRootSystem(BilinearSpace([[0, 1], [1, 0]]),
+                                                 _pm((1, 0), (0, 1))),
+}
+
+
+def _same_homothety(src, dst):
+    h, ref = isomorphic_finite(src, dst), reference.isomorphic_finite(src, dst)
+    assert h is not None and ref is not None
+    assert (h.scale, h.roots, h.images) == (ref.scale, ref.roots, ref.images)
+
+
+@pytest.mark.parametrize("name", PARITY_NAMES)
+def test_norm_prune_keeps_the_homothety_of_isometric_images(name):
+    rng = random.Random(f"parity/{name}")
+    system = build(name)
+    image = _signed_permutation(system, rng, Q(*rng.sample((2, 3, 5, 7), 2)))
+    _same_homothety(system, image)
+    _same_homothety(image, system)
+
+
+@pytest.mark.parametrize("label", sorted(SIGN_SYMMETRIC))
+def test_norm_prune_keeps_the_homothety_of_sign_symmetric_norms(label):
+    system = SIGN_SYMMETRIC[label]()
+    assert isomorphic_finite(system, system).scale == -1
+    for c in (Q(1), Q(-1), Q(3, 2)):
+        image = _signed_permutation(system, random.Random(f"parity/{label}/{c}"), c)
+        _same_homothety(system, image)
+        _same_homothety(image, system)

@@ -10,20 +10,23 @@ the recognition and the catalog's coordinate table, with no elimination.
 the quotient, so the constructor keeps the families it is handed.  `family`
 writes its families on integer coordinates and the constructor reads and
 re-anchors them there, with no `Fraction` vector in between, through the
-same integer anchoring as `CosetSet(...)`.  A
-change that brings back per-root, per-entry or per-call work fails here,
-although every answer would still be right.
+same integer anchoring as `CosetSet(...)`.  The finite checker and the
+orbit partitions take every integral reflection step on packed keys, with
+no tuple lookup, and `isomorphic_finite` indexes fingerprints only for a
+scale that carries the norms across.  A change that brings back per-root,
+per-entry or per-call work fails here, although every answer would still
+be right.
 """
 
 import random
 import sys
 from fractions import Fraction as Q
 
-from grrs import catalog, classify
+from grrs import catalog, classify, finite
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import identify, recognize_cl
-from grrs.finite import Homothety
-from grrs.linalg import Lattice, solve_in_span, unit_vector, vadd
+from grrs.finite import FiniteRootSystem, Homothety, check_axioms, gw_orbits, isomorphic_finite
+from grrs.linalg import BilinearSpace, Lattice, solve_in_span, unit_vector, vadd, vscale
 from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
 
 from support import radical_change
@@ -220,3 +223,45 @@ def test_coset_data_has_one_anchoring(monkeypatch):
     assert all(e.family.ambient == s.L for s in systems for e in s.entries)
     for fam, translate, reps in built:
         assert all(fam.contains(vadd(translate, r)) for r in reps)
+
+
+def test_reflection_steps_make_no_tuple_lookup():
+    """Every Cartan number of E6 is integral, so no step of the checker or
+    of the orbit partition builds and looks up a vector."""
+    e6 = build("E6")
+    view = e6._view
+    probes = []
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return dict.get(self, key, default)
+
+        def __getitem__(self, key):
+            probes.append(key)
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            probes.append(key)
+            return dict.__contains__(self, key)
+
+    view.lookup = Probed(view.lookup)
+    assert check_axioms(e6).is_grrs
+    assert len(gw_orbits(e6)) == 1
+    assert probes == []
+
+
+def test_isomorphic_finite_indexes_one_scale(monkeypatch):
+    """Of the candidate scales, only the one that carries the norms of the
+    first system onto those of the second gets a fingerprint index."""
+    built = []
+    _counted(monkeypatch, finite, "_fingerprint_index", built)
+    for name, c in (("E6", Q(3, 2)), ("G2", Q(-5)), ("F4", Q(2, 7)), ("B(1,1)", Q(3))):
+        system = build(name)
+        image = FiniteRootSystem(
+            BilinearSpace([[c * x for x in row] for row in system.space.gram]),
+            [vscale(2, r) for r in system.roots],
+        )
+        del built[:]
+        assert isomorphic_finite(system, image).scale == 4 * c
+        assert len(built) == 1
