@@ -40,15 +40,29 @@ from .linalg import (
 
 
 class FiniteRootSystem:
-    """A finite set of vectors in a fixed bilinear space."""
+    """A finite set of vectors in a fixed bilinear space.
+
+    The roots are kept as integer rows over one common denominator `scale`,
+    the least common multiple of their coordinates' denominators: the roots
+    are deduplicated, sorted, compared and hashed there.  Scaling by a
+    positive canonical integer keeps the lexicographic order, so `roots`
+    (the distinct inputs, sorted) and equality are those of the rationals.
+    """
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
         self.space = space
-        rs = sorted({vec(r) for r in roots})
-        for r in rs:
+        vectors = [vec(r) for r in roots]
+        self.scale, rows = clear_denominators(vectors)
+        spelled = dict(zip(map(tuple, rows), vectors))  # one input per distinct root
+        self._rows: Tuple[Tuple[int, ...], ...] = tuple(sorted(spelled))
+        for r in self._rows:
             space.check_vector(r)
-        self.roots: Tuple[Vector, ...] = tuple(rs)
-        self._index = {r: i for i, r in enumerate(self.roots)}
+        self.roots: Tuple[Vector, ...] = tuple(spelled[r] for r in self._rows)
+        self._hash: Optional[int] = None
+
+    @cached_property
+    def _index(self) -> Dict[Vector, int]:
+        return {r: i for i, r in enumerate(self.roots)}
 
     @cached_property
     def _view(self) -> "_PairingView":
@@ -61,14 +75,15 @@ class FiniteRootSystem:
         return iter(self.roots)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteRootSystem)
-            and self.space == other.space
-            and self.roots == other.roots
-        )
+        return isinstance(other, FiniteRootSystem) and (self is other or (
+            self._rows == other._rows and self.scale == other.scale and self.space == other.space
+        ))
 
     def __hash__(self):
-        return hash((self.space, self.roots))
+        # equal systems have equal rows; the space is left to __eq__
+        if self._hash is None:
+            self._hash = hash((self.scale, self._rows))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self.roots)})"
@@ -125,9 +140,10 @@ class FiniteRootSystem:
 class _PairingView:
     """A finite system in integers: the pairings and reflections of its roots.
 
-    With d the common denominator of the root coordinates and g that of the
-    Gram matrix G, root i (indexed as in `system.roots`) is the integer
-    vector R[i] = d r_i, its Gram row is W[i] = R[i] gG and its pairings are
+    With d the common denominator of the root coordinates (the system's
+    `scale`) and g that of the Gram matrix G, root i (indexed as in
+    `system.roots`) is the integer row R[i] = d r_i the system keeps, its
+    Gram row is W[i] = R[i] gG and its pairings are
     P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the factor d^2 g cancels from
     every Cartan number and sign.
 
@@ -141,11 +157,9 @@ class _PairingView:
     """
 
     def __init__(self, system: FiniteRootSystem):
-        self.roots = system.roots
-        d, vectors = clear_denominators(self.roots)
+        self.roots, self.vectors, self.scale = system.roots, system._rows, system.scale
         g, gram = clear_denominators(system.space.gram)
-        self.scale, self.unit = d, Q(1, d * d * g)
-        self.vectors = [tuple(v) for v in vectors]
+        self.unit = Q(1, self.scale ** 2 * g)
         self.rows = [tuple(sum(map(mul, v, row)) for row in gram) for v in self.vectors]
         self.pairings = [[sum(map(mul, w, v)) for v in self.vectors] for w in self.rows]
         self.norms = tuple(self.unit * p[i] for i, p in enumerate(self.pairings))

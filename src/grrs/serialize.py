@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from fractions import Fraction as Q
 from typing import List, Optional, Union
 
 from .catalog import type_key
@@ -27,16 +28,31 @@ def _ser_vec(v) -> list:
     return [format_rational(x) for x in v]
 
 
-def _parse_vec(xs) -> tuple:
-    return tuple(parse_rational(x) for x in xs)
+def _rational(x, seen: dict) -> Q:
+    """One coordinate of a document.  A string spelling is parsed once per
+    document: `seen` holds the rational of each spelling read so far.  A
+    JSON number is read as it is, and an infinite float is no rational."""
+    if type(x) is str:
+        q = seen.get(x)
+        if q is None:
+            q = seen[x] = parse_rational(x)
+        return q
+    try:
+        return parse_rational(x)
+    except OverflowError:
+        raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
+
+
+def _parse_vec(xs, seen: dict) -> tuple:
+    return tuple(_rational(x, seen) for x in xs)
 
 
 def _ser_mat(rows) -> list:
     return [_ser_vec(r) for r in rows]
 
 
-def _parse_mat(rows) -> list:
-    return [_parse_vec(r) for r in rows]
+def _parse_mat(rows, seen: dict) -> list:
+    return [_parse_vec(r, seen) for r in rows]
 
 
 def finite_to_dict(system: FiniteRootSystem) -> dict:
@@ -48,10 +64,11 @@ def finite_to_dict(system: FiniteRootSystem) -> dict:
 
 
 def finite_from_dict(d: dict) -> FiniteRootSystem:
-    space = BilinearSpace(_parse_mat(d["gram"]))
+    seen: dict = {}
+    space = BilinearSpace(_parse_mat(d["gram"], seen))
     if space.dim != d["dim"]:
         raise GrrsError("dim field does not match the gram matrix")
-    return FiniteRootSystem(space, _parse_mat(d["roots"]))
+    return FiniteRootSystem(space, _parse_mat(d["roots"], seen))
 
 
 def report_to_dict(report: AxiomReport) -> dict:
@@ -71,9 +88,11 @@ def report_to_dict(report: AxiomReport) -> dict:
 
 
 def report_from_dict(d: dict) -> AxiomReport:
+    seen: dict = {}
+
     def check(c: dict) -> AxiomCheck:
         w = c.get("witness")
-        return AxiomCheck(c["pass"], None if w is None else tuple(_parse_vec(v) for v in w))
+        return AxiomCheck(c["pass"], None if w is None else tuple(_parse_vec(v, seen) for v in w))
 
     return AxiomReport(
         check(d["gr0"]), check(d["gr1"]), check(d["gr2"]), check(d["gr3"]), check(d["wgr3"])
@@ -81,15 +100,25 @@ def report_from_dict(d: dict) -> AxiomReport:
 
 
 def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
+    lattice = _ser_mat(system.L.basis)
+    written = {}  # the fields of each distinct family, formatted once
     families = []
     for e in system.entries:
+        fields = written.get(e.family)
+        if fields is None:
+            fam = e.family
+            fields = written[fam] = (
+                _ser_vec(fam.translate), _ser_mat(fam.reps), _ser_mat(fam.modulus.basis)
+            )
+        translate, reps, modulus = fields
+        # every entry gets its own lists, so that editing one leaves the rest
         families.append(
             {
                 "root": _ser_vec(e.lift),
-                "translate": _ser_vec(e.family.translate),
-                "reps": _ser_mat(e.family.reps),
-                "modulusBasis": _ser_mat(e.family.modulus.basis),
-                "latticeBasis": _ser_mat(system.L.basis),
+                "translate": list(translate),
+                "reps": [list(r) for r in reps],
+                "modulusBasis": [list(r) for r in modulus],
+                "latticeBasis": [list(r) for r in lattice],
             }
         )
     return {
@@ -102,7 +131,8 @@ def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
 
 
 def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
-    space = BilinearSpace(_parse_mat(d["gram"]))
+    seen: dict = {}
+    space = BilinearSpace(_parse_mat(d["gram"], seen))
     if space.dim != d["dim"]:
         raise GrrsError("dim field does not match the gram matrix")
     entries = []
@@ -110,12 +140,12 @@ def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
     for f in d["families"]:
         key = repr([f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"]])
         if key not in families:
-            ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"]))
-            modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"]))
+            ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"], seen))
+            modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"], seen))
             families[key] = CosetSet(
-                ambient, modulus, _parse_vec(f["translate"]), _parse_mat(f["reps"])
+                ambient, modulus, _parse_vec(f["translate"], seen), _parse_mat(f["reps"], seen)
             )
-        entries.append((_parse_vec(f["root"]), families[key]))
+        entries.append((_parse_vec(f["root"], seen), families[key]))
     system = SymbolicRootSystem(space, entries)
     if system.kernel_dim != d["kernelDim"]:
         raise GrrsError("kernelDim field does not match the gram matrix")

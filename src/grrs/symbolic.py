@@ -92,14 +92,17 @@ class CosetSet:
     def _set(self, ambient: Lattice, translate: Vector, mod, reps) -> "CosetSet":
         """Canonical integer data.  The stabilizer of the set is M plus the
         differences rep - rep_0 that map the set to itself, as rep_0 + s
-        lies in some rep + M for every stabilizing s."""
+        lies in some rep + M for every stabilizing s.  Such an s permutes
+        the m cosets, so it fixes their sum mod M: m s lies in M, which one
+        reduction tests before the set is walked."""
         mod = hnf_int(mod)
         piv = hnf_pivots(mod)
         reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
-        base = next(iter(reps), None)
+        base, m = next(iter(reps), None), len(reps)
         gained = [
             d for d in (vsub(r, base) for r in reps if r != base)
-            if all(hnf_reduce(vadd(x, d), mod, piv)[0] in reps for x in reps)
+            if not any(hnf_reduce([m * x for x in d], mod, piv)[0])
+            and all(hnf_reduce(vadd(x, d), mod, piv)[0] in reps for x in reps)
         ]
         if gained:
             mod = hnf_int(mod + gained)

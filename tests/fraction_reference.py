@@ -21,6 +21,9 @@
 - `isomorphic_finite`: the homothety search before it passed over the
   candidate scales that do not match the norms: it builds the fingerprint
   index for every candidate in turn.
+- `finite_root_system`: the `FiniteRootSystem` constructor before it ran on
+  integer rows: the roots deduplicated and sorted as `Fraction` tuples,
+  indexed by a `Fraction`-keyed dict, compared and hashed as (space, roots).
 """
 
 from fractions import Fraction as Q
@@ -44,6 +47,7 @@ from grrs.linalg import (
     column_basis,
     unit_vector,
     vadd,
+    vec,
     vneg,
     vscale,
     vsub,
@@ -369,3 +373,14 @@ def isomorphic_finite(sys_a, sys_b):
             roots = {r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)}
             return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x, roots)
     return None
+
+
+def finite_root_system(space, roots):
+    """The roots, index and equality key of `FiniteRootSystem(space, roots)`;
+    raises as the constructor does on a vector of the wrong length."""
+    rs = sorted({vec(r) for r in roots})
+    for r in rs:
+        space.check_vector(r)
+    roots = tuple(rs)
+    return SimpleNamespace(roots=roots, index={r: i for i, r in enumerate(roots)},
+                           key=(space, roots))

@@ -647,3 +647,72 @@ def test_norm_prune_keeps_the_homothety_of_sign_symmetric_norms(label):
         image = _signed_permutation(system, random.Random(f"parity/{label}/{c}"), c)
         _same_homothety(system, image)
         _same_homothety(image, system)
+
+
+# ---------------------------------------------------------------------------
+# The constructor deduplicates, sorts, compares and hashes integer rows over
+# the common denominator of the roots; the roots, their index, equality and
+# hashing are those of the Fraction tuples (`reference.finite_root_system`).
+
+rationals = st.one_of(
+    st.integers(-3, 3).map(Q),
+    st.builds(Q, st.integers(-10**15, 10**15), st.integers(1, 10**12)),
+)
+
+
+def _spellings(x: Q):
+    """x as a Fraction, as "p/q" and an unreduced "2p/2q", and as an int and
+    its string when it is one."""
+    out = [x, f"{x.numerator}/{x.denominator}", f"{2 * x.numerator}/{2 * x.denominator}"]
+    if x.denominator == 1:
+        out += [x.numerator, str(x.numerator)]
+    return st.sampled_from(out)
+
+
+@st.composite
+def spelled_root_lists(draw):
+    """Two spellings, in two orders, of one list of roots drawn with
+    repetition from a pool that may hold negatives and the zero vector."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[rationals] * dim), min_size=1, max_size=5))
+    pool += [vneg(v) for v in pool if draw(st.booleans())]
+    if draw(st.booleans()):
+        pool.append((Q(0),) * dim)
+    picks = draw(st.lists(st.sampled_from(pool), max_size=10))
+    spell = lambda vs: [tuple(draw(_spellings(x)) for x in v) for v in vs]
+    return dim, spell(picks), spell(draw(st.permutations(picks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spelled_root_lists(), spelled_root_lists())
+@example((1, [(1,), ("-1",)], [(-1,), (Q(1),)]), (1, [], []))  # halved: equal rows, scale 2
+def test_integer_rows_keep_the_fraction_constructor(case, other):
+    dim, first, second = case
+    spaces = [standard_space(dim), BilinearSpace([[2 * int(i == j) for j in range(dim)]
+                                                  for i in range(dim)])]
+    halved = [tuple(Q(x) / 2 for x in r) for r in first]
+    inputs = [(spaces[0], first), (spaces[0], second), (spaces[1], first), (spaces[0], halved)]
+    if other[0] == dim:
+        inputs.append((spaces[0], other[1]))
+    systems = [FiniteRootSystem(space, roots) for space, roots in inputs]
+    refs = [reference.finite_root_system(space, roots) for space, roots in inputs]
+    for system, ref in zip(systems, refs):
+        assert system.roots == ref.roots
+        assert all(type(x) is Q for r in system.roots for x in r)
+        assert system._index == ref.index
+    for a, ra in zip(systems, refs):
+        for b, rb in zip(systems, refs):
+            assert (a == b) == (ra.key == rb.key)
+            assert a != b or hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=1, max_size=4), min_size=1, max_size=6))
+def test_a_wrong_length_is_named_as_before(roots):
+    space = standard_space(2)
+    roots = [tuple(r) for r in roots] + [(Q(1), Q(2), Q(3)), (Q(-1),)]
+    with pytest.raises(DimensionMismatch) as got:
+        FiniteRootSystem(space, roots)
+    with pytest.raises(DimensionMismatch) as want:
+        reference.finite_root_system(space, roots)
+    assert str(got.value) == str(want.value)

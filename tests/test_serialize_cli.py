@@ -339,6 +339,32 @@ def test_malformed_document_is_bad_input(label, tmp_path):
     assert main(["iso", str(path), str(path)]) == 2
 
 
+# JSON numbers that Python reads as infinite floats, which no Fraction holds
+INFINITE = ["Infinity", "-Infinity", "1e400"]
+INFINITE_AT = {
+    "root": (serialize.document_to_dict(build("B2")), ("payload", "roots", 1, 0)),
+    "gram": (serialize.document_to_dict(build("B2")), ("payload", "gram", 0, 1)),
+    "family": (serialize.document_to_dict(affinize(build("A1"), 1)),
+               ("payload", "families", 0, "translate", 0)),
+}
+
+
+@pytest.mark.parametrize("token", INFINITE)
+@pytest.mark.parametrize("where", sorted(INFINITE_AT))
+def test_infinite_coordinate_is_bad_input(token, where, tmp_path):
+    doc, at = copy.deepcopy(INFINITE_AT[where][0]), INFINITE_AT[where][1]
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = "@"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(GrrsError):
+        serialize.loads(path.read_text())
+    for argv in (["check"], ["gaps"], ["orbits"], ["affinize"], ["iso", str(path)]):
+        assert main([*argv, str(path)]) == 2
+
+
 def test_deeply_nested_document_is_bad_input(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -13,16 +13,19 @@ re-anchors them there, with no `Fraction` vector in between, through the
 same integer anchoring as `CosetSet(...)`.  The finite checker and the
 orbit partitions take every integral reflection step on packed keys, with
 no tuple lookup, and `isomorphic_finite` indexes fingerprints only for a
-scale that carries the norms across.  A change that brings back per-root,
-per-entry or per-call work fails here, although every answer would still
-be right.
+scale that carries the norms across.  The finite constructor and the
+document reader hash no `Fraction`, the reader parses each spelling once
+per document and the writer formats each distinct family once, and a
+family's stabilizer search reduces each candidate shift about once.  A
+change that brings back per-root, per-entry or per-call work fails here,
+although every answer would still be right.
 """
 
 import random
 import sys
 from fractions import Fraction as Q
 
-from grrs import catalog, classify, finite
+from grrs import catalog, classify, finite, serialize, symbolic
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import identify, recognize_cl
 from grrs.finite import FiniteRootSystem, Homothety, check_axioms, gw_orbits, isomorphic_finite
@@ -265,3 +268,61 @@ def test_isomorphic_finite_indexes_one_scale(monkeypatch):
         del built[:]
         assert isomorphic_finite(system, image).scale == 4 * c
         assert len(built) == 1
+
+
+def test_finite_systems_and_documents_hash_no_fraction(monkeypatch):
+    """The constructor deduplicates and sorts integer rows and builds the
+    root index on first read, and the reader hands it the rationals it
+    parsed, so neither building E6 nor reading its document hashes a
+    `Fraction`."""
+    text = serialize.dumps(build("E6"))
+    hashed = []
+    _counted(monkeypatch, Q, "__hash__", hashed)
+    e6 = catalog._e_series(6)
+    loaded = serialize.loads(text)
+    assert hashed == []
+    assert loaded == e6 and len(e6.roots) == 72
+
+
+def test_reader_parses_each_spelling_once(monkeypatch):
+    parsed = []
+    _counted(monkeypatch, serialize, "parse_rational", parsed)
+    for payload in (build("E6"), build("D(2,1;a=1/2)"), affinize(build("G2"), 2)):
+        doc = serialize.document_to_dict(payload)["payload"]
+        text = serialize.dumps(payload)
+        spellings = {x for key in ("gram", "roots") for row in doc.get(key, ()) for x in row}
+        for f in doc.get("families", ()):
+            spellings.update(f["root"], f["translate"])
+            for key in ("reps", "modulusBasis", "latticeBasis"):
+                spellings.update(x for row in f[key] for x in row)
+        del parsed[:]
+        assert serialize.dumps(serialize.loads(text)) == text
+        assert sorted(x for (x,) in parsed) == sorted(spellings)
+
+
+def test_writer_formats_each_family_once(monkeypatch):
+    """`symbolic_to_dict` formats L's basis once and each distinct family's
+    translate, reps and modulus basis once, however many entries share it."""
+    system = affinize(build("E6"), 2)
+    families = {e.family for e in system.entries}
+    assert len(system.entries) == 72 and len(families) == 1
+    expected = serialize.dumps(system)
+    written = []
+    for name in ("_ser_vec", "_ser_mat"):
+        _counted(monkeypatch, serialize, name, written)
+    assert serialize.dumps(system) == expected
+    fields = [system.L.basis] + [x for f in families
+                                 for x in (f.translate, f.reps, f.modulus.basis)]
+    for value in fields:
+        assert sum(args[0] is value for args in written) == 1
+
+
+def test_family_stabilizer_is_linear_in_its_reps(monkeypatch):
+    """A shift that maps the m reps of a family onto themselves has m times
+    it in the modulus; one reduction tests that before the reps are walked,
+    so the ~S family of C(2,1) at k = 9 (511 cosets) reduces each rep and
+    each candidate shift about once, not every pair."""
+    reduced = []
+    _counted(monkeypatch, symbolic, "hnf_reduce", reduced)
+    family("C(2,1)", 9, S={0})
+    assert len(reduced) == 1023
