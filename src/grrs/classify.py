@@ -272,7 +272,7 @@ def recognize_cl(fin: FiniteRootSystem):
         for params in row.tries(d, fin):
             key = TypeKey(kind, params)
             cat = catalog.build(key)
-            # the isotropic count builds the pairing view: after the cheap tests
+            # the isotropic count builds the norms: after the cheap tests
             if (cat.space.dim, len(cat)) != (d, count) or len(cat.isotropic_roots()) != n_iso:
                 continue
             h = isomorphic_finite(cat, fin)

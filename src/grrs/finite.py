@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,6 +48,20 @@ class FiniteRootSystem:
     are deduplicated, sorted, compared and hashed there.  Scaling by a
     positive canonical integer keeps the lexicographic order, so `roots`
     (the distinct inputs, sorted) and equality are those of the rationals.
+
+    The rows are also the one root index, and every integer reading is built
+    on them on first use: with d = `scale` and g the common denominator of
+    the Gram matrix G, root i is R[i] = d r_i, its Gram row W[i] = R[i] gG
+    and its pairings P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the factor
+    d^2 g cancels from every Cartan number and sign.
+
+    A reflection step R[j] + m R[i] is read on packed keys: key(v) = sum_c
+    v_c B^c is linear, so key(R[j] + m R[i]) = key(R[j]) + m key(R[i]).  With
+    M the largest |coordinate| of a root and K = max(1, floor(2 max |P_ij| /
+    min nonzero |P_ii|)), every step taken has |m| <= K (an integral Cartan
+    number, or +-1), so its coordinates are at most (K + 1) M in absolute
+    value; B = 2 (K + 1) M + 1 makes the packing one to one on all such
+    vectors, roots included, and a key found in the index is that root.
     """
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
@@ -59,14 +74,6 @@ class FiniteRootSystem:
             space.check_vector(r)
         self.roots: Tuple[Vector, ...] = tuple(spelled[r] for r in self._rows)
         self._hash: Optional[int] = None
-
-    @cached_property
-    def _index(self) -> Dict[Vector, int]:
-        return {r: i for i, r in enumerate(self.roots)}
-
-    @cached_property
-    def _view(self) -> "_PairingView":
-        return _PairingView(self)
 
     def __len__(self):
         return len(self.roots)
@@ -89,22 +96,21 @@ class FiniteRootSystem:
         return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self.roots)})"
 
     def contains(self, v: Vector) -> bool:
-        return tuple(v) in self._index
+        return self._find(vec(v)) is not None
 
     def norm(self, r: Vector) -> Q:
-        i = self._index.get(tuple(r))
-        if i is None:
-            return self.space.norm(r)
-        return self._view.norms[i]
+        r = vec(r)
+        i = self._find(r)
+        return self.space.norm(r) if i is None else self._norms[i]
 
     def is_isotropic(self, r: Vector) -> bool:
         return self.norm(r) == 0
 
     def isotropic_roots(self) -> Tuple[Vector, ...]:
-        return tuple(r for r, n in zip(self.roots, self._view.norms) if n == 0)
+        return tuple(r for r, n in zip(self.roots, self._norms) if n == 0)
 
     def nonisotropic_roots(self) -> Tuple[Vector, ...]:
-        return tuple(r for r, n in zip(self.roots, self._view.norms) if n != 0)
+        return tuple(r for r, n in zip(self.roots, self._norms) if n != 0)
 
     def root_lattice(self) -> Lattice:
         return Lattice.from_vectors(self.space.dim, self.roots)
@@ -131,82 +137,85 @@ class FiniteRootSystem:
 
     @cached_property
     def _over_span(self) -> "FiniteRootSystem":
+        # the Gram matrix of the picked roots, with no pairing of the others
         idx, _, coords = self._span
-        view = self._view
-        sub = BilinearSpace([[view.unit * view.pairings[i][j] for j in idx] for i in idx])
-        return FiniteRootSystem(sub, coords)
+        W, R = self._gram_rows, self._rows
+        gram = [[self._unit * sum(map(mul, W[i], R[j])) for j in idx] for i in idx]
+        return FiniteRootSystem(BilinearSpace(gram), coords)
 
+    # -- the integer readings ----------------------------------------------
 
-class _PairingView:
-    """A finite system in integers: the pairings and reflections of its roots.
+    @cached_property
+    def _lookup(self) -> Dict[Tuple[int, ...], int]:
+        return {v: i for i, v in enumerate(self._rows)}
 
-    With d the common denominator of the root coordinates (the system's
-    `scale`) and g that of the Gram matrix G, root i (indexed as in
-    `system.roots`) is the integer row R[i] = d r_i the system keeps, its
-    Gram row is W[i] = R[i] gG and its pairings are
-    P[i][j] = W[i] . R[j] = d^2 g (r_i, r_j); the factor d^2 g cancels from
-    every Cartan number and sign.
+    def _find(self, v: Vector) -> Optional[int]:
+        """The index of the root v (of Fractions or ints), or None: v is
+        read as a row over `scale` with integer operations only."""
+        s = self.scale
+        if any(s % x.denominator for x in v):
+            return None
+        return self._lookup.get(tuple(x.numerator * (s // x.denominator) for x in v))
 
-    A reflection step R[j] + m R[i] is read on packed keys: key(v) = sum_c
-    v_c B^c is linear, so key(R[j] + m R[i]) = key(R[j]) + m key(R[i]).  With
-    M the largest |coordinate| of a root and K = max(1, floor(2 max |P_ij| /
-    min nonzero |P_ii|)), every step taken has |m| <= K (an integral Cartan
-    number, or +-1), so its coordinates are at most (K + 1) M in absolute
-    value; B = 2 (K + 1) M + 1 makes the packing one to one on all such
-    vectors, roots included, and a key found in the index is that root.
-    """
+    @cached_property
+    def _unit(self) -> Q:
+        """1 / (d^2 g), which turns a pairing P[i][j] into (r_i, r_j)."""
+        return Q(1, self.scale ** 2 * clear_denominators(self.space.gram)[0])
 
-    def __init__(self, system: FiniteRootSystem):
-        self.roots, self.vectors, self.scale = system.roots, system._rows, system.scale
-        g, gram = clear_denominators(system.space.gram)
-        self.unit = Q(1, self.scale ** 2 * g)
-        self.rows = [tuple(sum(map(mul, v, row)) for row in gram) for v in self.vectors]
-        self.pairings = [[sum(map(mul, w, v)) for v in self.vectors] for w in self.rows]
-        self.norms = tuple(self.unit * p[i] for i, p in enumerate(self.pairings))
-        self.lookup = {v: i for i, v in enumerate(self.vectors)}
-        self.neg = [self.lookup.get(tuple(-x for x in v)) for v in self.vectors]
+    @cached_property
+    def _gram_rows(self) -> List[Tuple[int, ...]]:
+        gram = clear_denominators(self.space.gram)[1]
+        return [tuple(sum(map(mul, v, col)) for col in gram) for v in self._rows]
+
+    @cached_property
+    def _pairings(self) -> List[List[int]]:
+        return [[sum(map(mul, w, v)) for v in self._rows] for w in self._gram_rows]
+
+    @cached_property
+    def _norms(self) -> Tuple[Q, ...]:
+        return tuple(self._unit * sum(map(mul, w, v)) for w, v in zip(self._gram_rows, self._rows))
+
+    @cached_property
+    def _neg(self) -> List[Optional[int]]:
+        """The index of each root's negative, or None."""
+        return [self._lookup.get(tuple(-x for x in v)) for v in self._rows]
 
     @cached_property
     def _packed(self) -> Tuple[List[int], Dict[int, int]]:
         """Each root's packed key, and the index key -> root; built on the
-        first step, so that a view that never reflects pays nothing."""
-        P = self.pairings
-        M = max((abs(x) for v in self.vectors for x in v), default=0)
+        first step, so that a system that never reflects pays nothing."""
+        P = self._pairings
+        M = max((abs(x) for v in self._rows for x in v), default=0)
         n = min((abs(p[i]) for i, p in enumerate(P) if p[i]), default=0)
         K = max(1, 2 * max(abs(x) for p in P for x in p) // n) if n else 1
         B = 2 * (K + 1) * M + 1
-        keys = []
-        for v in self.vectors:
-            key = 0
-            for x in reversed(v):
-                key = key * B + x
-            keys.append(key)
+        keys = [sum(x * B ** c for c, x in enumerate(v)) for v in self._rows]
         return keys, {key: i for i, key in enumerate(keys)}
 
-    def shift(self, j: int, i: int, m: int) -> Optional[int]:
+    def _shift(self, j: int, i: int, m: int) -> Optional[int]:
         """Index of root j + m * root i, or None; m is +-1 or minus an
         integral Cartan number k_ij."""
         keys, index = self._packed
         return index.get(keys[j] + m * keys[i])
 
-    def image(self, i: int, j: int) -> Optional[int]:
+    def _image(self, i: int, j: int) -> Optional[int]:
         """Index of r_i(root j); None when a linear reflection leaves the
         system.  An isotropic root i acts, and raises, as `isotropic_reflect`."""
-        n, p = self.pairings[i][i], self.pairings[i][j]
-        if n == 0 and j in (i, self.neg[i]):
-            if self.neg[j] is None:
+        n, p = self._pairings[i][i], self._pairings[i][j]
+        if n == 0 and j in (i, self._neg[i]):
+            if self._neg[j] is None:
                 raise UnknownRoot(f"the negative of {format_vector(self.roots[j])} is not a root")
-            return self.neg[j]
+            return self._neg[j]
         if p == 0:
             return j
         if n:
             k, rest = divmod(2 * p, n)
             if not rest:
-                return self.shift(j, i, -k)
+                return self._shift(j, i, -k)
             # n times the image; a non-integral k = 2p/n may still give a root
-            img = [n * b - 2 * p * a for a, b in zip(self.vectors[i], self.vectors[j])]
-            return None if any(x % n for x in img) else self.lookup.get(tuple(x // n for x in img))
-        plus, minus = self.shift(j, i, 1), self.shift(j, i, -1)
+            img = [n * b - 2 * p * a for a, b in zip(self._rows[i], self._rows[j])]
+            return None if any(x % n for x in img) else self._lookup.get(tuple(x // n for x in img))
+        plus, minus = self._shift(j, i, 1), self._shift(j, i, -1)
         if (plus is None) == (minus is None):
             error = MissingImage if plus is None else AmbiguousReflection
             raise error(self.roots[i], self.roots[j])
@@ -236,15 +245,15 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     Image is -beta for beta = +-alpha, beta itself when orthogonal, and the
     unique root among beta +- alpha otherwise.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = vec(alpha), vec(beta)
     if not system.is_isotropic(alpha):
         raise IsotropicBase(f"{format_vector(alpha)} is not isotropic")
-    i, j = system._index.get(alpha), system._index.get(beta)
+    i, j = system._find(alpha), system._find(beta)
     if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
     if beta == alpha or beta == vneg(alpha):
         return vneg(beta)
-    return system.roots[system._view.image(i, j)]
+    return system.roots[system._image(i, j)]
 
 
 def reflect_root(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> Vector:
@@ -324,8 +333,7 @@ def check_classes(
     R = -R, and for isotropic alpha and any beta with (alpha, beta) != 0 the
     set {beta +- alpha} meets R in exactly one (at least one) element.
     """
-    view = system._view
-    P = view.pairings
+    P = system._pairings
 
     def check(failure: Optional[tuple]) -> AxiomCheck:
         return AxiomCheck(failure is None, failure and tuple(map(witness, failure)))
@@ -336,20 +344,20 @@ def check_classes(
             return False
         if k == 0:
             return True
-        t = view.shift(j, i, -k)
+        t = system._shift(j, i, -k)
         return t is not None and reflects(i, j, k, t)
 
-    gr0 = check(next(((i,) for i in order if not any(view.rows[i])), None))
+    gr0 = check(next(((i,) for i in order if not any(system._gram_rows[i])), None))
     gr1 = AxiomCheck(bool(order) and len(system._span[0]) == system.space.dim and radical_ok)
     gr2 = check(next(((i, j) for i in order if P[i][i] for j in order if not reflected(i, j)),
                      None))
-    neg = view.neg
+    neg = system._neg
     gr3_fail = wgr3_fail = next(
         ((i,) for i in order if neg[i] is None or not negates(i, neg[i])), None
     )
     pairs = () if gr3_fail else ((i, j) for i in order if not P[i][i] for j in order if P[i][j])
     for i, j in pairs:
-        ok3, okw = images(i, j, view.shift(j, i, 1), view.shift(j, i, -1))
+        ok3, okw = images(i, j, system._shift(j, i, 1), system._shift(j, i, -1))
         gr3_fail = gr3_fail or (None if ok3 else (i, j))
         wgr3_fail = wgr3_fail or (None if okw else (i, j))
         if gr3_fail and wgr3_fail:
@@ -368,16 +376,15 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
     seeds may not contain an element orthogonal to the whole seed set.
     Raises UnknownRoot when a seed, or an image on the way, is not a root.
     """
-    X = {tuple(v) for v in seeds}
-    if not X:
+    seeds = [vec(v) for v in seeds]
+    if not seeds:
         raise OrthogonalSeed("empty seed set")
-    for v in X:
-        if not system.contains(v):
-            raise UnknownRoot(f"{format_vector(v)} is not a root")
-    view = system._view
-    members = sorted(system._index[v] for v in X)
+    found = [system._find(v) for v in seeds]
+    if None in found:
+        raise UnknownRoot(f"{format_vector(seeds[found.index(None)])} is not a root")
+    members, P, neg = sorted(set(found)), system._pairings, system._neg
     for i in members:
-        if not any(view.pairings[i][j] for j in members):
+        if not any(P[i][j] for j in members):
             raise OrthogonalSeed(
                 f"{format_vector(system.roots[i])} is orthogonal to the whole seed set"
             )
@@ -386,11 +393,11 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
     for done, x in enumerate(members):
         for y in members[: done + 1]:
             for i, j in ((x, y), (y, x)):
-                img = view.image(i, j)
-                if img is None or view.neg[img] is None:
+                img = system._image(i, j)
+                if img is None or neg[img] is None:
                     a, b = format_vector(system.roots[i]), format_vector(system.roots[j])
                     raise UnknownRoot(f"+-r_{a}{b} is not a root")
-                for w in (img, view.neg[img]):
+                for w in (img, neg[img]):
                     if w not in inside:
                         inside.add(w)
                         members.append(w)
@@ -418,13 +425,12 @@ def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[Vector, ...]]:
 
 
 def _orbit_partition(system: FiniteRootSystem, generators: Sequence[int]):
-    view = system._view
-    return _blocks(system, lambda v: (view.image(a, v) for a in generators))
+    return _blocks(system, lambda v: (system._image(a, v) for a in generators))
 
 
 def weyl_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
     """Orbit partition under reflections at non-isotropic roots."""
-    return _orbit_partition(system, [i for i, n in enumerate(system._view.norms) if n])
+    return _orbit_partition(system, [i for i, n in enumerate(system._norms) if n])
 
 
 def gw_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
@@ -437,26 +443,21 @@ def is_irreducible(system: FiniteRootSystem):
 
     Returns (irreducible?, components as root systems over the same space).
     """
-    P = system._view.pairings
+    P = system._pairings
     comps = _blocks(system, lambda v: (w for w, p in enumerate(P[v]) if p))
     systems = [FiniteRootSystem(system.space, c) for c in comps]
     return len(systems) <= 1, systems
 
 
 def is_reduced(system: FiniteRootSystem) -> bool:
-    """No proportional pair alpha, lambda*alpha with lambda outside {1, -1}."""
-    for a in system.roots:
-        i = next((j for j, x in enumerate(a) if x != 0), None)
-        if i is None:
-            continue
-        for b in system.roots:
-            if b[i] == 0:
-                continue
-            lam = b[i] / a[i]
-            if lam in (1, -1):
-                continue
-            if b == vscale(lam, a):
-                return False
+    """No proportional pair alpha, lambda*alpha with lambda outside {1, -1}:
+    the nonzero roots on each line through 0, found by its primitive row
+    with a positive first entry, have one gcd."""
+    gcds: Dict[Tuple[int, ...], int] = {}
+    for v in filter(any, system._rows):
+        g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
+        if gcds.setdefault(tuple(x // g for x in v), abs(g)) != abs(g):
+            return False
     return True
 
 
@@ -465,12 +466,11 @@ def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSyste
     if system.isotropic_roots():
         raise IsotropicPresent("integral subsystem needs a system without isotropic roots")
     system.space.check_vector(lam)
-    view = system._view
     # k_{a, lam} = 2 (a, lam) / (a, a) = 2 d (W[a] . lam) / P[a][a]
     picked = [
         r
-        for i, (r, w) in enumerate(zip(system.roots, view.rows))
-        if Q(2 * view.scale * sum(map(mul, w, lam)), view.pairings[i][i]).denominator == 1
+        for r, v, w in zip(system.roots, system._rows, system._gram_rows)
+        if Q(2 * system.scale * sum(map(mul, w, lam)), sum(map(mul, w, v))).denominator == 1
     ]
     return FiniteRootSystem(system.space, picked).restricted_to_span()
 
@@ -512,9 +512,10 @@ def _combination(coeffs: Sequence[Q], vectors: Sequence[Vector], dim: int) -> Ve
     return out
 
 
-def _form_values(view: _PairingView) -> set:
+def _form_values(system: FiniteRootSystem) -> set:
     """The nonzero norms, or when there are none, the nonzero pairings."""
-    return set(view.norms) - {0} or {view.unit * p for row in view.pairings for p in row if p}
+    norms = set(system._norms) - {0}
+    return norms or {system._unit * p for row in system._pairings for p in row if p}
 
 
 def _scaled(values: Tuple[int, ...], m: int) -> Tuple[int, ...]:
@@ -551,9 +552,8 @@ def isomorphic_finite(
     basis, basis_vectors, coords = sys_a._span
     if len(basis) != len(sys_b._span[0]):
         return None
-    va, vb = sys_a._view, sys_b._view
-    Pa, Pb = va.pairings, vb.pairings
-    candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
+    Pa, Pb = sys_a._pairings, sys_b._pairings
+    candidates = sorted({y / x for x in _form_values(sys_a) for y in _form_values(sys_b)}) or [Q(1)]
     # the sorted norms, and each root's pairings against the whole system, sorted
     norms_a, norms_b = (tuple(sorted(p[i] for i, p in enumerate(P))) for P in (Pa, Pb))
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
@@ -564,15 +564,15 @@ def isomorphic_finite(
         """The index in sys_b of the image of each root of sys_a, when they
         are pairwise distinct roots; else None."""
         # den times the images of the roots, in sys_b's integer vectors
-        cols = [[vb.vectors[m][k] for m in assignment] for k in range(sys_b.space.dim)]
+        cols = [[sys_b._rows[m][k] for m in assignment] for k in range(sys_b.space.dim)]
         images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
-        hit = [None if any(x % den for x in v) else vb.lookup.get(tuple(x // den for x in v))
+        hit = [None if any(x % den for x in v) else sys_b._lookup.get(tuple(x // den for x in v))
                for v in images]
         return hit if None not in hit and len(set(hit)) == len(hit) else None
 
     for x in candidates:
         # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
-        t = x * va.unit / vb.unit
+        t = x * sys_a._unit / sys_b._unit
         p, q = t.numerator, t.denominator
         if _scaled(norms_a, p) != _scaled(norms_b, q):
             continue  # a homothety carries the norms of R_a onto those of R_b

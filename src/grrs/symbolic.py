@@ -328,12 +328,14 @@ class SymbolicRootSystem:
         return tuple(self._proj.apply(e.lift) for e in self.entries)
 
     @cached_property
-    def _by_lift(self) -> Dict[Vector, CosetSet]:
-        return {e.lift: e.family for e in self.entries}
+    def _cl_entries(self) -> List[int]:
+        """Index of the entry above each root of cl(), in the order of its roots."""
+        return sorted(range(len(self.entries)), key=lambda e: self._cl._find(self._classes[e]))
 
-    @cached_property
-    def _by_cl(self) -> Dict[Vector, FamilyEntry]:
-        return dict(zip(self._classes, self.entries))
+    def _entry(self, cl_root: Vector) -> Optional[FamilyEntry]:
+        """The entry above a root of cl(), found in its root index, or None."""
+        i = self._cl._find(cl_root)
+        return None if i is None else self.entries[self._cl_entries[i]]
 
     # -- basic protocol ----------------------------------------------------
 
@@ -360,9 +362,10 @@ class SymbolicRootSystem:
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = vec(lift)
-        if lift not in self._by_lift:
+        entry = self._entry(self._proj.apply(lift)) if len(lift) == self.space.dim else None
+        if entry is None or entry.lift != lift:
             raise UnknownRoot(f"{format_vector(lift)} is not a class of the system")
-        return self._by_lift[lift]
+        return entry.family
 
     def cl(self) -> FiniteRootSystem:
         """Minimal quotient, realized on the non-pivot coordinates of V/Ker."""
@@ -378,19 +381,17 @@ class SymbolicRootSystem:
         cl_root = vec(cl_root)
         if len(cl_root) == self.space.dim:
             cl_root = self._proj.apply(cl_root)
-        if cl_root not in self._by_cl:
+        entry = self._entry(cl_root)
+        if entry is None:
             raise UnknownRoot(f"{format_vector(cl_root)} is not a root of the minimal quotient")
-        return self._by_cl[cl_root]
+        return entry
 
     def contains(self, v: Vector) -> bool:
         v = vec(v)
         self.space.check_vector(v)
-        w = self._proj.apply(v)
-        entry = self._by_cl.get(w)
-        if entry is None:
-            return False
-        # _by_cl is keyed by the projection along the radical: v - lift is in it
-        return entry.family.contains(vsub(v, entry.lift))
+        entry = self._entry(self._proj.apply(v))
+        # the class is the projection along the radical: v - lift is in it
+        return entry is not None and entry.family.contains(vsub(v, entry.lift))
 
     def resplit(self, offsets: Dict[Vector, Vector]) -> "SymbolicRootSystem":
         """Rebuild with splitting roots shifted by the given family members.
@@ -401,9 +402,9 @@ class SymbolicRootSystem:
         """
         dim = self.space.dim
         shifts = []
-        for b in self.splitting():
-            off = vec(offsets.get(b, zero_vector(dim)))
-            if not is_zero(off) and not self.family_of_lift(b).contains(off):
+        for b in (self.entries[i] for i in self._picked):
+            off = vec(offsets.get(b.lift, zero_vector(dim)))
+            if not is_zero(off) and not b.family.contains(off):
                 raise UnknownRoot("offset is not a member of the splitting family")
             shifts.append(off)
         new_entries = []
@@ -626,22 +627,21 @@ def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
     by value (id -1 is the empty family of a missing class), and is decided
     once per tuple of ids.
     """
-    cl = system.cl()
-    # each entry's index in cl.roots, in the order of entries
-    order = [cl._index[c] for c in system._classes]
+    above = system._cl_entries
+    order = sorted(range(len(above)), key=above.__getitem__)  # each entry's index in cl()
     ids: Dict[CosetSet, int] = {}
     fid: Dict[Optional[int], int] = {None: -1}  # cl index -> family id
     for e, i in zip(system.entries, order):
         fid[i] = ids.setdefault(e.family, len(ids))
     fams = list(ids) + [CosetSet.empty(system.L)]
-    lifts = dict(zip(order, system.lifts))
 
     # the family tests, by family id
     reflects = cache(lambda a, b, k, t: fams[b].add(fams[a].scale(-k)).subset_of(fams[t]))
     negates = cache(lambda a, m: fams[m].same_set(fams[a].neg()))
     xor = cache(lambda a, b, c, d: _xor_check(fams[a], fams[b], fams[c], fams[d]))
     return check_classes(
-        cl, order, lifts.__getitem__, system.L.rank == system.kernel_dim,
+        system.cl(), order, lambda i: system.entries[above[i]].lift,
+        system.L.rank == system.kernel_dim,
         lambda i, j, k, t: reflects(fid[i], fid[j], k, fid[t]),
         lambda i, m: negates(fid[i], fid[m]),
         lambda i, j, plus, minus: xor(fid[i], fid[j], fid[plus], fid[minus]),

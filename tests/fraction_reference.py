@@ -15,18 +15,22 @@
 - `real_roots_from_matrix`: the reflection closure of a symmetric matrix by
   `finite.reflect` on `Fraction` vectors, one `k_value` per step, before the
   closure ran on the integer Cartan matrix.
-- `reflection_image` and `shifted`: the reflection step of the finite
-  pairing view, computed on the `Fraction` roots themselves and found by
-  tuple lookup, before it ran on packed integer keys.
+- `reflection_image` and `shifted`: the reflection step of a finite
+  system, computed on the `Fraction` roots themselves and found in a
+  `Fraction`-keyed index built here from `system.roots`, before it ran on
+  packed integer keys.
 - `isomorphic_finite`: the homothety search before it passed over the
   candidate scales that do not match the norms: it builds the fingerprint
   index for every candidate in turn.
 - `finite_root_system`: the `FiniteRootSystem` constructor before it ran on
   integer rows: the roots deduplicated and sorted as `Fraction` tuples,
   indexed by a `Fraction`-keyed dict, compared and hashed as (space, roots).
+- `is_reduced`: the pairwise scan for proportional roots on `Fraction`
+  vectors, before it grouped the integer rows by their line.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from operator import mul
 from types import SimpleNamespace
 
@@ -296,9 +300,15 @@ def real_roots_from_matrix(matrix, J=(), height_bound=20):
     return FiniteRootSystem(space, sorted(found)), truncated
 
 
+@lru_cache(maxsize=8)
+def _index(system):
+    """The roots of a finite system by their `Fraction` vectors."""
+    return {r: i for i, r in enumerate(system.roots)}
+
+
 def shifted(system, j, i, m):
     """Index of root j + m * root i, or None."""
-    return system._index.get(vadd(system.roots[j], vscale(m, system.roots[i])))
+    return _index(system).get(vadd(system.roots[j], vscale(m, system.roots[i])))
 
 
 def reflection_image(system, i, j):
@@ -309,11 +319,11 @@ def reflection_image(system, i, j):
     if n == 0 and b in (a, vneg(a)):
         if not system.contains(vneg(b)):
             raise UnknownRoot("the negative is not a root")
-        return system._index[vneg(b)]
+        return _index(system)[vneg(b)]
     if p == 0:
         return j
     if n:
-        return system._index.get(vsub(b, vscale(2 * p / n, a)))
+        return _index(system).get(vsub(b, vscale(2 * p / n, a)))
     plus, minus = shifted(system, j, i, 1), shifted(system, j, i, -1)
     if (plus is None) == (minus is None):
         raise (MissingImage if plus is None else AmbiguousReflection)(a, b)
@@ -328,21 +338,20 @@ def isomorphic_finite(sys_a, sys_b):
     basis, basis_vectors, coords = sys_a._span
     if len(basis) != len(sys_b._span[0]):
         return None
-    va, vb = sys_a._view, sys_b._view
-    Pa, Pb = va.pairings, vb.pairings
-    candidates = sorted({y / x for x in _form_values(va) for y in _form_values(vb)}) or [Q(1)]
+    Pa, Pb = sys_a._pairings, sys_b._pairings
+    candidates = sorted({y / x for x in _form_values(sys_a) for y in _form_values(sys_b)}) or [Q(1)]
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
     den, icoords = clear_denominators(coords)
 
     def onto_roots(assignment):
-        cols = [[vb.vectors[m][k] for m in assignment] for k in range(sys_b.space.dim)]
+        cols = [[sys_b._rows[m][k] for m in assignment] for k in range(sys_b.space.dim)]
         images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
-        hit = [None if any(x % den for x in v) else vb.lookup.get(tuple(x // den for x in v))
+        hit = [None if any(x % den for x in v) else sys_b._lookup.get(tuple(x // den for x in v))
                for v in images]
         return hit if None not in hit and len(set(hit)) == len(hit) else None
 
     for x in candidates:
-        t = x * va.unit / vb.unit
+        t = x * sys_a._unit / sys_b._unit
         p, q = t.numerator, t.denominator
         by_fp = {}
         for s, fp in enumerate(fp_b):
@@ -384,3 +393,20 @@ def finite_root_system(space, roots):
     roots = tuple(rs)
     return SimpleNamespace(roots=roots, index={r: i for i, r in enumerate(roots)},
                            key=(space, roots))
+
+
+def is_reduced(system):
+    """No proportional pair alpha, lambda*alpha with lambda outside {1, -1}."""
+    for a in system.roots:
+        i = next((j for j, x in enumerate(a) if x != 0), None)
+        if i is None:
+            continue
+        for b in system.roots:
+            if b[i] == 0:
+                continue
+            lam = b[i] / a[i]
+            if lam in (1, -1):
+                continue
+            if b == vscale(lam, a):
+                return False
+    return True

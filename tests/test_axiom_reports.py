@@ -18,7 +18,7 @@ from fractions import Fraction as Q
 import pytest
 
 from grrs import serialize
-from grrs.catalog import build
+from grrs.catalog import build, family
 from grrs.finite import FiniteRootSystem, check_axioms
 from grrs.linalg import (
     BilinearSpace, Lattice, standard_space, vadd, vec, vneg, vscale, zero_vector,
@@ -168,3 +168,67 @@ def test_pinned_reports_fail_every_axiom():
     for reports in (FINITE_REPORTS, SYMBOLIC_REPORTS):
         failed = {a for label in reports for a in AXIOMS if not getattr(_report(label), a).passed}
         assert failed == set(AXIOMS)
+
+
+# ---------------------------------------------------------------------------
+# The symbolic checker and lookups find each class through the root index of
+# the quotient, whose order need not be that of the lifts.  Moving the
+# radical to the first coordinates and adding to each lift a radical part
+# linear in its class is an isometry after which the lifts no longer sort as
+# their classes; every verdict and every lookup must be the same.
+
+RADICAL_FIRST = {
+    **SYMBOLIC_REPORTS,
+    "G2, s = 1": lambda: family("G2", 2, s=1),
+    "B3 over S = {0, 3}": lambda: family("B3", 2, S={0, 3}),
+    "BC(2,1) over S = {0}, Sp = {1, 2}": lambda: family("BC(2,1)", 2, S={0}, Sp={1, 2}),
+    "affine B(1,1)": lambda: affinize(build("B(1,1)"), 1),
+}
+
+
+def _radical_first(system, rng):
+    """The image of the system under (q, r) -> (r + T q, q), for q the first
+    coordinates and r the last kernel_dim, which span the radical, and T a
+    seeded integer matrix."""
+    k = system.kernel_dim
+    d0 = system.space.dim - k
+    G = system.space.gram
+    assert not any(any(row) for row in G[d0:])
+    T = [[rng.randint(-3, 3) for _ in range(d0)] for _ in range(k)]
+
+    def f(v):
+        q, r = v[:d0], v[d0:]
+        return tuple(r[i] + sum(c * x for c, x in zip(T[i], q)) for i in range(k)) + tuple(q)
+
+    def lattice(lat):
+        return Lattice.from_vectors(lat.dim, [f(b) for b in lat.basis])
+
+    old = list(range(d0, d0 + k)) + list(range(d0))
+    gram = [[G[i][j] for j in old] for i in old]
+    entries = [
+        (f(e.lift), CosetSet(lattice(e.family.ambient), lattice(e.family.modulus),
+                             f(e.family.translate), [f(x) for x in e.family.reps]))
+        for e in system.entries
+    ]
+    return SymbolicRootSystem(BilinearSpace(gram), entries), f
+
+
+def _entries_by_class(system):
+    return [system.entries.index(system.entry_for_cl(c)) for c in system.cl().roots]
+
+
+@pytest.mark.parametrize("label", sorted(RADICAL_FIRST))
+def test_verdicts_and_lookups_do_not_follow_the_order_of_lifts(label):
+    system = RADICAL_FIRST[label]()
+    rng = random.Random(f"radical-first/{label}")
+    # the first seeded T under which the lifts do not sort as their classes
+    moved, f = next(m for m in (_radical_first(system, rng) for _ in range(20))
+                    if _entries_by_class(m[0]) != list(range(len(system.entries))))
+    assert report_verdicts(check_symbolic_axioms(moved)) == report_verdicts(
+        check_symbolic_axioms(system))
+    for e in system.entries:
+        lift, members = f(e.lift), [f(m) for m in e.family.members()]
+        entry = moved.entry_for_cl(lift)
+        assert entry.lift == lift and moved.family_of_lift(lift) is entry.family
+        assert all(entry.family.contains(m) for m in members)
+        assert all(moved.contains(vadd(lift, m)) for m in members)

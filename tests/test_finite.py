@@ -281,6 +281,52 @@ class TestReduced:
         sys_, trunc = real_roots_from_matrix([[1]], J=[0], height_bound=4)
         assert not trunc and not is_reduced(sys_)
 
+    @pytest.mark.parametrize("name", ["BC1", "BC3", "B3", "G2", "BC(2,1)", "E6", "B(1,1)"])
+    def test_catalog_matches_the_pairwise_scan(self, name):
+        system = build(name)
+        assert is_reduced(system) == reference.is_reduced(system)
+
+
+@st.composite
+def proportional_root_sets(draw):
+    """Roots drawn with some of their rational multiples (lambda = +-1
+    among them), and sometimes the zero vector, in small denominators."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    pool = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=5))
+    factors = st.sampled_from([Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-3, 2), Q(3), Q(2, 3)])
+    roots = list(pool)
+    for v in pool:
+        roots += [vscale(c, v) for c in draw(st.lists(factors, max_size=2))]
+    if draw(st.booleans()):
+        roots.append((Q(0),) * dim)
+    return FiniteRootSystem(standard_space(dim), roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(proportional_root_sets())
+def test_is_reduced_matches_the_pairwise_scan(system):
+    assert is_reduced(system) == reference.is_reduced(system)
+
+
+def test_lookups_read_their_arguments_as_vectors(b2, b11):
+    """The public finite lookups read strings and ints as `vec` does."""
+    spelled, root = ("-1", "-1"), V(-1, -1)
+    assert b2.contains(spelled) and b2.contains((-1, "-2/2"))
+    assert not b2.contains(("1/2", "0"))
+    assert b2.norm(spelled) == b2.norm(root) == 2
+    assert b2.norm(("1/2", 0)) == Q(1, 4)
+    # a denominator that does not divide the scale is no root: 4 // 3 = 1
+    quarters = FiniteRootSystem(standard_space(1), [V(Q(1, 4)), V(Q(-1, 4))])
+    assert quarters.contains(V(Q(1, 4))) and not quarters.contains(("1/3",))
+    assert quarters.norm(("1/3",)) == Q(1, 9)
+    seeds = [("1", "0"), spelled]
+    assert generate_subsystem(b2, seeds) == generate_subsystem(b2, [V(1, 0), root])
+    for a in b11.isotropic_roots():
+        for b in b11.roots:
+            words = [tuple(str(x) for x in v) for v in (a, b)]
+            assert isotropic_reflect(b11, *words) == isotropic_reflect(b11, a, b)
+
 
 class TestIntegralSubsystem:
     def test_b2_half_weight(self, b2):
@@ -461,7 +507,7 @@ def test_random_isometries_keep_nonisomorphic_pairs_apart(names, rng, c):
 
 
 # ---------------------------------------------------------------------------
-# Scale invariance: an oracle for the integer pairing view.  Scaling the form
+# Scale invariance: an oracle for the integer pairings.  Scaling the form
 # by lam != 0 and the roots by mu > 0 changes every common denominator but
 # no Cartan number, sign or root order, so every answer must be the same up
 # to mu.
@@ -530,8 +576,8 @@ def test_answers_are_invariant_under_scaling(name, drop, lam, mu):
 
 
 # ---------------------------------------------------------------------------
-# The reflection kernel: an oracle for the packed keys of the pairing view.
-# `image` and `shift` must answer as a step on the Fraction roots themselves,
+# The reflection kernel: an oracle for the packed keys of a finite system.
+# `_image` and `_shift` must answer as a step on the Fraction roots themselves,
 # found by tuple lookup, on every pair: for roots with large coordinates and
 # Cartan numbers, isotropic roots, non-integral 2p/n and missing negatives.
 
@@ -587,21 +633,22 @@ ALIASING = ([[1, 1], [1, 3]], _pm((1, 0), (0, 1)))
 def test_reflection_kernel_matches_the_fraction_reference(case):
     gram, roots = case
     system = FiniteRootSystem(BilinearSpace(gram), roots)
-    view, P = system._view, system._view.pairings
+    P = system._pairings
     for i in range(len(system)):
         for j in range(len(system)):
-            assert _outcome(view.image, i, j) == _outcome(reference.reflection_image, system, i, j)
+            assert (_outcome(system._image, i, j)
+                    == _outcome(reference.reflection_image, system, i, j))
             steps = [1, -1]
             if P[i][i] and 2 * P[i][j] % P[i][i] == 0:
                 steps.append(-2 * P[i][j] // P[i][i])
             for m in steps:
-                assert view.shift(j, i, m) == reference.shifted(system, j, i, m)
+                assert system._shift(j, i, m) == reference.shifted(system, j, i, m)
 
 
 def test_packing_base_keeps_a_far_image_off_the_roots():
     system = FiniteRootSystem(BilinearSpace(ALIASING[0]), ALIASING[1])
-    a, b = system._index[V(-1, 0)], system._index[V(0, -1)]
-    assert system._view.image(a, b) is None
+    a, b = system._find(V(-1, 0)), system._find(V(0, -1))
+    assert system._image(a, b) is None
     assert check_axioms(system).gr2.witness == (V(-1, 0), V(0, -1))
 
 
@@ -699,7 +746,9 @@ def test_integer_rows_keep_the_fraction_constructor(case, other):
     for system, ref in zip(systems, refs):
         assert system.roots == ref.roots
         assert all(type(x) is Q for r in system.roots for x in r)
-        assert system._index == ref.index
+        # the integer root index finds each root at its place, and only the roots
+        assert {r: system._find(r) for r in ref.roots} == ref.index
+        assert len(system._lookup) == len(ref.index)
     for a, ra in zip(systems, refs):
         for b, rb in zip(systems, refs):
             assert (a == b) == (ra.key == rb.key)

@@ -16,7 +16,9 @@ no tuple lookup, and `isomorphic_finite` indexes fingerprints only for a
 scale that carries the norms across.  The finite constructor and the
 document reader hash no `Fraction`, the reader parses each spelling once
 per document and the writer formats each distinct family once, and a
-family's stabilizer search reduces each candidate shift about once.  A
+family's stabilizer search reduces each candidate shift about once.  Finite
+and symbolic lookups hash no `Fraction` after first use, and restricting
+E7 to its span computes the pairings of no root of the ambient system.  A
 change that brings back per-root, per-entry or per-call work fails here,
 although every answer would still be right.
 """
@@ -24,6 +26,7 @@ although every answer would still be right.
 import random
 import sys
 from fractions import Fraction as Q
+from functools import cached_property
 
 from grrs import catalog, classify, finite, serialize, symbolic
 from grrs.catalog import a_nn_x, build, family
@@ -228,11 +231,11 @@ def test_coset_data_has_one_anchoring(monkeypatch):
         assert all(fam.contains(vadd(translate, r)) for r in reps)
 
 
-def test_reflection_steps_make_no_tuple_lookup():
+def test_reflection_steps_make_no_tuple_lookup(monkeypatch):
     """Every Cartan number of E6 is integral, so no step of the checker or
     of the orbit partition builds and looks up a vector."""
     e6 = build("E6")
-    view = e6._view
+    e6._neg  # the negatives are looked up once, before the probe
     probes = []
 
     class Probed(dict):
@@ -248,7 +251,7 @@ def test_reflection_steps_make_no_tuple_lookup():
             probes.append(key)
             return dict.__contains__(self, key)
 
-    view.lookup = Probed(view.lookup)
+    monkeypatch.setattr(e6, "_lookup", Probed(e6._lookup))
     assert check_axioms(e6).is_grrs
     assert len(gw_orbits(e6)) == 1
     assert probes == []
@@ -282,6 +285,48 @@ def test_finite_systems_and_documents_hash_no_fraction(monkeypatch):
     loaded = serialize.loads(text)
     assert hashed == []
     assert loaded == e6 and len(e6.roots) == 72
+
+
+def test_lookups_hash_no_fraction(monkeypatch):
+    """A finite lookup reads its vector as an integer row over the system's
+    scale and finds it in the root index; a symbolic lookup finds the class
+    in the root index of the quotient.  After first use, none hashes a
+    `Fraction`."""
+    e6 = build("E6")
+    affine = affinize(e6, 1)
+
+    def look():
+        for lift in affine.lifts:
+            assert affine.contains(lift)
+            assert affine.entry_for_cl(lift).lift == lift
+            assert affine.family_of_lift(lift) is affine.entry_for_cl(lift).family
+        for r in e6.roots:
+            assert e6.contains(r) and e6.norm(r) == 2
+
+    look()
+    hashed = []
+    _counted(monkeypatch, Q, "__hash__", hashed)
+    look()
+    assert len(affine.lifts) == 72 and hashed == []
+
+
+def test_restricting_e7_pairs_no_ambient_root(monkeypatch):
+    """`restricted_to_span` reads the Gram matrix of the picked roots off
+    their Gram rows, so building E7 inside the space of E8 computes the
+    pairings of no 126-root system."""
+    paired = []
+    pairings = FiniteRootSystem._pairings.func
+
+    def counted(self):
+        paired.append(len(self))
+        return pairings(self)
+
+    probe = cached_property(counted)
+    probe.__set_name__(FiniteRootSystem, "_pairings")
+    monkeypatch.setattr(FiniteRootSystem, "_pairings", probe)
+    e7 = catalog._e_series(7)
+    assert (e7.space.dim, len(e7)) == (7, 126) and paired == []
+    assert check_axioms(e7).is_grrs and paired == [126]
 
 
 def test_reader_parses_each_spelling_once(monkeypatch):
