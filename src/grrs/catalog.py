@@ -617,10 +617,10 @@ def orbits(key: TypeKey) -> Tuple[Orbit, ...]:
 
 
 @lru_cache(maxsize=None)
-def generating_coordinates(key: TypeKey) -> Dict[Vector, Vector]:
-    """Each root of the catalog system of a type written on
-    `generating_roots(key)`: the coefficients `solve_in_span` gives, zero on
-    a generator dependent on earlier ones.
+def generating_coordinates(key: TypeKey) -> Tuple[Vector, ...]:
+    """Each root of the catalog system of a type, in the order of its roots,
+    written on `generating_roots(key)`: the coefficients `solve_in_span`
+    gives, zero on a generator dependent on earlier ones.
 
     One elimination of the generators followed by all the roots: its pivots
     among the generators are those of every `solve_in_span` call, and as the
@@ -628,13 +628,13 @@ def generating_coordinates(key: TypeKey) -> Dict[Vector, Vector]:
     """
     gens = generating_roots(key)
     roots = key.system().roots
-    picked, coords, _ = column_basis([*gens, *roots])
+    picked, den, coords, _ = column_basis([*gens, *roots])
     g = len(gens)
     if picked and picked[-1] >= g:
         raise UnrecognizedCl(f"the generating roots of {key} do not span its roots")
     slot = {p: j for j, p in enumerate(picked)}
-    return {root: tuple(c[slot[i]] if i in slot else Q(0) for i in range(g))
-            for root, c in zip(roots, coords[g:])}
+    return tuple(tuple(Q(c[slot[i]], den) if i in slot else Q(0) for i in range(g))
+                 for c in coords[g:])
 
 
 def _parameter(data: str) -> Optional[str]:

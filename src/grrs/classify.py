@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import catalog
 from .catalog import TypeKey, _bits, _sumset, spans_affinely, subset_mask, type_key
@@ -325,18 +325,27 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     sum c_g lift_g, and the family above w moves by -sum c_g m_g.  The
     coefficients c_g of a catalog root are those of its image, as the
     homothety is linear and one to one on the span, so they are read from
-    `catalog.generating_coordinates` and the image from `hmap.roots`.
+    `catalog.generating_coordinates` and the image from `hmap.index`.
     """
-    coords = catalog.generating_coordinates(key)
+    cat, coords = hmap.domain, catalog.generating_coordinates(key)
     least = [vadd(f.translate, f.reps[0]) for f in
-             (system.entry_for_cl(hmap.roots[g]).family for g in catalog.generating_roots(key))]
+             (_family_above(system, hmap, cat._find(g)) for g in catalog.generating_roots(key))]
+    shifted: Dict[int, CosetSet] = {}
 
-    @lru_cache(maxsize=None)
     def fam(cat_root: Vector) -> CosetSet:
-        family = system.entry_for_cl(hmap.roots[cat_root]).family
-        return family.shift(vneg(_combination(coords[cat_root], least, len(least[0]))))
+        i = cat._find(cat_root)
+        if i not in shifted:
+            offset = _combination(coords[i], least, len(least[0]))
+            shifted[i] = _family_above(system, hmap, i).shift(vneg(offset))
+        return shifted[i]
 
     return fam
+
+
+def _family_above(system: SymbolicRootSystem, hmap: Homothety, i: int) -> CosetSet:
+    """The family of `system` above the image of root i of the catalog copy,
+    found by the index of that image in the quotient's roots."""
+    return system.entries[system._cl_entries[hmap.index[i]]].family
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +454,12 @@ def _identify_ann(system, key, hmap, cat, k, L):
     name = str(key)
     n = key.params[0]
 
-    def fam(cat_root):
-        return system.entry_for_cl(hmap.roots[cat_root]).family
-
-    noniso = next(r for r in cat.roots if cat.norm(r) != 0)
-    F = fam(noniso)
+    noniso = [i for i, n in enumerate(cat._norms) if n]
+    F = _family_above(system, hmap, noniso[0])
     M = F.modulus
     if M.rank < L.rank:
-        for r in cat.roots:
-            if cat.norm(r) != 0 and fam(r).modulus.rank >= L.rank:
-                raise UnrecognizedCl("inconsistent family ranks")
+        if any(_family_above(system, hmap, i).modulus.rank >= L.rank for i in noniso):
+            raise UnrecognizedCl("inconsistent family ranks")
         return ClassDescriptor(name, k, ("gl",))
     if len(F.reps) != 1:
         raise UnrecognizedCl("non-isotropic family is not a single coset")

@@ -116,15 +116,15 @@ class FiniteRootSystem:
         return Lattice.from_vectors(self.space.dim, self.roots)
 
     @cached_property
-    def _span(self) -> Tuple[List[int], Tuple[Vector, ...], Tuple[Vector, ...]]:
-        """The lex-first maximal independent roots, as indices and vectors,
-        and every root's coordinates in them."""
-        picked, coords, _ = column_basis(self.roots)
-        return picked, tuple(self.roots[i] for i in picked), tuple(coords)
+    def _span(self) -> Tuple[List[int], int, List[Tuple[int, ...]]]:
+        """The indices of the lex-first maximal independent roots, and every
+        root's coordinates on them as integer rows over one denominator; the
+        coordinates of the rows are those of the roots."""
+        return column_basis(self._rows)[:3]
 
     def span_basis(self) -> Tuple[Vector, ...]:
         """Lexicographically first maximal independent subset of the roots."""
-        return self._span[1]
+        return tuple(self.roots[i] for i in self._span[0])
 
     def restricted_to_span(self) -> "FiniteRootSystem":
         """The same system over the span of its roots.
@@ -138,10 +138,10 @@ class FiniteRootSystem:
     @cached_property
     def _over_span(self) -> "FiniteRootSystem":
         # the Gram matrix of the picked roots, with no pairing of the others
-        idx, _, coords = self._span
+        idx, den, coords = self._span
         W, R = self._gram_rows, self._rows
         gram = [[self._unit * sum(map(mul, W[i], R[j])) for j in idx] for i in idx]
-        return FiniteRootSystem(BilinearSpace(gram), coords)
+        return FiniteRootSystem(BilinearSpace(gram), [[Q(x, den) for x in c] for c in coords])
 
     # -- the integer readings ----------------------------------------------
 
@@ -168,8 +168,28 @@ class FiniteRootSystem:
         return [tuple(sum(map(mul, v, col)) for col in gram) for v in self._rows]
 
     @cached_property
-    def _pairings(self) -> List[List[int]]:
-        return [[sum(map(mul, w, v)) for v in self._rows] for w in self._gram_rows]
+    def _pairings(self) -> List[Tuple[int, ...]]:
+        """P, with a dot product only for the first root a of each +- pair
+        and only on or above the diagonal: the row of -a is the negated row
+        of a, and P is symmetric as the Gram matrix is."""
+        neg, W, R = self._neg, self._gram_rows, self._rows
+        firsts = [i for i, m in enumerate(neg) if m is None or m >= i]
+        upper = [[sum(map(mul, W[i], R[j])) for j in firsts[a:]] for a, i in enumerate(firsts)]
+        # a row is read off [its entries at firsts | their negatives]: root j
+        # at place b when it is firsts[b], at f + b when it is its negative
+        f, place = len(firsts), [0] * len(R)
+        for b, i in enumerate(firsts):
+            place[i] = b
+            if neg[i] is not None:
+                place[neg[i]] = f + b  # the zero root, its own negative, pairs to 0
+        P: List[Tuple[int, ...]] = [()] * len(R)
+        for a, i in enumerate(firsts):
+            row = [upper[b][a - b] for b in range(a)] + upper[a]
+            minus = [-x for x in row]
+            P[i] = tuple(map((row + minus).__getitem__, place))
+            if neg[i] is not None:
+                P[neg[i]] = tuple(map((minus + row).__getitem__, place))
+        return P
 
     @cached_property
     def _norms(self) -> Tuple[Q, ...]:
@@ -482,23 +502,30 @@ def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSyste
 class Homothety:
     """Linear map defined on the span of a root system, scaling the form.
 
-    `roots` maps each root of the domain system to its image root, so that
-    reading a root's image needs no elimination; `apply` takes any vector
-    of the span.
+    `index[i]` is the index in `target` of the image of root i of `domain`,
+    so that reading a root's image needs no elimination; `roots` is that map
+    as a dict root -> image root, built on first read.  `basis` is the span
+    basis of the domain and `images` its images; `apply` takes any vector of
+    the span.
     """
 
-    def __init__(self, basis: Sequence[Vector], images: Sequence[Vector], scale: Q,
-                 roots: Dict[Vector, Vector]):
-        self.basis = tuple(basis)
-        self.images = tuple(images)
-        self.scale = scale
-        self.roots = roots
+    def __init__(self, domain: FiniteRootSystem, target: FiniteRootSystem, scale: Q,
+                 index: Sequence[int]):
+        self.domain, self.target, self.scale, self.index = domain, target, scale, tuple(index)
+        self.basis = domain.span_basis()
+        self.images = tuple(target.roots[self.index[i]] for i in domain._span[0])
+
+    @cached_property
+    def roots(self) -> Dict[Vector, Vector]:
+        return dict(zip(self.domain.roots, map(self.target.roots.__getitem__, self.index)))
 
     def apply(self, v: Vector) -> Vector:
-        coeffs = solve_in_span(list(self.basis), vec(v))
+        v = vec(v)
+        self.domain.space.check_vector(v)
+        coeffs = solve_in_span(list(self.basis), v)
         if coeffs is None:
             raise DimensionMismatch("vector outside the domain span")
-        return _combination(coeffs, self.images, len(self.images[0]))
+        return _combination(coeffs, self.images, self.target.space.dim)
 
     def __repr__(self):
         return f"Homothety(scale={self.scale})"
@@ -512,10 +539,18 @@ def _combination(coeffs: Sequence[Q], vectors: Sequence[Vector], dim: int) -> Ve
     return out
 
 
-def _form_values(system: FiniteRootSystem) -> set:
-    """The nonzero norms, or when there are none, the nonzero pairings."""
-    norms = set(system._norms) - {0}
-    return norms or {system._unit * p for row in system._pairings for p in row if p}
+def _ratios(Pa: Sequence[Sequence[int]], Pb: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
+    """The distinct ratios y / x, as (p, q) in lowest terms with q > 0 and
+    in increasing order, of a nonzero diagonal pairing y of Pb to one x of
+    Pa; a system without a nonzero norm gives all its nonzero pairings."""
+    xs, ys = (set(filter(None, (p[i] for i, p in enumerate(P))))
+              or set(filter(None, (x for p in P for x in p))) for P in (Pa, Pb))
+    ratios = set()
+    for x in xs:
+        for y in ys:
+            g = gcd(x, y) if x > 0 else -gcd(x, y)
+            ratios.add((y // g, x // g))
+    return sorted(ratios, key=lambda t: Q(*t))
 
 
 def _scaled(values: Tuple[int, ...], m: int) -> Tuple[int, ...]:
@@ -536,29 +571,32 @@ def isomorphic_finite(
 ) -> Optional[Homothety]:
     """Search for a homothety carrying one root set onto the other.
 
-    Candidate form scales come from ratios of nonzero norms; a scale that
-    does not carry the multiset of norms of `sys_a` onto that of `sys_b` is
-    passed over.  The lex-first spanning roots of `sys_a` are matched by
-    backtracking, pruned by the multiset of form values each root takes
-    against the whole system.  A complete assignment is accepted when it
-    carries the roots of `sys_a` onto pairwise distinct roots of `sys_b`.
-    They are then all of R_b, as |R_a| = |R_b|, and R_b spans a space of
-    the rank of R_a's, so the map is one to one on the span.  Neither
-    system need span its ambient space.  The returned map keeps those
-    images as its `roots`.
+    Candidate form scales are the ratios of nonzero norms, read as ratios
+    of diagonal pairings; a scale that does not carry the multiset of norms
+    of `sys_a` onto that of `sys_b` is passed over.  The lex-first spanning
+    roots of `sys_a` are matched by backtracking, pruned by the multiset of
+    form values each root takes against the whole system.  A complete
+    assignment is accepted when it carries the roots of `sys_a` onto
+    pairwise distinct roots of `sys_b`.  They are then all of R_b, as
+    |R_a| = |R_b|, and R_b spans a space of the rank of R_a's, so the map is
+    one to one on the span.  Neither system need span its ambient space.
+    The returned map keeps the index of each root's image.
     """
     if len(sys_a) != len(sys_b):
         return None
-    basis, basis_vectors, coords = sys_a._span
+    basis, den, icoords = sys_a._span
     if len(basis) != len(sys_b._span[0]):
         return None
     Pa, Pb = sys_a._pairings, sys_b._pairings
-    candidates = sorted({y / x for x in _form_values(sys_a) for y in _form_values(sys_b)}) or [Q(1)]
+    # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b, so a
+    # ratio p/q of pairings is the scale x = (p/q) (unit_b / unit_a); when a side has
+    # no nonzero pairing, the scale 1 is tried
+    t = sys_a._unit / sys_b._unit
+    candidates = _ratios(Pa, Pb) or [(t.numerator, t.denominator)]
     # the sorted norms, and each root's pairings against the whole system, sorted
     norms_a, norms_b = (tuple(sorted(p[i] for i, p in enumerate(P))) for P in (Pa, Pb))
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
-    # root i of sys_a is sum_j coords[i][j] basis_vectors[j], with den * coords integral
-    den, icoords = clear_denominators(coords)
+    # root i of sys_a is sum_j icoords[i][j] / den times basis root j
 
     def onto_roots(assignment: List[int]) -> Optional[List[int]]:
         """The index in sys_b of the image of each root of sys_a, when they
@@ -570,10 +608,7 @@ def isomorphic_finite(
                for v in images]
         return hit if None not in hit and len(set(hit)) == len(hit) else None
 
-    for x in candidates:
-        # x (u, v)_a = (u', v')_b  <=>  p Pa = q Pb  with p/q = x unit_a / unit_b
-        t = x * sys_a._unit / sys_b._unit
-        p, q = t.numerator, t.denominator
+    for p, q in candidates:
         if _scaled(norms_a, p) != _scaled(norms_b, q):
             continue  # a homothety carries the norms of R_a onto those of R_b
         by_fp = _fingerprint_index(fp_b, q)
@@ -600,6 +635,5 @@ def isomorphic_finite(
 
         hit = extend(0)
         if hit is not None:
-            roots = {r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)}
-            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x, roots)
+            return Homothety(sys_a, sys_b, Q(p, q) / t, hit)
     return None

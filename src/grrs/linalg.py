@@ -115,24 +115,28 @@ def rref(rows: Sequence[Vector]):
 
 
 def column_basis(columns: Sequence[Vector], fixed: Sequence[Vector] = ()):
-    """Indices of the lex-first columns independent modulo span(fixed),
-    every column's coordinates on them, and whether the span of the columns
-    meets span(fixed) only in 0.
+    """(picked, den, coords, meets_zero): the indices of the lex-first
+    columns independent modulo span(fixed), every column's coordinates on
+    them as integer rows over the one common denominator den, and whether
+    the span of the columns meets span(fixed) only in 0.
 
     One elimination of the matrix whose columns are `fixed` and then
     `columns`: the fixed vectors take the first pivots, the pivots after them
     pick the columns, and the reduced rows below the fixed ones hold each
-    column's coefficients on the picked columns.  The fixed rows hold each
-    column's part in span(fixed), so the two spans meet only in 0 exactly
-    when those rows vanish at every column.
+    column's coefficients on the picked columns, row[m + j] / row[pivot];
+    den is the lcm of those pivots.  The fixed rows hold each column's part
+    in span(fixed), so the two spans meet only in 0 exactly when those rows
+    vanish at every column.
     """
     m = len(fixed)
     reduced, pivots = rref(list(zip(*fixed, *columns)))
     f = sum(p < m for p in pivots)
     rows = list(zip(reduced[f:], pivots[f:]))
-    coords = [tuple(Q(row[m + j], row[p]) for row, p in rows) for j in range(len(columns))]
+    den = lcm(*(row[p] for row, p in rows))
+    scaled = [[x * (den // row[p]) for x in row[m:]] for row, p in rows]
+    coords = list(zip(*scaled)) if rows else [()] * len(columns)
     meets_zero = not any(x for row in reduced[:f] for x in row[m:])
-    return [p - m for p in pivots[f:]], coords, meets_zero
+    return [p - m for p in pivots[f:]], den, coords, meets_zero
 
 
 def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]:
@@ -143,11 +147,11 @@ def solve_in_span(vectors: Sequence[Vector], target: Vector) -> Optional[Vector]
     if any(len(v) != len(target) for v in vectors):
         raise DimensionMismatch("vectors of different lengths")
     k = len(vectors)
-    picked, coords, _ = column_basis([*vectors, target])
+    picked, den, coords, _ = column_basis([*vectors, target])
     if k in picked:
         return None
     coeffs = dict(zip(picked, coords[k]))
-    return tuple(coeffs.get(i, Q(0)) for i in range(k))
+    return tuple(Q(coeffs.get(i, 0), den) for i in range(k))
 
 
 class SubspaceProjection:

@@ -285,7 +285,8 @@ class SymbolicRootSystem:
         if len({tuple(row) for row in rows}) != n:
             raise GrrsError("duplicate lifts in symbolic system")
         # one elimination tests the lifts and keeps the splitting for resplit
-        self._picked, self._coords, independent = column_basis([rows[i] for i in order], kb)
+        self._picked, self._den, self._coords, independent = column_basis(
+            [rows[i] for i in order], kb)
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
@@ -409,7 +410,7 @@ class SymbolicRootSystem:
             shifts.append(off)
         new_entries = []
         for e, c in zip(self.entries, self._coords):
-            lam = _combination(c, shifts, dim)
+            lam = _combination([Q(x, self._den) for x in c], shifts, dim)
             new_entries.append((vadd(e.lift, lam), e.family.shift(vneg(lam))))
         return SymbolicRootSystem(self.space, new_entries)
 
@@ -423,22 +424,35 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
 
     Each root's lift is the root minus its part in the radical.  In the RREF
     of [radical basis | roots] the independent radical basis takes the first
-    k pivots, and row i holds every root's coefficient on its vector i."""
+    k pivots, and row i holds every root's coefficient on its vector i.  The
+    roots are grouped by lift and offsets on integer rows over one
+    denominator, and each distinct lift and offset is read back once."""
     dim, kb = system.space.dim, system.space.kernel_basis()
-    k, zero = len(kb), zero_vector(dim)
-    reduced = rref(list(zip(*kb, *system.roots)))[0][:k] if k else []
-    groups: Dict[Vector, List[Vector]] = {}
-    for j, r in enumerate(system.roots):
-        off = _combination([Q(row[k + j], row[i]) for i, row in enumerate(reduced)], kb, dim)
-        groups.setdefault(vsub(r, off) if k else r, []).append(off)
-    ambient = Lattice.from_vectors(dim, [v for vs in groups.values() for v in vs])
+    k = len(kb)
+    reduced = rref(list(zip(*kb, *system._rows)))[0][:k] if k else []
+    # the part of column j in the radical is sum_i (row_i[k + j] / row_i[i]) kb_i:
+    # over the lcm den of the pivots and the denominator s of kb, an integer
+    # combination of kb's rows
+    den = lcm(*(row[i] for i, row in enumerate(reduced)))
+    s, kb_rows = clear_denominators(kb)
+    # the eliminated columns are the rows R_j = scale * r_j, so the offset of
+    # root j and the root itself are integer rows over E = den * s * scale
+    E, f = den * s * system.scale, den * s
+    groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for j, r in enumerate(system._rows):
+        c = [row[k + j] * (den // row[i]) for i, row in enumerate(reduced)]
+        off = tuple(_int_combination(c, kb_rows, dim))
+        groups.setdefault(tuple(f * x - y for x, y in zip(r, off)), []).append(off)
+    read = cache(lambda v: tuple(Q(x, E) for x in v))
+    ambient = Lattice(dim, E, hnf_int([v for vs in groups.values() for v in vs]))
     # one coset set per distinct offset set
     families: Dict[frozenset, CosetSet] = {}
     for offs in groups.values():
         if frozenset(offs) not in families:
-            families[frozenset(offs)] = CosetSet(ambient, Lattice.zero(dim), zero, offs)
+            families[frozenset(offs)] = CosetSet(ambient, Lattice.zero(dim), zero_vector(dim),
+                                                 [read(v) for v in offs])
     return SymbolicRootSystem(system.space, [
-        (lift, families[frozenset(offs)]) for lift, offs in groups.items()
+        (read(lift), families[frozenset(offs)]) for lift, offs in groups.items()
     ])
 
 

@@ -1,10 +1,10 @@
 """Reference implementations of paths that `grrs` replaced, kept as oracles.
 
-- `rref`, `rank`, `solve`, `kernel`: the rational elimination `grrs.linalg`
-  used before it ran in integers: every pivot row is divided by its pivot
-  and the pivot column is cleared in every other row, all in `Fraction`
-  arithmetic.  They check the integer elimination and give the tests a rank
-  that does not go through it.
+- `rref`, `rank`, `solve`, `kernel`, `column_basis`: the rational
+  elimination `grrs.linalg` used before it ran in integers: every pivot row
+  is divided by its pivot and the pivot column is cleared in every other
+  row, all in `Fraction` arithmetic.  They check the integer elimination and
+  give the tests a rank and span coordinates that do not go through it.
 - `hnf_int`: the Hermite normal form by pairwise extended-gcd steps that
   `linalg.hnf_int` used before its sweeps; the HNF is unique, so both must
   agree on every input.
@@ -19,9 +19,14 @@
   system, computed on the `Fraction` roots themselves and found in a
   `Fraction`-keyed index built here from `system.roots`, before it ran on
   packed integer keys.
+- `pairings`: every pairing W[i] . R[j] of a finite system as a plain dot
+  product, before `_pairings` read the rows of negatives and the lower
+  triangle off the others.
 - `isomorphic_finite`: the homothety search before it passed over the
   candidate scales that do not match the norms: it builds the fingerprint
-  index for every candidate in turn.
+  index for every candidate in turn, takes the candidate scales from the
+  `Fraction` norms (`_form_values`), the span from `column_basis` above and
+  the images of the roots as `Fraction` vectors.
 - `finite_root_system`: the `FiniteRootSystem` constructor before it ran on
   integer rows: the roots deduplicated and sorted as `Fraction` tuples,
   indexed by a `Fraction`-keyed dict, compared and hashed as (space, roots).
@@ -35,20 +40,12 @@ from operator import mul
 from types import SimpleNamespace
 
 from grrs.errors import AmbiguousReflection, BadMatrix, GrrsError, MissingImage, UnknownRoot
-from grrs.finite import (
-    FiniteRootSystem,
-    Homothety,
-    _combination,
-    _form_values,
-    _scaled,
-    reflect,
-)
+from grrs.finite import FiniteRootSystem, _scaled, reflect
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
     SubspaceProjection,
     clear_denominators,
-    column_basis,
     unit_vector,
     vadd,
     vec,
@@ -105,6 +102,24 @@ def solve(vectors, target):
             return None
         coeffs[p] = row[k] - sum(row[j] * coeffs[j] for j in range(p + 1, k))
     return tuple(coeffs)
+
+
+def column_basis(columns, fixed=()):
+    """(picked, coords, meets_zero) as `linalg.column_basis` gives them, the
+    coordinates as `Fraction`s read off the rational RREF."""
+    m = len(fixed)
+    reduced, pivots = rref(list(zip(*fixed, *columns)))
+    f = sum(p < m for p in pivots)
+    coords = [tuple(row[m + j] for row in reduced[f:]) for j in range(len(columns))]
+    meets_zero = not any(x for row in reduced[:f] for x in row[m:])
+    return [p - m for p in pivots[f:]], coords, meets_zero
+
+
+def _combination(coeffs, vectors, dim):
+    out = zero_vector(dim)
+    for c, v in zip(coeffs, vectors):
+        out = vadd(out, vscale(c, v))
+    return out
 
 
 def kernel(rows):
@@ -330,28 +345,46 @@ def reflection_image(system, i, j):
     return minus if plus is None else plus
 
 
+def pairings(system):
+    """The integer pairings P[i][j] = W[i] . R[j] of the rows R of a finite
+    system, W[i] = R[i] g G with g G the cleared Gram matrix."""
+    gram = clear_denominators(system.space.gram)[1]
+    W = [[sum(map(mul, v, col)) for col in gram] for v in system._rows]
+    return [[sum(map(mul, w, v)) for v in system._rows] for w in W]
+
+
+def _form_values(system, P):
+    """The nonzero norms, or when there are none, the nonzero pairings."""
+    unit = Q(1, system.scale ** 2 * clear_denominators(system.space.gram)[0])
+    norms = {unit * p[i] for i, p in enumerate(P)} - {0}
+    return norms or {unit * x for p in P for x in p if x}
+
+
 def isomorphic_finite(sys_a, sys_b):
     """A homothety carrying one root set onto the other, or None, tried
-    scale by scale in the order of `finite.isomorphic_finite`."""
+    scale by scale in the order of `finite.isomorphic_finite`; a namespace
+    of `scale`, the spanning roots `basis`, their `images` and the map
+    `roots`."""
     if len(sys_a) != len(sys_b):
         return None
-    basis, basis_vectors, coords = sys_a._span
-    if len(basis) != len(sys_b._span[0]):
+    basis, coords, _ = column_basis(sys_a.roots)
+    if len(basis) != len(column_basis(sys_b.roots)[0]):
         return None
-    Pa, Pb = sys_a._pairings, sys_b._pairings
-    candidates = sorted({y / x for x in _form_values(sys_a) for y in _form_values(sys_b)}) or [Q(1)]
+    Pa, Pb = pairings(sys_a), pairings(sys_b)
+    values_a, values_b = _form_values(sys_a, Pa), _form_values(sys_b, Pb)
+    candidates = sorted({y / x for x in values_a for y in values_b}) or [Q(1)]
     fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
-    den, icoords = clear_denominators(coords)
+    unit_a, unit_b = (Q(1, s.scale ** 2 * clear_denominators(s.space.gram)[0])
+                      for s in (sys_a, sys_b))
+    dim = sys_b.space.dim
 
     def onto_roots(assignment):
-        cols = [[sys_b._rows[m][k] for m in assignment] for k in range(sys_b.space.dim)]
-        images = [[sum(map(mul, c, col)) for col in cols] for c in icoords]
-        hit = [None if any(x % den for x in v) else sys_b._lookup.get(tuple(x // den for x in v))
-               for v in images]
+        images = [sys_b.roots[m] for m in assignment]
+        hit = [_index(sys_b).get(_combination(c, images, dim)) for c in coords]
         return hit if None not in hit and len(set(hit)) == len(hit) else None
 
     for x in candidates:
-        t = x * sys_a._unit / sys_b._unit
+        t = x * unit_a / unit_b
         p, q = t.numerator, t.denominator
         by_fp = {}
         for s, fp in enumerate(fp_b):
@@ -379,8 +412,12 @@ def isomorphic_finite(sys_a, sys_b):
 
         hit = extend(0)
         if hit is not None:
-            roots = {r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)}
-            return Homothety(basis_vectors, [sys_b.roots[m] for m in assignment], x, roots)
+            return SimpleNamespace(
+                scale=x,
+                basis=tuple(sys_a.roots[i] for i in basis),
+                images=tuple(sys_b.roots[m] for m in assignment),
+                roots={r: sys_b.roots[m] for r, m in zip(sys_a.roots, hit)},
+            )
     return None
 
 

@@ -29,7 +29,7 @@ def assert_parity(system, ref):
     assert [(e.lift, e.family) for e in system.entries] == ref.entries
     assert all(type(x) is Q for e in system.entries for x in e.lift)
     assert system.splitting() == ref.splitting
-    assert system._coords == ref.coords
+    assert [tuple(Q(x, system._den) for x in c) for c in system._coords] == ref.coords
     assert system.cl() == ref.cl
 
 

@@ -378,6 +378,20 @@ class TestIsomorphism:
             with pytest.raises(DimensionMismatch):
                 h.apply(v)
 
+    def test_apply_on_a_zero_span(self):
+        # a domain spanning only {0} maps every vector of its span, 0, to the
+        # zero vector of the target's space
+        for roots in ([], [V(0, 0)]):
+            src = FiniteRootSystem(standard_space(2), roots)
+            dst = FiniteRootSystem(standard_space(3), [V(0, 0, 0)] * len(roots))
+            h = isomorphic_finite(src, dst)
+            assert h is not None and h.images == () and h.basis == ()
+            assert h.apply((0, 0)) == V(0, 0, 0)
+            assert h.roots == dict.fromkeys(roots, V(0, 0, 0))
+            for v in (V(1, 0), V(0, 0, 0)):
+                with pytest.raises(DimensionMismatch):
+                    h.apply(v)
+
     @staticmethod
     def assert_homothety(h, src, dst):
         assert h is not None
@@ -423,9 +437,9 @@ def test_generating_coordinates_are_the_solved_ones(name):
     orbits(key)  # the types `orbits` lays out
     gens = generating_roots(key)
     table = generating_coordinates(key)
-    assert sorted(table) == list(key.system().roots)
-    for r in key.system().roots:
-        assert table[r] == solve_in_span(gens, r)
+    assert len(table) == len(key.system())
+    for r, c in zip(key.system().roots, table):
+        assert c == solve_in_span(gens, r)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +664,55 @@ def test_packing_base_keeps_a_far_image_off_the_roots():
     a, b = system._find(V(-1, 0)), system._find(V(0, -1))
     assert system._image(a, b) is None
     assert check_axioms(system).gr2.witness == (V(-1, 0), V(0, -1))
+
+
+# ---------------------------------------------------------------------------
+# The pairings take a dot product for the first root of each +- pair and on or
+# above the diagonal only, and read the rest off by negation and symmetry:
+# they must be every plain dot product, on systems closed under negation or
+# not, with 0, isotropic roots, degenerate forms and large denominators.
+
+RATIONALS = st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def pairing_cases(draw):
+    """(gram, roots): a symmetric Gram matrix with small integer or rational
+    entries, often degenerate; roots with small or rational coordinates."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.integers(-2, 2), RATIONALS)
+    gram = [[Q(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            gram[i][j] = gram[j][i] = draw(entry)
+    coordinate = st.one_of(st.integers(-3, 3), RATIONALS)
+    roots = draw(st.lists(st.tuples(*[coordinate] * d), min_size=0, max_size=8))
+    if draw(st.booleans()):
+        gram[0] = [Q(0)] * d  # the first coordinate in the radical: isotropic roots
+        for i in range(d):
+            gram[i][0] = Q(0)
+        roots.append(unit_vector(d, 0))
+    if draw(st.booleans()):
+        roots.append((0,) * d)
+    closed = draw(st.booleans())
+    roots = [vec(r) for r in roots]
+    roots += [vneg(r) for r in roots if closed or draw(st.booleans())]
+    return gram, roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairing_cases())
+@example(([[1, 0], [0, 1]], []))
+@example(([[0, 1], [1, 0]], [V(0, 0), V(1, 0), V(0, 1), V(-1, 0)]))  # 0, isotropic, one negative
+@example(([[Q(1, 10 ** 6), 0], [0, 0]], _pm((Q(1, 999983), 7), (1, Q(-3, 10 ** 6)))))
+def test_pairings_match_every_plain_dot_product(case):
+    gram, roots = case
+    system = FiniteRootSystem(BilinearSpace(gram), roots)
+    P = system._pairings
+    assert [list(p) for p in P] == reference.pairings(system)
+    for i, r in enumerate(system.roots):
+        assert system._unit * P[i][i] == system.space.norm(r)
+        assert system._unit * P[i][0] == system.space.form(r, system.roots[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grrs.errors import DimensionMismatch
@@ -369,9 +369,14 @@ def test_integer_rref_matches_fraction_reference(rows, coeffs, in_span):
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices(), st.integers(0, 2))
+@example([V(2, 0), V(0, 3), V(1, 1)], 0)  # pivots 2 and 3: coordinates over 6
+@example([V(1, 0, 0), V(0, 2, 0), V(0, 0, 3), V(1, 1, 1)], 1)
 def test_column_basis_against_reference_ranks(vectors, m):
     fixed, columns = vectors[:m], vectors[m:]
-    picked, coords, meets_zero = column_basis(columns, fixed)
+    picked, den, coords, meets_zero = column_basis(columns, fixed)
+    # the integer coordinates over den are the rational ones of the reference
+    coords = [tuple(Q(x, den) for x in c) for c in coords]
+    assert (picked, coords, meets_zero) == reference.column_basis(columns, fixed)
     rank = lambda vs: reference.rank(fixed + vs)
     assert picked == [j for j in range(len(columns)) if rank(columns[:j + 1]) > rank(columns[:j])]
     # each column minus its combination of the picked ones lies in span(fixed)

@@ -13,7 +13,9 @@ re-anchors them there, with no `Fraction` vector in between, through the
 same integer anchoring as `CosetSet(...)`.  The finite checker and the
 orbit partitions take every integral reflection step on packed keys, with
 no tuple lookup, and `isomorphic_finite` indexes fingerprints only for a
-scale that carries the norms across.  The finite constructor and the
+scale that carries the norms across, reads its scales off integer
+pairings and hashes no `Fraction`.  A system's pairings take a dot product
+for under half of its pairs of roots.  The finite constructor and the
 document reader hash no `Fraction`, the reader parses each spelling once
 per document and the writer formats each distinct family once, and a
 family's stabilizer search reduces each candidate shift about once.  Finite
@@ -271,6 +273,37 @@ def test_isomorphic_finite_indexes_one_scale(monkeypatch):
         del built[:]
         assert isomorphic_finite(system, image).scale == 4 * c
         assert len(built) == 1
+
+
+def test_isomorphic_finite_hashes_no_fraction(monkeypatch):
+    """The candidate scales are read off the integer diagonal pairings and
+    the root map is kept by index, so a homothety search from E6 onto a
+    seeded isometric image, readings included, hashes no `Fraction`."""
+    e6 = build("E6")
+    rng = random.Random("iso/E6")
+    perm, sign = rng.sample(range(6), 6), [rng.choice((1, -1)) for _ in range(6)]
+    gram = [[Q(3, 2) * sign[i] * sign[j] * e6.space.gram[perm[i]][perm[j]] for j in range(6)]
+            for i in range(6)]
+    image = FiniteRootSystem(BilinearSpace(gram),
+                             [[sign[i] * r[perm[i]] for i in range(6)] for r in e6.roots])
+    source = FiniteRootSystem(e6.space, e6.roots)
+    hashed = []
+    _counted(monkeypatch, Q, "__hash__", hashed)
+    h = isomorphic_finite(source, image)
+    assert h is not None and h.scale == Q(3, 2)
+    assert hashed == []
+
+
+def test_e6_pairings_take_under_half_the_products(monkeypatch):
+    """The pairings take a dot product for the first root of each +- pair,
+    on or above the diagonal only: E6 multiplies far fewer than half of the
+    72 * 72 * 6 = 31 104 coordinate pairs of every dot product."""
+    e6 = catalog._e_series(6)
+    assert len(e6._gram_rows) == 72
+    products = []
+    _counted(monkeypatch, finite, "mul", products)
+    assert len(e6._pairings) == 72
+    assert len(products) <= 31104 // 2
 
 
 def test_finite_systems_and_documents_hash_no_fraction(monkeypatch):
