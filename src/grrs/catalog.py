@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -24,7 +24,11 @@ from .linalg import (
     BilinearSpace,
     Lattice,
     Vector,
+    _int_combination,
     column_basis,
+    hnf_cosets,
+    hnf_int,
+    hnf_reduce,
     standard_space,
     unit_vector,
     vadd,
@@ -543,16 +547,25 @@ def _preimage(L: Lattice, mask: int, r: int = 2, scale=1) -> CosetSet:
 
 def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
     """The mask of the points of ref/r*ref that the family meets, on the
-    basis of ref: for fam = `_preimage(ref, mask, r)` this is the mask."""
-    r_ref = ref.scaled(r)
-    if not fam.modulus.contains_lattice(r_ref):
+    basis of ref: for fam = `_preimage(ref, mask, r)` this is the mask.  On
+    the ambient's coordinates r*ref lies in M with finite index, and each
+    translate + rep + c, c in a box of M / r*ref, is reduced on ref once."""
+    amb = fam.ambient
+    sub = amb.coordinates(ref.scaled(r))
+    cosets = None if sub is None or any(
+        any(hnf_reduce(c, fam._mod, fam._piv)[0]) for c in sub
+    ) else hnf_cosets(fam._mod, hnf_int(sub), amb.rank)
+    if cosets is None:
         raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
-    cosreps = fam.modulus.coset_representatives(r_ref)
+    d = lcm(fam._denominator(), ref.scale)
+    t, reps, _ = fam._at(d)
+    f = d // amb.scale
+    box = [[f * x for x in _int_combination(c, amb.rows, amb.dim)] for c in cosets]
     mask = 0
-    for m in fam.members():
-        for cr in cosreps:
-            coeffs = ref.coefficients(vadd(m, cr))
-            if coeffs is None:
+    for rep in reps:
+        for b in box:
+            w, coeffs = ref.reduce_int([x + y + z for x, y, z in zip(t, rep, b)], d)
+            if any(w):
                 raise UnrecognizedCl("family member outside the reference lattice")
             mask |= 1 << _point(coeffs, r)
     return mask
@@ -617,24 +630,33 @@ def orbits(key: TypeKey) -> Tuple[Orbit, ...]:
 
 
 @lru_cache(maxsize=None)
-def generating_coordinates(key: TypeKey) -> Tuple[Vector, ...]:
-    """Each root of the catalog system of a type, in the order of its roots,
-    written on `generating_roots(key)`: the coefficients `solve_in_span`
-    gives, zero on a generator dependent on earlier ones.
+def _generating_rows(key: TypeKey):
+    """(indices, den, rows): the index of each of `generating_roots(key)`
+    among the roots of the catalog system of the type (None for no root),
+    and each root, in their order, on the generators as an integer row over
+    den: the coefficients `solve_in_span` gives, zero on a generator
+    dependent on earlier ones.
 
     One elimination of the generators followed by all the roots: its pivots
     among the generators are those of every `solve_in_span` call, and as the
     generators span the roots, no root is a pivot.
     """
     gens = generating_roots(key)
-    roots = key.system().roots
-    picked, den, coords, _ = column_basis([*gens, *roots])
+    system = key.system()
+    picked, den, coords, _ = column_basis([*gens, *system.roots])
     g = len(gens)
     if picked and picked[-1] >= g:
         raise UnrecognizedCl(f"the generating roots of {key} do not span its roots")
     slot = {p: j for j, p in enumerate(picked)}
-    return tuple(tuple(Q(c[slot[i]], den) if i in slot else Q(0) for i in range(g))
-                 for c in coords[g:])
+    rows = tuple(tuple(c[slot[i]] if i in slot else 0 for i in range(g)) for c in coords[g:])
+    return tuple(system._find(vec(v)) for v in gens), den, rows
+
+
+@lru_cache(maxsize=None)
+def generating_coordinates(key: TypeKey) -> Tuple[Vector, ...]:
+    """The rows of `_generating_rows` as rationals."""
+    _, den, rows = _generating_rows(key)
+    return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
 
 def _parameter(data: str) -> Optional[str]:

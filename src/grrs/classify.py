@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import catalog
@@ -23,8 +24,8 @@ from .errors import (
     NotClassified,
     UnrecognizedCl,
 )
-from .finite import FiniteRootSystem, Homothety, _combination, isomorphic_finite
-from .linalg import Lattice, Vector, clear_denominators, is_zero, vadd, vneg, vscale
+from .finite import FiniteRootSystem, Homothety, isomorphic_finite
+from .linalg import Lattice, Vector, clear_denominators, hnf_int, vadd, vscale
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -73,26 +74,34 @@ class F2Subset:
         return bin(self.mask).count("1")
 
 
+def _tables(k: int, pointmap):
+    """A map of the points of F_2^k as byte tables (low, high): the image of
+    a mask over at most 16 points (k <= 4) is low[mask & 255] | high[mask >> 8]."""
+    out = []
+    for base in (0, 8):
+        row = [0] * (1 << min(8, max(0, (1 << k) - base)))
+        for v in range(1, len(row)):
+            bit = v & -v
+            row[v] = row[v ^ bit] | (1 << pointmap(base + bit.bit_length() - 1))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _point_maps(k: int):
-    """The transvections x_i += x_j, which generate GL(k,2), and the
-    translations by each point t (index t), as byte tables (low, high): the
-    image of a mask over at most 16 points (k <= 4) is
-    low[mask & 255] | high[mask >> 8]."""
+def _generators(k: int):
+    """x_0 += x_1 and the cyclic shift of the coordinates, which generate
+    GL(k,2) (conjugating the first by powers of the shift gives every
+    x_i += x_(i+1), and their commutators every x_i += x_j), then the
+    translation by e_0: three generators of AGL(k,2), fewer for k < 2."""
+    top = (1 << k) - 1
+    linear = [lambda p: p ^ (p >> 1) & 1, lambda p: (p << 1 | p >> (k - 1)) & top] * (k > 1)
+    return tuple(_tables(k, f) for f in linear + [lambda p: p ^ 1] * (k > 0))
 
-    def tables(pointmap):
-        out = []
-        for base in (0, 8):
-            row = [0] * (1 << min(8, max(0, (1 << k) - base)))
-            for v in range(1, len(row)):
-                bit = v & -v
-                row[v] = row[v ^ bit] | (1 << pointmap(base + bit.bit_length() - 1))
-            out.append(tuple(row))
-        return tuple(out)
 
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    transvections = tuple(tables(lambda p, i=i, j=j: p ^ ((p >> j) & 1) << i) for i, j in pairs)
-    return transvections, tuple(tables(lambda p, t=t: p ^ t) for t in range(1 << k))
+@lru_cache(maxsize=None)
+def _translations(k: int):
+    """The translations by each point t (index t)."""
+    return tuple(_tables(k, lambda p, t=t: p ^ t) for t in range(1 << k))
 
 
 def _image(tables, mask: int) -> int:
@@ -100,10 +109,9 @@ def _image(tables, mask: int) -> int:
 
 
 def _walk_orbit(k: int, start: int, visited: bytearray) -> List[int]:
-    """The orbit of a mask under the transvections and the translation by
-    e_0, which generate AGL(k,2), marked in `visited` (indexed by mask)."""
-    transvections, translations = _point_maps(k)
-    gens = transvections + translations[1:2]
+    """The orbit of a mask under AGL(k,2), walked on its three generators
+    and marked in `visited` (indexed by mask)."""
+    gens = _generators(k)
     visited[start] = 1
     orbit = [start]
     for m in orbit:
@@ -165,19 +173,19 @@ def canonical_pair(
     Translations act on the first subset always, on the second only when
     `translate_second`; `complement_first` adds the replacement of the first
     subset by its complement to the group.  The orbit is walked under the
-    transvections (and the complement) with the translated members kept at
-    their least translate: a linear map carries the translates of a subset
-    onto those of its image.
+    generators of GL(k,2) (and the complement) with the translated members
+    kept at their least translate: a linear map carries the translates of
+    a subset onto those of its image.
     """
     full = _full(k, mask1, mask2)
-    transvections, translations = _point_maps(k)
+    linear, translations = _generators(k)[:-1], _translations(k)
     reduce = lru_cache(maxsize=None)(lambda mask: min(_image(t, mask) for t in translations))
     second = reduce if translate_second else (lambda mask: mask)
     start = (reduce(mask1), second(mask2))
     seen = {start}
     orbit = [start]
     for m1, m2 in orbit:
-        images = [(reduce(_image(g, m1)), second(_image(g, m2))) for g in transvections]
+        images = [(reduce(_image(g, m1)), second(_image(g, m2))) for g in linear]
         if complement_first:
             images.append((reduce(full ^ m1), m2))
         for pair in images:
@@ -289,15 +297,19 @@ def recognize_cl(fin: FiniteRootSystem):
 
 def _family_lattice(fam: CosetSet) -> Lattice:
     """The family as a subgroup; requires a single unshifted full coset."""
-    if len(fam.reps) != 1 or not is_zero(fam.translate) or not is_zero(fam.reps[0]):
+    if fam._ireps != {(0,) * fam.ambient.rank} or any(fam.translate):
         raise UnrecognizedCl("family is not a lattice; not of the classified shape")
     return fam.modulus
 
 
 def _generated(families: Sequence[CosetSet]) -> Lattice:
     """The lattice the members and moduli of the families generate."""
-    return Lattice.from_vectors(families[0].dim, [
-        v for f in families for v in (*f.members(), *f.modulus.basis)])
+    d = lcm(*(f._denominator() for f in families))
+    rows = []
+    for f in families:
+        t, reps, mod = f._at(d)
+        rows += mod + [[x + y for x, y in zip(t, r)] for r in reps]
+    return Lattice(families[0].dim, d, hnf_int(rows))
 
 
 def _scale_index(fam: CosetSet, ref: Lattice, r: int, k: int) -> int:
@@ -325,18 +337,26 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     sum c_g lift_g, and the family above w moves by -sum c_g m_g.  The
     coefficients c_g of a catalog root are those of its image, as the
     homothety is linear and one to one on the span, so they are read from
-    `catalog.generating_coordinates` and the image from `hmap.index`.
+    `catalog._generating_rows` and the image from `hmap.index`.  With the
+    m_g over D and the c_g over den, the offsets and translates are integer
+    rows over D * den: den m_w - sum c_g m_g lies in ZR and the radical, so in L.
     """
-    cat, coords = hmap.domain, catalog.generating_coordinates(key)
-    least = [vadd(f.translate, f.reps[0]) for f in
-             (_family_above(system, hmap, cat._find(g)) for g in catalog.generating_roots(key))]
+    cat = hmap.domain
+    gens, den, coords = catalog._generating_rows(key)
+    above = [_family_above(system, hmap, g) for g in gens]
+    D = lcm(*(f._denominator() for f in above))
+    least = [f._least(D) for f in above]
     shifted: Dict[int, CosetSet] = {}
 
     def fam(cat_root: Vector) -> CosetSet:
         i = cat._find(cat_root)
         if i not in shifted:
-            offset = _combination(coords[i], least, len(least[0]))
-            shifted[i] = _family_above(system, hmap, i).shift(vneg(offset))
+            f = _family_above(system, hmap, i)
+            t = clear_denominators([f.translate], D * den)[1][0]
+            for c, m in zip(coords[i], least):
+                if c:
+                    t = [x - c * y for x, y in zip(t, m)]
+            shifted[i] = f._translated(t, D * den)
         return shifted[i]
 
     return fam
@@ -374,8 +394,9 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
 
     if key.case_i:
         # every family must be one full coset of L (shift-independent test)
+        unit = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         for e in system.entries:
-            if e.family.modulus != L or len(e.family.reps) != 1:
+            if e.family._mod != unit or len(e.family._ireps) != 1:
                 raise UnrecognizedCl(
                     "transitive-quotient system whose families are not full cosets"
                 )
@@ -402,11 +423,13 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     if kind in ("C({},{})", "BC({},{})"):
         eps2, dlt2 = (o.roots[0] for o in layout if o.data in ("S", "~S"))
         Lp = _generated([fam(eps2), fam(dlt2)])
-        two_a = vscale(2, fam(vscale(Q(1, 2), vadd(eps2, dlt2))).members()[0])
-        if c11 and not (Lp.rank == k and Lp.member(two_a)):
+        a = fam(vscale(Q(1, 2), vadd(eps2, dlt2)))
+        d = a._denominator()
+        two_a = Lattice(L.dim, d, hnf_int([[2 * x for x in a._least(d)]]))
+        if c11 and not (Lp.rank == k and Lp.contains_lattice(two_a)):
             # 2a outside a full-rank Lp: a rational quotient, not a subset form
             return _identify_ann(system, key, hmap, cat, k, L)
-        ref = Lp.add(Lattice.from_vectors(L.dim, [two_a]))
+        ref = Lp.add(two_a)
         read = [o for o in layout if o.data not in ("L", "~S")]
     elif kind == "BC{}":
         ref = _generated([fam(layout[0 if key.params == (1,) else 2].roots[0])])
@@ -461,7 +484,7 @@ def _identify_ann(system, key, hmap, cat, k, L):
         if any(_family_above(system, hmap, i).modulus.rank >= L.rank for i in noniso):
             raise UnrecognizedCl("inconsistent family ranks")
         return ClassDescriptor(name, k, ("gl",))
-    if len(F.reps) != 1:
+    if len(F._ireps) != 1:
         raise UnrecognizedCl("non-isotropic family is not a single coset")
     q = M.index_in(L)
 
@@ -478,11 +501,11 @@ def _identify_ann(system, key, hmap, cat, k, L):
         for i in combo:
             f = system.family_of_lift(lifts[i])
             s = f if s is None else s.add(f)
-        for m in s.members():
-            c = L.coefficients(m)
-            if c is None:
-                raise UnrecognizedCl("subset sum leaves the offset lattice")
-            classes.add(int(c[0]) % q)
+        # the members lie in L when the translate is 0, on the coordinates of
+        # the reps: at k = 1 those `reps` reads, reduced into [0, [L : M]) too
+        if any(s.translate):
+            raise UnrecognizedCl("subset sum leaves the offset lattice")
+        classes.update(c[0] % q for c in s._ireps)
     nonzero = {min(c, (q - c) % q) for c in classes if c % q != 0}
     p = min(nonzero) if nonzero else 0
     return ClassDescriptor(name, k, ("Annx", q, p))
@@ -523,8 +546,8 @@ def enumerate_classes(cl_name: str, k: int) -> List[ClassDescriptor]:
         c2 = kind == "C{}"
         if not c2 and k > 3:
             raise KTooLarge(
-                f"{name} at k = {k} takes 30 first masks x 65 535 second masks at 0.3 to "
-                "0.4 s per canonical_pair call, which is days; BC(m,n) is listed up to k = 3"
+                f"{name} at k = {k} takes 30 first masks x 65 535 second masks at 0.04 to "
+                "0.12 s per canonical_pair call, over a day; BC(m,n) is listed up to k = 3"
             )
         data = set()
         # Translations and linear maps act on the first mask, so every pair

@@ -8,6 +8,7 @@ raising, so that defective inputs can be inspected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
@@ -65,18 +66,40 @@ class FiniteRootSystem:
     """
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
-        self.space = space
         vectors = [vec(r) for r in roots]
-        self.scale, rows = clear_denominators(vectors)
-        spelled = dict(zip(map(tuple, rows), vectors))  # one input per distinct root
+        self._take(space, *clear_denominators(vectors), vectors)
+
+    @classmethod
+    def _of_rows(cls, space: BilinearSpace, d: int, rows: Sequence[Sequence[int]]):
+        """The system of the roots rows / d, rows integral: the integer-row
+        entry.  It takes rows / d over the least common denominator, as the
+        constructor does once it has cleared its input's denominators."""
+        g = gcd(d, *itertools.chain.from_iterable(rows))
+        rows = rows if g == 1 else [[x // g for x in r] for r in rows]
+        return cls.__new__(cls)._take(space, d // g, rows)
+
+    def _take(self, space: BilinearSpace, scale: int, rows, vectors=None) -> "FiniteRootSystem":
+        """Keep the roots rows / scale, scale their least common denominator,
+        with `roots` the inputs as spelled when given, one per distinct root;
+        else `roots` is read off the rows on first use."""
+        self.space, self.scale = space, scale
+        spelled = dict(zip(map(tuple, rows), vectors or itertools.repeat(None)))
         self._rows: Tuple[Tuple[int, ...], ...] = tuple(sorted(spelled))
         for r in self._rows:
             space.check_vector(r)
-        self.roots: Tuple[Vector, ...] = tuple(spelled[r] for r in self._rows)
+        if vectors is not None:
+            self.roots = tuple(spelled[r] for r in self._rows)
         self._hash: Optional[int] = None
+        return self
+
+    @cached_property
+    def roots(self) -> Tuple[Vector, ...]:
+        # one Fraction per distinct coordinate, shared like the inputs of `vec`
+        read = {x: Q(x, self.scale) for x in set(itertools.chain.from_iterable(self._rows))}
+        return tuple(tuple(map(read.__getitem__, r)) for r in self._rows)
 
     def __len__(self):
-        return len(self.roots)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.roots)
@@ -141,7 +164,7 @@ class FiniteRootSystem:
         idx, den, coords = self._span
         W, R = self._gram_rows, self._rows
         gram = [[self._unit * sum(map(mul, W[i], R[j])) for j in idx] for i in idx]
-        return FiniteRootSystem(BilinearSpace(gram), [[Q(x, den) for x in c] for c in coords])
+        return FiniteRootSystem._of_rows(BilinearSpace(gram), den, coords)
 
     # -- the integer readings ----------------------------------------------
 

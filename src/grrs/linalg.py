@@ -163,10 +163,10 @@ class SubspaceProjection:
 
     def __init__(self, dim: int, spanning: Sequence[Vector]):
         self.dim = dim
-        rows, self.pivots = rref(spanning)
+        self._rows, self.pivots = rref(spanning)
         self.kept = [i for i in range(dim) if i not in self.pivots]
         self._support = [[(j, Q(y, row[p])) for j, y in enumerate(row) if y]
-                         for row, p in zip(rows, self.pivots)]
+                         for row, p in zip(self._rows, self.pivots)]
 
     def reduce(self, v: Vector) -> Vector:
         w = list(v)
@@ -180,6 +180,21 @@ class SubspaceProjection:
     def apply(self, v: Vector) -> Vector:
         w = self.reduce(v)
         return tuple(w[i] for i in self.kept)
+
+    def apply_rows(self, rows: Sequence[Sequence[int]], d: int) -> Tuple[int, list]:
+        """(e, images) of the vectors rows / d, rows integral, over e = d m, m
+        the lcm of the pivots of the reduced rows u_i: the image of v / d is
+        m v - sum_i v[p_i] (m / u_i[p_i]) u_i over e, as u_i is 0 at the other pivots."""
+        m = lcm(*(u[p] for u, p in zip(self._rows, self.pivots)))
+        steps = [(m // u[p], p, u) for u, p in zip(self._rows, self.pivots)]
+        images = []
+        for v in rows:
+            w = [m * x for x in v]
+            for f, p, u in steps:
+                if v[p]:
+                    w = [x - v[p] * f * y for x, y in zip(w, u)]
+            images.append(tuple(map(w.__getitem__, self.kept)))
+        return d * m, images
 
 
 # ---------------------------------------------------------------------------

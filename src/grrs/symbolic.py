@@ -132,18 +132,39 @@ class CosetSet:
     @property
     def reps(self) -> Tuple[Vector, ...]:
         if self._reps is None:
-            # residues mod M of the reps in integers over the ambient's scale,
-            # a multiple of M's; sorted there, as one positive denominator
-            # keeps the lexicographic order
-            mod, amb = self.modulus, self.ambient
-            rows = sorted(mod.reduce_int(_int_combination(c, amb.rows, amb.dim), amb.scale)[0]
-                          for c in self._ireps)
-            self._reps = tuple(tuple(Q(x, amb.scale) for x in row) for row in rows)
+            s = self.ambient.scale
+            self._reps = tuple(tuple(Q(x, s) for x in row) for row in self._rep_rows())
         return self._reps
+
+    def _rep_rows(self) -> List[Tuple[int, ...]]:
+        """`reps` as integer rows over the ambient's scale (a multiple of
+        M's), sorted there, as one positive denominator keeps the order."""
+        mod, amb = self.modulus, self.ambient
+        return sorted(mod.reduce_int(_int_combination(c, amb.rows, amb.dim), amb.scale)[0]
+                      for c in self._ireps)
 
     def members(self) -> List[Vector]:
         """One representative per coset: translate + reps."""
         return [vadd(self.translate, r) for r in self.reps]
+
+    def _denominator(self) -> int:
+        """The least d over which the translate and the ambient are integral."""
+        return lcm(self.ambient.scale, *(x.denominator for x in self.translate))
+
+    def _at(self, d: int) -> Tuple[List[int], List[List[int]], List[List[int]]]:
+        """(translate, reps, generators of M) as integer rows over d, a
+        multiple of `_denominator()`, read off the HNF of the ambient."""
+        amb = self.ambient
+        f = d // amb.scale
+        reps, mod = ([[f * x for x in _int_combination(c, amb.rows, amb.dim)] for c in cs]
+                     for cs in (self._ireps, self._mod))
+        return clear_denominators([self.translate], d)[1][0], reps, mod
+
+    def _least(self, d: int) -> List[int]:
+        """translate + reps[0] as an integer row over d, as for `_at`."""
+        f = d // self.ambient.scale
+        t = clear_denominators([self.translate], d)[1][0]
+        return [x + f * y for x, y in zip(t, self._rep_rows()[0])]
 
     # -- basic protocol ----------------------------------------------------
 
@@ -205,7 +226,20 @@ class CosetSet:
     def shift(self, v: Vector) -> "CosetSet":
         if self.is_empty():
             return self
-        return self._moved(vadd(self.translate, v), self._mod, self._ireps)
+        d, (w,) = clear_denominators([vadd(self.translate, v)], self.ambient.scale)
+        return self._translated(w, d)
+
+    def _translated(self, w: Sequence[int], d: int) -> "CosetSet":
+        """w / d + reps + M, for w integral and d a multiple of the ambient's
+        scale: one reduction gives the translate and moves the reps by its
+        coordinates.  A translate of the set has its stabilizer: M stays."""
+        u, c = self.ambient.reduce_int(w, d)
+        out = CosetSet.__new__(CosetSet)
+        out.ambient, out.translate = self.ambient, tuple(Q(x, d) for x in u)
+        out._mod, out._piv, out._modulus = self._mod, self._piv, self._modulus
+        out._ireps = frozenset(hnf_reduce(vadd(r, c), self._mod, self._piv)[0] for r in self._ireps)
+        out._hash = out._reps = None
+        return out
 
     def neg(self) -> "CosetSet":
         return self.scale(-1)
@@ -274,8 +308,12 @@ class SymbolicRootSystem:
             raise GrrsError("symbolic system with no nonempty families")
         # the lifts and each distinct family's (generators of M, translate,
         # members of L) in first-seen order, all as integer rows over one
-        # denominator D: the family data are read off the HNF of its ambient
-        fams = list(dict.fromkeys(fam for _, fam in cleaned))
+        # denominator D: the family data are read off the HNF of its ambient.
+        # Families are told apart by identity first: values compare once per object.
+        objects = {id(fam): fam for _, fam in cleaned}
+        distinct: Dict[CosetSet, int] = {}
+        slot = {i: distinct.setdefault(fam, len(distinct)) for i, fam in objects.items()}
+        fams = list(distinct)
         D, rows = clear_denominators([lift for lift, _ in cleaned], lcm(
             *(fam.ambient.scale for fam in fams),
             *(x.denominator for fam in fams for x in fam.translate),
@@ -284,9 +322,10 @@ class SymbolicRootSystem:
         order = sorted(range(n), key=rows.__getitem__)
         if len({tuple(row) for row in rows}) != n:
             raise GrrsError("duplicate lifts in symbolic system")
-        # one elimination tests the lifts and keeps the splitting for resplit
-        self._picked, self._den, self._coords, independent = column_basis(
-            [rows[i] for i in order], kb)
+        # one elimination tests the lifts and keeps the splitting for resplit;
+        # the lift rows over D, in the order of the entries, give cl()
+        self._lift_den, self._lift_rows = D, [rows[i] for i in order]
+        self._picked, self._den, self._coords, independent = column_basis(self._lift_rows, kb)
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
 
@@ -294,44 +333,45 @@ class SymbolicRootSystem:
         # lift plus a first member of its family, the moduli and the
         # differences of members within each family
         gram = clear_denominators(space.gram)[1]
-        gens, first, data = [], {}, {}
+        gens, data = [], []
         for fam in fams:
             space.check_vector(fam.translate)
-            amb = fam.ambient
-            f = D // amb.scale
-            mod, reps = ([[f * x for x in _int_combination(c, amb.rows, space.dim)] for c in cs]
-                         for cs in (fam._mod, fam._ireps))
-            t = clear_denominators([fam.translate], D)[1][0]
+            t, reps, mod = fam._at(D)
             if any(sum(map(mul, g, v)) for v in (*mod, t, *reps) for g in gram):
                 raise GrrsError("family data outside the radical")
             gens += mod + [[x - y for x, y in zip(r, reps[0])] for r in reps[1:]]
-            first[fam] = [x + y for x, y in zip(t, reps[0])]
-            data[fam] = mod, t, reps
-        gens += [[x + y for x, y in zip(lift, first[fam])] for lift, (_, fam) in zip(rows, cleaned)]
+            data.append((mod, t, reps))
+        first = [[x + y for x, y in zip(t, reps[0])] for _, t, reps in data]
+        gens += [[x + y for x, y in zip(lift, first[slot[id(fam)]])]
+                 for lift, (_, fam) in zip(rows, cleaned)]
         self.L = L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
         # a family over another ambient is re-anchored on L, D being a
         # multiple of L's scale
-        anchored = {
-            fam: fam if fam.ambient == L else CosetSet.__new__(CosetSet)._anchor(
+        anchored = [
+            fam if fam.ambient == L else CosetSet.__new__(CosetSet)._anchor(
                 L, D, mod, [[x + y for x, y in zip(t, r)] for r in reps])
-            for fam, (mod, t, reps) in data.items()
-        }
-        self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[cleaned[i][1]]) for i in order)
+            for fam, (mod, t, reps) in zip(fams, data)
+        ]
+        self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[slot[id(cleaned[i][1])]])
+                             for i in order)
 
     @cached_property
     def _proj(self) -> SubspaceProjection:
         return SubspaceProjection(self.space.dim, self.space.kernel_basis())
 
     @cached_property
-    def _classes(self) -> Tuple[Vector, ...]:
-        """Each entry's class in the minimal quotient, in the order of entries."""
-        return tuple(self._proj.apply(e.lift) for e in self.entries)
+    def _classes(self) -> Tuple[int, List[Tuple[int, ...]]]:
+        """(e, rows): each entry's class in the minimal quotient, in the order
+        of the entries, as its lift row projected along the radical over e."""
+        return self._proj.apply_rows(self._lift_rows, self._lift_den)
 
     @cached_property
     def _cl_entries(self) -> List[int]:
-        """Index of the entry above each root of cl(), in the order of its roots."""
-        return sorted(range(len(self.entries)), key=lambda e: self._cl._find(self._classes[e]))
+        """Index of the entry above each root of cl(), in the order of its
+        roots: the classes are distinct, and cl() sorts their rows."""
+        rows = self._classes[1]
+        return sorted(range(len(rows)), key=rows.__getitem__)
 
     def _entry(self, cl_root: Vector) -> Optional[FamilyEntry]:
         """The entry above a root of cl(), found in its root index, or None."""
@@ -376,7 +416,7 @@ class SymbolicRootSystem:
     def _cl(self) -> FiniteRootSystem:
         kept = self._proj.kept
         gram = [[self.space.gram[i][j] for j in kept] for i in kept]
-        return FiniteRootSystem(BilinearSpace(gram), self._classes)
+        return FiniteRootSystem._of_rows(BilinearSpace(gram), *self._classes)
 
     def entry_for_cl(self, cl_root: Vector) -> FamilyEntry:
         cl_root = vec(cl_root)

@@ -32,6 +32,21 @@
   indexed by a `Fraction`-keyed dict, compared and hashed as (space, roots).
 - `is_reduced`: the pairwise scan for proportional roots on `Fraction`
   vectors, before it grouped the integer rows by their line.
+- `shift`: `CosetSet.shift` before it kept the stabilizer: the moved
+  translate split on `Fraction`s and the stabilizer derived anew.
+- `pullback_families`: the family lookup of `classify.identify` before it
+  ran on integer rows: the least member of each generating family read off
+  the `Fraction` view `reps`, each offset a `Fraction` combination.
+- `points_mod`: the mask of a family read through `members()`,
+  `Lattice.coset_representatives` and `Lattice.coefficients`; an infinite
+  index, where `coset_representatives` raised `ValueError`, raises the
+  `UnrecognizedCl` that `catalog.points_mod` raises now.
+- `cl` and `cl_entries`: the minimal quotient of a symbolic system built
+  from the `Fraction` projections of its lifts, and the entry above each of
+  its roots found by looking those projections up.
+- `orbit_minimum` and `canonical_pair`: the AGL(k,2) orbit walks under
+  every transvection x_i += x_j (and every translation, for the pairs),
+  before they ran on three generators.
 """
 
 from fractions import Fraction as Q
@@ -39,8 +54,12 @@ from functools import lru_cache
 from operator import mul
 from types import SimpleNamespace
 
-from grrs.errors import AmbiguousReflection, BadMatrix, GrrsError, MissingImage, UnknownRoot
-from grrs.finite import FiniteRootSystem, _scaled, reflect
+from grrs import catalog
+from grrs.catalog import _point
+from grrs.errors import (
+    AmbiguousReflection, BadMatrix, GrrsError, MissingImage, UnknownRoot, UnrecognizedCl,
+)
+from grrs.finite import FiniteRootSystem, _combination, _scaled, reflect
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
@@ -447,3 +466,128 @@ def is_reduced(system):
             if b == vscale(lam, a):
                 return False
     return True
+
+
+def shift(fam, v):
+    if fam.is_empty():
+        return fam
+    t, c = fam.ambient.split(vadd(fam.translate, v))
+    return CosetSet.__new__(CosetSet)._set(fam.ambient, t, list(fam._mod),
+                                           [vadd(r, c) for r in fam._ireps])
+
+
+def pullback_families(system, hmap, key):
+    """The shifted family above each catalog root, as `identify` reads it."""
+    cat, coords = hmap.domain, catalog.generating_coordinates(key)
+
+    def above(i):
+        return system.entries[system._cl_entries[hmap.index[i]]].family
+
+    least = [vadd(f.translate, f.reps[0])
+             for f in (above(cat._find(g)) for g in catalog.generating_roots(key))]
+    shifted = {}
+
+    def fam(cat_root):
+        i = cat._find(cat_root)
+        if i not in shifted:
+            offset = _combination(coords[i], least, len(least[0]))
+            shifted[i] = shift(above(i), vneg(offset))
+        return shifted[i]
+
+    return fam, least
+
+
+def points_mod(fam, ref, r=2):
+    r_ref = ref.scaled(r)
+    if not fam.modulus.contains_lattice(r_ref):
+        raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
+    if r_ref.rank < fam.modulus.rank:
+        raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
+    cosreps = fam.modulus.coset_representatives(r_ref)
+    mask = 0
+    for m in fam.members():
+        for cr in cosreps:
+            coeffs = ref.coefficients(vadd(m, cr))
+            if coeffs is None:
+                raise UnrecognizedCl("family member outside the reference lattice")
+            mask |= 1 << _point(coeffs, r)
+    return mask
+
+
+def _classes(system):
+    return [system._proj.apply(e.lift) for e in system.entries]
+
+
+def cl(system):
+    kept = system._proj.kept
+    gram = [[system.space.gram[i][j] for j in kept] for i in kept]
+    return FiniteRootSystem(BilinearSpace(gram), _classes(system))
+
+
+def cl_entries(system):
+    quotient = cl(system)
+    classes = _classes(system)
+    return sorted(range(len(system.entries)), key=lambda e: quotient.roots.index(classes[e]))
+
+
+def map_mask(mask, k, f):
+    out = 0
+    for p in range(1 << k):
+        if mask >> p & 1:
+            out |= 1 << f(p)
+    return out
+
+
+def _byte_tables(k, f):
+    """The point map f as byte tables: the image of a mask m over at most
+    16 points is low[m & 255] | high[m >> 8]."""
+    return tuple(tuple(map_mask(v << base, k, f)
+                       for v in range(1 << min(8, max(0, (1 << k) - base))))
+                 for base in (0, 8))
+
+
+@lru_cache(maxsize=None)
+def _walk_tables(k):
+    transvections = [_byte_tables(k, lambda p, i=i, j=j: p ^ ((p >> j) & 1) << i)
+                     for i in range(k) for j in range(k) if i != j]
+    return transvections + [_byte_tables(k, lambda p: p ^ 1)] * (k > 0)
+
+
+def _apply(tables, mask):
+    return tables[0][mask & 255] | tables[1][mask >> 8]
+
+
+def orbit_minimum(k, mask):
+    """The least mask of the orbit under every transvection and the
+    translation by e_0."""
+    gens = _walk_tables(k)
+    seen, orbit = {mask}, [mask]
+    for m in orbit:
+        for g in gens:
+            img = _apply(g, m)
+            if img not in seen:
+                seen.add(img)
+                orbit.append(img)
+    return min(orbit)
+
+
+def canonical_pair(k, mask1, mask2, translate_second, complement_first):
+    full = (1 << (1 << k)) - 1
+    linear = _walk_tables(k)[:k * (k - 1)]
+
+    @lru_cache(maxsize=None)
+    def reduce(mask):
+        return min(map_mask(mask, k, lambda p, t=t: p ^ t) for t in range(1 << k))
+
+    second = reduce if translate_second else (lambda mask: mask)
+    start = (reduce(mask1), second(mask2))
+    seen, orbit = {start}, [start]
+    for m1, m2 in orbit:
+        images = [(reduce(_apply(g, m1)), second(_apply(g, m2))) for g in linear]
+        if complement_first:
+            images.append((reduce(full ^ m1), m2))
+        for pair in images:
+            if pair not in seen:
+                seen.add(pair)
+                orbit.append(pair)
+    return min(orbit)

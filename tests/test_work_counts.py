@@ -34,7 +34,9 @@ from grrs import catalog, classify, finite, serialize, symbolic
 from grrs.catalog import a_nn_x, build, family
 from grrs.classify import identify, recognize_cl
 from grrs.finite import FiniteRootSystem, Homothety, check_axioms, gw_orbits, isomorphic_finite
-from grrs.linalg import BilinearSpace, Lattice, solve_in_span, unit_vector, vadd, vscale
+from grrs.linalg import (
+    BilinearSpace, Lattice, solve_in_span, standard_space, unit_vector, vadd, vscale,
+)
 from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
 
 from support import radical_change
@@ -404,3 +406,70 @@ def test_family_stabilizer_is_linear_in_its_reps(monkeypatch):
     _counted(monkeypatch, symbolic, "hnf_reduce", reduced)
     family("C(2,1)", 9, S={0})
     assert len(reduced) == 1023
+
+
+def test_identify_reads_no_fraction_view(monkeypatch):
+    """`identify` reads the families on their integer rows: no `members()`
+    or `reps` view of a family, and no coset representatives or
+    coefficients of a `Lattice`, on the path of any classified shape."""
+    systems = [
+        family("B3", 2, S={0, 3}),
+        family("C(2,1)", 2, S={1}),
+        family("BC(1,1)", 2, S={0}, Sp={1, 2}),
+        family("C2", 2, S1=[0, 1, 2, 3], S2=[0]),
+        family("G2", 2, s=1),
+    ]
+    calls = []
+    _counted(monkeypatch, CosetSet, "members", calls)
+    _counted(monkeypatch, Lattice, "coset_representatives", calls)
+    _counted(monkeypatch, Lattice, "coefficients", calls)
+    reps = CosetSet.reps.fget
+    monkeypatch.setattr(CosetSet, "reps", property(lambda self: calls.append("reps") or reps(self)))
+    kinds = [identify(system).kind() for system in systems]
+    assert kinds == ["S", "S", "SSp", "S1S2", "s"]
+    assert calls == []
+
+
+def test_constructor_compares_each_family_object_once(monkeypatch):
+    """`family` hands the constructor one coset set per layout entry,
+    repeated over its lifts; at F4 with s = k the "L" and "s" entries are
+    equal values in distinct objects.  The constructor tells the families
+    apart by identity first, so it compares values once per distinct
+    object, not once per entry."""
+    compared = []
+    _counted(monkeypatch, CosetSet, "__eq__", compared)
+    system = family("F4", 1, s=1)
+    assert len(system.entries) == 48 and len({id(e.family) for e in system.entries}) == 1
+    assert len(compared) <= 2
+
+
+def test_identify_keeps_the_generating_roots(monkeypatch):
+    """The pullback finds the generating roots by their cached indices:
+    after the first `identify` of a type, no generating set is rebuilt,
+    and the public `generating_roots` still returns a fresh list."""
+    systems = [family("B3", 2, S=s) for s in ({0}, {0, 1}, {1, 2, 3})]
+    identify(systems[0])
+    rebuilt = []
+    _counted(monkeypatch, catalog, "generating_roots", rebuilt)
+    for system in systems:
+        identify(system)
+    assert rebuilt == []
+    first = catalog.generating_roots("B3")
+    assert first == catalog.generating_roots("B3") and first is not catalog.generating_roots("B3")
+
+
+def test_integer_rows_enter_the_finite_constructor(monkeypatch):
+    """`restricted_to_span` and the minimal quotient hand their integer
+    rows to `FiniteRootSystem` as they are: no root is turned into a
+    `Fraction` vector for the constructor to clear again, and the quotient's
+    rational roots are read off its rows only when asked for."""
+    ambient = FiniteRootSystem(standard_space(8), [
+        r for r in catalog._e8_roots() if r[6] + r[7] == 0])
+    affine = affinize(build("F4"), 2)
+    converted = []
+    _counted(monkeypatch, finite, "vec", converted)
+    e7, quotient = ambient.restricted_to_span(), affine.cl()
+    assert converted == [] and "roots" not in vars(quotient)
+    assert (e7.space.dim, len(e7)) == (7, 126) and len(quotient) == 48
+    assert e7 == catalog._e_series(7) and quotient == build("F4")
+    assert quotient.roots == build("F4").roots
