@@ -25,6 +25,7 @@ from .linalg import (
     Lattice,
     Vector,
     _int_combination,
+    clear_denominators,
     column_basis,
     hnf_cosets,
     hnf_int,
@@ -652,13 +653,6 @@ def _generating_rows(key: TypeKey):
     return tuple(system._find(vec(v)) for v in gens), den, rows
 
 
-@lru_cache(maxsize=None)
-def generating_coordinates(key: TypeKey) -> Tuple[Vector, ...]:
-    """The rows of `_generating_rows` as rationals."""
-    _, den, rows = _generating_rows(key)
-    return tuple(tuple(Q(x, den) for x in row) for row in rows)
-
-
 def _parameter(data: str) -> Optional[str]:
     """The `family` parameter a layout entry reads; None for L and 2L."""
     name = data.lstrip("~").partition("/")[0]
@@ -687,24 +681,26 @@ def family(cl_name: Union[str, TypeKey], k: int, **params) -> SymbolicRootSystem
     if unknown:
         raise BadParameters(f"{key} takes no parameter {', '.join(unknown)}")
     values = _family_values(key, k, params)
-    space, L, lifts = _frame(key, k)
-    entries = []
-    for o, above in zip(layout, lifts):
-        fam = _orbit_family(key, L, o.data, values)
-        entries += [(lift, fam) for lift in above]
-    return SymbolicRootSystem(space, entries)
+    space, L, d, rows = _frame(key, k)
+    lifts, families = [], []
+    for o, above in zip(layout, rows):
+        lifts += above
+        families += [_orbit_family(key, L, o.data, values)] * len(above)
+    return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(space, d, lifts, families)
 
 
 @lru_cache(maxsize=None)
 def _frame(key: TypeKey, k: int):
-    """(space, L, lifts), what `family(key, k, ...)` shares for every
+    """(space, L, d, rows), what `family(key, k, ...)` shares for every
     parameter: the space of the quotient with k central coordinates
     appended, the lattice L of those coordinates, and the roots of each
-    group of `orbits(key)` padded into it."""
-    space, pad = _padded(key.system().space, k)
+    group of `orbits(key)` padded into it, as integer tuples over d."""
+    space = _padded(key.system().space, k)
     dim = space.dim
     L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
-    return space, L, tuple(tuple(pad(r) for r in o.roots) for o in orbits(key))
+    d, rows = clear_denominators([r for o in orbits(key) for r in o.roots])
+    padded = iter([tuple(row) + (0,) * k for row in rows])
+    return space, L, d, tuple(tuple(itertools.islice(padded, len(o.roots))) for o in orbits(key))
 
 
 def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:

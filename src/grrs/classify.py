@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -365,7 +365,7 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
 def _family_above(system: SymbolicRootSystem, hmap: Homothety, i: int) -> CosetSet:
     """The family of `system` above the image of root i of the catalog copy,
     found by the index of that image in the quotient's roots."""
-    return system.entries[system._cl_entries[hmap.index[i]]].family
+    return system._families[system._cl_entries[hmap.index[i]]]
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +395,8 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     if key.case_i:
         # every family must be one full coset of L (shift-independent test)
         unit = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        for e in system.entries:
-            if e.family._mod != unit or len(e.family._ireps) != 1:
+        for fam in system._families:
+            if fam._mod != unit or len(fam._ireps) != 1:
                 raise UnrecognizedCl(
                     "transitive-quotient system whose families are not full cosets"
                 )
@@ -447,18 +447,16 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     return ClassDescriptor(name, k, canonical_data(key, k, values))
 
 
-def _zero_sum_multisets(vectors: List[Vector], size: int) -> List[Tuple[int, ...]]:
-    """Index tuples i_1 <= ... <= i_size whose vectors sum to zero.
+def _zero_sum_multisets(rows: Sequence[Sequence[int]], size: int) -> List[Tuple[int, ...]]:
+    """Index tuples i_1 <= ... <= i_size whose rows sum to zero.
 
-    The vectors are scaled to integers; the sums of the first size // 2
-    indices are indexed in a dict, and each tuple of the remaining indices
-    looks up its negated sum among those ending at or before its first.
+    The sums of the first size // 2 indices are indexed in a dict, and each
+    tuple of the remaining indices looks up its negated sum among those
+    ending at or before its first.
     """
-    ints = clear_denominators(vectors)[1]
-
     def sums(m):
-        for combo in itertools.combinations_with_replacement(range(len(ints)), m):
-            yield combo, tuple(map(sum, zip(*(ints[i] for i in combo))))
+        for combo in itertools.combinations_with_replacement(range(len(rows)), m):
+            yield combo, tuple(map(sum, zip(*(rows[i] for i in combo))))
 
     low: dict = {}
     for combo, total in sums(size // 2):
@@ -494,13 +492,9 @@ def _identify_ann(system, key, hmap, cat, k, L):
         return ClassDescriptor(name, k, ("Annx", 1, 0))
     if n > 3:
         raise KTooLarge("the sum invariant is capped at n <= 3")
-    lifts = system.lifts
     classes = set()
-    for combo in _zero_sum_multisets(lifts, n + 1):
-        s = None
-        for i in combo:
-            f = system.family_of_lift(lifts[i])
-            s = f if s is None else s.add(f)
+    for combo in _zero_sum_multisets(system._lift_rows, n + 1):
+        s = reduce(CosetSet.add, map(system._families.__getitem__, combo))
         # the members lie in L when the translate is 0, on the coordinates of
         # the reps: at k = 1 those `reps` reads, reduced into [0, [L : M]) too
         if any(s.translate):

@@ -528,15 +528,21 @@ class Homothety:
     `index[i]` is the index in `target` of the image of root i of `domain`,
     so that reading a root's image needs no elimination; `roots` is that map
     as a dict root -> image root, built on first read.  `basis` is the span
-    basis of the domain and `images` its images; `apply` takes any vector of
-    the span.
+    basis of the domain and `images` its images, read on first use too;
+    `apply` takes any vector of the span.
     """
 
     def __init__(self, domain: FiniteRootSystem, target: FiniteRootSystem, scale: Q,
                  index: Sequence[int]):
         self.domain, self.target, self.scale, self.index = domain, target, scale, tuple(index)
-        self.basis = domain.span_basis()
-        self.images = tuple(target.roots[self.index[i]] for i in domain._span[0])
+
+    @cached_property
+    def basis(self) -> Tuple[Vector, ...]:
+        return self.domain.span_basis()
+
+    @cached_property
+    def images(self) -> Tuple[Vector, ...]:
+        return tuple(self.target.roots[self.index[i]] for i in self.domain._span[0])
 
     @cached_property
     def roots(self) -> Dict[Vector, Vector]:

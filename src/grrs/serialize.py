@@ -103,10 +103,9 @@ def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
     lattice = _ser_mat(system.L.basis)
     written = {}  # the fields of each distinct family, formatted once
     families = []
-    for e in system.entries:
-        fields = written.get(e.family)
+    for lift, fam in zip(system.lifts, system._families):
+        fields = written.get(fam)
         if fields is None:
-            fam = e.family
             fields = written[fam] = (
                 _ser_vec(fam.translate), _ser_mat(fam.reps), _ser_mat(fam.modulus.basis)
             )
@@ -114,7 +113,7 @@ def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
         # every entry gets its own lists, so that editing one leaves the rest
         families.append(
             {
-                "root": _ser_vec(e.lift),
+                "root": _ser_vec(lift),
                 "translate": list(translate),
                 "reps": [list(r) for r in reps],
                 "modulusBasis": [list(r) for r in modulus],

@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -291,40 +291,49 @@ class FamilyEntry:
 
 
 class SymbolicRootSystem:
-    """R = union over entries of (lift + family), family inside Ker(-,-)."""
+    """R = union over entries of (lift + family), family inside Ker(-,-).
+
+    Kept once: the sorted lift rows over one denominator, in lowest terms
+    (`_lift_rows`, `_lift_den`), and the family above each, anchored to L
+    (`_families`); `lifts` and `entries` are views read on first use.
+    """
 
     def __init__(self, space: BilinearSpace, entries: Sequence[Tuple[Vector, CosetSet]]):
+        entries = list(entries)
+        lifts = [vec(lift) for lift, _ in entries]
+        for lift in lifts:
+            space.check_vector(lift)
+        self._take(space, *clear_denominators(lifts), [fam for _, fam in entries])
+
+    def _take(self, space: BilinearSpace, d: int, rows, families) -> "SymbolicRootSystem":
+        """The system of the lifts rows / d, rows integral, above `families` in
+        order: the integer entry, which `__init__` runs on its cleared lifts and
+        the builders on the rows they hold.  Empty families are dropped."""
         self.space = space
         kb = space.kernel_basis()
         self.kernel_dim = len(kb)
-
-        cleaned: List[Tuple[Vector, CosetSet]] = []
-        for lift, fam in entries:
-            lift = vec(lift)
-            space.check_vector(lift)
-            if not fam.is_empty():
-                cleaned.append((lift, fam))
-        if not cleaned:
+        kept = [(row, fam) for row, fam in zip(rows, families) if not fam.is_empty()]
+        if not kept:
             raise GrrsError("symbolic system with no nonempty families")
         # the lifts and each distinct family's (generators of M, translate,
         # members of L) in first-seen order, all as integer rows over one
         # denominator D: the family data are read off the HNF of its ambient.
         # Families are told apart by identity first: values compare once per object.
-        objects = {id(fam): fam for _, fam in cleaned}
+        objects = {id(fam): fam for _, fam in kept}
         distinct: Dict[CosetSet, int] = {}
         slot = {i: distinct.setdefault(fam, len(distinct)) for i, fam in objects.items()}
         fams = list(distinct)
-        D, rows = clear_denominators([lift for lift, _ in cleaned], lcm(
-            *(fam.ambient.scale for fam in fams),
-            *(x.denominator for fam in fams for x in fam.translate),
-        ))
-        n = len(cleaned)
-        order = sorted(range(n), key=rows.__getitem__)
-        if len({tuple(row) for row in rows}) != n:
+        D = lcm(d, *(fam.ambient.scale for fam in fams),
+                *(x.denominator for fam in fams for x in fam.translate))
+        rows = [row if D == d else [D // d * x for x in row] for row, _ in kept]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        if len({tuple(row) for row in rows}) != len(rows):
             raise GrrsError("duplicate lifts in symbolic system")
-        # one elimination tests the lifts and keeps the splitting for resplit;
-        # the lift rows over D, in the order of the entries, give cl()
-        self._lift_den, self._lift_rows = D, [rows[i] for i in order]
+        # the sorted lift rows in lowest terms; one elimination tests them and
+        # keeps the splitting for resplit, and their projections give cl()
+        common = gcd(D, *itertools.chain.from_iterable(rows))
+        self._lift_den = D // common
+        self._lift_rows = tuple(tuple(x // common for x in rows[i]) for i in order)
         self._picked, self._den, self._coords, independent = column_basis(self._lift_rows, kb)
         if not independent:
             raise GrrsError("lifts are not independent from the radical")
@@ -343,7 +352,7 @@ class SymbolicRootSystem:
             data.append((mod, t, reps))
         first = [[x + y for x, y in zip(t, reps[0])] for _, t, reps in data]
         gens += [[x + y for x, y in zip(lift, first[slot[id(fam)]])]
-                 for lift, (_, fam) in zip(rows, cleaned)]
+                 for lift, (_, fam) in zip(rows, kept)]
         self.L = L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
         # a family over another ambient is re-anchored on L, D being a
@@ -353,8 +362,18 @@ class SymbolicRootSystem:
                 L, D, mod, [[x + y for x, y in zip(t, r)] for r in reps])
             for fam, (mod, t, reps) in zip(fams, data)
         ]
-        self.entries = tuple(FamilyEntry(cleaned[i][0], anchored[slot[id(cleaned[i][1])]])
-                             for i in order)
+        self._families = tuple(anchored[slot[id(kept[i][1])]] for i in order)
+        return self
+
+    @cached_property
+    def lifts(self) -> Tuple[Vector, ...]:
+        # one Fraction per distinct coordinate, as FiniteRootSystem.roots
+        read = {x: Q(x, self._lift_den) for x in set().union(*self._lift_rows)}
+        return tuple(tuple(map(read.__getitem__, r)) for r in self._lift_rows)
+
+    @cached_property
+    def entries(self) -> Tuple[FamilyEntry, ...]:
+        return tuple(map(FamilyEntry, self.lifts, self._families))
 
     @cached_property
     def _proj(self) -> SubspaceProjection:
@@ -373,40 +392,34 @@ class SymbolicRootSystem:
         rows = self._classes[1]
         return sorted(range(len(rows)), key=rows.__getitem__)
 
-    def _entry(self, cl_root: Vector) -> Optional[FamilyEntry]:
-        """The entry above a root of cl(), found in its root index, or None."""
+    def _above(self, cl_root: Vector) -> Optional[int]:
+        """The index of the entry above a root of cl(), or None."""
         i = self._cl._find(cl_root)
-        return None if i is None else self.entries[self._cl_entries[i]]
+        return None if i is None else self._cl_entries[i]
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymbolicRootSystem)
-            and self.space == other.space
-            and self.entries == other.entries
-        )
+        return isinstance(other, SymbolicRootSystem) and self.space == other.space and (
+            self._lift_den, self._lift_rows, self._families
+        ) == (other._lift_den, other._lift_rows, other._families)
 
     def __repr__(self):
         return (
             f"SymbolicRootSystem(dim={self.space.dim}, kernel_dim={self.kernel_dim}, "
-            f"classes={len(self.entries)})"
+            f"classes={len(self._families)})"
         )
-
-    @property
-    def lifts(self) -> Tuple[Vector, ...]:
-        return tuple(e.lift for e in self.entries)
 
     def splitting(self) -> Tuple[Vector, ...]:
         """Lex-first lifts forming a basis of the complement V'."""
-        return tuple(self.entries[i].lift for i in self._picked)
+        return tuple(self.lifts[i] for i in self._picked)
 
     def family_of_lift(self, lift: Vector) -> CosetSet:
         lift = vec(lift)
-        entry = self._entry(self._proj.apply(lift)) if len(lift) == self.space.dim else None
-        if entry is None or entry.lift != lift:
+        i = self._above(self._proj.apply(lift)) if len(lift) == self.space.dim else None
+        if i is None or self.lifts[i] != lift:
             raise UnknownRoot(f"{format_vector(lift)} is not a class of the system")
-        return entry.family
+        return self._families[i]
 
     def cl(self) -> FiniteRootSystem:
         """Minimal quotient, realized on the non-pivot coordinates of V/Ker."""
@@ -422,17 +435,17 @@ class SymbolicRootSystem:
         cl_root = vec(cl_root)
         if len(cl_root) == self.space.dim:
             cl_root = self._proj.apply(cl_root)
-        entry = self._entry(cl_root)
-        if entry is None:
+        i = self._above(cl_root)
+        if i is None:
             raise UnknownRoot(f"{format_vector(cl_root)} is not a root of the minimal quotient")
-        return entry
+        return self.entries[i]
 
     def contains(self, v: Vector) -> bool:
         v = vec(v)
         self.space.check_vector(v)
-        entry = self._entry(self._proj.apply(v))
+        i = self._above(self._proj.apply(v))
         # the class is the projection along the radical: v - lift is in it
-        return entry is not None and entry.family.contains(vsub(v, entry.lift))
+        return i is not None and self._families[i].contains(vsub(v, self.lifts[i]))
 
     def resplit(self, offsets: Dict[Vector, Vector]) -> "SymbolicRootSystem":
         """Rebuild with splitting roots shifted by the given family members.
@@ -466,7 +479,7 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     of [radical basis | roots] the independent radical basis takes the first
     k pivots, and row i holds every root's coefficient on its vector i.  The
     roots are grouped by lift and offsets on integer rows over one
-    denominator, and each distinct lift and offset is read back once."""
+    denominator, which the constructor's integer entry takes as they are."""
     dim, kb = system.space.dim, system.space.kernel_basis()
     k = len(kb)
     reduced = rref(list(zip(*kb, *system._rows)))[0][:k] if k else []
@@ -483,25 +496,18 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
         c = [row[k + j] * (den // row[i]) for i, row in enumerate(reduced)]
         off = tuple(_int_combination(c, kb_rows, dim))
         groups.setdefault(tuple(f * x - y for x, y in zip(r, off)), []).append(off)
-    read = cache(lambda v: tuple(Q(x, E) for x in v))
     ambient = Lattice(dim, E, hnf_int([v for vs in groups.values() for v in vs]))
-    # one coset set per distinct offset set
-    families: Dict[frozenset, CosetSet] = {}
-    for offs in groups.values():
-        if frozenset(offs) not in families:
-            families[frozenset(offs)] = CosetSet(ambient, Lattice.zero(dim), zero_vector(dim),
-                                                 [read(v) for v in offs])
-    return SymbolicRootSystem(system.space, [
-        (read(lift), families[frozenset(offs)]) for lift, offs in groups.items()
-    ])
+    # one coset set per distinct offset set, anchored on its rows over E
+    anchor = cache(lambda offs: CosetSet.__new__(CosetSet)._anchor(ambient, E, [], offs))
+    return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
+        system.space, E, list(groups), list(map(anchor, map(frozenset, groups.values()))))
 
 
-def _padded(space: BilinearSpace, n: int) -> Tuple[BilinearSpace, Callable[[Vector], Vector]]:
-    """The space with n central coordinates appended (zero rows and columns
-    of the Gram matrix), and the map appending n zeros to a vector."""
+def _padded(space: BilinearSpace, n: int) -> BilinearSpace:
+    """The space with n central coordinates: zero rows and columns appended."""
     zeros = (Q(0),) * n
-    gram = [tuple(row) + zeros for row in space.gram] + [(Q(0),) * (space.dim + n)] * n
-    return BilinearSpace(gram), lambda v: tuple(v) + zeros
+    gram = [tuple(row) + zeros for row in space.gram]
+    return BilinearSpace(gram + [(Q(0),) * (space.dim + n)] * n)
 
 
 def affinize(
@@ -514,8 +520,7 @@ def affinize(
         system = from_finite(system)
     if n == 0:
         return system
-    old, L = system.space, system.L
-    space, pad = _padded(old, n)
+    old, L, space = system.space, system.L, _padded(system.space, n)
     dim, r = space.dim, L.rank
     # L's rows padded by zeros, then scale * delta_i: already an HNF
     big = Lattice(dim, L.scale, [row + (0,) * n for row in L.rows] + [
@@ -528,10 +533,12 @@ def affinize(
         mod = [c + (0,) * n for c in fam._mod] + deltas
         reps = [c + (0,) * n for c in fam._ireps]
         # families are anchored to L; a residue mod L padded by zeros is one mod big
-        return CosetSet.__new__(CosetSet)._set(big, pad(fam.translate), mod, reps)
+        return CosetSet.__new__(CosetSet)._set(big, fam.translate + (Q(0),) * n, mod, reps)
 
-    extended = {fam: extend(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
-    return SymbolicRootSystem(space, [(pad(e.lift), extended[e.family]) for e in system.entries])
+    extended = {fam: extend(fam) for fam in dict.fromkeys(system._families)}
+    return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
+        space, system._lift_den, [row + (0,) * n for row in system._lift_rows],
+        [extended[fam] for fam in system._families])
 
 
 def quotient(
@@ -547,8 +554,7 @@ def quotient(
     if not proj.pivots:
         return system
     kept = proj.kept
-    gram = [[system.space.gram[i][j] for j in kept] for i in kept]
-    new_space = BilinearSpace(gram)
+    new_space = BilinearSpace([[system.space.gram[i][j] for j in kept] for i in kept])
     new_dim = len(kept)
 
     basis = [proj.apply(b) for b in system.L.basis]
@@ -568,10 +574,10 @@ def quotient(
                     raise NotBijective("two family cosets merge along the quotient")
         return CosetSet(image, mod, proj.apply(fam.translate), reps)
 
-    pushed = {fam: push(fam) for fam in dict.fromkeys(e.family for e in system.entries)}
-    return SymbolicRootSystem(
-        new_space, [(proj.apply(e.lift), pushed[e.family]) for e in system.entries]
-    )
+    pushed = {fam: push(fam) for fam in dict.fromkeys(system._families)}
+    return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
+        new_space, *proj.apply_rows(system._lift_rows, system._lift_den),
+        [pushed[fam] for fam in system._families])
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +613,13 @@ def gaps(system: SymbolicRootSystem) -> GapTable:
     if system.kernel_dim > 1:
         raise KernelTooLarge("gaps need a one-dimensional radical")
     out = []
-    for e in system.entries:
-        fam = e.family
+    for lift, fam in zip(system.lifts, system._families):
         # one coset of M in L = Z b: the index of M, or 0 when M = 0
         g = (fam._mod[0][0] if fam._mod else 0) if len(fam._ireps) == 1 else None
-        if g is None and system.space.norm(e.lift) != 0:
+        if g is None and system.space.norm(lift) != 0:
             raise GrrsError("no single arithmetic progression above non-isotropic class "
-                            + format_vector(e.lift))
-        out.append((e.lift, g))
+                            + format_vector(lift))
+        out.append((lift, g))
     return GapTable(tuple(out))
 
 
@@ -685,8 +690,8 @@ def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
     order = sorted(range(len(above)), key=above.__getitem__)  # each entry's index in cl()
     ids: Dict[CosetSet, int] = {}
     fid: Dict[Optional[int], int] = {None: -1}  # cl index -> family id
-    for e, i in zip(system.entries, order):
-        fid[i] = ids.setdefault(e.family, len(ids))
+    for fam, i in zip(system._families, order):
+        fid[i] = ids.setdefault(fam, len(ids))
     fams = list(ids) + [CosetSet.empty(system.L)]
 
     # the family tests, by family id
@@ -694,7 +699,7 @@ def check_symbolic_axioms(system: SymbolicRootSystem) -> AxiomReport:
     negates = cache(lambda a, m: fams[m].same_set(fams[a].neg()))
     xor = cache(lambda a, b, c, d: _xor_check(fams[a], fams[b], fams[c], fams[d]))
     return check_classes(
-        system.cl(), order, lambda i: system.entries[above[i]].lift,
+        system.cl(), order, lambda i: system.lifts[above[i]],
         system.L.rank == system.kernel_dim,
         lambda i, j, k, t: reflects(fid[i], fid[j], k, fid[t]),
         lambda i, m: negates(fid[i], fid[m]),

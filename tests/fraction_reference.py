@@ -478,13 +478,14 @@ def shift(fam, v):
 
 def pullback_families(system, hmap, key):
     """The shifted family above each catalog root, as `identify` reads it."""
-    cat, coords = hmap.domain, catalog.generating_coordinates(key)
+    cat, gens = hmap.domain, catalog.generating_roots(key)
+    coords = [solve(gens, r) for r in cat.roots]
 
     def above(i):
         return system.entries[system._cl_entries[hmap.index[i]]].family
 
     least = [vadd(f.translate, f.reps[0])
-             for f in (above(cat._find(g)) for g in catalog.generating_roots(key))]
+             for f in (above(cat._find(g)) for g in gens)]
     shifted = {}
 
     def fam(cat_root):

@@ -1,12 +1,14 @@
 """Symbolic construction against its `Fraction` reference.
 
-`SymbolicRootSystem.__init__` and `from_finite` do their bookkeeping on
-integer rows; `fraction_reference` keeps the `Fraction` construction they
-replaced.  Under the `parity` fixture every constructor call of a test,
-including those inside `affinize`, `family`, `a_nn_x`, `quotient` and
-`resplit`, is repeated by the reference and compared on L, the entries in
-order, `splitting()`, the resplit coordinates and `cl()`.  The error paths
-are compared in `test_symbolic.TestConstructorErrors`.
+`SymbolicRootSystem._take`, the integer entry that `__init__` and the
+builders run, and `from_finite` do their bookkeeping on integer rows;
+`fraction_reference` keeps the `Fraction` construction they replaced.
+Under the `parity` fixture every system a test builds, including those
+inside `affinize`, `family`, `a_nn_x`, `quotient` and `resplit`, is built
+again by the reference from the same lifts and families, read as
+rationals, and compared on L, the entries in order, `splitting()`, the
+resplit coordinates and `cl()`.  The error paths are compared in
+`test_symbolic.TestConstructorErrors`.
 """
 
 import random
@@ -38,15 +40,16 @@ def parity(monkeypatch):
     """Checks every `SymbolicRootSystem` built in the test against the
     reference; the list of checked systems is the fixture's value."""
     built = []
-    init = SymbolicRootSystem.__init__
+    take = SymbolicRootSystem._take
 
-    def checked(self, space, entries):
-        entries = list(entries)
-        init(self, space, entries)
+    def checked(self, space, d, rows, families):
+        entries = [(tuple(Q(x, d) for x in row), fam) for row, fam in zip(rows, families)]
+        take(self, space, d, rows, families)
         assert_parity(self, reference.symbolic_system(space, entries))
         built.append(self)
+        return self
 
-    monkeypatch.setattr(SymbolicRootSystem, "__init__", checked)
+    monkeypatch.setattr(SymbolicRootSystem, "_take", checked)
     return built
 
 

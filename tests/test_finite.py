@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import grrs
 from grrs import serialize
-from grrs.catalog import build, generating_coordinates, generating_roots, orbits, type_key
+from grrs.catalog import _generating_rows, build, generating_roots, orbits, type_key
 from grrs.errors import (
     AmbiguousReflection,
     DimensionMismatch,
@@ -436,10 +436,10 @@ def test_generating_coordinates_are_the_solved_ones(name):
     key = type_key(name)
     orbits(key)  # the types `orbits` lays out
     gens = generating_roots(key)
-    table = generating_coordinates(key)
+    _, den, table = _generating_rows(key)
     assert len(table) == len(key.system())
     for r, c in zip(key.system().roots, table):
-        assert c == solve_in_span(gens, r)
+        assert tuple(Q(x, den) for x in c) == solve_in_span(gens, r)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,17 @@ class TestCli:
             assert main(["check", paths[name], "--json"]) == code
             assert serialize.loads(capsys.readouterr().out) == check_axioms(build(name))
 
+    def test_check_symbolic_document_exit_codes(self, tmp_path, capsys):
+        # an affinized B2 is a GRRS and an affinized C(2,1) a WGRS only
+        for name, code in (("B2", 0), ("C(2,1)", 3)):
+            path = tmp_path / "affine.json"
+            path.write_text(serialize.dumps(affinize(build(name), 1)))
+            assert main(["check", str(path)]) == code
+            capsys.readouterr()
+            assert main(["check", str(path), "--json"]) == code
+            report = serialize.loads(capsys.readouterr().out)
+            assert report == check_symbolic_axioms(affinize(build(name), 1))
+
     def test_axiom_failure_exit_code(self, tmp_path, capsys):
         doc = serialize.document_to_dict(build("B2"))
         doc["payload"]["roots"].append(["0", "0"])
@@ -337,6 +348,38 @@ def test_malformed_document_is_bad_input(label, tmp_path):
         serialize.loads(path.read_text())
     assert main(["check", str(path)]) == 2
     assert main(["iso", str(path), str(path)]) == 2
+
+
+# Well-formed documents whose fields disagree: (payload, path in the
+# document's payload, value written there, message of the check that catches it)
+AFFINE_A1 = affinize(build("A1"), 1)
+INCONSISTENT = {
+    "finite-dim": (build("B2"), ("dim",), 3, "dim field does not match the gram matrix"),
+    "symbolic-dim": (AFFINE_A1, ("dim",), 3, "dim field does not match the gram matrix"),
+    "kernel-dim": (AFFINE_A1, ("kernelDim",), 2, "kernelDim field does not match the gram matrix"),
+    # Z(0, 1/2) does not lie in the ambient Z(0, 1)
+    "modulus-outside-lattice": (AFFINE_A1, ("families", 0, "modulusBasis"), [["0", "1/2"]],
+                                "modulus is not a sublattice of the ambient lattice"),
+    # (0, 0) and (0, 1/2) lie in two cosets of the ambient Z(0, 1)
+    "reps-in-two-cosets": (AFFINE_A1, ("families", 0, "reps"), [["0", "0"], ["0", "1/2"]],
+                           "coset members do not lie in a single ambient coset"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INCONSISTENT))
+def test_inconsistent_document_is_bad_input(label, tmp_path, capsys):
+    payload, at, value, message = INCONSISTENT[label]
+    doc = serialize.document_to_dict(payload)
+    parent = doc["payload"]
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GrrsError, match=message):
+        serialize.loads(path.read_text())
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # JSON numbers that Python reads as infinite floats, which no Fraction holds

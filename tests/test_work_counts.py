@@ -37,45 +37,43 @@ from grrs.finite import FiniteRootSystem, Homothety, check_axioms, gw_orbits, is
 from grrs.linalg import (
     BilinearSpace, Lattice, solve_in_span, standard_space, unit_vector, vadd, vscale,
 )
-from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
+from grrs.symbolic import (
+    CosetSet, SymbolicRootSystem, affinize, check_symbolic_axioms, from_finite, quotient,
+)
 
 from support import radical_change
 
 
 def test_from_finite_e6_builds_one_coset_set(monkeypatch):
     e6 = build("E6")
-    built = []
-    init = CosetSet.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(CosetSet, "__init__", counted)
+    built, rational = [], []
+    _counted(monkeypatch, CosetSet, "_anchor", built)
+    _counted(monkeypatch, CosetSet, "__init__", rational)
     system = from_finite(e6)
     assert len(system.entries) == 72
-    assert len(built) == 1
+    assert len(built) == 1 and rational == []
 
 
 def test_constructor_calls_no_from_vectors(monkeypatch):
     depth, calls, built = [0], [], []
-    init = SymbolicRootSystem.__init__
+    take = SymbolicRootSystem._take
     from_vectors = vars(Lattice)["from_vectors"].__func__
 
     def flagged(self, *args):
         depth[0] += 1
         try:
-            init(self, *args)
+            take(self, *args)
         finally:
             depth[0] -= 1
         built.append(self)
+        return self
 
     def counted(cls, *args):
         if depth[0]:
             calls.append(args)
         return from_vectors(cls, *args)
 
-    monkeypatch.setattr(SymbolicRootSystem, "__init__", flagged)
+    monkeypatch.setattr(SymbolicRootSystem, "_take", flagged)
     monkeypatch.setattr(Lattice, "from_vectors", classmethod(counted))
 
     for name in ("E6", "B3", "A(1,1)", "BC(1,1)"):
@@ -186,7 +184,7 @@ def test_family_stays_on_integer_coordinates(monkeypatch):
 
         monkeypatch.setattr(Lattice, name, wrapper)
 
-    inside(SymbolicRootSystem, "__init__")
+    inside(SymbolicRootSystem, "_take")
     inside(catalog, "_preimage")
     counted("combine")
     counted("split")
@@ -198,7 +196,7 @@ def test_family_stays_on_integer_coordinates(monkeypatch):
     ]
     for system in systems:
         identify(system)
-    assert entered.count("__init__") >= 4 and "_preimage" in entered
+    assert entered.count("_take") >= 4 and "_preimage" in entered
     assert calls == []
 
 
@@ -473,3 +471,25 @@ def test_integer_rows_enter_the_finite_constructor(monkeypatch):
     assert (e7.space.dim, len(e7)) == (7, 126) and len(quotient) == 48
     assert e7 == catalog._e_series(7) and quotient == build("F4")
     assert quotient.roots == build("F4").roots
+
+
+def test_symbolic_systems_keep_integer_lifts(monkeypatch):
+    """`from_finite`, `affinize`, `quotient` and `family` enter the symbolic
+    constructor on the integer rows they hold, not through `__init__`, and
+    `identify` and a passing `check_symbolic_axioms` read the families in
+    the order of those rows: no rational `entries` or `lifts` view is built
+    on any path of `identify` (pulled back, case i and the rational
+    quotient of A(2,2)_x)."""
+    rational = []
+    _counted(monkeypatch, SymbolicRootSystem, "__init__", rational)
+    g2 = affinize(build("G2"), 2)
+    dim = g2.space.dim
+    identified = [family("B3", 2, S={0, 3}), affinize(build("A2"), 1), a_nn_x(2, 1, 3)]
+    systems = identified + [quotient(g2, [unit_vector(dim, dim - 1)]), from_finite(build("A(1,1)"))]
+    assert rational == []
+    for system in identified:
+        identify(system)
+        assert "entries" not in vars(system) and "lifts" not in vars(system)
+    for system in systems:
+        assert check_symbolic_axioms(system).is_grrs
+        assert "entries" not in vars(system) and "lifts" not in vars(system)
