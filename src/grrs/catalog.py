@@ -37,7 +37,6 @@ from .linalg import (
     vscale,
     vsub,
     vec,
-    zero_vector,
 )
 from .symbolic import CosetSet, SymbolicRootSystem, _padded, affinize, from_finite, quotient
 
@@ -543,7 +542,8 @@ def _preimage(L: Lattice, mask: int, r: int = 2, scale=1) -> CosetSet:
     k = L.rank
     reps = [_coordinates(p, k, r) for p in _bits(mask)]
     mod = [[r * (i == j) for j in range(k)] for i in range(k)] if reps else []
-    return CosetSet.__new__(CosetSet)._set(L.scaled(scale), zero_vector(L.dim), mod, reps)
+    amb = L.scaled(scale)
+    return CosetSet.__new__(CosetSet)._set(amb, amb.scale, (0,) * L.dim, mod, reps)
 
 
 def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
@@ -558,7 +558,7 @@ def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
     ) else hnf_cosets(fam._mod, hnf_int(sub), amb.rank)
     if cosets is None:
         raise UnrecognizedCl(f"family is not a union of cosets of {r} times the reference lattice")
-    d = lcm(fam._denominator(), ref.scale)
+    d = lcm(fam._t[0], ref.scale)
     t, reps, _ = fam._at(d)
     f = d // amb.scale
     box = [[f * x for x in _int_combination(c, amb.rows, amb.dim)] for c in cosets]

@@ -25,7 +25,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, Vector, clear_denominators, hnf_int, vadd, vscale
+from .linalg import Lattice, Vector, hnf_int, vadd, vscale
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -297,14 +297,14 @@ def recognize_cl(fin: FiniteRootSystem):
 
 def _family_lattice(fam: CosetSet) -> Lattice:
     """The family as a subgroup; requires a single unshifted full coset."""
-    if fam._ireps != {(0,) * fam.ambient.rank} or any(fam.translate):
+    if fam._ireps != {(0,) * fam.ambient.rank} or any(fam._t[1]):
         raise UnrecognizedCl("family is not a lattice; not of the classified shape")
     return fam.modulus
 
 
 def _generated(families: Sequence[CosetSet]) -> Lattice:
     """The lattice the members and moduli of the families generate."""
-    d = lcm(*(f._denominator() for f in families))
+    d = lcm(*(f._t[0] for f in families))
     rows = []
     for f in families:
         t, reps, mod = f._at(d)
@@ -344,7 +344,7 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     cat = hmap.domain
     gens, den, coords = catalog._generating_rows(key)
     above = [_family_above(system, hmap, g) for g in gens]
-    D = lcm(*(f._denominator() for f in above))
+    D = lcm(*(f._t[0] for f in above))
     least = [f._least(D) for f in above]
     shifted: Dict[int, CosetSet] = {}
 
@@ -352,7 +352,7 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
         i = cat._find(cat_root)
         if i not in shifted:
             f = _family_above(system, hmap, i)
-            t = clear_denominators([f.translate], D * den)[1][0]
+            t = f._row(D * den)
             for c, m in zip(coords[i], least):
                 if c:
                     t = [x - c * y for x, y in zip(t, m)]
@@ -424,7 +424,7 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
         eps2, dlt2 = (o.roots[0] for o in layout if o.data in ("S", "~S"))
         Lp = _generated([fam(eps2), fam(dlt2)])
         a = fam(vscale(Q(1, 2), vadd(eps2, dlt2)))
-        d = a._denominator()
+        d = a._t[0]
         two_a = Lattice(L.dim, d, hnf_int([[2 * x for x in a._least(d)]]))
         if c11 and not (Lp.rank == k and Lp.contains_lattice(two_a)):
             # 2a outside a full-rank Lp: a rational quotient, not a subset form
@@ -497,7 +497,7 @@ def _identify_ann(system, key, hmap, cat, k, L):
         s = reduce(CosetSet.add, map(system._families.__getitem__, combo))
         # the members lie in L when the translate is 0, on the coordinates of
         # the reps: at k = 1 those `reps` reads, reduced into [0, [L : M]) too
-        if any(s.translate):
+        if any(s._t[1]):
             raise UnrecognizedCl("subset sum leaves the offset lattice")
         classes.update(c[0] % q for c in s._ireps)
     nonzero = {min(c, (q - c) % q) for c in classes if c % q != 0}

@@ -116,7 +116,7 @@ class FiniteRootSystem:
         return self._hash
 
     def __repr__(self):
-        return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self.roots)})"
+        return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self)})"
 
     def contains(self, v: Vector) -> bool:
         return self._find(vec(v)) is not None

@@ -168,17 +168,13 @@ class SubspaceProjection:
         self._support = [[(j, Q(y, row[p])) for j, y in enumerate(row) if y]
                          for row, p in zip(self._rows, self.pivots)]
 
-    def reduce(self, v: Vector) -> Vector:
+    def apply(self, v: Vector) -> Vector:
         w = list(v)
         for support, p in zip(self._support, self.pivots):
             f = w[p]
             if f:
                 for j, y in support:
                     w[j] -= f * y
-        return tuple(w)
-
-    def apply(self, v: Vector) -> Vector:
-        w = self.reduce(v)
         return tuple(w[i] for i in self.kept)
 
     def apply_rows(self, rows: Sequence[Sequence[int]], d: int) -> Tuple[int, list]:
@@ -417,10 +413,9 @@ class Lattice:
     @classmethod
     def from_vectors(cls, dim: int, vectors: Sequence[Vector]) -> "Lattice":
         """The subgroup generated by vectors of ints or Fractions."""
-        vs = [v for v in vectors if any(v)]
-        if any(len(v) != dim for v in vs):
+        if any(len(v) != dim for v in vectors):
             raise DimensionMismatch("generator of wrong length")
-        s, rows = clear_denominators(vs)
+        s, rows = clear_denominators([v for v in vectors if any(v)])
         return cls(dim, s, hnf_int(rows))
 
     @classmethod
@@ -458,22 +453,26 @@ class Lattice:
         coefficients of the residue lie in [0, 1)."""
         return hnf_reduce(w, self.rows, self.pivots, d // self.scale)
 
+    def residue_row(self, w: Sequence[int], d: int):
+        """`reduce_int` as ((e, u), c): the residue as u / e over its least multiple e of scale."""
+        u, c = self.reduce_int(w, d)
+        g = gcd(d // self.scale, *u)
+        return (d // g, tuple(x // g for x in u)), c
+
     def _reduce(self, v: Vector):
-        """(w, d, c): d * residue(v) = w in integers, and v - residue(v) =
-        sum c_i basis_i."""
+        """`residue_row` of v, checked for length."""
+        if len(v) != self.dim:
+            raise DimensionMismatch("vector of wrong length")
         d, (w,) = clear_denominators([v], self.scale)
-        w, coeffs = self.reduce_int(w, d)
-        return w, d, coeffs
+        return self.residue_row(w, d)
 
     def split(self, v: Vector) -> Tuple[Vector, Tuple[int, ...]]:
         """(residue(v), c) with v = residue(v) + sum c_i basis_i, c integral."""
-        w, d, coeffs = self._reduce(v)
+        (d, w), coeffs = self._reduce(v)
         return tuple(Q(x, d) for x in w), coeffs
 
     def member(self, v: Vector) -> bool:
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector of wrong length")
-        return not any(self._reduce(v)[0])
+        return not any(self._reduce(v)[0][1])
 
     def residue(self, v: Vector) -> Vector:
         """Canonical representative of v + L (pivot coefficients in [0, 1))."""
@@ -481,7 +480,7 @@ class Lattice:
 
     def coefficients(self, v: Vector) -> Optional[Tuple[int, ...]]:
         """Integer coordinates of v in the canonical basis, or None."""
-        w, _, coeffs = self._reduce(v)
+        (_, w), coeffs = self._reduce(v)
         return None if any(w) else coeffs
 
     def coordinates(self, sub: "Lattice") -> Optional[list]:

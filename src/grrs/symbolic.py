@@ -41,7 +41,6 @@ from .linalg import (
     rref,
     vadd,
     vneg,
-    vscale,
     vec,
     vsub,
     zero_vector,
@@ -52,23 +51,26 @@ from .linalg import _int_combination, hnf_cosets, hnf_int, hnf_meet, hnf_pivots,
 class CosetSet:
     """translate + {rep_1, ..., rep_m} + M, all inside one coset of L.
 
-    Stored in integer coordinates on the canonical basis of the ambient L
-    (rank r): M is an HNF in Z^r, grown to the full stabilizer of the set,
-    and the reps are a set of r-tuples reduced by it (pivot coefficients in
-    [0, pivot)).  Only the translate is a vector of Q^n, the canonical
-    residue mod L of any member, so equal sets over equal ambients store
-    equal data.  Q^n inputs are converted once on entry; `modulus` (the
-    canonical Q^n basis of M), `reps` (residues mod it, sorted) and
-    `members()` are views derived on first read.  Operations on two sets
-    require the same ambient.
+    Stored in integers on the canonical basis of the ambient L (rank r): M
+    is an HNF in Z^r, grown to the full stabilizer of the set, the reps are
+    r-tuples reduced by it (pivot coefficients in [0, pivot)), and `_t` =
+    (d, u) is the translate, the canonical residue mod L of any member, as
+    the row u over the least d that the ambient's scale divides.  Builders
+    enter integer rows through `_anchor`, which `CosetSet(...)` calls on its
+    cleared Q^n input; `translate`, `modulus` (the basis of M), `reps`
+    (sorted residues mod it) and `members()` are views read on first use.
+    Equal sets store equal integers; two sets must share their ambient.
     """
 
-    __slots__ = ("ambient", "translate", "_mod", "_piv", "_ireps", "_hash", "_modulus", "_reps")
+    __slots__ = ("ambient", "_t", "_mod", "_piv", "_ireps", "_hash", "_translate", "_modulus",
+                 "_reps")
 
     def __init__(
         self, ambient: Lattice, modulus: Lattice, translate: Vector, reps: Sequence[Vector]
     ):
-        # the Q^n data is scaled to integers over one denominator, once
+        # the Q^n data is checked and scaled to integers over one denominator, once
+        if any(len(v) != ambient.dim for v in (translate, *reps)):
+            raise DimensionMismatch("translate or rep of wrong length")
         members = [vadd(translate, r) for r in reps]
         if members and modulus.dim != ambient.dim:
             raise DimensionMismatch("lattices of different dimensions")
@@ -86,42 +88,45 @@ class CosetSet:
         split = [ambient.reduce_int(m, d) for m in members]
         if any(w != split[0][0] for w, _ in split):
             raise GrrsError("coset members do not lie in a single ambient coset")
-        t = tuple(Q(x, d) for x in split[0][0]) if split else zero_vector(ambient.dim)
-        return self._set(ambient, t, [c for _, c in mod], [c for _, c in split])
+        t = split[0][0] if split else (0,) * ambient.dim
+        return self._set(ambient, d, t, [c for _, c in mod], [c for _, c in split])
 
-    def _set(self, ambient: Lattice, translate: Vector, mod, reps) -> "CosetSet":
-        """Canonical integer data.  The stabilizer of the set is M plus the
-        differences rep - rep_0 that map the set to itself, as rep_0 + s
-        lies in some rep + M for every stabilizing s.  Such an s permutes
-        the m cosets, so it fixes their sum mod M: m s lies in M, which one
-        reduction tests before the set is walked."""
+    def _set(self, ambient: Lattice, d: int, w, mod, reps) -> "CosetSet":
+        """w / d + {sum_i r_i b_i : r in reps} + <mod> as canonical integer
+        data, d a multiple of the ambient's scale.  The stabilizer of the set
+        is M plus the differences rep - rep_0 that map the set to itself, as
+        rep_0 + s lies in some rep + M for every stabilizing s.  Such an s
+        permutes the m cosets, so it fixes their sum mod M: m s lies in M,
+        which one reduction tests before the set is walked."""
+        t, c = ambient.residue_row(w, d)
         mod = hnf_int(mod)
         piv = hnf_pivots(mod)
-        reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
+        reps = {hnf_reduce(vadd(r, c), mod, piv)[0] for r in reps}
         base, m = next(iter(reps), None), len(reps)
         gained = [
-            d for d in (vsub(r, base) for r in reps if r != base)
-            if not any(hnf_reduce([m * x for x in d], mod, piv)[0])
-            and all(hnf_reduce(vadd(x, d), mod, piv)[0] in reps for x in reps)
+            s for s in (vsub(r, base) for r in reps if r != base)
+            if not any(hnf_reduce([m * x for x in s], mod, piv)[0])
+            and all(hnf_reduce(vadd(x, s), mod, piv)[0] in reps for x in reps)
         ]
         if gained:
             mod = hnf_int(mod + gained)
             piv = hnf_pivots(mod)
             reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
-        self.ambient, self.translate = ambient, translate
+        self.ambient, self._t = ambient, t
         self._mod, self._piv, self._ireps = tuple(map(tuple, mod)), piv, frozenset(reps)
-        self._hash = self._modulus = self._reps = None
+        self._hash = self._translate = self._modulus = self._reps = None
         return self
-
-    def _moved(self, v: Vector, mod, reps) -> "CosetSet":
-        """v + {sum_i r_i b_i : r in reps} + <mod> over the same ambient."""
-        t, c = self.ambient.split(v)
-        reps = [vadd(r, c) for r in reps]
-        return CosetSet.__new__(CosetSet)._set(self.ambient, t, list(mod), reps)
 
     def _same_ambient(self, other: "CosetSet") -> None:
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise GrrsError("coset sets over different ambient lattices")
+
+    @property
+    def translate(self) -> Vector:
+        if self._translate is None:
+            d, u = self._t
+            self._translate = tuple(Q(x, d) for x in u)
+        return self._translate
 
     @property
     def modulus(self) -> Lattice:
@@ -147,36 +152,36 @@ class CosetSet:
         """One representative per coset: translate + reps."""
         return [vadd(self.translate, r) for r in self.reps]
 
-    def _denominator(self) -> int:
-        """The least d over which the translate and the ambient are integral."""
-        return lcm(self.ambient.scale, *(x.denominator for x in self.translate))
+    def _row(self, d: int) -> List[int]:
+        """The translate as an integer row over d, a multiple of `_t[0]`."""
+        e, u = self._t
+        return [d // e * x for x in u]
 
     def _at(self, d: int) -> Tuple[List[int], List[List[int]], List[List[int]]]:
         """(translate, reps, generators of M) as integer rows over d, a
-        multiple of `_denominator()`, read off the HNF of the ambient."""
+        multiple of `_t[0]`, read off the HNF of the ambient."""
         amb = self.ambient
         f = d // amb.scale
         reps, mod = ([[f * x for x in _int_combination(c, amb.rows, amb.dim)] for c in cs]
                      for cs in (self._ireps, self._mod))
-        return clear_denominators([self.translate], d)[1][0], reps, mod
+        return self._row(d), reps, mod
 
     def _least(self, d: int) -> List[int]:
         """translate + reps[0] as an integer row over d, as for `_at`."""
         f = d // self.ambient.scale
-        t = clear_denominators([self.translate], d)[1][0]
-        return [x + f * y for x, y in zip(t, self._rep_rows()[0])]
+        return [x + f * y for x, y in zip(self._row(d), self._rep_rows()[0])]
 
     # -- basic protocol ----------------------------------------------------
 
     @classmethod
     def empty(cls, ambient: Lattice) -> "CosetSet":
-        return cls(ambient, Lattice.zero(ambient.dim), zero_vector(ambient.dim), [])
+        return cls.__new__(cls)._set(ambient, ambient.scale, (0,) * ambient.dim, [], [])
 
     @classmethod
     def full_lattice(cls, ambient: Lattice) -> "CosetSet":
         r = ambient.rank
         unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        return cls.__new__(cls)._set(ambient, zero_vector(ambient.dim), unit, [(0,) * r])
+        return cls.__new__(cls)._set(ambient, ambient.scale, (0,) * ambient.dim, unit, [(0,) * r])
 
     @property
     def dim(self) -> int:
@@ -188,57 +193,57 @@ class CosetSet:
     def __eq__(self, other):
         return isinstance(other, CosetSet) and (self is other or (
             self._ireps == other._ireps and self._mod == other._mod
-            and self.translate == other.translate and self.ambient == other.ambient
+            and self._t == other._t and self.ambient == other.ambient
         ))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.translate, self._mod, self._ireps))
+            self._hash = hash((self._t, self._mod, self._ireps))
         return self._hash
 
     def __repr__(self):
-        t = "0" if is_zero(self.translate) else "shifted"
+        t = "shifted" if any(self._t[1]) else "0"
         return f"CosetSet(reps={len(self._ireps)}, modulus_rank={len(self._mod)}, translate={t})"
 
     # -- membership and set algebra ----------------------------------------
 
-    def _has(self, t: Vector, c) -> bool:
-        """Is t + sum_i c_i b_i in the set, for t a canonical residue?"""
-        return t == self.translate and hnf_reduce(c, self._mod, self._piv)[0] in self._ireps
+    def _has(self, t, c) -> bool:
+        """Is t + sum_i c_i b_i in the set, for t a residue as `_t`?"""
+        return t == self._t and hnf_reduce(c, self._mod, self._piv)[0] in self._ireps
 
-    def _covers(self, t: Vector, reps, mod) -> bool:
+    def _covers(self, t, reps, mod) -> bool:
         """Is t + reps + <mod> inside the set (mod an HNF in Z^r)?  One test
         per coset of the meet of mod and M in mod."""
         cosets = hnf_cosets(mod, hnf_meet(mod, self._mod), self.ambient.rank)
         return cosets is not None and all(self._has(t, vadd(r, c)) for r in reps for c in cosets)
 
-    def _meets(self, t: Vector, c, lat) -> bool:
+    def _meets(self, t, c, lat) -> bool:
         """Does the set meet t + c + <lat> (lat integer rows)?"""
         big = hnf_int(list(self._mod) + list(lat))
         piv = hnf_pivots(big)
-        return t == self.translate and any(
+        return t == self._t and any(
             not any(hnf_reduce(vsub(r, c), big, piv)[0]) for r in self._ireps
         )
 
     def contains(self, v: Vector) -> bool:
-        return not self.is_empty() and self._has(*self.ambient.split(v))
+        return not self.is_empty() and self._has(*self.ambient._reduce(v))
 
     def shift(self, v: Vector) -> "CosetSet":
         if self.is_empty():
             return self
-        d, (w,) = clear_denominators([vadd(self.translate, v)], self.ambient.scale)
-        return self._translated(w, d)
+        d, (w,) = clear_denominators([v], self._t[0])
+        return self._translated(vadd(w, self._row(d)), d)
 
     def _translated(self, w: Sequence[int], d: int) -> "CosetSet":
         """w / d + reps + M, for w integral and d a multiple of the ambient's
         scale: one reduction gives the translate and moves the reps by its
         coordinates.  A translate of the set has its stabilizer: M stays."""
-        u, c = self.ambient.reduce_int(w, d)
+        t, c = self.ambient.residue_row(w, d)
         out = CosetSet.__new__(CosetSet)
-        out.ambient, out.translate = self.ambient, tuple(Q(x, d) for x in u)
+        out.ambient, out._t = self.ambient, t
         out._mod, out._piv, out._modulus = self._mod, self._piv, self._modulus
         out._ireps = frozenset(hnf_reduce(vadd(r, c), self._mod, self._piv)[0] for r in self._ireps)
-        out._hash = out._reps = None
+        out._hash = out._translate = out._reps = None
         return out
 
     def neg(self) -> "CosetSet":
@@ -247,24 +252,24 @@ class CosetSet:
     def scale(self, c: int) -> "CosetSet":
         if self.is_empty():
             return self
-        c = int(c)
-        if c == 0:
-            return self._moved(zero_vector(self.dim), (), [(0,) * self.ambient.rank])
+        c, (d, u) = int(c), self._t
         mod, reps = ([tuple(c * x for x in v) for v in vs] for vs in (self._mod, self._ireps))
-        return self._moved(vscale(c, self.translate), mod, reps)
+        return CosetSet.__new__(CosetSet)._set(self.ambient, d, [c * x for x in u], mod, reps)
 
     def add(self, other: "CosetSet") -> "CosetSet":
         self._same_ambient(other)
         if self.is_empty() or other.is_empty():
             return CosetSet.empty(self.ambient)
         reps = [vadd(a, b) for a in self._ireps for b in other._ireps]
-        return self._moved(vadd(self.translate, other.translate), self._mod + other._mod, reps)
+        d = lcm(self._t[0], other._t[0])
+        w = vadd(self._row(d), other._row(d))
+        return CosetSet.__new__(CosetSet)._set(self.ambient, d, w, self._mod + other._mod, reps)
 
     def subset_of(self, other: "CosetSet") -> bool:
         self._same_ambient(other)
         if self.is_empty() or other.is_empty():
             return self.is_empty()
-        return other._covers(self.translate, self._ireps, self._mod)
+        return other._covers(self._t, self._ireps, self._mod)
 
     def same_set(self, other: "CosetSet") -> bool:
         self._same_ambient(other)
@@ -277,7 +282,7 @@ class CosetSet:
         rows = self.ambient.coordinates(lat)
         if rows is None:
             raise GrrsError("lattice is not a sublattice of the ambient lattice")
-        return self._meets(*self.ambient.split(v), rows)
+        return self._meets(*self.ambient._reduce(v), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,7 @@ class SymbolicRootSystem:
         distinct: Dict[CosetSet, int] = {}
         slot = {i: distinct.setdefault(fam, len(distinct)) for i, fam in objects.items()}
         fams = list(distinct)
-        D = lcm(d, *(fam.ambient.scale for fam in fams),
-                *(x.denominator for fam in fams for x in fam.translate))
+        D = lcm(d, *(fam._t[0] for fam in fams))
         rows = [row if D == d else [D // d * x for x in row] for row, _ in kept]
         order = sorted(range(len(rows)), key=rows.__getitem__)
         if len({tuple(row) for row in rows}) != len(rows):
@@ -344,24 +348,20 @@ class SymbolicRootSystem:
         gram = clear_denominators(space.gram)[1]
         gens, data = [], []
         for fam in fams:
-            space.check_vector(fam.translate)
+            space.check_vector(fam._t[1])
             t, reps, mod = fam._at(D)
             if any(sum(map(mul, g, v)) for v in (*mod, t, *reps) for g in gram):
                 raise GrrsError("family data outside the radical")
-            gens += mod + [[x - y for x, y in zip(r, reps[0])] for r in reps[1:]]
-            data.append((mod, t, reps))
-        first = [[x + y for x, y in zip(t, reps[0])] for _, t, reps in data]
-        gens += [[x + y for x, y in zip(lift, first[slot[id(fam)]])]
-                 for lift, (_, fam) in zip(rows, kept)]
+            members = [vadd(t, r) for r in reps]
+            gens += mod + [vsub(m, members[0]) for m in members[1:]]
+            data.append((mod, members))
+        gens += [vadd(lift, data[slot[id(fam)]][1][0]) for lift, (_, fam) in zip(rows, kept)]
         self.L = L = Lattice(space.dim, D, hnf_int(gens)).kernel_part(space)
 
         # a family over another ambient is re-anchored on L, D being a
         # multiple of L's scale
-        anchored = [
-            fam if fam.ambient == L else CosetSet.__new__(CosetSet)._anchor(
-                L, D, mod, [[x + y for x, y in zip(t, r)] for r in reps])
-            for fam, (mod, t, reps) in zip(fams, data)
-        ]
+        anchored = [fam if fam.ambient == L else CosetSet.__new__(CosetSet)._anchor(L, D, *datum)
+                    for fam, datum in zip(fams, data)]
         self._families = tuple(anchored[slot[id(kept[i][1])]] for i in order)
         return self
 
@@ -533,7 +533,7 @@ def affinize(
         mod = [c + (0,) * n for c in fam._mod] + deltas
         reps = [c + (0,) * n for c in fam._ireps]
         # families are anchored to L; a residue mod L padded by zeros is one mod big
-        return CosetSet.__new__(CosetSet)._set(big, fam.translate + (Q(0),) * n, mod, reps)
+        return CosetSet.__new__(CosetSet)._set(big, fam._t[0], fam._t[1] + (0,) * n, mod, reps)
 
     extended = {fam: extend(fam) for fam in dict.fromkeys(system._families)}
     return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
@@ -547,7 +547,6 @@ def quotient(
     """Push the system forward along V -> V/U for U inside the radical."""
     vecs = [vec(v) for v in kernel_vectors]
     for v in vecs:
-        system.space.check_vector(v)
         if not system.space.in_kernel(v):
             raise NotInKernel(f"{format_vector(v)} is not in the radical")
     proj = SubspaceProjection(system.space.dim, vecs)
@@ -557,22 +556,24 @@ def quotient(
     new_space = BilinearSpace([[system.space.gram[i][j] for j in kept] for i in kept])
     new_dim = len(kept)
 
-    basis = [proj.apply(b) for b in system.L.basis]
-    image = Lattice.from_vectors(new_dim, basis)
+    # L's rows projected once, over e; a family over L has integer
+    # coordinates on them, and the image of its translate lies over D, a multiple of e
+    e, basis = proj.apply_rows(system.L.rows, system.L.scale)
+    image = Lattice(new_dim, e, hnf_int(basis))
 
     def push(fam: CosetSet) -> CosetSet:
-        # the family lies over system.L: its data are combinations of L's
-        # basis, so their images lie in image
-        gens, reps = ([_combination(c, basis, new_dim) for c in cs]
+        D, (t,) = proj.apply_rows([fam._t[1]], fam._t[0])
+        rows = [[D // e * x for x in b] for b in basis]
+        gens, reps = ([_int_combination(c, rows, new_dim) for c in cs]
                       for cs in (fam._mod, fam._ireps))
-        mod = Lattice.from_vectors(new_dim, gens)
         if require_bijective:
-            if mod.rank < len(gens):
+            mod = hnf_int(gens)
+            if len(mod) < len(gens):
                 raise NotBijective("a family coset collapses along the quotient")
-            for a, b in itertools.combinations(reps, 2):
-                if mod.member(vsub(a, b)):
-                    raise NotBijective("two family cosets merge along the quotient")
-        return CosetSet(image, mod, proj.apply(fam.translate), reps)
+            piv = hnf_pivots(mod)
+            if len({hnf_reduce(r, mod, piv)[0] for r in reps}) < len(reps):
+                raise NotBijective("two family cosets merge along the quotient")
+        return CosetSet.__new__(CosetSet)._anchor(image, D, gens, [vadd(t, r) for r in reps])
 
     pushed = {fam: push(fam) for fam in dict.fromkeys(system._families)}
     return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
@@ -644,9 +645,9 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
     gr3_ok = True
     # the four families share their ambient; y + x and y - x are tp and tm
     # plus integer coordinates, and an empty C or D needs no special case
-    amb = A.ambient
-    tp, op = amb.split(vadd(B.translate, A.translate))
-    tm, om = amb.split(vsub(B.translate, A.translate))
+    amb, d = A.ambient, lcm(A._t[0], B._t[0])
+    ta, tb = A._row(d), B._row(d)
+    (tp, op), (tm, om) = (amb.residue_row(w, d) for w in (vadd(tb, ta), vsub(tb, ta)))
     sigma = hnf_int(list(A._mod + B._mod))
     cd = hnf_meet(C._mod, D._mod)
     cos_a = hnf_cosets(A._mod, hnf_meet(A._mod, cd), amb.rank)

@@ -33,7 +33,12 @@
 - `is_reduced`: the pairwise scan for proportional roots on `Fraction`
   vectors, before it grouped the integer rows by their line.
 - `shift`: `CosetSet.shift` before it kept the stabilizer: the moved
-  translate split on `Fraction`s and the stabilizer derived anew.
+  translate and the reps handed to the public `CosetSet(...)` as
+  `Fraction` vectors, and the stabilizer derived anew.
+- `quotient`: `symbolic.quotient` before it pushed the families on
+  integer rows: each family's modulus basis, translate and reps projected
+  as `Fraction` vectors, the two bijectivity tests on a `Lattice` of the
+  projected modulus, and the image entered through `CosetSet(...)`.
 - `pullback_families`: the family lookup of `classify.identify` before it
   ran on integer rows: the least member of each generating family read off
   the `Fraction` view `reps`, each offset a `Fraction` combination.
@@ -49,6 +54,7 @@
   before they ran on three generators.
 """
 
+import itertools
 from fractions import Fraction as Q
 from functools import lru_cache
 from operator import mul
@@ -57,7 +63,8 @@ from types import SimpleNamespace
 from grrs import catalog
 from grrs.catalog import _point
 from grrs.errors import (
-    AmbiguousReflection, BadMatrix, GrrsError, MissingImage, UnknownRoot, UnrecognizedCl,
+    AmbiguousReflection, BadMatrix, GrrsError, MissingImage, NotBijective, UnknownRoot,
+    UnrecognizedCl,
 )
 from grrs.finite import FiniteRootSystem, _combination, _scaled, reflect
 from grrs.linalg import (
@@ -73,7 +80,7 @@ from grrs.linalg import (
     vsub,
     zero_vector,
 )
-from grrs.symbolic import CosetSet
+from grrs.symbolic import CosetSet, SymbolicRootSystem
 
 
 def rref(rows):
@@ -277,6 +284,29 @@ def from_finite_entries(system):
     ]
 
 
+def quotient(system, kernel_vectors, require_bijective=False):
+    """What `symbolic.quotient` computes, for kernel vectors in the radical."""
+    proj = SubspaceProjection(system.space.dim, [vec(v) for v in kernel_vectors])
+    if not proj.pivots:
+        return system
+    kept, dim = proj.kept, len(proj.kept)
+    space = BilinearSpace([[system.space.gram[i][j] for j in kept] for i in kept])
+    image = _lattice(dim, [proj.apply(b) for b in system.L.basis])
+    entries = []
+    for e in system.entries:
+        gens = [proj.apply(g) for g in e.family.modulus.basis]
+        reps = [proj.apply(r) for r in e.family.reps]
+        mod = _lattice(dim, gens)
+        if require_bijective:
+            if mod.rank < len(gens):
+                raise NotBijective("a family coset collapses along the quotient")
+            if any(mod.member(vsub(a, b)) for a, b in itertools.combinations(reps, 2)):
+                raise NotBijective("two family cosets merge along the quotient")
+        pushed = CosetSet(image, mod, proj.apply(e.family.translate), reps)
+        entries.append((proj.apply(e.lift), pushed))
+    return SymbolicRootSystem(space, entries)
+
+
 def real_roots_from_matrix(matrix, J=(), height_bound=20):
     """Closure of the unit basis (plus doubled J-entries) under the simple
     reflections of `BilinearSpace(matrix)`, truncated at the given height;
@@ -471,9 +501,7 @@ def is_reduced(system):
 def shift(fam, v):
     if fam.is_empty():
         return fam
-    t, c = fam.ambient.split(vadd(fam.translate, v))
-    return CosetSet.__new__(CosetSet)._set(fam.ambient, t, list(fam._mod),
-                                           [vadd(r, c) for r in fam._ireps])
+    return CosetSet(fam.ambient, fam.modulus, vadd(fam.translate, v), fam.reps)
 
 
 def pullback_families(system, hmap, key):

@@ -8,7 +8,8 @@ inside `affinize`, `family`, `a_nn_x`, `quotient` and `resplit`, is built
 again by the reference from the same lifts and families, read as
 rationals, and compared on L, the entries in order, `splitting()`, the
 resplit coordinates and `cl()`.  The error paths are compared in
-`test_symbolic.TestConstructorErrors`.
+`test_symbolic.TestConstructorErrors`, and those of `quotient(...,
+require_bijective=True)` with its `Fraction` reference here.
 """
 
 import random
@@ -17,10 +18,10 @@ from fractions import Fraction as Q
 import pytest
 
 from grrs.catalog import a_nn_x, build, family
-from grrs.errors import BadParameters
+from grrs.errors import BadParameters, NotBijective
 from grrs.finite import FiniteRootSystem
-from grrs.linalg import BilinearSpace, unit_vector, vadd, vec
-from grrs.symbolic import SymbolicRootSystem, affinize, from_finite, quotient
+from grrs.linalg import BilinearSpace, Lattice, unit_vector, vadd, vec
+from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
 
 import fraction_reference as reference
 from support import base_change, radical_change, valid_family_params
@@ -120,6 +121,42 @@ def test_a_nn_x_quotients_and_resplits(parity):
     deltas = [unit_vector(dim, dim - 2), unit_vector(dim, dim - 1)]
     quotient(b3, [vadd(*deltas)])
     quotient(b3, [vadd(deltas[0], vec([0] * (dim - 1) + [Q(2, 3)]))])
+    # against the Fraction reference.  With require_bijective, every family
+    # of B3^(1,1) collapses along delta_1; the class of eps_1 - delta_2 of
+    # A(1,1)^(1) has the cosets 0 and I of Z delta, which merge along
+    # I + delta and stay apart along I + delta / 3.  The Sp/2 family of
+    # BC(1,1) at Sp = {1, 2} has the translate (1/2, 0) over L = Z^2, and
+    # the affine A1 lifted at +-(alpha + delta_1 / 3) the translates
+    # +-(1/3, 0), a denominator that L's scale does not carry.
+    plane = Lattice.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
+    thirds = SymbolicRootSystem(BilinearSpace([[2, 0, 0], [0, 0, 0], [0, 0, 0]]), [
+        (vec([s, 0, 0]), CosetSet(plane, plane, vec([0, Q(s, 3), 0]), [vec([0, 0, 0])]))
+        for s in (1, -1)
+    ])
+    a11 = build("A(1,1)")
+    (ivec,) = from_finite(a11).L.basis
+    aff = affinize(a11, 1)
+    bc = family("BC(1,1)", 2, S={0}, Sp={1, 2})
+    shear = vadd(unit_vector(bc.space.dim, bc.space.dim - 2),
+                 vec([0] * (bc.space.dim - 1) + [Q(1, 3)]))
+    cases = [
+        (b3, [deltas[0]], True, "a family coset collapses along the quotient"),
+        (aff, [vec([*ivec, 1])], True, "two family cosets merge along the quotient"),
+        (aff, [vec([*ivec, Q(1, 3)])], True, None),
+        (bc, [shear], False, None),
+        (bc, [unit_vector(bc.space.dim, bc.space.dim - 1)], False, None),
+        (thirds, [unit_vector(3, 2)], False, None),
+        (thirds, [vec([0, 1, Q(1, 2)])], True, "a family coset collapses along the quotient"),
+    ]
+    for system, vectors, bijective, message in cases:
+        outcomes = []
+        for push in (quotient, reference.quotient):
+            try:
+                outcomes.append(push(system, vectors, require_bijective=bijective))
+            except NotBijective as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == message if message else not isinstance(outcomes[0], str)
     rng = random.Random(5)
     for name in ["G2", "A(1,1)", "BC2", "C(2,1)"]:
         system = affinize(build(name), 1)
@@ -130,7 +167,7 @@ def test_a_nn_x_quotients_and_resplits(parity):
             for g in fam.modulus.basis:
                 offsets[b] = vadd(offsets[b], tuple(rng.randint(-2, 2) * x for x in g))
         system.resplit(offsets)
-    assert len(parity) >= 14
+    assert len(parity) >= 25
 
 
 def _random_base_change(n, rng):

@@ -3,9 +3,12 @@
 The ambient L = Z b_1 + ... + Z b_k lies in Q^(k+1) with a fractional basis.
 A family is drawn in integer coordinates on that basis: base + sum c_i b_i for
 c in reps + M, with M spanned by small triangular rows.  Its base is
-m t0 + j h with t0 half-integral and outside the span of L and h = b_1 / 2,
-so two bases lie in one coset of L exactly when their m agree and their j
-differ by an even number.
+m t0 + j h with t0 outside the span of L and h = b_1 / 2, so two bases lie
+in one coset of L exactly when their m agree and their j differ by an even
+number.  The coordinates of t0 are halves or thirds: a translate over thirds
+has a denominator coprime to the ambient's scale (1 or 2), and multiples,
+sums and shifts of it cancel the thirds again, so the translate's reduction
+to its least denominator meets every operation.
 
 Membership of a point is decided by listing the lattice M in a box that
 holds every coefficient vector that can reach it.  Inclusions, sums and
@@ -21,7 +24,7 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grrs.linalg import Lattice, vadd, vscale, vsub, zero_vector
+from grrs.linalg import Lattice, vadd, vneg, vscale, vsub, zero_vector
 from grrs.symbolic import CosetSet
 
 QUERY = 3  # query points: coefficient vectors with entries in [-QUERY, QUERY]
@@ -157,8 +160,8 @@ def drawn_settings(draw):
         for j in range(i + 1, k):
             row[j] = draw(st.sampled_from([Q(0), Q(1, 2), Q(-1)]))
         basis.append(tuple(row))
-    half = st.sampled_from([Q(-1, 2), Q(0), Q(1, 2), Q(1)])
-    t0 = tuple(draw(half) for _ in range(k)) + (Q(1, 2),)
+    coordinate = st.sampled_from([Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(1, 3), Q(-2, 3)])
+    t0 = tuple(draw(coordinate) for _ in range(k)) + (draw(st.sampled_from([Q(1, 2), Q(1, 3)])),)
     a = draw(families(k))
     b = draw(families(k, a.j if draw(st.booleans()) else None))
     return Setting(tuple(basis), t0), a, b, small_rows(draw, k)
@@ -194,7 +197,7 @@ def check_membership(setting, fam, brute):
 
 
 @settings(max_examples=70, deadline=None)
-@given(drawn_settings(), st.integers(-2, 2), st.data())
+@given(drawn_settings(), st.integers(-3, 3), st.data())
 def test_coset_set_against_brute_force(drawn, c, data):
     setting, a, b, lat_rows = drawn
     A, B = CosetSet(setting.L, *setting.parts(a)), CosetSet(setting.L, *setting.parts(b))
@@ -207,10 +210,28 @@ def test_coset_set_against_brute_force(drawn, c, data):
                    tuple(times(c, row) for row in a.rows))
     check_membership(setting, A.scale(c), multiple if c else Fam(0, 0, ((0,) * setting.k,), ()))
 
+    # shifts by vectors whose multiple of t0 keeps, moves or cancels its
+    # denominator: the same set as the one built from the shifted parts,
+    # with the same hash, and shifted back to A
+    dm, dj = data.draw(st.integers(-2, 1)), data.draw(st.integers(0, 1))
+    dc = data.draw(st.tuples(*[st.integers(-2, 2)] * setting.k))
+    shifted = Fam(a.m + dm, a.j + dj, tuple(vadd(r, dc) for r in a.reps), a.rows)
+    w = setting.vector(dm, dj, dc)
+    moved, rebuilt = A.shift(w), CosetSet(setting.L, *setting.parts(shifted))
+    check_membership(setting, moved, shifted)
+    assert moved == rebuilt and hash(moved) == hash(rebuilt)
+    back = moved.shift(vneg(w))
+    assert back == A and hash(back) == hash(A)
+
     # sums, inclusions, equality and meeting a coset
     S = A.add(B)
     for m, j, q in setting.queries(a.m + b.m, a.j + b.j):
         assert S.contains(setting.vector(m, j, q)) == a.sum_has(b, m, j, q), (m, j, q)
+    # A + (-A) = (reps - reps) + M, whose translate m t0 - m t0 has lost the
+    # denominator of t0: the set built from those differences, with its hash
+    diffs = Fam(0, 0, tuple(vsub(x, y) for x in a.reps for y in a.reps), a.rows)
+    zero_sum, direct = A.add(A.neg()), CosetSet(setting.L, *setting.parts(diffs))
+    assert zero_sum == direct and hash(zero_sum) == hash(direct)
     a_in_b = a.j == b.j and a.subset_of(b)
     b_in_a = a.j == b.j and b.subset_of(a)
     assert A.subset_of(B) == a_in_b and B.subset_of(A) == b_in_a

@@ -86,7 +86,7 @@ def assert_parity(system, rng):
     gens = catalog._generating_rows(key)[0]
     for g, m in zip(gens, least):
         f = system.entries[system._cl_entries[hmap.index[g]]].family
-        d = f._denominator()
+        d = f._t[0]
         assert tuple(Q(x, d) for x in f._least(d)) == m
     for root in cat.roots:
         assert fam(root) == old(root)

@@ -148,6 +148,12 @@ class TestLattice:
         L = lattice_from_vectors(sp, [V(2, 0)])
         assert lattice_member(L, V(4, 0))
         assert not lattice_member(L, V(1, 0))
+        # a vector or generator of another length is rejected, not truncated
+        for read in (L.member, L.coefficients, L.residue, L.split):
+            with pytest.raises(DimensionMismatch):
+                read(V(4, 0, 5))
+        with pytest.raises(DimensionMismatch):
+            Lattice.from_vectors(2, [V(2, 0), V(0, 0, 0)])
 
     def test_member_after_hnf(self):
         sp = standard_space(2)

@@ -363,6 +363,14 @@ INCONSISTENT = {
     # (0, 0) and (0, 1/2) lie in two cosets of the ambient Z(0, 1)
     "reps-in-two-cosets": (AFFINE_A1, ("families", 0, "reps"), [["0", "0"], ["0", "1/2"]],
                            "coset members do not lie in a single ambient coset"),
+    # vectors of another length than dim = 2, which used to be truncated or
+    # to raise IndexError
+    "long-rep": (AFFINE_A1, ("families", 0, "reps"), [["0", "0", "7"]],
+                 "translate or rep of wrong length"),
+    "short-translate": (AFFINE_A1, ("families", 0, "translate"), ["0"],
+                        "translate or rep of wrong length"),
+    "long-zero-generator": (AFFINE_A1, ("families", 0, "latticeBasis"),
+                            [["0", "1"], ["0", "0", "0"]], "generator of wrong length"),
 }
 
 

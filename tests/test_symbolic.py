@@ -5,7 +5,9 @@ from functools import cache
 import pytest
 
 from grrs.catalog import a_nn_x, build, family
-from grrs.errors import GrrsError, KernelTooLarge, NotBijective, NotInKernel, UnknownRoot
+from grrs.errors import (
+    DimensionMismatch, GrrsError, KernelTooLarge, NotBijective, NotInKernel, UnknownRoot,
+)
 from grrs.finite import AxiomCheck, AxiomReport, check_axioms, isomorphic_finite
 from grrs.linalg import (
     BilinearSpace,
@@ -48,6 +50,11 @@ class TestCosetSet:
         a = CosetSet(L, M, vec([Q(1, 2)]), [vec([0]), vec([4])])
         assert a.translate == vec([Q(1, 2)])
         assert a.reps == (vec([0]),)
+        # a translate or rep of another length is rejected, not truncated
+        plane = lat(2, [0, 1])
+        for translate, reps in [((0, 0), [(0, 0, 9)]), ((0,), [(0, 0)]), ((0, 0), [(0,)])]:
+            with pytest.raises(DimensionMismatch):
+                CosetSet(plane, plane, vec(translate), [vec(r) for r in reps])
 
     def test_modulus_maximization(self):
         # {0,1,2,3} + 4Z collapses to Z
@@ -70,6 +77,8 @@ class TestCosetSet:
         assert a.contains(vec([Q(7, 2)]))
         assert not a.contains(vec([Q(5, 2)]))
         assert not a.contains(vec([3]))
+        with pytest.raises(DimensionMismatch):
+            CosetSet.full_lattice(lat(2, [0, 1])).contains(vec([0, 1, 5]))
 
     def test_add_and_neg(self):
         L = lat(1, [1])

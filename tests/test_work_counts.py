@@ -6,11 +6,11 @@ lift, and `SymbolicRootSystem.__init__` generates L from its integer rows
 without `Lattice.from_vectors`.  `identify` searches a homothety once per
 distinct minimal quotient, and pulls families back through the root map of
 the recognition and the catalog's coordinate table, with no elimination.
-`quotient` builds each pushed family over the image of L, which is the L of
-the quotient, so the constructor keeps the families it is handed.  `family`
-writes its families on integer coordinates and the constructor reads and
-re-anchors them there, with no `Fraction` vector in between, through the
-same integer anchoring as `CosetSet(...)`.  The finite checker and the
+`quotient` pushes each family on integer rows, anchored once over the image
+of L, which is the L of the quotient, so the constructor keeps the families
+it is handed.  `family` writes its families on integer coordinates and the
+constructor reads and re-anchors them there, with no `Fraction` vector in
+between, through the same integer anchoring as `CosetSet(...)`.  The finite checker and the
 orbit partitions take every integral reflection step on packed keys, with
 no tuple lookup, and `isomorphic_finite` indexes fingerprints only for a
 scale that carries the norms across, reads its scales off integer
@@ -99,12 +99,12 @@ def test_quotient_pushes_each_family_over_the_image(monkeypatch):
         (a_nn, [unit_vector(a_nn.space.dim, a_nn.space.dim - 1)]),
     ]
     built, sums = [], []
-    _counted(monkeypatch, CosetSet, "__init__", built)
+    _counted(monkeypatch, CosetSet, "_anchor", built)
     _counted(monkeypatch, Lattice, "add", sums)
     for system, vectors in cases:
         del built[:]
         q = quotient(system, vectors)
-        # one coset set per distinct family, none re-anchored by the constructor
+        # one anchoring per distinct family, none repeated by the constructor
         assert len(built) == len({e.family for e in system.entries})
         assert all(e.family.ambient == q.L for e in q.entries)
     assert sums == []
@@ -467,6 +467,7 @@ def test_integer_rows_enter_the_finite_constructor(monkeypatch):
     converted = []
     _counted(monkeypatch, finite, "vec", converted)
     e7, quotient = ambient.restricted_to_span(), affine.cl()
+    repr(quotient)
     assert converted == [] and "roots" not in vars(quotient)
     assert (e7.space.dim, len(e7)) == (7, 126) and len(quotient) == 48
     assert e7 == catalog._e_series(7) and quotient == build("F4")
@@ -477,15 +478,23 @@ def test_symbolic_systems_keep_integer_lifts(monkeypatch):
     """`from_finite`, `affinize`, `quotient` and `family` enter the symbolic
     constructor on the integer rows they hold, not through `__init__`, and
     `identify` and a passing `check_symbolic_axioms` read the families in
-    the order of those rows: no rational `entries` or `lifts` view is built
-    on any path of `identify` (pulled back, case i and the rational
-    quotient of A(2,2)_x)."""
-    rational = []
+    the order of those rows: no rational `entries` or `lifts` view, and no
+    family's `translate` view, is built on any path of `identify` (pulled
+    back, case i and the rational quotient of A(2,2)_x).  `quotient` pushes
+    the families on integer rows: no rational `CosetSet(...)`, projection
+    of a vector, `Lattice.from_vectors` or `Fraction` combination."""
+    rational, pushed = [], []
     _counted(monkeypatch, SymbolicRootSystem, "__init__", rational)
     g2 = affinize(build("G2"), 2)
     dim = g2.space.dim
     identified = [family("B3", 2, S={0, 3}), affinize(build("A2"), 1), a_nn_x(2, 1, 3)]
-    systems = identified + [quotient(g2, [unit_vector(dim, dim - 1)]), from_finite(build("A(1,1)"))]
+    for owner, name in [(CosetSet, "__init__"), (symbolic.SubspaceProjection, "apply"),
+                        (Lattice, "from_vectors"), (finite, "_combination"),
+                        (symbolic, "_combination")]:
+        _counted(monkeypatch, owner, name, pushed)
+    g2_quotient = quotient(g2, [unit_vector(dim, dim - 1)])
+    assert pushed == []
+    systems = identified + [g2_quotient, from_finite(build("A(1,1)"))]
     assert rational == []
     for system in identified:
         identify(system)
@@ -493,3 +502,4 @@ def test_symbolic_systems_keep_integer_lifts(monkeypatch):
     for system in systems:
         assert check_symbolic_axioms(system).is_grrs
         assert "entries" not in vars(system) and "lifts" not in vars(system)
+        assert all(fam._translate is None for fam in system._families)
