@@ -25,7 +25,6 @@ from .linalg import (
     Lattice,
     Vector,
     _int_combination,
-    clear_denominators,
     column_basis,
     hnf_cosets,
     hnf_int,
@@ -228,7 +227,7 @@ def _d21a_tries(d: int, q: FiniteRootSystem) -> List[Tuple]:
     """The a of D(2,1;a) tried on a quotient of dimension 3: the ratios
     +-u/v of its root norms, ascending, each replaced by the least a of its
     orbit under a -> 1/a and a -> -1 - a, whose systems are isomorphic."""
-    norms = {q.norm(r) for r in q.nonisotropic_roots()} if d == 3 else ()
+    norms = set(q._norms) - {0} if d == 3 else ()
     ratios = sorted({s * u / v for u in norms for v in norms for s in (1, -1)} - {-1})
     least = (min(a, 1 / a, -1 - a, -1 / (1 + a), -(1 + a) / a, -a / (1 + a)) for a in ratios)
     return [(a,) for a in dict.fromkeys(least)]
@@ -429,7 +428,7 @@ def real_roots_from_matrix(
                 continue
             found.add(img)
             frontier.append(img)
-    return FiniteRootSystem(BilinearSpace(C), sorted(found)), truncated
+    return FiniteRootSystem._of_rows(BilinearSpace(C), 1, list(found)), truncated
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +572,11 @@ def points_mod(fam: CosetSet, ref: Lattice, r: int = 2) -> int:
 
 
 class Orbit(NamedTuple):
-    """The roots of a classified quotient that carry one family (see
-    `orbits`), greatest first: `identify` reads the family above roots[0]."""
+    """The indices of the roots of a classified quotient that carry one family
+    (see `orbits`), greatest first: `identify` reads the family above index[0]."""
 
     data: str
-    roots: Tuple[Vector, ...]
+    index: Tuple[int, ...]
 
 
 def _layout(key: TypeKey) -> Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]:
@@ -616,18 +615,18 @@ def _layout(key: TypeKey) -> Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]:
 
 @lru_cache(maxsize=None)
 def orbits(key: TypeKey) -> Tuple[Orbit, ...]:
-    """The roots of the catalog system of a classified type, grouped by the
-    family they carry in `family` (see `_layout`), in the order its class
-    descriptor reads them.  `family` builds its families from these groups
-    and `identify` reads the data back from them."""
+    """The root indices of the catalog system of a classified type, grouped
+    by the family they carry in `family` (see `_layout`), in the order its
+    class descriptor reads them.  `family` builds its families from these
+    groups and `identify` reads the data back from them."""
     layout = _layout(key)
     system = key.system()
     by_norm = {norm: data for data, norms in layout for norm in norms or ()}
     rest = next((data for data, norms in layout if norms is None), None)
-    groups: Dict[str, List[Vector]] = {data: [] for data, _ in layout}
-    for v in sorted(system.roots, reverse=True):
-        groups[by_norm.get(system.norm(v), rest)].append(v)
-    return tuple(Orbit(data, tuple(roots)) for data, roots in groups.items())
+    groups: Dict[str, List[int]] = {data: [] for data, _ in layout}
+    for i in reversed(range(len(system))):
+        groups[by_norm.get(system._norms[i], rest)].append(i)
+    return tuple(Orbit(data, tuple(index)) for data, index in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -695,12 +694,12 @@ def _frame(key: TypeKey, k: int):
     parameter: the space of the quotient with k central coordinates
     appended, the lattice L of those coordinates, and the roots of each
     group of `orbits(key)` padded into it, as integer tuples over d."""
-    space = _padded(key.system().space, k)
+    system = key.system()
+    space = _padded(system.space, k)
     dim = space.dim
     L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
-    d, rows = clear_denominators([r for o in orbits(key) for r in o.roots])
-    padded = iter([tuple(row) + (0,) * k for row in rows])
-    return space, L, d, tuple(tuple(itertools.islice(padded, len(o.roots))) for o in orbits(key))
+    rows = [tuple(system._rows[i] + (0,) * k for i in o.index) for o in orbits(key)]
+    return space, L, system.scale, tuple(rows)
 
 
 def _orbit_family(key: TypeKey, L: Lattice, data: str, values) -> CosetSet:

@@ -25,7 +25,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, Vector, hnf_int, vadd, vscale
+from .linalg import Lattice, hnf_int
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -273,7 +273,7 @@ def recognize_cl(fin: FiniteRootSystem):
     """
     d = fin.space.dim
     count = len(fin)
-    n_iso = len(fin.isotropic_roots())
+    n_iso = fin._norms.count(0)
     for kind, row in catalog._TYPES.items():
         if row.isotropic != (n_iso > 0):
             continue
@@ -281,7 +281,7 @@ def recognize_cl(fin: FiniteRootSystem):
             key = TypeKey(kind, params)
             cat = catalog.build(key)
             # the isotropic count builds the norms: after the cheap tests
-            if (cat.space.dim, len(cat)) != (d, count) or len(cat.isotropic_roots()) != n_iso:
+            if (cat.space.dim, len(cat)) != (d, count) or cat._norms.count(0) != n_iso:
                 continue
             h = isomorphic_finite(cat, fin)
             if h is not None:
@@ -337,19 +337,18 @@ def _pullback_families(system: SymbolicRootSystem, hmap: Homothety, key: TypeKey
     sum c_g lift_g, and the family above w moves by -sum c_g m_g.  The
     coefficients c_g of a catalog root are those of its image, as the
     homothety is linear and one to one on the span, so they are read from
-    `catalog._generating_rows` and the image from `hmap.index`.  With the
-    m_g over D and the c_g over den, the offsets and translates are integer
-    rows over D * den: den m_w - sum c_g m_g lies in ZR and the radical, so in L.
+    `catalog._generating_rows` and the image from `hmap.index`, both by the
+    index of the catalog root.  With the m_g over D and the c_g over den,
+    the offsets and translates are integer rows over D * den: den m_w - sum
+    c_g m_g lies in ZR and the radical, so in L.
     """
-    cat = hmap.domain
     gens, den, coords = catalog._generating_rows(key)
     above = [_family_above(system, hmap, g) for g in gens]
     D = lcm(*(f._t[0] for f in above))
     least = [f._least(D) for f in above]
     shifted: Dict[int, CosetSet] = {}
 
-    def fam(cat_root: Vector) -> CosetSet:
-        i = cat._find(cat_root)
+    def fam(i: int) -> CosetSet:
         if i not in shifted:
             f = _family_above(system, hmap, i)
             t = f._row(D * den)
@@ -421,9 +420,11 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
     # family "s" by its index in the reference lattice.
     ref, read, values = L, layout, []
     if kind in ("C({},{})", "BC({},{})"):
-        eps2, dlt2 = (o.roots[0] for o in layout if o.data in ("S", "~S"))
+        eps2, dlt2 = (o.index[0] for o in layout if o.data in ("S", "~S"))
         Lp = _generated([fam(eps2), fam(dlt2)])
-        a = fam(vscale(Q(1, 2), vadd(eps2, dlt2)))
+        # the row of eps + delta is half the sum of those of 2 eps and 2 delta
+        half = tuple((x + y) // 2 for x, y in zip(cat._rows[eps2], cat._rows[dlt2]))
+        a = fam(cat._lookup[half])
         d = a._t[0]
         two_a = Lattice(L.dim, d, hnf_int([[2 * x for x in a._least(d)]]))
         if c11 and not (Lp.rank == k and Lp.contains_lattice(two_a)):
@@ -432,11 +433,11 @@ def identify(system: SymbolicRootSystem) -> ClassDescriptor:
         ref = Lp.add(two_a)
         read = [o for o in layout if o.data not in ("L", "~S")]
     elif kind == "BC{}":
-        ref = _generated([fam(layout[0 if key.params == (1,) else 2].roots[0])])
+        ref = _generated([fam(layout[0 if key.params == (1,) else 2].index[0])])
     if kind not in ("G2", "F4"):
         _check_k(k)
     for o in read:
-        f = fam(o.roots[0])
+        f = fam(o.index[0])
         if o.data in ("L", "2L") and kind != "BC{}":
             ref = _family_lattice(f).scaled(Q(1, 2) if o.data == "2L" else 1)
         elif o.data == "s":

@@ -29,11 +29,11 @@ from .linalg import (
     BilinearSpace,
     Lattice,
     Vector,
+    _int_combination,
     clear_denominators,
     column_basis,
     format_vector,
     solve_in_span,
-    vadd,
     vneg,
     vscale,
     vsub,
@@ -347,7 +347,7 @@ def check_axioms(system: FiniteRootSystem) -> AxiomReport:
     but how many of beta +- alpha are roots.
     """
     return check_classes(
-        system, range(len(system.roots)), system.roots.__getitem__, True,
+        system, range(len(system)), lambda i: system.roots[i], True,
         lambda i, j, k, t: True, lambda i, m: True,
         lambda i, j, plus, minus: ((plus is None) != (minus is None), {plus, minus} != {None}),
     )
@@ -444,15 +444,15 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
                     if w not in inside:
                         inside.add(w)
                         members.append(w)
-    return FiniteRootSystem(system.space, [system.roots[i] for i in members])
+    return FiniteRootSystem._of_rows(system.space, system.scale, [system._rows[i] for i in members])
 
 
-def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[Vector, ...]]:
-    """Classes of the roots under the closure of index v -> indices linked(v)
-    (None entries ignored), each sorted, in the order of their least root."""
+def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[int, ...]]:
+    """Classes of the root indices under the closure of v -> linked(v) (None
+    entries ignored), each sorted, in the order of their least root."""
     seen = set()
     blocks = []
-    for start in range(len(system.roots)):
+    for start in range(len(system)):
         if start in seen:
             continue
         block = {start}
@@ -463,12 +463,13 @@ def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[Vector, ...]]:
                     block.add(w)
                     frontier.append(w)
         seen |= block
-        blocks.append(tuple(system.roots[i] for i in sorted(block)))
+        blocks.append(tuple(sorted(block)))
     return blocks
 
 
 def _orbit_partition(system: FiniteRootSystem, generators: Sequence[int]):
-    return _blocks(system, lambda v: (system._image(a, v) for a in generators))
+    blocks = _blocks(system, lambda v: (system._image(a, v) for a in generators))
+    return [tuple(map(system.roots.__getitem__, b)) for b in blocks]
 
 
 def weyl_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
@@ -478,7 +479,7 @@ def weyl_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
 
 def gw_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:
     """Orbit partition under the involutions attached to all roots."""
-    return _orbit_partition(system, range(len(system.roots)))
+    return _orbit_partition(system, range(len(system)))
 
 
 def is_irreducible(system: FiniteRootSystem):
@@ -488,7 +489,8 @@ def is_irreducible(system: FiniteRootSystem):
     """
     P = system._pairings
     comps = _blocks(system, lambda v: (w for w, p in enumerate(P[v]) if p))
-    systems = [FiniteRootSystem(system.space, c) for c in comps]
+    systems = [FiniteRootSystem._of_rows(system.space, system.scale, [system._rows[i] for i in c])
+               for c in comps]
     return len(systems) <= 1, systems
 
 
@@ -506,16 +508,16 @@ def is_reduced(system: FiniteRootSystem) -> bool:
 
 def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSystem:
     """Roots whose Cartan pairing against lam is integral."""
-    if system.isotropic_roots():
+    if 0 in system._norms:
         raise IsotropicPresent("integral subsystem needs a system without isotropic roots")
     system.space.check_vector(lam)
     # k_{a, lam} = 2 (a, lam) / (a, a) = 2 d (W[a] . lam) / P[a][a]
     picked = [
-        r
-        for r, v, w in zip(system.roots, system._rows, system._gram_rows)
+        v
+        for v, w in zip(system._rows, system._gram_rows)
         if Q(2 * system.scale * sum(map(mul, w, lam)), sum(map(mul, w, v))).denominator == 1
     ]
-    return FiniteRootSystem(system.space, picked).restricted_to_span()
+    return FiniteRootSystem._of_rows(system.space, system.scale, picked).restricted_to_span()
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +531,7 @@ class Homothety:
     so that reading a root's image needs no elimination; `roots` is that map
     as a dict root -> image root, built on first read.  `basis` is the span
     basis of the domain and `images` its images, read on first use too;
-    `apply` takes any vector of the span.
+    `apply` takes any vector of the span, on the integer rows of `target`.
     """
 
     def __init__(self, domain: FiniteRootSystem, target: FiniteRootSystem, scale: Q,
@@ -554,18 +556,13 @@ class Homothety:
         coeffs = solve_in_span(list(self.basis), v)
         if coeffs is None:
             raise DimensionMismatch("vector outside the domain span")
-        return _combination(coeffs, self.images, self.target.space.dim)
+        d, (c,) = clear_denominators([coeffs])
+        rows = [self.target._rows[self.index[i]] for i in self.domain._span[0]]
+        w = _int_combination(c, rows, self.target.space.dim)
+        return tuple(Q(x, d * self.target.scale) for x in w)
 
     def __repr__(self):
         return f"Homothety(scale={self.scale})"
-
-
-def _combination(coeffs: Sequence[Q], vectors: Sequence[Vector], dim: int) -> Vector:
-    out = vec([0] * dim)
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = vadd(out, vscale(c, v))
-    return out
 
 
 def _ratios(Pa: Sequence[Sequence[int]], Pb: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:

@@ -28,7 +28,7 @@ from .errors import (
     NotInKernel,
     UnknownRoot,
 )
-from .finite import AxiomReport, FiniteRootSystem, _combination, check_classes
+from .finite import AxiomReport, FiniteRootSystem, check_classes
 from .linalg import (
     BilinearSpace,
     Lattice,
@@ -37,10 +37,8 @@ from .linalg import (
     clear_denominators,
     column_basis,
     format_vector,
-    is_zero,
     rref,
     vadd,
-    vneg,
     vec,
     vsub,
     zero_vector,
@@ -229,6 +227,8 @@ class CosetSet:
         return not self.is_empty() and self._has(*self.ambient._reduce(v))
 
     def shift(self, v: Vector) -> "CosetSet":
+        if len(v) != self.dim:
+            raise DimensionMismatch("shift of wrong length")
         if self.is_empty():
             return self
         d, (w,) = clear_denominators([v], self._t[0])
@@ -350,9 +350,9 @@ class SymbolicRootSystem:
         for fam in fams:
             space.check_vector(fam._t[1])
             t, reps, mod = fam._at(D)
-            if any(sum(map(mul, g, v)) for v in (*mod, t, *reps) for g in gram):
-                raise GrrsError("family data outside the radical")
             members = [vadd(t, r) for r in reps]
+            if any(sum(map(mul, g, v)) for v in (*mod, *members) for g in gram):
+                raise GrrsError("family data outside the radical")
             gens += mod + [vsub(m, members[0]) for m in members[1:]]
             data.append((mod, members))
         gens += [vadd(lift, data[slot[id(fam)]][1][0]) for lift, (_, fam) in zip(rows, kept)]
@@ -452,20 +452,30 @@ class SymbolicRootSystem:
 
         `offsets` maps splitting lifts to members of their families; the root
         set is unchanged, only the complement V' (hence all lifts and
-        families) moves.
+        families) moves: each lift by its coordinates on the splitting times
+        the offsets, and its family back.  A key that is no splitting lift
+        raises UnknownRoot.
         """
         dim = self.space.dim
+        given = {vec(lift): vec(off) for lift, off in offsets.items()}
         shifts = []
-        for b in (self.entries[i] for i in self._picked):
-            off = vec(offsets.get(b.lift, zero_vector(dim)))
-            if not is_zero(off) and not b.family.contains(off):
+        for i in self._picked:
+            off = given.pop(self.lifts[i], zero_vector(dim))
+            self.space.check_vector(off)
+            if any(off) and not self._families[i].contains(off):
                 raise UnknownRoot("offset is not a member of the splitting family")
             shifts.append(off)
-        new_entries = []
-        for e, c in zip(self.entries, self._coords):
-            lam = _combination([Q(x, self._den) for x in c], shifts, dim)
-            new_entries.append((vadd(e.lift, lam), e.family.shift(vneg(lam))))
-        return SymbolicRootSystem(self.space, new_entries)
+        if given:
+            raise UnknownRoot(f"{format_vector(next(iter(given)))} is not a splitting lift")
+        # the moves, the lifts and the translates as integer rows over d
+        D, offs = clear_denominators(shifts)
+        e = D * self._den
+        d = lcm(self._lift_den, e, *(fam._t[0] for fam in self._families))
+        m = d // self._lift_den
+        lams = [[d // e * x for x in _int_combination(c, offs, dim)] for c in self._coords]
+        rows = [vadd([m * x for x in row], lam) for row, lam in zip(self._lift_rows, lams)]
+        families = [f._translated(vsub(f._row(d), lam), d) for f, lam in zip(self._families, lams)]
+        return SymbolicRootSystem.__new__(SymbolicRootSystem)._take(self.space, d, rows, families)
 
 
 # ---------------------------------------------------------------------------

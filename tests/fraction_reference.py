@@ -11,7 +11,20 @@
 - `symbolic_system` and `from_finite_entries`: the `Fraction` bookkeeping
   of `SymbolicRootSystem.__init__` and `from_finite` before both ran on
   integer rows (sort, duplicate and radical tests, generators of L, lifts
-  re-summed from rank-many chosen roots).
+  re-summed from rank-many chosen roots).  The radical test reads the
+  members translate + rep and the modulus generators, as the constructor
+  does: a family lies in the radical although its stored translate and
+  reps, taken apart, need not (translate (0, 0, 1) and rep (0, 1, 0) for
+  the member (0, 1, 1) of a radical spanned by it).
+- `resplit`: `SymbolicRootSystem.resplit` before it ran on integer rows:
+  each lift moved by the `Fraction` combination of the offsets, its family
+  moved back by `shift`, the result entered through the public constructor.
+- `generate_subsystem`, `irreducible_components` and `integral_subsystem`:
+  the derived finite systems entered through the public constructor on
+  `Fraction` roots, before they entered on the rows of the system: the
+  closure of the seeds by `reflection_image`, the components of the graph
+  of nonzero `pairings`, and the roots of integral Cartan pairing against
+  lam by the form.
 - `real_roots_from_matrix`: the reflection closure of a symmetric matrix by
   `finite.reflect` on `Fraction` vectors, one `k_value` per step, before the
   closure ran on the integer Cartan matrix.
@@ -63,10 +76,10 @@ from types import SimpleNamespace
 from grrs import catalog
 from grrs.catalog import _point
 from grrs.errors import (
-    AmbiguousReflection, BadMatrix, GrrsError, MissingImage, NotBijective, UnknownRoot,
-    UnrecognizedCl,
+    AmbiguousReflection, BadMatrix, GrrsError, IsotropicPresent, MissingImage, NotBijective,
+    OrthogonalSeed, UnknownRoot, UnrecognizedCl,
 )
-from grrs.finite import FiniteRootSystem, _combination, _scaled, reflect
+from grrs.finite import FiniteRootSystem, _scaled, reflect
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
@@ -245,7 +258,7 @@ def symbolic_system(space, entries):
     vectors = {fam: _vectors(fam) for fam in distinct}
     gens, first = [], {}
     for fam, (mod, t, reps) in vectors.items():
-        if not all(space.in_kernel(v) for v in [t, *mod, *reps]):
+        if not all(space.in_kernel(v) for v in [*mod, *(vadd(t, r) for r in reps)]):
             raise GrrsError("family data outside the radical")
         gens += mod + [vsub(r, reps[0]) for r in reps[1:]]
         first[fam] = vadd(t, reps[0])
@@ -282,6 +295,19 @@ def from_finite_entries(system):
         (lift, CosetSet(ambient, Lattice.zero(dim), zero_vector(dim), offs))
         for lift, offs in groups.items()
     ]
+
+
+def resplit(system, offsets):
+    """What `system.resplit(offsets)` computes, for offsets keyed by
+    splitting lifts and lying in their families."""
+    dim = system.space.dim
+    shifts = [vec(offsets.get(b, zero_vector(dim))) for b in system.splitting()]
+    coords = column_basis(system.lifts, system.space.kernel_basis())[1]
+    entries = []
+    for e, c in zip(system.entries, coords):
+        lam = _combination(c, shifts, dim)
+        entries.append((vadd(e.lift, lam), shift(e.family, vneg(lam))))
+    return SymbolicRootSystem(system.space, entries)
 
 
 def quotient(system, kernel_vectors, require_bijective=False):
@@ -392,6 +418,52 @@ def reflection_image(system, i, j):
     if (plus is None) == (minus is None):
         raise (MissingImage if plus is None else AmbiguousReflection)(a, b)
     return minus if plus is None else plus
+
+
+def generate_subsystem(system, seeds):
+    """`finite.generate_subsystem`: the seeds closed under +-r_a(b) until
+    nothing is added."""
+    inside = {_index(system)[vec(v)] for v in seeds}
+    for i in inside:
+        if not any(system.space.form(system.roots[i], system.roots[j]) for j in inside):
+            raise OrthogonalSeed("a seed is orthogonal to the whole seed set")
+    grown = True
+    while grown:
+        grown = False
+        for i, j in itertools.product(list(inside), repeat=2):
+            img = reflection_image(system, i, j)
+            neg = None if img is None else _index(system).get(vneg(system.roots[img]))
+            if neg is None:
+                raise UnknownRoot("an image or its negative is not a root")
+            grown |= not {img, neg} <= inside
+            inside |= {img, neg}
+    return FiniteRootSystem(system.space, [system.roots[i] for i in inside])
+
+
+def irreducible_components(system):
+    """The components of `finite.is_irreducible`: the roots linked by a
+    nonzero pairing, closed, in the order of their least root."""
+    P, left, comps = pairings(system), set(range(len(system))), []
+    while left:
+        comp, frontier = {min(left)}, [min(left)]
+        while frontier:
+            i = frontier.pop()
+            linked = {j for j, p in enumerate(P[i]) if p} - comp
+            comp |= linked
+            frontier += linked
+        left -= comp
+        comps.append(FiniteRootSystem(system.space, [system.roots[i] for i in sorted(comp)]))
+    return comps
+
+
+def integral_subsystem(system, lam):
+    """`finite.integral_subsystem`: the roots a with 2 (a, lam) / (a, a)
+    integral, restricted to their span."""
+    space = system.space
+    if any(space.norm(r) == 0 for r in system.roots):
+        raise IsotropicPresent("integral subsystem needs a system without isotropic roots")
+    picked = [r for r in system.roots if (2 * space.form(r, lam) / space.norm(r)).denominator == 1]
+    return FiniteRootSystem(space, picked).restricted_to_span()
 
 
 def pairings(system):

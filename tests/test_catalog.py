@@ -250,7 +250,7 @@ class TestFamily:
         for name in ["A1", "B3", "C3", "C2", "G2", "F4", "B(2,1)", "C(1,2)", "BC(2,1)",
                      "BC1", "BC2", "BC3"]:
             key = type_key(name)
-            groups = [o.roots for o in orbits(key)]
+            groups = [[key.system().roots[i] for i in o.index] for o in orbits(key)]
             assert sorted(r for roots in groups for r in roots) == list(key.system().roots)
             assert all(roots and roots[0] == max(roots) for roots in groups)
         with pytest.raises(BadParameters):

@@ -7,9 +7,11 @@ Under the `parity` fixture every system a test builds, including those
 inside `affinize`, `family`, `a_nn_x`, `quotient` and `resplit`, is built
 again by the reference from the same lifts and families, read as
 rationals, and compared on L, the entries in order, `splitting()`, the
-resplit coordinates and `cl()`.  The error paths are compared in
-`test_symbolic.TestConstructorErrors`, and those of `quotient(...,
-require_bijective=True)` with its `Fraction` reference here.
+resplit coordinates and `cl()`.  `resplit`, which forms its lifts and
+translates on integer rows, is compared with its `Fraction` reference as a
+whole: equal systems, equal lifts and byte-equal documents.  The error
+paths are compared in `test_symbolic.TestConstructorErrors`, and those of
+`quotient(..., require_bijective=True)` with its `Fraction` reference here.
 """
 
 import random
@@ -17,6 +19,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from grrs import serialize
 from grrs.catalog import a_nn_x, build, family
 from grrs.errors import BadParameters, NotBijective
 from grrs.finite import FiniteRootSystem
@@ -55,9 +58,11 @@ def parity(monkeypatch):
 
 
 def assert_from_finite(system):
-    """`from_finite` equals the constructor on the reference's entries."""
+    """`from_finite` equals the constructor on the reference's entries, and
+    its L is the part of the root lattice in the radical."""
     symbolic = from_finite(system)
     assert symbolic == SymbolicRootSystem(system.space, reference.from_finite_entries(system))
+    assert symbolic.L == system.root_lattice().kernel_part(system.space)
     return symbolic
 
 
@@ -158,15 +163,26 @@ def test_a_nn_x_quotients_and_resplits(parity):
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == message if message else not isinstance(outcomes[0], str)
     rng = random.Random(5)
-    for name in ["G2", "A(1,1)", "BC2", "C(2,1)"]:
-        system = affinize(build(name), 1)
+    # and resplits of presentations whose translates and offsets have
+    # denominators: halves (the Sp/2 family), thirds, a rational quotient,
+    # and fifths on the classes off the splitting only
+    skewed = quotient(b3, [vadd(deltas[0], vec([0] * (dim - 1) + [Q(2, 3)]))])
+    g2 = affinize(build("G2"), 1)
+    fifth = tuple(x / 5 for x in g2.L.basis[0])
+    fifths = SymbolicRootSystem(g2.space, [
+        (e.lift, e.family if e.lift in g2.splitting() else e.family.shift(fifth))
+        for e in g2.entries])
+    for system in [*(affinize(build(name), 1) for name in ["G2", "A(1,1)", "BC2", "C(2,1)"]),
+                   bc, thirds, a_nn_x(1, 1, 3), skewed, fifths]:
         offsets = {}
         for b in system.splitting():
             fam = system.family_of_lift(b)
             offsets[b] = fam.members()[0]
             for g in fam.modulus.basis:
                 offsets[b] = vadd(offsets[b], tuple(rng.randint(-2, 2) * x for x in g))
-        system.resplit(offsets)
+        got, want = system.resplit(offsets), reference.resplit(system, offsets)
+        assert got == want and got.lifts == want.lifts
+        assert serialize.dumps(got) == serialize.dumps(want)
     assert len(parity) >= 25
 
 

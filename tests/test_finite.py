@@ -720,7 +720,12 @@ def test_pairings_match_every_plain_dot_product(case):
 # have, so the scale and root map it returns are the ones the unpruned
 # search returns: on the finite systems of the benchmark against seeded
 # isometric images, and where norms come in opposite pairs, so that a
-# negative scale is tried first.
+# negative scale is tried first.  `apply` combines the integer rows of the
+# target, and must give the `Fraction` combination of the images.  On the
+# same seeded images, the systems derived on the rows of a system (a
+# generated subsystem, the components, an integral subsystem) must be those
+# the reference builds through the public constructor: equal systems, equal
+# roots and byte-equal documents.
 
 PARITY_NAMES = [
     "A4", "B4", "C4", "D5", "G2", "F4", "E6", "A(3,2)", "A(3,3)", "B(2,2)", "C(3)", "D(2,2)",
@@ -738,6 +743,46 @@ def _same_homothety(src, dst):
     h, ref = isomorphic_finite(src, dst), reference.isomorphic_finite(src, dst)
     assert h is not None and ref is not None
     assert (h.scale, h.roots, h.images) == (ref.scale, ref.roots, ref.images)
+    halves = tuple(sum(b[i] for b in ref.basis) / 2 for i in range(src.space.dim))
+    for v in src.roots + (halves,):
+        want = reference._combination(reference.solve(ref.basis, v), ref.images, dst.space.dim)
+        assert h.apply(v) == want
+
+
+def _same_system(got, want):
+    assert got == want and got.roots == want.roots
+    assert serialize.dumps(got) == serialize.dumps(want)
+
+
+def _derived_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (UnknownRoot, OrthogonalSeed, IsotropicPresent, AmbiguousReflection,
+            MissingImage) as exc:
+        return type(exc)
+
+
+def _same_derived(system, rng):
+    """The subsystems of `system` derived on its rows, against the reference:
+    generated by seeded pairs of roots, integral against a seeded weight, and
+    the components of the system and of each of those, often reducible."""
+    cases = [(generate_subsystem, reference.generate_subsystem, rng.sample(system.roots, 2))
+             for _ in range(3)]
+    lam = tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(system.space.dim))
+    cases.append((integral_subsystem, reference.integral_subsystem, lam))
+    derived = [system]
+    for fn, ref, arg in cases:
+        got, want = _derived_outcome(fn, system, arg), _derived_outcome(ref, system, arg)
+        if isinstance(got, type):
+            assert got == want
+        else:
+            _same_system(got, want)
+            derived.append(got)
+    for s in derived:
+        comps, want = is_irreducible(s)[1], reference.irreducible_components(s)
+        assert len(comps) == len(want)
+        for got, ref in zip(comps, want):
+            _same_system(got, ref)
 
 
 @pytest.mark.parametrize("name", PARITY_NAMES)
@@ -747,6 +792,7 @@ def test_norm_prune_keeps_the_homothety_of_isometric_images(name):
     image = _signed_permutation(system, rng, Q(*rng.sample((2, 3, 5, 7), 2)))
     _same_homothety(system, image)
     _same_homothety(image, system)
+    _same_derived(image, rng)
 
 
 @pytest.mark.parametrize("label", sorted(SIGN_SYMMETRIC))

@@ -1,8 +1,12 @@
-"""Every top-level import of a `grrs` module is used in that module.
+"""Every top-level import of a `grrs` module is used in that module, and
+every private helper of the package is read somewhere in it.
 
 No linter runs with the suite, so a name left imported after its last use
 would go unnoticed.  `__init__.py` imports to re-export and is exempt, as
-is `from __future__`.
+is `from __future__`.  A private name (one leading underscore, not a
+dunder) defined at the top level of a module, or as a method, is dead when
+no module of `src/grrs` reads it: as a name, as an attribute, or by
+importing it.
 """
 
 import ast
@@ -36,3 +40,47 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nprint(a)\n"
     assert unused_imports(source) == ["os", "c"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_names(sources):
+    """The private top-level names and methods defined in `sources` (module
+    name -> source text) that none of them reads, as "module.name" or
+    "module.Class.name"."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [getattr(node, "name", None)] + [getattr(t, "id", None) for t in targets]
+            defined += [f"{module}.{n}" for n in names if n and _private(n)]
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{module}.{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, ast.FunctionDef) and _private(m.name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return [name for name in defined if name.rpartition(".")[2] not in read]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": "_LIMIT = 3\ndef _dead(v):\n    return v\n"
+             "def _used():\n    return _LIMIT\n"
+             "class C:\n    def __init__(self):\n        self._x = _used()\n"
+             "    def _step(self):\n        return self._x\n",
+        "b": "from .a import _used\n",
+    }
+    assert unread_private_names(sources) == ["a._dead", "a.C._step"]

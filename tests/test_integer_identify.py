@@ -88,10 +88,10 @@ def assert_parity(system, rng):
         f = system.entries[system._cl_entries[hmap.index[g]]].family
         d = f._t[0]
         assert tuple(Q(x, d) for x in f._least(d)) == m
-    for root in cat.roots:
-        assert fam(root) == old(root)
+    for i, root in enumerate(cat.roots):
+        assert fam(i) == old(root)
     for o in orbits(key):
-        f = fam(o.roots[0])
+        f = fam(o.index[0])
         for ref in (L, L.scaled(2), L.scaled(Q(1, 2))):
             for r in (2, 4):
                 assert _outcome(points_mod, f, ref, r) == _outcome(reference.points_mod, f, ref, r)

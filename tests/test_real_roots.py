@@ -2,7 +2,8 @@
 
 The closure runs on int tuples with the integer Cartan matrix
 a_ij = 2 c_ij / c_ii; `fraction_reference.real_roots_from_matrix` keeps the
-closure by `finite.reflect` that it replaced.  Both must give the same
+closure by `finite.reflect` that it replaced, entered through the public
+constructor.  Both must give equal systems with equal roots and the same
 document, the same `truncated` flag, or the same exception and message.
 """
 
@@ -82,7 +83,7 @@ def _outcome(closure, matrix, J, height):
         system, truncated = closure(matrix, J, height)
     except Exception as exc:
         return type(exc), str(exc)
-    return serialize.dumps(system), truncated
+    return system, system.roots, serialize.dumps(system), truncated
 
 
 def _cases():
@@ -99,7 +100,7 @@ def test_integer_closure_matches_fraction_reference():
         got = _outcome(real_roots_from_matrix, matrix, J, height)
         want = _outcome(reference.real_roots_from_matrix, matrix, J, height)
         assert got == want, (matrix, J, height)
-        kinds.add(got[1] if isinstance(got[1], bool) else got[0].__name__)
+        kinds.add(got[-1] if isinstance(got[-1], bool) else got[0].__name__)
     # the set reaches closed and truncated systems and both kinds of error
     assert kinds == {False, True, "BadMatrix", "ValueError"}
 

@@ -77,8 +77,13 @@ class TestCosetSet:
         assert a.contains(vec([Q(7, 2)]))
         assert not a.contains(vec([Q(5, 2)]))
         assert not a.contains(vec([3]))
+        full = CosetSet.full_lattice(lat(2, [0, 1]))
         with pytest.raises(DimensionMismatch):
-            CosetSet.full_lattice(lat(2, [0, 1])).contains(vec([0, 1, 5]))
+            full.contains(vec([0, 1, 5]))
+        # a shift of another length is rejected, not truncated
+        for v in ((0, Q(1, 2), 7), (0,)):
+            with pytest.raises(DimensionMismatch):
+                full.shift(vec(v))
 
     def test_add_and_neg(self):
         L = lat(1, [1])
@@ -301,6 +306,22 @@ class TestConstructorErrors:
         self.assert_raises("family data outside the radical",
                            [(V(1, 0), self.full), (V(-1, 0), outside)])
 
+    def test_family_members_in_the_radical(self):
+        """Over the radical Q(0, 1, 1), the family {(0, 1, 1)} over the
+        ambient Z(0, 1, 0) + Z(0, 0, 2) stores the translate (0, 0, 1) and
+        the rep (0, 1, 0), neither in the radical; its member is, so the
+        family is accepted, as over the ambient Z(0, 1, 1)."""
+        space = BilinearSpace([[2, 0, 0], [0, 1, -1], [0, -1, 1]])
+        member = [V(0, 1, 1)]
+        wide = CosetSet(lat(3, [0, 1, 0], [0, 0, 2]), Lattice.zero(3), zero_vector(3), member)
+        assert (wide.translate, wide.reps) == ((0, 0, 1), (V(0, 1, 0),))
+        narrow = CosetSet(lat(3, [0, 1, 1]), Lattice.zero(3), zero_vector(3), member)
+        systems = [SymbolicRootSystem(space, [(V(s, 0, 0), fam if s > 0 else fam.neg())
+                                              for s in (1, -1)]) for fam in (wide, narrow)]
+        assert systems[0] == systems[1]
+        ref = reference.symbolic_system(space, [(V(1, 0, 0), wide), (V(-1, 0, 0), wide.neg())])
+        assert ref.L == systems[0].L
+
 
 class TestAnnXStructure:
     def test_verdicts(self):
@@ -312,6 +333,9 @@ class TestAnnXStructure:
         t = gaps(s12)
         noniso = {g for lift, g in t.entries if s12.space.norm(lift) != 0}
         assert noniso == {2}
+        by_lift = t.by_lift()
+        assert list(by_lift) == list(s12.lifts)
+        assert {by_lift[lift] for lift in s12.lifts if s12.space.norm(lift) != 0} == {2}
         s13 = a_nn_x(1, 1, 3, 0)
         noniso = {g for lift, g in gaps(s13).entries if s13.space.norm(lift) != 0}
         assert noniso == {3}
@@ -430,6 +454,24 @@ class TestResplit:
             bad = vscale(2, bad)
         with pytest.raises(UnknownRoot):
             s13.resplit({basis[0]: vadd(s13.family_of_lift(basis[0]).members()[0], vec([Q(1,7)]*s13.space.dim))})
+
+    def test_a_lift_off_the_splitting_is_rejected(self):
+        a2 = affinize(build("A2"), 1)
+        other = next(lift for lift in a2.lifts if lift not in a2.splitting())
+        with pytest.raises(UnknownRoot):
+            a2.resplit({other: a2.family_of_lift(other).members()[0]})
+
+    def test_a_key_that_is_no_class_is_rejected(self):
+        a2 = affinize(build("A2"), 1)
+        with pytest.raises(UnknownRoot):
+            a2.resplit({vscale(3, a2.splitting()[0]): zero_vector(a2.space.dim)})
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_an_offset_of_another_length_is_rejected(self, length):
+        a2 = affinize(build("A2"), 1)
+        assert a2.space.dim == 3
+        with pytest.raises(DimensionMismatch):
+            a2.resplit({a2.splitting()[0]: zero_vector(length)})
 
 
 class TestCheckerAgreement:

@@ -20,9 +20,13 @@ document reader hash no `Fraction`, the reader parses each spelling once
 per document and the writer formats each distinct family once, and a
 family's stabilizer search reduces each candidate shift about once.  Finite
 and symbolic lookups hash no `Fraction` after first use, and restricting
-E7 to its span computes the pairings of no root of the ambient system.  A
-change that brings back per-root, per-entry or per-call work fails here,
-although every answer would still be right.
+E7 to its span computes the pairings of no root of the ambient system.
+Every system the library derives enters on the integer rows of the system
+it is derived from, and the roots the library holds are named by index:
+`identify` finds no catalog root by its vector, recognition reads no
+rational `roots` view, and a passing finite check builds none.  A change
+that brings back per-root, per-entry or per-call work fails here, although
+every answer would still be right.
 """
 
 import random
@@ -31,9 +35,12 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from grrs import catalog, classify, finite, serialize, symbolic
-from grrs.catalog import a_nn_x, build, family
+from grrs.catalog import a_nn_x, build, family, real_roots_from_matrix
 from grrs.classify import identify, recognize_cl
-from grrs.finite import FiniteRootSystem, Homothety, check_axioms, gw_orbits, isomorphic_finite
+from grrs.finite import (
+    FiniteRootSystem, Homothety, check_axioms, generate_subsystem, gw_orbits, integral_subsystem,
+    is_irreducible, isomorphic_finite,
+)
 from grrs.linalg import (
     BilinearSpace, Lattice, solve_in_span, standard_space, unit_vector, vadd, vscale,
 )
@@ -489,8 +496,7 @@ def test_symbolic_systems_keep_integer_lifts(monkeypatch):
     dim = g2.space.dim
     identified = [family("B3", 2, S={0, 3}), affinize(build("A2"), 1), a_nn_x(2, 1, 3)]
     for owner, name in [(CosetSet, "__init__"), (symbolic.SubspaceProjection, "apply"),
-                        (Lattice, "from_vectors"), (finite, "_combination"),
-                        (symbolic, "_combination")]:
+                        (Lattice, "from_vectors")]:
         _counted(monkeypatch, owner, name, pushed)
     g2_quotient = quotient(g2, [unit_vector(dim, dim - 1)])
     assert pushed == []
@@ -503,3 +509,56 @@ def test_symbolic_systems_keep_integer_lifts(monkeypatch):
         assert check_symbolic_axioms(system).is_grrs
         assert "entries" not in vars(system) and "lifts" not in vars(system)
         assert all(fam._translate is None for fam in system._families)
+
+
+def test_identify_names_catalog_roots_by_index(monkeypatch):
+    """The pullback and the reference lattice of C(m,n) and BC(m,n) take
+    the catalog roots by index, eps + delta by its row: with warm caches,
+    `identify` looks no root up by its vector."""
+    systems = [family("C(2,1)", 2, S={0, 1}), family("BC(1,1)", 2, S={0, 1}, Sp={1})]
+    before = [identify(system) for system in systems]
+    found = []
+    _counted(monkeypatch, FiniteRootSystem, "_find", found)
+    assert [identify(system) for system in systems] == before
+    assert found == []
+
+
+def test_recognition_reads_no_roots_view():
+    """`recognize_cl` counts isotropic roots and `identify` reads the
+    quotient on its norms, rows and root index: a recognition miss builds
+    no rational `roots` view of the quotient."""
+    recognize_cl.cache_clear()
+    system = family("B3", 2, S={0, 3})
+    assert identify(system).kind() == "S"
+    assert "roots" not in vars(system.cl())
+
+
+def test_derived_systems_enter_on_integer_rows(monkeypatch):
+    """Subsystems, components, integral subsystems, real-root closures and
+    resplit systems are built through the integer entries, not through the
+    rational constructors."""
+    b3, a2 = build("B3"), affinize(build("A2"), 1)
+    a1a1 = FiniteRootSystem(standard_space(2), [(1, 0), (-1, 0), (0, 2), (0, -2)])
+    first = a2.splitting()[0]
+    fam = a2.family_of_lift(first)
+    rational = []
+    _counted(monkeypatch, FiniteRootSystem, "__init__", rational)
+    _counted(monkeypatch, SymbolicRootSystem, "__init__", rational)
+    assert len(generate_subsystem(b3, b3.roots[:2])) > 0
+    assert [len(c) for c in is_irreducible(a1a1)[1]] == [2, 2]
+    assert len(integral_subsystem(b3, (Q(1, 2), 0, 0))) > 0
+    assert len(real_roots_from_matrix([[2, -1], [-1, 2]])[0]) == 6
+    assert a2.resplit({first: vadd(fam.members()[0], fam.modulus.basis[0])}) != a2
+    assert rational == []
+
+
+def test_a_passing_finite_check_builds_no_roots_view():
+    """`check_axioms` names a failure by its roots, and reads none when
+    every axiom holds."""
+    e6 = catalog._e_series(6)
+    assert check_axioms(e6).is_grrs
+    assert "roots" not in vars(e6)
+
+
+def test_the_rational_combination_is_gone():
+    assert not hasattr(finite, "_combination")
