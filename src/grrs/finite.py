@@ -34,7 +34,6 @@ from .linalg import (
     column_basis,
     format_vector,
     solve_in_span,
-    vneg,
     vscale,
     vsub,
     vec,
@@ -241,28 +240,72 @@ class FiniteRootSystem:
         keys, index = self._packed
         return index.get(keys[j] + m * keys[i])
 
-    def _image(self, i: int, j: int) -> Optional[int]:
-        """Index of r_i(root j); None when a linear reflection leaves the
-        system.  An isotropic root i acts, and raises, as `isotropic_reflect`."""
-        n, p = self._pairings[i][i], self._pairings[i][j]
-        if n == 0 and j in (i, self._neg[i]):
-            if self._neg[j] is None:
-                raise UnknownRoot(f"the negative of {format_vector(self.roots[j])} is not a root")
-            return self._neg[j]
-        if p == 0:
-            return j
+    @cached_property
+    def _image_rows(self) -> List[Optional[list]]:
+        """The reflection row of each root, or None until `_images` builds it."""
+        return [None] * len(self._rows)
+
+    def _images(self, i: int) -> list:
+        """The reflection row of root i: entry j is the index of r_i(root j),
+        None where a linear step leaves the system, or a marker that `_image`
+        resolves.  r_{-a} = r_a, so the row is built once per +- pair and
+        the row of -a is the row of a."""
+        row = self._image_rows[i]
+        if row is None:
+            row = self._image_rows[i] = self._reflection_row(i)
+            if self._neg[i] is not None:
+                self._image_rows[self._neg[i]] = row
+        return row
+
+    def _reflection_row(self, i: int) -> list:
+        """The row of r_i, one comprehension on the packed keys and the
+        Cartan numbers: j - k i for an integral k = 2p/n, the one root among
+        j +- i for an isotropic i, and -j for j = +-i."""
+        P, (keys, index) = self._pairings, self._packed
+        get, ki, n = index.get, keys[i], P[i][i]
+        pairs = enumerate(zip(P[i], keys))
         if n:
-            k, rest = divmod(2 * p, n)
-            if not rest:
-                return self._shift(j, i, -k)
+            return [j if not p else _NONINTEGRAL if 2 * p % n else get(kj - 2 * p // n * ki)
+                    for j, (p, kj) in pairs]
+        row = [j if not p else _one(get(kj + ki), get(kj - ki)) for j, (p, kj) in pairs]
+        m = self._neg[i]
+        row[i] = _NO_NEGATIVE if m is None else m
+        if m is not None:
+            row[m] = i
+        return row
+
+    def _image(self, i: int, j: int) -> Optional[int]:
+        """Index of r_i(root j), read off the row of i; None when a linear
+        reflection leaves the system.  A marker is resolved here: the image
+        by a non-integral Cartan number is tested coordinate by coordinate,
+        and an isotropic root i raises as `isotropic_reflect` does."""
+        t = self._images(i)[j]
+        if t not in _MARKS:
+            return t
+        if t is _NONINTEGRAL:
             # n times the image; a non-integral k = 2p/n may still give a root
+            n, p = self._pairings[i][i], self._pairings[i][j]
             img = [n * b - 2 * p * a for a, b in zip(self._rows[i], self._rows[j])]
             return None if any(x % n for x in img) else self._lookup.get(tuple(x // n for x in img))
-        plus, minus = self._shift(j, i, 1), self._shift(j, i, -1)
-        if (plus is None) == (minus is None):
-            error = MissingImage if plus is None else AmbiguousReflection
-            raise error(self.roots[i], self.roots[j])
-        return minus if plus is None else plus
+        if t is _NO_NEGATIVE:
+            raise UnknownRoot(f"the negative of {format_vector(self.roots[j])} is not a root")
+        raise (MissingImage if t is _NO_IMAGE else AmbiguousReflection)(self.roots[i], self.roots[j])
+
+
+# The markers of a reflection row: r_a(b) = b - (2p/n) a with 2p/n not an
+# integer; for isotropic a, neither or both of b +- a a root; for b = +-a,
+# -b not a root.  GR2 fails at an entry in _OFF, GR3 at one in _UNPAIRED.
+_NONINTEGRAL, _NO_IMAGE, _TWO_IMAGES, _NO_NEGATIVE = (object() for _ in range(4))
+_MARKS = frozenset((_NONINTEGRAL, _NO_IMAGE, _TWO_IMAGES, _NO_NEGATIVE))
+_OFF = frozenset((None, _NONINTEGRAL))
+_UNPAIRED = frozenset((_NO_IMAGE, _TWO_IMAGES))
+
+
+def _one(plus: Optional[int], minus: Optional[int]):
+    """The one root among b + a and b - a, or the marker of none or both."""
+    if plus is None:
+        return _NO_IMAGE if minus is None else minus
+    return plus if minus is None else _TWO_IMAGES
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +329,8 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     """The set-involution image of beta under r_alpha for isotropic alpha.
 
     Image is -beta for beta = +-alpha, beta itself when orthogonal, and the
-    unique root among beta +- alpha otherwise.
+    unique root among beta +- alpha otherwise; read off the reflection row
+    of alpha, which raises UnknownRoot when -beta is not a root.
     """
     alpha, beta = vec(alpha), vec(beta)
     if not system.is_isotropic(alpha):
@@ -294,8 +338,6 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     i, j = system._find(alpha), system._find(beta)
     if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
-    if beta == alpha or beta == vneg(alpha):
-        return vneg(beta)
     return system.roots[system._image(i, j)]
 
 
@@ -343,14 +385,10 @@ class AxiomReport:
 def check_axioms(system: FiniteRootSystem) -> AxiomReport:
     """Evaluate the defining axioms, recording a witness for each failure.
 
-    Each root is its own class, so above a class nothing is left to test
-    but how many of beta +- alpha are roots.
+    Each root is its own class, so nothing lies above the classes: GR2 and
+    GR3 are read off the reflection rows alone.
     """
-    return check_classes(
-        system, range(len(system)), lambda i: system.roots[i], True,
-        lambda i, j, k, t: True, lambda i, m: True,
-        lambda i, j, plus, minus: ((plus is None) != (minus is None), {plus, minus} != {None}),
-    )
+    return check_classes(system, range(len(system)), lambda i: system.roots[i], True)
 
 
 def check_classes(
@@ -358,49 +396,81 @@ def check_classes(
     order: Sequence[int],
     witness: Callable[[int], Vector],
     radical_ok: bool,
-    reflects: Callable[[int, int, int, int], bool],
-    negates: Callable[[int, int], bool],
-    images: Callable[[int, int, Optional[int], Optional[int]], Tuple[bool, bool]],
+    reflects: Optional[Callable[[int, int, int, int], bool]] = None,
+    negates: Optional[Callable[[int, int], bool]] = None,
+    images: Optional[Callable[[int, int, Optional[int], Optional[int]], Tuple[bool, bool]]] = None,
 ) -> AxiomReport:
     """The axioms on the classes of a root system: the roots of the finite
     `system`, as indices into `system.roots`, visited in `order`.
 
-    A failure is named by `witness` of its indices.  What lies above the
+    A failure is named by `witness` of its indices.  The classes are decided
+    on the reflection rows of `system`: r_i(j) leaves them where the row of
+    a non-isotropic i holds None or a non-integral marker, and for an
+    isotropic i a marker names none or both of j +- i.  What lies above the
     classes is tested by the callbacks, each called only where the rule on
     the classes holds: `reflects(i, j, k, t)` for r_i(j) = j - k i = t,
     `negates(i, m)` for m = -i, and `images(i, j, plus, minus)` -> (GR3
     holds, WGR3 holds) for isotropic i paired with j, where plus and minus
-    index j + i and j - i or are None.  GR1 asks that the classes span and
-    that `radical_ok`: over the rationals the lattice a finite set generates
-    has the rank of its span.  GR3 and WGR3 take their equivalent form:
-    R = -R, and for isotropic alpha and any beta with (alpha, beta) != 0 the
-    set {beta +- alpha} meets R in exactly one (at least one) element.
+    index j + i and j - i or are None.  Without callbacks nothing lies above
+    the classes, and a row with no failing entry is passed over whole.  GR1
+    asks that the classes span and that `radical_ok`: over the rationals the
+    lattice a finite set generates has the rank of its span.  GR3 and WGR3
+    take their equivalent form: R = -R, and for isotropic alpha and any beta
+    with (alpha, beta) != 0 the set {beta +- alpha} meets R in exactly one
+    (at least one) element.
     """
-    P = system._pairings
+    P, neg, row_of = system._pairings, system._neg, system._images
 
     def check(failure: Optional[tuple]) -> AxiomCheck:
         return AxiomCheck(failure is None, failure and tuple(map(witness, failure)))
 
-    def reflected(i: int, j: int) -> bool:
-        k, rest = divmod(2 * P[i][j], P[i][i])
-        if rest:
-            return False
-        if k == 0:
-            return True
-        t = system._shift(j, i, -k)
-        return t is not None and reflects(i, j, k, t)
+    def unreflected():
+        for i in order:
+            n = P[i][i]
+            if not n:
+                continue
+            row = row_of(i)
+            if reflects is None and _OFF.isdisjoint(row):
+                continue
+            for j in order:
+                t = row[j]
+                if t is None or t is _NONINTEGRAL or (
+                    t != j and reflects is not None and not reflects(i, j, 2 * P[i][j] // n, t)
+                ):
+                    yield i, j
+
+    def paired():
+        """(i, j, GR3 holds, WGR3 holds) for isotropic i paired with j."""
+        keys = system._packed[0]
+        for i in order:
+            if P[i][i]:
+                continue
+            row, Pi = row_of(i), P[i]
+            if images is None and _UNPAIRED.isdisjoint(row):
+                continue
+            for j in order:
+                if not Pi[j]:
+                    continue
+                t = row[j]
+                if images is None:
+                    yield i, j, t not in _UNPAIRED, t is not _NO_IMAGE
+                    continue
+                if t is _NO_IMAGE:
+                    plus = minus = None
+                elif t is _TWO_IMAGES:
+                    plus, minus = system._shift(j, i, 1), system._shift(j, i, -1)
+                elif keys[t] == keys[j] + keys[i]:
+                    plus, minus = t, None
+                else:
+                    plus, minus = None, t
+                yield (i, j) + images(i, j, plus, minus)
 
     gr0 = check(next(((i,) for i in order if not any(system._gram_rows[i])), None))
     gr1 = AxiomCheck(bool(order) and len(system._span[0]) == system.space.dim and radical_ok)
-    gr2 = check(next(((i, j) for i in order if P[i][i] for j in order if not reflected(i, j)),
-                     None))
-    neg = system._neg
-    gr3_fail = wgr3_fail = next(
-        ((i,) for i in order if neg[i] is None or not negates(i, neg[i])), None
-    )
-    pairs = () if gr3_fail else ((i, j) for i in order if not P[i][i] for j in order if P[i][j])
-    for i, j in pairs:
-        ok3, okw = images(i, j, system._shift(j, i, 1), system._shift(j, i, -1))
+    gr2 = check(next(unreflected(), None))
+    gr3_fail = wgr3_fail = next(((i,) for i in order if neg[i] is None or (
+        negates is not None and not negates(i, neg[i]))), None)
+    for i, j, ok3, okw in () if gr3_fail else paired():
         gr3_fail = gr3_fail or (None if ok3 else (i, j))
         wgr3_fail = wgr3_fail or (None if okw else (i, j))
         if gr3_fail and wgr3_fail:
@@ -468,8 +538,20 @@ def _blocks(system: FiniteRootSystem, linked) -> List[Tuple[int, ...]]:
 
 
 def _orbit_partition(system: FiniteRootSystem, generators: Sequence[int]):
-    blocks = _blocks(system, lambda v: (system._image(a, v) for a in generators))
-    return [tuple(map(system.roots.__getitem__, b)) for b in blocks]
+    """The orbits under the reflections at `generators`.  A root's images
+    are a column of the generators' rows, one row per +- pair; a column
+    with a marker is read again through `_image` in generator order, which
+    resolves it or raises as a walk on `_image` alone would."""
+    rows = list({id(r): r for r in map(system._images, generators)}.values())
+    columns = list(zip(*rows)) if rows else [()] * len(system)
+
+    def linked(v: int):
+        col = columns[v]
+        if _MARKS.isdisjoint(col):
+            return dict.fromkeys(col)
+        return [system._image(a, v) for a in generators]
+
+    return [tuple(map(system.roots.__getitem__, b)) for b in _blocks(system, linked)]
 
 
 def weyl_orbits(system: FiniteRootSystem) -> List[Tuple[Vector, ...]]:

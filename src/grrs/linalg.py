@@ -42,10 +42,6 @@ def vscale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
 def zero_vector(dim: int) -> Vector:
     return (Q(0),) * dim
 

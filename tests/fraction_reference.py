@@ -32,6 +32,11 @@
   system, computed on the `Fraction` roots themselves and found in a
   `Fraction`-keyed index built here from `system.roots`, before it ran on
   packed integer keys.
+- `check_axioms`, `gw_orbits` and `weyl_orbits`: the finite checker and
+  the orbit partitions before they read the reflection rows: every pair
+  stepped by `shifted` or `reflection_image`, GR2 and GR3 decided per pair,
+  and the orbits walked as `finite._blocks` walks them, one image at a
+  time in generator order, so that the same pair raises first.
 - `pairings`: every pairing W[i] . R[j] of a finite system as a plain dot
   product, before `_pairings` read the rows of negatives and the lower
   triangle off the others.
@@ -79,7 +84,7 @@ from grrs.errors import (
     AmbiguousReflection, BadMatrix, GrrsError, IsotropicPresent, MissingImage, NotBijective,
     OrthogonalSeed, UnknownRoot, UnrecognizedCl,
 )
-from grrs.finite import FiniteRootSystem, _scaled, reflect
+from grrs.finite import AxiomCheck, AxiomReport, FiniteRootSystem, _scaled, reflect
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
@@ -418,6 +423,64 @@ def reflection_image(system, i, j):
     if (plus is None) == (minus is None):
         raise (MissingImage if plus is None else AmbiguousReflection)(a, b)
     return minus if plus is None else plus
+
+
+def check_axioms(system):
+    """`finite.check_axioms`, each pair decided by its own step: GR0 a root
+    orthogonal to the space, GR1 the rank of the roots, GR2 an integral
+    Cartan number with its image a root, GR3 (WGR3) R = -R and exactly one
+    (at least one) of b +- a a root for isotropic a with (a, b) != 0."""
+    space, roots, n = system.space, system.roots, len(system)
+    form, dim = space.form, space.dim
+
+    def check(failure):
+        return AxiomCheck(failure is None, failure and tuple(roots[i] for i in failure))
+
+    def reflected(i, j):
+        k = 2 * form(roots[i], roots[j]) / space.norm(roots[i])
+        return k.denominator == 1 and (k == 0 or shifted(system, j, i, -k) is not None)
+
+    gr0 = next(((i,) for i in range(n)
+                if all(form(roots[i], unit_vector(dim, c)) == 0 for c in range(dim))), None)
+    gr1 = AxiomCheck(n > 0 and rank(list(roots)) == dim)
+    gr2 = next(((i, j) for i in range(n) if space.norm(roots[i]) for j in range(n)
+                if not reflected(i, j)), None)
+    gr3 = wgr3 = next(((i,) for i in range(n) if not system.contains(vneg(roots[i]))), None)
+    if gr3 is None:
+        for i, j in itertools.product(range(n), repeat=2):
+            if space.norm(roots[i]) == 0 and form(roots[i], roots[j]) != 0:
+                hits = sum(shifted(system, j, i, m) is not None for m in (1, -1))
+                gr3 = gr3 or (None if hits == 1 else (i, j))
+                wgr3 = wgr3 or (None if hits else (i, j))
+    return AxiomReport(check(gr0), gr1, check(gr2), check(gr3), check(wgr3))
+
+
+def orbits(system, generators):
+    """`finite._orbit_partition`: the closure of each root, least first,
+    under `reflection_image` at the generators, one image at a time."""
+    seen, out = set(), []
+    for start in range(len(system)):
+        if start in seen:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for a in generators:
+                w = reflection_image(system, a, v)
+                if w is not None and w not in block:
+                    block.add(w)
+                    frontier.append(w)
+        seen |= block
+        out.append(tuple(system.roots[i] for i in sorted(block)))
+    return out
+
+
+def gw_orbits(system):
+    return orbits(system, range(len(system)))
+
+
+def weyl_orbits(system):
+    return orbits(system, [i for i, r in enumerate(system.roots) if system.space.norm(r)])
 
 
 def generate_subsystem(system, seeds):

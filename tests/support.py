@@ -19,7 +19,7 @@ from grrs.catalog import family
 from grrs.errors import BadParameters
 from grrs.finite import FiniteRootSystem, check_axioms, isotropic_reflect, k_value
 from grrs.linalg import (
-    BilinearSpace, Lattice, is_zero, unit_vector, vadd, vec, vneg, vscale, vsub, zero_vector,
+    BilinearSpace, Lattice, unit_vector, vadd, vec, vneg, vscale, vsub, zero_vector,
 )
 from grrs.symbolic import CosetSet, SymbolicRootSystem, check_symbolic_axioms
 

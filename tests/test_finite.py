@@ -105,6 +105,13 @@ class TestIsotropicReflect:
         alpha = V(1, 0, -1, 0)
         assert isotropic_reflect(a11_ambient, alpha, alpha) == vneg(alpha)
 
+    def test_self_image_needs_the_negative(self):
+        # (1,1) is isotropic over diag(1,-1) and -(1,1) is not a root
+        system = FiniteRootSystem(BilinearSpace([[1, 0], [0, -1]]), [V(1, 1), V(1, 0), V(-1, 0)])
+        assert not system.contains(V(-1, -1))
+        with pytest.raises(UnknownRoot, match=r"negative of \(1,1\) is not a root"):
+            isotropic_reflect(system, V(1, 1), V(1, 1))
+
     def test_ambiguous_in_c11(self, c11):
         with pytest.raises(AmbiguousReflection):
             isotropic_reflect(c11, V(1, 1), V(1, -1))
@@ -594,6 +601,9 @@ def test_answers_are_invariant_under_scaling(name, drop, lam, mu):
 # `_image` and `_shift` must answer as a step on the Fraction roots themselves,
 # found by tuple lookup, on every pair: for roots with large coordinates and
 # Cartan numbers, isotropic roots, non-integral 2p/n and missing negatives.
+# The checker and the orbit partitions, which read the reflection rows, must
+# give the report (witnesses included) and the partition, or raise the error,
+# of the per-pair walks.
 
 
 @st.composite
@@ -643,10 +653,16 @@ ALIASING = ([[1, 1], [1, 3]], _pm((1, 0), (0, 1)))
 @example(([[1, 0], [0, 1]], _pm((1, 0), (100, 1), (-100, 1))))  # k = 200
 @example(([[1, 0], [0, 1]], _pm((2, 2), (1, 0), (0, 1))))  # k = 1/2, image (0, -1)
 @example(([[0, 1], [1, 0]], _pm((1, 0), (0, 1)) + [V(1, 1)]))  # isotropic, one of b +- a
+@example(([[0, 1], [1, 0]], _pm((1, 0), (0, 1), (1, 1), (1, -1))))  # isotropic, both
 @example(([[0, 1], [1, 0]], [V(1, 0), V(0, 1), V(1, 1), V(-1, 1)]))  # missing negatives
+@example(([[1, 0], [0, -1]], _pm((1, 1), (1, 0))))  # no image of (-1,0) under r_(-1,-1)
+@example(([[1, 0], [0, -1]], [V(1, 1), V(1, 0), V(-1, 0)]))  # isotropic, no negative
 def test_reflection_kernel_matches_the_fraction_reference(case):
     gram, roots = case
     system = FiniteRootSystem(BilinearSpace(gram), roots)
+    assert check_axioms(system) == reference.check_axioms(system)
+    assert _outcome(gw_orbits, system) == _outcome(reference.gw_orbits, system)
+    assert _outcome(weyl_orbits, system) == _outcome(reference.weyl_orbits, system)
     P = system._pairings
     for i in range(len(system)):
         for j in range(len(system)):

@@ -24,7 +24,9 @@ E7 to its span computes the pairings of no root of the ambient system.
 Every system the library derives enters on the integer rows of the system
 it is derived from, and the roots the library holds are named by index:
 `identify` finds no catalog root by its vector, recognition reads no
-rational `roots` view, and a passing finite check builds none.  A change
+rational `roots` view, and a passing finite check builds none.  The finite
+checker, the orbit partitions and `generate_subsystem` read one reflection
+row per +- pair, built once, with no per-pair step.  A change
 that brings back per-root, per-entry or per-call work fails here, although
 every answer would still be right.
 """
@@ -35,11 +37,12 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from grrs import catalog, classify, finite, serialize, symbolic
+from grrs.cli import main
 from grrs.catalog import a_nn_x, build, family, real_roots_from_matrix
 from grrs.classify import identify, recognize_cl
 from grrs.finite import (
     FiniteRootSystem, Homothety, check_axioms, generate_subsystem, gw_orbits, integral_subsystem,
-    is_irreducible, isomorphic_finite,
+    is_irreducible, isomorphic_finite, weyl_orbits,
 )
 from grrs.linalg import (
     BilinearSpace, Lattice, solve_in_span, standard_space, unit_vector, vadd, vscale,
@@ -562,3 +565,41 @@ def test_a_passing_finite_check_builds_no_roots_view():
 
 def test_the_rational_combination_is_gone():
     assert not hasattr(finite, "_combination")
+
+
+def test_e6_builds_one_reflection_row_per_pair(monkeypatch):
+    """The checker, both orbit partitions and `generate_subsystem` share
+    the rows: 36 for the 72 roots of E6, the row of -a the row of a."""
+    e6 = catalog._e_series(6)
+    built = []
+    _counted(monkeypatch, FiniteRootSystem, "_reflection_row", built)
+    assert check_axioms(e6).is_grrs
+    assert len(gw_orbits(e6)) == 1 and len(weyl_orbits(e6)) == 1
+    assert len(generate_subsystem(e6, e6.roots[:2])) > 0
+    assert len(built) == 36
+    for i, m in enumerate(e6._neg):
+        assert e6._images(i) is e6._images(m)
+
+
+def test_passing_check_and_orbits_step_no_pair(monkeypatch):
+    """A passing check and the gw orbits read whole rows: no `_image` or
+    `_shift` is called for a pair of roots."""
+    systems = [catalog._e_series(6), build("B(1,1)"), build("A(2,1)")]
+    steps = []
+    _counted(monkeypatch, FiniteRootSystem, "_image", steps)
+    _counted(monkeypatch, FiniteRootSystem, "_shift", steps)
+    for system in systems:
+        assert check_axioms(system).is_grrs
+        assert sum(map(len, gw_orbits(system))) == len(system)
+    assert steps == []
+
+
+def test_orbits_raise_the_first_error_of_the_walk(tmp_path, capsys):
+    """A column with a marker is read again in generator order, so the
+    walk raises at the pair the per-pair walk raised at first."""
+    system = FiniteRootSystem(BilinearSpace([[1, 0], [0, -1]]),
+                              [(1, 1), (-1, -1), (1, 0), (-1, 0)])
+    path = tmp_path / "system.json"
+    path.write_text(serialize.dumps(system))
+    assert main(["orbits", str(path), "--group", "gw"]) == 2
+    assert capsys.readouterr().err.strip() == "error: no image of (-1,0) under r_(-1,-1) is a root"
