@@ -182,11 +182,11 @@ class FiniteRootSystem:
     @cached_property
     def _unit(self) -> Q:
         """1 / (d^2 g), which turns a pairing P[i][j] into (r_i, r_j)."""
-        return Q(1, self.scale ** 2 * clear_denominators(self.space.gram)[0])
+        return Q(1, self.scale ** 2 * self.space._int_gram[0])
 
     @cached_property
     def _gram_rows(self) -> List[Tuple[int, ...]]:
-        gram = clear_denominators(self.space.gram)[1]
+        gram = self.space._int_gram[1]
         return [tuple(sum(map(mul, v, col)) for col in gram) for v in self._rows]
 
     @cached_property

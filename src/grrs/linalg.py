@@ -5,18 +5,30 @@ anywhere.  Elimination and lattices run in integers over one common
 denominator: `rref` is a fraction-free Gauss-Jordan, and a lattice is an
 integer Hermite normal form over its least denominator, so that equality of
 lattices is literal equality of integers.
+
+The two integer kernels, the Gauss-Jordan behind `rref` and the sweeps
+behind `hnf_int`, run once per distinct integer matrix in a process: each
+is memoized on its input as a tuple of int tuples, in a bounded LRU memo,
+and returns tuples that every caller shares and none mutates.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
 Vector = Tuple[Q, ...]
+IntMatrix = Tuple[Tuple[int, ...], ...]
+
+# Entries kept by the memos of the integer kernels; a pass of any benchmark
+# workload meets fewer distinct matrices than this.
+HNF_MEMO_SIZE = 1024
+RREF_MEMO_SIZE = 512
 
 
 def vec(xs: Iterable) -> Vector:
@@ -80,17 +92,24 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows: Sequence[Vector]):
+def rref(rows: Sequence[Vector]) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """Reduced row echelon form in integers, with deterministic pivoting.
 
     The rows are scaled to integers over their common denominator and
     eliminated fraction-free: the pivot row p of column c is the first
     remaining row nonzero there, and every other row r becomes the primitive
-    part of p[c] * r - r[c] * p.  Returns (nonzero rows, pivot columns): each
-    row is a primitive integer tuple with a positive pivot and zeros at the
-    other pivot columns; row / row[pivot] is the row of the rational RREF.
+    part of p[c] * r - r[c] * p.  Returns (nonzero rows, pivot columns), both
+    tuples: each row is a primitive integer tuple with a positive pivot and
+    zeros at the other pivot columns; row / row[pivot] is the row of the
+    rational RREF.  The elimination is memoized on the primitive rows, so
+    equal inputs share one answer.
     """
-    mat = [_primitive(row) for row in clear_denominators(rows)[1]]
+    return _gauss_jordan(tuple(tuple(_primitive(row)) for row in clear_denominators(rows)[1]))
+
+
+@lru_cache(maxsize=RREF_MEMO_SIZE)
+def _gauss_jordan(key: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
+    mat = list(map(list, key))
     pivots = []
     r = 0
     for c in range(len(mat[0]) if mat else 0):
@@ -107,7 +126,7 @@ def rref(rows: Sequence[Vector]):
                 mat[i] = _primitive([p * x - a * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
-    return [tuple(row) for row in mat[:r]], pivots
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
 def column_basis(columns: Sequence[Vector], fixed: Sequence[Vector] = ()):
@@ -193,15 +212,22 @@ class SubspaceProjection:
 # Integer matrices: Hermite normal form and kernels
 
 
-def hnf_int(rows: Sequence[Sequence[int]]) -> list:
-    """Row-style Hermite normal form of an integer matrix.
+def hnf_int(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Row-style Hermite normal form of an integer matrix, as a tuple of rows.
 
     Nonzero rows with positive pivots at strictly increasing columns;
-    entries above each pivot reduced into [0, pivot).  Each column is
-    cleared by sweeps: every live row (nonzero there) is reduced against the
-    one with the least entry in absolute value, until one live row is left.
+    entries above each pivot reduced into [0, pivot).  Memoized on the rows,
+    so equal inputs share one answer.
     """
-    mat = [list(r) for r in rows if any(r)]
+    return _hnf(tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=HNF_MEMO_SIZE)
+def _hnf(key: IntMatrix) -> IntMatrix:
+    """Each column is cleared by sweeps: every live row (nonzero there) is
+    reduced against the one with the least entry in absolute value, until
+    one live row is left."""
+    mat = [list(r) for r in key if any(r)]
     out = []
     for c in range(len(mat[0]) if mat else 0):
         live = [row for row in mat if row[c]]
@@ -227,14 +253,14 @@ def hnf_int(rows: Sequence[Sequence[int]]) -> list:
                 out[i] = [x - f * y for x, y in zip(row, p)]
         out.append(p)
         mat = rest
-    return out
+    return tuple(map(tuple, out))
 
 
-def int_left_kernel(rows: Sequence[Sequence[int]]) -> list:
+def int_left_kernel(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Basis of {x integral : x * M = 0} for the given row matrix M."""
     m = len(rows)
     if m == 0:
-        return []
+        return ()
     ncols = len(rows[0])
     aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
     h = hnf_int(aug)
@@ -272,10 +298,10 @@ def _int_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], dim: 
     return out
 
 
-def hnf_meet(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
+def hnf_meet(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     """HNF of the intersection of the row lattices of two integer matrices."""
     if not a or not b:
-        return []
+        return ()
     kern = int_left_kernel(list(a) + [[-x for x in row] for row in b])
     return hnf_int([_int_combination(x, a, len(a[0])) for x in kern])
 
@@ -317,6 +343,13 @@ class BilinearSpace:
         self.gram = g
         self._kernel: Optional[Tuple[Vector, ...]] = None
 
+    @cached_property
+    def _int_gram(self) -> Tuple[int, IntMatrix]:
+        """(g, rows): the Gram matrix as the integer rows g * gram, g the
+        least common denominator of its entries; cleared on first use."""
+        g, rows = clear_denominators(self.gram)
+        return g, tuple(map(tuple, rows))
+
     def __eq__(self, other):
         return isinstance(other, BilinearSpace) and self.gram == other.gram
 
@@ -347,7 +380,7 @@ class BilinearSpace:
     def kernel_basis(self) -> Tuple[Vector, ...]:
         """Deterministic basis of the radical {v : (v, -) = 0}."""
         if self._kernel is None:
-            red, pivots = rref(self.gram)
+            red, pivots = rref(self._int_gram[1])
             free = [c for c in range(self.dim) if c not in pivots]
             basis = []
             for f in free:
@@ -402,7 +435,8 @@ class Lattice:
         a common factor of scale and rows is divided out."""
         g = gcd(scale, *(x for row in rows for x in row))
         self.dim, self.scale = dim, scale // g
-        self.rows = tuple(tuple(x // g for x in row) for row in rows)
+        self.rows = tuple(map(tuple, rows)) if g == 1 else tuple(
+            tuple(x // g for x in row) for row in rows)
         self.pivots = hnf_pivots(self.rows)
         self._basis: Optional[Tuple[Vector, ...]] = None
 
@@ -546,7 +580,7 @@ class Lattice:
 
     def kernel_part(self, space: BilinearSpace) -> "Lattice":
         """Sublattice of members lying in the radical of the space's form."""
-        _, gram = clear_denominators(space.gram)
+        gram = space._int_gram[1]
         # the pairings of the scaled basis with the scaled Gram rows
         pairings = [_int_combination(r, gram, self.dim) for r in self.rows]
         return self.sublattice(int_left_kernel(pairings))

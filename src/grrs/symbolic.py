@@ -107,11 +107,11 @@ class CosetSet:
             and all(hnf_reduce(vadd(x, s), mod, piv)[0] in reps for x in reps)
         ]
         if gained:
-            mod = hnf_int(mod + gained)
+            mod = hnf_int([*mod, *gained])
             piv = hnf_pivots(mod)
             reps = {hnf_reduce(r, mod, piv)[0] for r in reps}
         self.ambient, self._t = ambient, t
-        self._mod, self._piv, self._ireps = tuple(map(tuple, mod)), piv, frozenset(reps)
+        self._mod, self._piv, self._ireps = mod, piv, frozenset(reps)
         self._hash = self._translate = self._modulus = self._reps = None
         return self
 
@@ -217,7 +217,7 @@ class CosetSet:
 
     def _meets(self, t, c, lat) -> bool:
         """Does the set meet t + c + <lat> (lat integer rows)?"""
-        big = hnf_int(list(self._mod) + list(lat))
+        big = hnf_int([*self._mod, *lat])
         piv = hnf_pivots(big)
         return t == self._t and any(
             not any(hnf_reduce(vsub(r, c), big, piv)[0]) for r in self._ireps
@@ -345,7 +345,7 @@ class SymbolicRootSystem:
         # family data lies in the radical; L = ZR cap Ker is generated by each
         # lift plus a first member of its family, the moduli and the
         # differences of members within each family
-        gram = clear_denominators(space.gram)[1]
+        gram = space._int_gram[1]
         gens, data = [], []
         for fam in fams:
             space.check_vector(fam._t[1])
@@ -658,7 +658,7 @@ def _xor_check(A: CosetSet, B: CosetSet, C: CosetSet, D: CosetSet):
     amb, d = A.ambient, lcm(A._t[0], B._t[0])
     ta, tb = A._row(d), B._row(d)
     (tp, op), (tm, om) = (amb.residue_row(w, d) for w in (vadd(tb, ta), vsub(tb, ta)))
-    sigma = hnf_int(list(A._mod + B._mod))
+    sigma = hnf_int(A._mod + B._mod)
     cd = hnf_meet(C._mod, D._mod)
     cos_a = hnf_cosets(A._mod, hnf_meet(A._mod, cd), amb.rank)
     cos_b = hnf_cosets(B._mod, hnf_meet(B._mod, cd), amb.rank)

@@ -10,6 +10,8 @@ from grrs.errors import DimensionMismatch
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
+    _gauss_jordan,
+    _hnf,
     column_basis,
     form_eval,
     hnf_int,
@@ -104,19 +106,19 @@ class TestSolveInSpan:
 
 class TestHnf:
     def test_identity(self):
-        assert hnf_int([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+        assert hnf_int([[1, 0], [0, 1]]) == ((1, 0), (0, 1))
 
     def test_gcd_collapse(self):
-        assert hnf_int([[4], [6]]) == [[2]]
+        assert hnf_int([[4], [6]]) == ((2,),)
 
     def test_reduction_above_pivot(self):
         h = hnf_int([[2, 0], [0, 2], [1, 1]])
-        assert h == [[1, 1], [0, 2]]
+        assert h == ((1, 1), (0, 2))
 
     def test_int_left_kernel(self):
         # rows (1,1),(1,1) have kernel (1,-1)
         k = int_left_kernel([[1, 1], [1, 1]])
-        assert k == [[1, -1]]
+        assert k == ((1, -1),)
         for x in k:
             assert all(
                 sum(x[i] * row[j] for i, row in enumerate([[1, 1], [1, 1]])) == 0
@@ -352,12 +354,18 @@ def rational_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices(), st.lists(small_rational, min_size=4, max_size=4), st.booleans())
 def test_integer_rref_matches_fraction_reference(rows, coeffs, in_span):
-    red, pivots = rref(rows)
     ref_red, ref_pivots = reference.rref(rows)
-    assert pivots == ref_pivots
-    assert [tuple(Q(x, row[p]) for x in row) for row, p in zip(red, pivots)] == ref_red
-    assert all(type(x) is int for row in red for x in row)
-    assert all(row[p] > 0 and gcd(*row) == 1 for row, p in zip(red, pivots))
+    _gauss_jordan.cache_clear()
+    # cold, then warm from the memo: the same answer, shared tuples of int tuples
+    cold, warm = rref(rows), rref(rows)
+    assert warm == cold
+    for red, pivots in (cold, warm):
+        assert type(red) is tuple and type(pivots) is tuple
+        assert pivots == tuple(ref_pivots)
+        assert [tuple(Q(x, row[p]) for x in row) for row, p in zip(red, pivots)] == ref_red
+        assert all(type(row) is tuple for row in red)
+        assert all(type(x) is int for row in red for x in row)
+        assert all(row[p] > 0 and gcd(*row) == 1 for row, p in zip(red, pivots))
 
     # the rows as vectors, and a target in their span or (likely) outside it
     n = len(rows[0]) if rows else 3
@@ -408,5 +416,11 @@ def tall_integer_matrices(draw):
 @given(tall_integer_matrices())
 def test_hnf_int_against_pairwise_reference(rows):
     before = [list(r) for r in rows]
-    assert hnf_int(rows) == reference.hnf_int(rows)
+    expected = tuple(map(tuple, reference.hnf_int(rows)))
+    _hnf.cache_clear()
+    # cold, then warm from the memo: both equal the reference, as tuples of int tuples
+    for h in (hnf_int(rows), hnf_int(rows)):
+        assert h == expected
+        assert type(h) is tuple and all(type(row) is tuple for row in h)
+        assert all(type(x) is int for row in h for x in row)
     assert rows == before

@@ -26,7 +26,9 @@ it is derived from, and the roots the library holds are named by index:
 `identify` finds no catalog root by its vector, recognition reads no
 rational `roots` view, and a passing finite check builds none.  The finite
 checker, the orbit partitions and `generate_subsystem` read one reflection
-row per +- pair, built once, with no per-pair step.  A change
+row per +- pair, built once, with no per-pair step.  The integer kernels
+behind `hnf_int` and `rref` run once per distinct matrix, in memos of a
+fixed size, and a space clears its Gram matrix once.  A change
 that brings back per-root, per-entry or per-call work fails here, although
 every answer would still be right.
 """
@@ -36,7 +38,7 @@ import sys
 from fractions import Fraction as Q
 from functools import cached_property
 
-from grrs import catalog, classify, finite, serialize, symbolic
+from grrs import catalog, classify, finite, linalg, serialize, symbolic
 from grrs.cli import main
 from grrs.catalog import a_nn_x, build, family, real_roots_from_matrix
 from grrs.classify import identify, recognize_cl
@@ -45,7 +47,8 @@ from grrs.finite import (
     is_irreducible, isomorphic_finite, weyl_orbits,
 )
 from grrs.linalg import (
-    BilinearSpace, Lattice, solve_in_span, standard_space, unit_vector, vadd, vscale,
+    BilinearSpace, Lattice, hnf_int, rref, solve_in_span, standard_space, unit_vector, vadd,
+    vscale,
 )
 from grrs.symbolic import (
     CosetSet, SymbolicRootSystem, affinize, check_symbolic_axioms, from_finite, quotient,
@@ -603,3 +606,53 @@ def test_orbits_raise_the_first_error_of_the_walk(tmp_path, capsys):
     path.write_text(serialize.dumps(system))
     assert main(["orbits", str(path), "--group", "gw"]) == 2
     assert capsys.readouterr().err.strip() == "error: no image of (-1,0) under r_(-1,-1) is a root"
+
+
+def test_integer_kernels_run_once_per_distinct_matrix(monkeypatch):
+    """A symbolic check of E6 with two central directions and a document
+    round trip repeat most of their integer matrices; with the memos
+    cleared first, the sweeps of `hnf_int` and the Gauss-Jordan of `rref`
+    still run once per distinct input."""
+    seen = {}
+    for name in ("_hnf", "_gauss_jordan"):
+        kernel = getattr(linalg, name)
+        kernel.cache_clear()
+        keys = seen[kernel] = []
+        monkeypatch.setattr(linalg, name, lambda key, kernel=kernel, keys=keys:
+                            keys.append(key) or kernel(key))
+    system = affinize(build("E6"), 2)
+    assert check_symbolic_axioms(system).is_grrs
+    text = serialize.dumps(system)
+    assert serialize.dumps(serialize.loads(text)) == text
+    for kernel, keys in seen.items():
+        assert kernel.cache_info().misses == len(set(keys)) < len(keys)
+
+
+def test_integer_kernel_memos_are_bounded():
+    """Past its bound a memo drops its least recently used matrix."""
+    for kernel, bound, run in [
+        (linalg._hnf, linalg.HNF_MEMO_SIZE, lambda n: hnf_int([[n, 1]])),
+        (linalg._gauss_jordan, linalg.RREF_MEMO_SIZE, lambda n: rref([(1, n)])),
+    ]:
+        kernel.cache_clear()
+        for n in range(bound + 5):
+            run(n)
+        info = kernel.cache_info()
+        assert (info.misses, info.currsize) == (bound + 5, bound)
+
+
+def test_each_space_clears_its_gram_once(monkeypatch):
+    """The symbolic constructor, `kernel_part` and the finite pairings read
+    one integer Gram matrix per space, cleared on first use: building,
+    checking and identifying an affinization clears no space's Gram twice."""
+    cleared = []
+    for mod in [m for n, m in sys.modules.items() if n.startswith("grrs.")]:
+        if getattr(mod, "clear_denominators", None) is linalg.clear_denominators:
+            _counted(monkeypatch, mod, "clear_denominators", cleared)
+    b3 = FiniteRootSystem(standard_space(3), build("B3").roots)
+    system = affinize(b3, 2)
+    assert check_symbolic_axioms(system).is_grrs and check_axioms(system.cl()).is_grrs
+    identify(system)
+    spaces = (b3.space, system.space, system.cl().space)
+    grams = [id(args[0]) for args in cleared if any(args[0] is s.gram for s in spaces)]
+    assert len(grams) == len(set(grams)) == 3
