@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     BilinearSpace,
-    Lattice,
     Vector,
     _int_combination,
     clear_denominators,
@@ -128,14 +127,8 @@ class FiniteRootSystem:
     def is_isotropic(self, r: Vector) -> bool:
         return self.norm(r) == 0
 
-    def isotropic_roots(self) -> Tuple[Vector, ...]:
-        return tuple(r for r, n in zip(self.roots, self._norms) if n == 0)
-
     def nonisotropic_roots(self) -> Tuple[Vector, ...]:
         return tuple(r for r, n in zip(self.roots, self._norms) if n != 0)
-
-    def root_lattice(self) -> Lattice:
-        return Lattice.from_vectors(self.space.dim, self.roots)
 
     @cached_property
     def _span(self) -> Tuple[List[int], int, List[Tuple[int, ...]]]:
@@ -339,13 +332,6 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
     return system.roots[system._image(i, j)]
-
-
-def reflect_root(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> Vector:
-    """r_alpha(beta) inside the system, linear or isotropic as appropriate."""
-    if system.is_isotropic(alpha):
-        return isotropic_reflect(system, alpha, beta)
-    return reflect(system.space, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +653,12 @@ def _scaled(values: Tuple[int, ...], m: int) -> Tuple[int, ...]:
 
 
 def _fingerprint_index(fps: Sequence[Tuple[int, ...]], q: int) -> Dict[Tuple[int, ...], List[int]]:
-    """The indices of the fingerprints, by fingerprint scaled by q."""
+    """The indices of the fingerprints, by fingerprint scaled by q: grouped
+    by the fingerprint first, so that each distinct one is scaled once."""
     by_fp: Dict[Tuple[int, ...], List[int]] = {}
     for s, fp in enumerate(fps):
-        by_fp.setdefault(_scaled(fp, q), []).append(s)
-    return by_fp
+        by_fp.setdefault(fp, []).append(s)
+    return {_scaled(fp, q): found for fp, found in by_fp.items()}
 
 
 def isomorphic_finite(
@@ -720,7 +707,8 @@ def isomorphic_finite(
         if _scaled(norms_a, p) != _scaled(norms_b, q):
             continue  # a homothety carries the norms of R_a onto those of R_b
         by_fp = _fingerprint_index(fp_b, q)
-        cand = [by_fp.get(_scaled(fp, p)) for fp in fp_a]
+        found = {fp: by_fp.get(_scaled(fp, p)) for fp in dict.fromkeys(fp_a)}
+        cand = [found[fp] for fp in fp_a]
         if None in cand:
             continue
         assignment: List[int] = []

@@ -524,10 +524,6 @@ class Lattice:
         split = [self.reduce_int(row, d) for row in sub._at(d)]
         return None if any(any(w) for w, _ in split) else [c for _, c in split]
 
-    def combine(self, coeffs: Sequence[int]) -> Vector:
-        """The member sum_i coeffs_i * basis_i."""
-        return tuple(Q(x, self.scale) for x in _int_combination(coeffs, self.rows, self.dim))
-
     def sublattice(self, coeff_rows: Sequence[Sequence[int]]) -> "Lattice":
         """The sublattice generated by the members with these integer coordinates."""
         gens = [_int_combination(c, self.rows, self.dim) for c in coeff_rows]

@@ -1,22 +1,24 @@
 """Canonical JSON interchange for all document types.
 
 Rationals serialize as "p/q" (or "p" when the denominator is 1).  Documents
-are emitted with sorted keys and fixed separators, and every parser feeds a
-canonicalizing constructor, so parse -> serialize round-trips are
-byte-identical.
+are emitted with sorted keys and fixed separators.  Systems are written and
+read on their integer rows: the writer spells rows over one denominator,
+each distinct integer once, and the reader clears each matrix to integer
+rows and enters the integer constructors, which canonicalize, so parse ->
+serialize round-trips are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction as Q
-from typing import List, Optional, Union
+from math import gcd, lcm
+from typing import List, Optional, Tuple, Union
 
 from .catalog import type_key
 from .classify import ClassDescriptor, kac_moody_name
-from .errors import GrrsError, NoName
+from .errors import DimensionMismatch, GrrsError, NoName
 from .finite import AxiomCheck, AxiomReport, FiniteRootSystem
-from .linalg import BilinearSpace, Lattice, format_rational, parse_rational
+from .linalg import BilinearSpace, Lattice, format_rational, hnf_int, parse_rational
 from .symbolic import CosetSet, SymbolicRootSystem
 
 SCHEMA_VERSION = 1
@@ -24,128 +26,159 @@ SCHEMA_VERSION = 1
 Payload = Union[FiniteRootSystem, SymbolicRootSystem, AxiomReport, List[ClassDescriptor]]
 
 
-def _ser_vec(v) -> list:
-    return [format_rational(x) for x in v]
+class _Spelling(dict):
+    """The spelling of each integer x as x / d in lowest terms, made on first read."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __missing__(self, x: int) -> str:
+        g = gcd(x, self.d)
+        spelled = self[x] = str(x // g) if g == self.d else f"{x // g}/{self.d // g}"
+        return spelled
 
 
-def _rational(x, seen: dict) -> Q:
-    """One coordinate of a document.  A string spelling is parsed once per
-    document: `seen` holds the rational of each spelling read so far.  A
-    JSON number is read as it is, and an infinite float is no rational."""
-    if type(x) is str:
-        q = seen.get(x)
-        if q is None:
-            q = seen[x] = parse_rational(x)
-        return q
-    try:
-        return parse_rational(x)
-    except OverflowError:
-        raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
+def _spell(spellings: dict, d: int, rows) -> list:
+    """The integer rows over d as lists of spellings; `spellings` holds one
+    `_Spelling` per denominator of the document being written."""
+    spelled = spellings[d] if d in spellings else spellings.setdefault(d, _Spelling(d))
+    return [list(map(spelled.__getitem__, row)) for row in rows]
 
 
-def _parse_vec(xs, seen: dict) -> tuple:
-    return tuple(_rational(x, seen) for x in xs)
+class _Coordinates(dict):
+    """The (numerator, denominator, rational) of each coordinate spelling of
+    one document, parsed on first read.  A JSON number is read as it is each
+    time, and an infinite float is no rational."""
+
+    def __missing__(self, x):
+        try:
+            q = parse_rational(x)
+        except OverflowError:
+            raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
+        read = (q.numerator, q.denominator, q)
+        if type(x) is str:
+            self[x] = read
+        return read
+
+    def rows(self, rows) -> list:
+        """The readings of a matrix, row by row.  An unhashable coordinate is
+        parsed in turn, so that the first bad one raises what `Fraction` does."""
+        try:
+            return [list(map(self.__getitem__, row)) for row in rows]
+        except TypeError:
+            return [[self.__missing__(x) for x in row] for row in rows]
+
+    def vectors(self, rows) -> list:
+        return [tuple(q for _, _, q in row) for row in self.rows(rows)]
 
 
-def _ser_mat(rows) -> list:
-    return [_ser_vec(r) for r in rows]
+def _cleared(readings, dim: Optional[int] = None, message: str = "") -> Tuple[int, list]:
+    """(s, rows): s the least common denominator of the readings, and rows
+    their integer rows over s; with a dim, a row of another length raises."""
+    if dim is not None and any(len(v) != dim for v in readings):
+        raise DimensionMismatch(message)
+    s = lcm(*{q for row in readings for _, q, _ in row})
+    return s, [[p * (s // q) for p, q, _ in row] for row in readings]
 
 
-def _parse_mat(rows, seen: dict) -> list:
-    return [_parse_vec(r, seen) for r in rows]
+def _space(d: dict, coords: _Coordinates) -> BilinearSpace:
+    space = BilinearSpace(coords.vectors(d["gram"]))
+    if space.dim != d["dim"]:
+        raise GrrsError("dim field does not match the gram matrix")
+    return space
 
 
-def finite_to_dict(system: FiniteRootSystem) -> dict:
-    return {
-        "dim": system.space.dim,
-        "gram": _ser_mat(system.space.gram),
-        "roots": _ser_mat(system.roots),
-    }
+def finite_to_dict(system: FiniteRootSystem, spellings: Optional[dict] = None) -> dict:
+    spellings = {} if spellings is None else spellings
+    return {"dim": system.space.dim, "gram": _spell(spellings, *system.space._int_gram),
+            "roots": _spell(spellings, system.scale, system._rows)}
 
 
 def finite_from_dict(d: dict) -> FiniteRootSystem:
-    seen: dict = {}
-    space = BilinearSpace(_parse_mat(d["gram"], seen))
-    if space.dim != d["dim"]:
-        raise GrrsError("dim field does not match the gram matrix")
-    return FiniteRootSystem(space, _parse_mat(d["roots"], seen))
+    coords = _Coordinates()  # the Gram matrix is read before the roots
+    return FiniteRootSystem.__new__(FiniteRootSystem)._take(
+        _space(d, coords), *_cleared(coords.rows(d["roots"])))
+
+
+_AXIOMS = ("gr0", "gr1", "gr2", "gr3", "wgr3")
 
 
 def report_to_dict(report: AxiomReport) -> dict:
-    def check(c: AxiomCheck) -> dict:
-        out = {"pass": c.passed}
-        out["witness"] = None if c.witness is None else _ser_mat(c.witness)
-        return out
-
-    return {
-        "gr0": check(report.gr0),
-        "gr1": check(report.gr1),
-        "gr2": check(report.gr2),
-        "gr3": check(report.gr3),
-        "wgr3": check(report.wgr3),
-        "verdict": report.verdict(),
-    }
+    out = {"verdict": report.verdict()}
+    for axiom in _AXIOMS:
+        c = getattr(report, axiom)
+        out[axiom] = {"pass": c.passed, "witness": None if c.witness is None else [
+            list(map(format_rational, v)) for v in c.witness]}
+    return out
 
 
 def report_from_dict(d: dict) -> AxiomReport:
-    seen: dict = {}
+    coords = _Coordinates()
 
     def check(c: dict) -> AxiomCheck:
         w = c.get("witness")
-        return AxiomCheck(c["pass"], None if w is None else tuple(_parse_vec(v, seen) for v in w))
+        return AxiomCheck(c["pass"], None if w is None else tuple(coords.vectors(w)))
 
-    return AxiomReport(
-        check(d["gr0"]), check(d["gr1"]), check(d["gr2"]), check(d["gr3"]), check(d["wgr3"])
-    )
+    return AxiomReport(*(check(d[axiom]) for axiom in _AXIOMS))
 
 
 def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
-    lattice = _ser_mat(system.L.basis)
-    written = {}  # the fields of each distinct family, formatted once
+    memo: dict = {}
+    lattice = _spell(memo, system.L.scale, system.L.rows)
+    written = {}  # the fields of each distinct family, spelled once
     families = []
-    for lift, fam in zip(system.lifts, system._families):
+    for root, fam in zip(_spell(memo, system._lift_den, system._lift_rows), system._families):
         fields = written.get(fam)
         if fields is None:
-            fields = written[fam] = (
-                _ser_vec(fam.translate), _ser_mat(fam.reps), _ser_mat(fam.modulus.basis)
-            )
+            (d, t), mod, s = fam._t, fam.modulus, fam.ambient.scale
+            fields = written[fam] = (_spell(memo, d, [t])[0], _spell(memo, s, fam._rep_rows()),
+                                     _spell(memo, mod.scale, mod.rows))
         translate, reps, modulus = fields
         # every entry gets its own lists, so that editing one leaves the rest
-        families.append(
-            {
-                "root": _ser_vec(lift),
-                "translate": list(translate),
-                "reps": [list(r) for r in reps],
-                "modulusBasis": [list(r) for r in modulus],
-                "latticeBasis": [list(r) for r in lattice],
-            }
-        )
-    return {
-        "dim": system.space.dim,
-        "gram": _ser_mat(system.space.gram),
-        "kernelDim": system.kernel_dim,
-        "cl": finite_to_dict(system.cl()),
-        "families": families,
-    }
+        families.append({"root": root, "translate": list(translate),
+                         "reps": [list(r) for r in reps],
+                         "modulusBasis": [list(r) for r in modulus],
+                         "latticeBasis": [list(r) for r in lattice]})
+    return {"dim": system.space.dim, "gram": _spell(memo, *system.space._int_gram),
+            "kernelDim": system.kernel_dim, "cl": finite_to_dict(system.cl(), memo),
+            "families": families}
+
+
+def _family(dim: int, fields, coords: _Coordinates) -> CosetSet:
+    """The family of the JSON fields (latticeBasis, modulusBasis, translate,
+    reps), anchored on the lattice of the first: the members translate + rep
+    as integer rows over one denominator, and the modulus with them."""
+    lattices = [_cleared(coords.rows(m), dim, "generator of wrong length") for m in fields[:2]]
+    ambient, modulus = (Lattice(dim, s, hnf_int(rows)) for s, rows in lattices)
+    s, (t, *reps) = _cleared(coords.rows([fields[2], *fields[3]]), dim,
+                             "translate or rep of wrong length")
+    d = lcm(s, ambient.scale, modulus.scale)
+    members = [[d // s * (x + y) for x, y in zip(t, r)] for r in reps]
+    return CosetSet.__new__(CosetSet)._anchor(
+        ambient, d, modulus._at(d) if members else [], members)
 
 
 def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
-    seen: dict = {}
-    space = BilinearSpace(_parse_mat(d["gram"], seen))
-    if space.dim != d["dim"]:
-        raise GrrsError("dim field does not match the gram matrix")
-    entries = []
-    families = {}  # each distinct family is built once, keyed by its fields
+    coords = _Coordinates()
+    space = _space(d, coords)
+    lifts, families = [], []
+    built: dict = {}  # each distinct family is built once, keyed by its fields
     for f in d["families"]:
-        key = repr([f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"]])
-        if key not in families:
-            ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"], seen))
-            modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"], seen))
-            families[key] = CosetSet(
-                ambient, modulus, _parse_vec(f["translate"], seen), _parse_mat(f["reps"], seen)
-            )
-        entries.append((_parse_vec(f["root"], seen), families[key]))
-    system = SymbolicRootSystem(space, entries)
+        fields = (f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"])
+        try:
+            # equal keys parse to equal data; a key that does not hash is its own
+            key = (tuple(fields[2]), *(tuple(map(tuple, m)) for m in fields[:2] + fields[3:]))
+            hash(key)
+        except TypeError:
+            key = object()
+        if key not in built:
+            built[key] = _family(space.dim, fields, coords)
+        families.append(built[key])
+        lifts += coords.rows([f["root"]])
+    for lift in lifts:
+        space.check_vector(lift)
+    system = SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
+        space, *_cleared(lifts), families)
     if system.kernel_dim != d["kernelDim"]:
         raise GrrsError("kernelDim field does not match the gram matrix")
     return system
@@ -200,23 +233,18 @@ def descriptor_from_dict(d: dict) -> ClassDescriptor:
     return ClassDescriptor(str(type_key(d["cl"])), d["k"], tup)
 
 
-# The document types: the payload class and encoder of each, and its decoder.
-_TO_DICT = {
-    "finite": (FiniteRootSystem, finite_to_dict),
-    "symbolic": (SymbolicRootSystem, symbolic_to_dict),
-    "report": (AxiomReport, report_to_dict),
-    "classes": (list, lambda payload: [descriptor_to_dict(x) for x in payload]),
-}
-_FROM_DICT = {
-    "finite": finite_from_dict,
-    "symbolic": symbolic_from_dict,
-    "report": report_from_dict,
-    "classes": lambda payload: [descriptor_from_dict(x) for x in payload],
+# The document types: the payload class, encoder and decoder of each.
+_CODECS = {
+    "finite": (FiniteRootSystem, finite_to_dict, finite_from_dict),
+    "symbolic": (SymbolicRootSystem, symbolic_to_dict, symbolic_from_dict),
+    "report": (AxiomReport, report_to_dict, report_from_dict),
+    "classes": (list, lambda payload: [descriptor_to_dict(x) for x in payload],
+                lambda payload: [descriptor_from_dict(x) for x in payload]),
 }
 
 
 def document_to_dict(payload: Payload) -> dict:
-    for t, (cls, encode) in _TO_DICT.items():
+    for t, (cls, encode, _) in _CODECS.items():
         if isinstance(payload, cls):
             return {"schemaVersion": SCHEMA_VERSION, "type": t, "payload": encode(payload)}
     raise GrrsError(f"cannot serialize {type(payload)!r}")
@@ -229,11 +257,11 @@ def document_from_dict(d: dict) -> Payload:
     if d.get("schemaVersion") != SCHEMA_VERSION:
         raise GrrsError("unsupported schema version")
     t = d.get("type")
-    parse = _FROM_DICT.get(t) if isinstance(t, str) else None
-    if parse is None:
+    codec = _CODECS.get(t) if isinstance(t, str) else None
+    if codec is None:
         raise GrrsError(f"unknown document type {t!r}")
     try:
-        return parse(d["payload"])
+        return codec[2](d["payload"])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrrsError(f"malformed {t} document: {type(exc).__name__}: {exc}") from None
 

@@ -275,15 +275,6 @@ class CosetSet:
         self._same_ambient(other)
         return self == other
 
-    def intersects_coset(self, v: Vector, lat: Lattice) -> bool:
-        """Does the set meet v + lat (lat a sublattice of the ambient)?"""
-        if self.is_empty():
-            return False
-        rows = self.ambient.coordinates(lat)
-        if rows is None:
-            raise GrrsError("lattice is not a sublattice of the ambient lattice")
-        return self._meets(*self.ambient._reduce(v), rows)
-
 
 # ---------------------------------------------------------------------------
 # Symbolic systems
@@ -614,9 +605,6 @@ class GapTable:
     """Gap per lift; None marks classes where no single progression exists."""
 
     entries: Tuple[Tuple[Vector, Optional[int]], ...]
-
-    def by_lift(self) -> Dict[Vector, Optional[int]]:
-        return dict(self.entries)
 
 
 def gaps(system: SymbolicRootSystem) -> GapTable:

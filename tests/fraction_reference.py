@@ -70,15 +70,24 @@
 - `orbit_minimum` and `canonical_pair`: the AGL(k,2) orbit walks under
   every transvection x_i += x_j (and every translation, for the pairs),
   before they ran on three generators.
+- `dumps` and `loads`: the JSON codec of finite and symbolic documents
+  before it ran on integer rows: the writer formats the `Fraction` views
+  (`gram`, `roots`, `L.basis`, `lifts`, `translate`, `reps`,
+  `modulus.basis`) coordinate by coordinate, and the reader parses each
+  coordinate to a `Fraction` and enters the public constructors
+  (`FiniteRootSystem(...)`, `Lattice.from_vectors`, `CosetSet(...)`,
+  `SymbolicRootSystem(...)`), keying each family by the `repr` of its
+  fields.  Reports and class lists go through `grrs.serialize` itself.
 """
 
 import itertools
+import json
 from fractions import Fraction as Q
 from functools import lru_cache
 from operator import mul
 from types import SimpleNamespace
 
-from grrs import catalog
+from grrs import catalog, serialize
 from grrs.catalog import _point
 from grrs.errors import (
     AmbiguousReflection, BadMatrix, GrrsError, IsotropicPresent, MissingImage, NotBijective,
@@ -90,6 +99,8 @@ from grrs.linalg import (
     Lattice,
     SubspaceProjection,
     clear_denominators,
+    format_rational,
+    parse_rational,
     unit_vector,
     vadd,
     vec,
@@ -235,7 +246,8 @@ def _lattice(dim, vectors):
 def _vectors(fam):
     """(generators of M, translate, one vector of L per coset) in Q^n."""
     amb = fam.ambient
-    return [amb.combine(r) for r in fam._mod], fam.translate, [amb.combine(c) for c in fam._ireps]
+    vectors = [[_combination(c, amb.basis, amb.dim) for c in cs] for cs in (fam._mod, fam._ireps)]
+    return vectors[0], fam.translate, vectors[1]
 
 
 def symbolic_system(space, entries):
@@ -755,3 +767,103 @@ def canonical_pair(k, mask1, mask2, translate_second, complement_first):
                 seen.add(pair)
                 orbit.append(pair)
     return min(orbit)
+
+
+def _ser_mat(rows):
+    return [[format_rational(x) for x in v] for v in rows]
+
+
+def _rational(x, seen):
+    if type(x) is str:
+        q = seen.get(x)
+        if q is None:
+            q = seen[x] = parse_rational(x)
+        return q
+    try:
+        return parse_rational(x)
+    except OverflowError:
+        raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
+
+
+def _parse_vec(xs, seen):
+    return tuple(_rational(x, seen) for x in xs)
+
+
+def _parse_mat(rows, seen):
+    return [_parse_vec(r, seen) for r in rows]
+
+
+def finite_to_dict(system):
+    return {"dim": system.space.dim, "gram": _ser_mat(system.space.gram),
+            "roots": _ser_mat(system.roots)}
+
+
+def finite_from_dict(d):
+    seen = {}
+    space = BilinearSpace(_parse_mat(d["gram"], seen))
+    if space.dim != d["dim"]:
+        raise GrrsError("dim field does not match the gram matrix")
+    return FiniteRootSystem(space, _parse_mat(d["roots"], seen))
+
+
+def symbolic_to_dict(system):
+    lattice = _ser_mat(system.L.basis)
+    families = []
+    for lift, fam in zip(system.lifts, system._families):
+        families.append({
+            "root": _ser_mat([lift])[0],
+            "translate": _ser_mat([fam.translate])[0],
+            "reps": _ser_mat(fam.reps),
+            "modulusBasis": _ser_mat(fam.modulus.basis),
+            "latticeBasis": [list(r) for r in lattice],
+        })
+    return {"dim": system.space.dim, "gram": _ser_mat(system.space.gram),
+            "kernelDim": system.kernel_dim, "cl": finite_to_dict(system.cl()),
+            "families": families}
+
+
+def symbolic_from_dict(d):
+    seen = {}
+    space = BilinearSpace(_parse_mat(d["gram"], seen))
+    if space.dim != d["dim"]:
+        raise GrrsError("dim field does not match the gram matrix")
+    entries, families = [], {}
+    for f in d["families"]:
+        key = repr([f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"]])
+        if key not in families:
+            ambient = Lattice.from_vectors(space.dim, _parse_mat(f["latticeBasis"], seen))
+            modulus = Lattice.from_vectors(space.dim, _parse_mat(f["modulusBasis"], seen))
+            families[key] = CosetSet(
+                ambient, modulus, _parse_vec(f["translate"], seen), _parse_mat(f["reps"], seen))
+        entries.append((_parse_vec(f["root"], seen), families[key]))
+    system = SymbolicRootSystem(space, entries)
+    if system.kernel_dim != d["kernelDim"]:
+        raise GrrsError("kernelDim field does not match the gram matrix")
+    return system
+
+
+_CODECS = {"finite": (FiniteRootSystem, finite_to_dict, finite_from_dict),
+           "symbolic": (SymbolicRootSystem, symbolic_to_dict, symbolic_from_dict)}
+
+
+def dumps(payload):
+    for t, (cls, encode, _) in _CODECS.items():
+        if isinstance(payload, cls):
+            doc = {"schemaVersion": serialize.SCHEMA_VERSION, "type": t, "payload": encode(payload)}
+            return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return serialize.dumps(payload)
+
+
+def loads(text):
+    """`serialize.loads` with the finite and symbolic readers above."""
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise GrrsError("document nested too deeply") from None
+    t = d.get("type") if isinstance(d, dict) else None
+    if not isinstance(t, str) or t not in _CODECS or d.get("schemaVersion") != serialize.SCHEMA_VERSION:
+        return serialize.document_from_dict(d)
+    try:
+        return _CODECS[t][2](d["payload"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GrrsError(f"malformed {t} document: {type(exc).__name__}: {exc}") from None

@@ -17,13 +17,24 @@ from functools import reduce
 
 from grrs.catalog import family
 from grrs.errors import BadParameters
-from grrs.finite import FiniteRootSystem, check_axioms, isotropic_reflect, k_value
+from grrs.finite import FiniteRootSystem, check_axioms, isotropic_reflect, k_value, reflect
 from grrs.linalg import (
     BilinearSpace, Lattice, unit_vector, vadd, vec, vneg, vscale, vsub, zero_vector,
 )
 from grrs.symbolic import CosetSet, SymbolicRootSystem, check_symbolic_axioms
 
 import fraction_reference as reference
+
+
+def isotropic_roots(system: FiniteRootSystem) -> list:
+    return [r for r in system.roots if system.is_isotropic(r)]
+
+
+def reflect_root(system: FiniteRootSystem, alpha, beta):
+    """r_alpha(beta) inside the system, linear or isotropic as alpha is."""
+    if system.is_isotropic(alpha):
+        return isotropic_reflect(system, alpha, beta)
+    return reflect(system.space, alpha, beta)
 
 
 def _entry_map(system):

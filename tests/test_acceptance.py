@@ -22,12 +22,14 @@ from grrs.finite import (
     is_irreducible,
     k_value,
     reflect,
-    reflect_root,
 )
 from grrs.linalg import vadd, vec, vneg, vscale
 from grrs.symbolic import affinize, check_symbolic_axioms, from_finite, gaps, quotient
 
-from support import f_invariance_failures, full_coset_failures, is_transitive_grrs_quotient
+from support import (
+    f_invariance_failures, full_coset_failures, is_transitive_grrs_quotient, isotropic_roots,
+    reflect_root,
+)
 
 
 GRRS_ENTRIES = (
@@ -246,7 +248,7 @@ def test_criterion_08_k_value_bounds():
     scanned = 0
     for name in GRRS_ENTRIES + ["G(3)", "F(4)"]:
         sys_ = build(name)
-        if not sys_.isotropic_roots():
+        if not isotropic_roots(sys_):
             continue
         irr, _ = is_irreducible(sys_)
         if not irr:

@@ -85,7 +85,8 @@ def _edited(name, drop=(), add=()):
 
 
 def _isotropic_pair(name):
-    r = next(r for r in build(name).isotropic_roots())
+    system = build(name)
+    r = next(r for r in system.roots if system.is_isotropic(r))
     return (r, vneg(r))
 
 

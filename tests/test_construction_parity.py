@@ -62,7 +62,8 @@ def assert_from_finite(system):
     its L is the part of the root lattice in the radical."""
     symbolic = from_finite(system)
     assert symbolic == SymbolicRootSystem(system.space, reference.from_finite_entries(system))
-    assert symbolic.L == system.root_lattice().kernel_part(system.space)
+    assert symbolic.L == Lattice.from_vectors(system.space.dim, system.roots).kernel_part(
+        system.space)
     return symbolic
 
 

@@ -240,7 +240,8 @@ def test_coset_set_against_brute_force(drawn, c, data):
     lattice = Fam(0, 0, ((0,) * setting.k,), lat_rows)
     for j in (a.j, a.j + 1):
         meets = a.sum_has(lattice, 1, j, v)
-        assert A.intersects_coset(setting.vector(1, j, v), setting.lattice(lat_rows)) == meets
+        coset = setting.L._reduce(setting.vector(1, j, v))
+        assert A._meets(*coset, setting.L.coordinates(setting.lattice(lat_rows))) == meets
 
     # the Q^n views are those of the Fraction constructor
     assert views(A) == parent_views(setting.L, *setting.parts(a))

@@ -17,7 +17,9 @@ scale that carries the norms across, reads its scales off integer
 pairings and hashes no `Fraction`.  A system's pairings take a dot product
 for under half of its pairs of roots.  The finite constructor and the
 document reader hash no `Fraction`, the reader parses each spelling once
-per document and the writer formats each distinct family once, and a
+per document and enters the integer constructors, with no rational
+constructor, `Lattice.from_vectors` or `clear_denominators` on `Fraction`
+rows, the writer spells integer rows and each distinct family once, and a
 family's stabilizer search reduces each candidate shift about once.  Finite
 and symbolic lookups hash no `Fraction` after first use, and restricting
 E7 to its span computes the pairings of no root of the ambient system.
@@ -199,7 +201,6 @@ def test_family_stays_on_integer_coordinates(monkeypatch):
 
     inside(SymbolicRootSystem, "_take")
     inside(catalog, "_preimage")
-    counted("combine")
     counted("split")
     systems = [
         family("B3", 2, S={0, 3}),
@@ -231,7 +232,9 @@ def test_coset_data_has_one_anchoring(monkeypatch):
             coeffs = lambda: [rng.randint(-3, 3) for _ in range(ambient.rank)]
             modulus = ambient.sublattice([coeffs() for _ in range(rng.randint(0, 2))])
             translate = tuple(Q(rng.randint(-5, 5), den) for _ in range(dim))
-            reps = [ambient.combine(coeffs()) for _ in range(rng.randint(1, 3))]
+            # the members sum_i c_i basis_i of the ambient
+            reps = [tuple(Q(x, ambient.scale) for x in linalg._int_combination(
+                coeffs(), ambient.rows, dim)) for _ in range(rng.randint(1, 3))]
             built.append((CosetSet(ambient, modulus, translate, reps), translate, reps))
     systems = [
         family("B3", 2, S={0, 3}),
@@ -392,20 +395,60 @@ def test_reader_parses_each_spelling_once(monkeypatch):
 
 
 def test_writer_formats_each_family_once(monkeypatch):
-    """`symbolic_to_dict` formats L's basis once and each distinct family's
-    translate, reps and modulus basis once, however many entries share it."""
-    system = affinize(build("E6"), 2)
-    families = {e.family for e in system.entries}
-    assert len(system.entries) == 72 and len(families) == 1
-    expected = serialize.dumps(system)
-    written = []
-    for name in ("_ser_vec", "_ser_mat"):
-        _counted(monkeypatch, serialize, name, written)
-    assert serialize.dumps(system) == expected
-    fields = [system.L.basis] + [x for f in families
-                                 for x in (f.translate, f.reps, f.modulus.basis)]
-    for value in fields:
-        assert sum(args[0] is value for args in written) == 1
+    """`symbolic_to_dict` spells integer rows: L's rows once and each distinct
+    family's translate, reps and modulus rows once, however many entries
+    share it, besides the Gram matrix, the lifts and the quotient's Gram
+    matrix and roots."""
+    systems = [affinize(build("E6"), 2), family("C(2,1)", 2, S={1}), a_nn_x(2, 1, 3, 1)]
+    expected = [serialize.dumps(system) for system in systems]
+    spelled = []
+    _counted(monkeypatch, serialize, "_spell", spelled)
+    for system, text in zip(systems, expected):
+        del spelled[:]
+        assert serialize.dumps(system) == text
+        families = set(system._families)
+        assert len(spelled) == 4 + 1 + 3 * len(families) < len(system._families)
+        written = [(d, [tuple(r) for r in rows]) for _, d, rows in spelled]
+        assert (system.L.scale, list(system.L.rows)) in written
+        for fam in families:
+            for d, rows in ((fam._t[0], [fam._t[1]]), (fam.ambient.scale, fam._rep_rows()),
+                            (fam.modulus.scale, fam.modulus.rows)):
+                assert (d, list(map(tuple, rows))) in written
+
+
+def test_reader_builds_on_the_integer_entries(monkeypatch):
+    """`loads` of a symbolic document anchors each distinct family and enters
+    the system through `SymbolicRootSystem._take`: no rational constructor
+    and no `Lattice.from_vectors`."""
+    systems = [affinize(build("E6"), 2), family("BC(1,1)", 2, S={0}, Sp={1, 2}), a_nn_x(2, 1, 3)]
+    texts = [serialize.dumps(system) for system in systems]
+    entered, anchored, rational = [], [], []
+    _counted(monkeypatch, SymbolicRootSystem, "_take", entered)
+    _counted(monkeypatch, CosetSet, "_anchor", anchored)
+    for owner, name in [(SymbolicRootSystem, "__init__"), (CosetSet, "__init__"),
+                        (Lattice, "from_vectors")]:
+        _counted(monkeypatch, owner, name, rational)
+    for system, text in zip(systems, texts):
+        del entered[:], anchored[:]
+        assert serialize.loads(text) == system
+        assert len(entered) == 1 and len(anchored) == len(set(system._families))
+    assert rational == []
+
+
+def test_finite_reader_clears_no_fraction_rows(monkeypatch):
+    """`loads` of a finite document clears each matrix on the integers it
+    parsed and enters `FiniteRootSystem._take`: no `clear_denominators` on
+    `Fraction` rows, and no rational `roots` view until one is read."""
+    payloads = [build("E6"), build("D(2,1;a=1/2)"), build("BC2")]
+    texts = [serialize.dumps(payload) for payload in payloads]
+    entered, cleared = [], []
+    _counted(monkeypatch, FiniteRootSystem, "_take", entered)
+    for module in (finite, linalg):
+        _counted(monkeypatch, module, "clear_denominators", cleared)
+    loaded = [serialize.loads(text) for text in texts]
+    assert len(entered) == 3 and cleared == []
+    assert all("roots" not in vars(system) for system in loaded)
+    assert loaded == payloads and [s.roots for s in loaded] == [p.roots for p in payloads]
 
 
 def test_family_stabilizer_is_linear_in_its_reps(monkeypatch):
