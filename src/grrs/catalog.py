@@ -31,37 +31,41 @@ from .linalg import (
     hnf_reduce,
     standard_space,
     unit_vector,
-    vadd,
     vneg,
-    vscale,
-    vsub,
-    vec,
 )
 from .symbolic import CosetSet, SymbolicRootSystem, _padded, affinize, from_finite, quotient
 
 
-def _pm(v: Vector) -> List[Vector]:
-    return [v, vneg(v)]
+_Row = Tuple[int, ...]
 
 
-def _pairs_roots(dim, idxs):
-    out = []
-    for i, j in itertools.combinations(idxs, 2):
-        out += _pm(vsub(unit_vector(dim, i), unit_vector(dim, j)))
-        out += _pm(vadd(unit_vector(dim, i), unit_vector(dim, j)))
-    return out
+def _system(space: BilinearSpace, den: int, rows: List[_Row]) -> FiniteRootSystem:
+    """The system of the integer rows / den and their negatives: one row is
+    given per +- pair."""
+    return FiniteRootSystem._of_rows(space, den, [*rows, *map(vneg, rows)])
+
+
+def _axes(dim: int, idxs, c: int = 1) -> List[_Row]:
+    """c e_i for i in idxs."""
+    return [tuple(c * (j == i) for j in range(dim)) for i in idxs]
+
+
+def _pairs(dim: int, idxs, c: int = 1) -> List[_Row]:
+    """c (e_i - e_j) and c (e_i + e_j) for i < j in idxs, in that order."""
+    return [tuple(c * ((k == i) + s * (k == j)) for k in range(dim))
+            for i, j in itertools.combinations(idxs, 2) for s in (-1, 1)]
+
+
+def _signs(dim: int) -> List[_Row]:
+    """The vectors of +-1 entries with first entry 1: one of each +- pair."""
+    return [(1, *s) for s in itertools.product((1, -1), repeat=dim - 1)]
 
 
 def _type_a(plus: int, minus: int) -> FiniteRootSystem:
     """All e_i - e_j for the form diag(+1 x plus, -1 x minus), on their span."""
     dim = plus + minus
-    roots = [
-        vsub(unit_vector(dim, i), unit_vector(dim, j))
-        for i in range(dim)
-        for j in range(dim)
-        if i != j
-    ]
-    return FiniteRootSystem(standard_space(plus, minus), roots).restricted_to_span()
+    rows = _pairs(dim, range(dim))[::2]  # the e_i - e_j
+    return _system(standard_space(plus, minus), 1, rows).restricted_to_span()
 
 
 def _type_bcd(m: int, n: int, eps_lengths, dlt_lengths) -> FiniteRootSystem:
@@ -72,57 +76,36 @@ def _type_bcd(m: int, n: int, eps_lengths, dlt_lengths) -> FiniteRootSystem:
     otherwise B(m,n), D(m,n), C(n + 1) = D(1,n) and the weak C(m,n), BC(m,n).
     """
     dim = m + n
-    roots = _pairs_roots(dim, range(dim))
-    for i in range(dim):
-        for c in eps_lengths if i < m else dlt_lengths:
-            roots += _pm(vscale(c, unit_vector(dim, i)))
-    return FiniteRootSystem(standard_space(m, n), roots)
+    rows = _pairs(dim, range(dim))
+    for c in eps_lengths:
+        rows += _axes(dim, range(m), c)
+    for c in dlt_lengths:
+        rows += _axes(dim, range(m, dim), c)
+    return _system(standard_space(m, n), 1, rows)
 
 
 def _g2() -> FiniteRootSystem:
     # short root norm 1; basis (alpha short, beta long)
     sp = BilinearSpace([[1, Q(-3, 2)], [Q(-3, 2), 3]])
-    pos = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    roots = []
-    for a, b in pos:
-        roots += _pm(vec([a, b]))
-    return FiniteRootSystem(sp, roots)
+    return _system(sp, 1, [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)])
 
 
 def _f4() -> FiniteRootSystem:
     # short root norm 2: orthogonal coordinates with gram 2*I
     sp = BilinearSpace([[2 if i == j else 0 for j in range(4)] for i in range(4)])
-    roots = _pairs_roots(4, range(4))
-    for i in range(4):
-        roots += _pm(unit_vector(4, i))
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.append(tuple(Q(s, 2) for s in signs))
-    return FiniteRootSystem(sp, roots)
-
-
-def _e8_roots() -> List[Vector]:
-    roots = []
-    for i, j in itertools.combinations(range(8), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [Q(0)] * 8
-                v[i], v[j] = Q(si), Q(sj)
-                roots.append(tuple(v))
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(tuple(Q(s, 2) for s in signs))
-    return roots
+    return _system(sp, 2, _pairs(4, range(4), 2) + _axes(4, range(4), 2) + _signs(4))
 
 
 def _e_series(n: int) -> FiniteRootSystem:
-    sp = standard_space(8)
-    roots = _e8_roots()
+    # E8 on rows over 2: 2(+-e_i +- e_j) and the sign vectors with an even
+    # number of -1
+    rows = _pairs(8, range(8), 2) + [s for s in _signs(8) if s.count(-1) % 2 == 0]
     if n == 8:
-        return FiniteRootSystem(sp, roots)
+        return _system(standard_space(8), 2, rows)
     # the Gram matrix is the identity: r is orthogonal to the wall e_6 + e_7
     # (and for E6 to e_5 + e_7) when those coordinates cancel
-    picked = [r for r in roots if r[6] + r[7] == 0 and (n == 7 or r[5] + r[7] == 0)]
-    return FiniteRootSystem(sp, picked).restricted_to_span()
+    picked = [r for r in rows if r[6] + r[7] == 0 and (n == 7 or r[5] + r[7] == 0)]
+    return _system(standard_space(8), 2, picked).restricted_to_span()
 
 
 def _d21a(a: Q) -> FiniteRootSystem:
@@ -134,40 +117,23 @@ def _d21a(a: Q) -> FiniteRootSystem:
             [0, 0, Q(a, 2)],
         ]
     )
-    roots = []
-    for i in range(3):
-        roots += _pm(vscale(2, unit_vector(3, i)))
-    for signs in itertools.product((1, -1), repeat=3):
-        roots.append(tuple(Q(s) for s in signs))
-    return FiniteRootSystem(sp, roots)
+    return _system(sp, 1, _axes(3, range(3), 2) + _signs(3))
 
 
 def _super_f4() -> FiniteRootSystem:
     sp = BilinearSpace(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]]
     )
-    roots = _pairs_roots(4, range(3))
-    for i in range(4):
-        roots += _pm(unit_vector(4, i))
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.append(tuple(Q(s, 2) for s in signs))
-    return FiniteRootSystem(sp, roots)
+    return _system(sp, 2, _pairs(4, range(3), 2) + _axes(4, range(4), 2) + _signs(4))
 
 
 def _super_g3() -> FiniteRootSystem:
-    # G2 block with short norm 2, plus one odd direction of norm -2
+    # G2 block with short norm 2, plus one odd direction delta of norm -2
     sp = BilinearSpace([[2, -3, 0], [-3, 6, 0], [0, 0, -2]])
-    shorts = [vec([1, 0, 0]), vec([1, 1, 0]), vec([-2, -1, 0])]
-    longs = [vec([0, 1, 0]), vec([3, 1, 0]), vec([3, 2, 0])]
-    delta = vec([0, 0, 1])
-    roots = []
-    for v in shorts + longs:
-        roots += _pm(v)
-    roots += _pm(delta) + _pm(vscale(2, delta))
-    for v in shorts:
-        for s in (1, -1):
-            roots += _pm(vadd(v, vscale(s, delta)))
-    return FiniteRootSystem(sp, roots)
+    shorts = [(1, 0, 0), (1, 1, 0), (-2, -1, 0)]
+    longs = [(0, 1, 0), (3, 1, 0), (3, 2, 0)]
+    odd = [(a, b, s) for a, b, _ in shorts for s in (1, -1)]
+    return _system(sp, 1, shorts + longs + [(0, 0, 1), (0, 0, 2)] + odd)
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +142,27 @@ def _super_g3() -> FiniteRootSystem:
 # Generating sets (simple-root style, in catalog coordinates) normalize
 # family data to the convention where the generating classes carry actual
 # roots.  For the weak C/BC pairs this is the C_m + C_n generating set, which
-# generates a proper subsystem.
+# generates a proper subsystem.  Each is a list of integer rows over the
+# `scale` of the type's system: 2 for F4, 1 for the others.
 
 
-def _chain(dim: int, axes, c) -> List[Vector]:
+def _chain(dim: int, axes, c) -> List[_Row]:
     """e_a - e_b along consecutive axes, then c times the last axis."""
     axes = list(axes)
-    out = [vsub(unit_vector(dim, a), unit_vector(dim, b)) for a, b in zip(axes, axes[1:])]
-    return out + [vscale(c, unit_vector(dim, axes[-1]))]
+    out = [tuple((i == a) - (i == b) for i in range(dim)) for a, b in zip(axes, axes[1:])]
+    return out + _axes(dim, axes[-1:], c)
 
 
-def _a_gens(n: int = 1) -> List[Vector]:
-    return list(_type_a(n + 1, 0).span_basis())
+def _a_gens(n: int = 1) -> List[_Row]:
+    system = build(f"A{n}")
+    return [system._rows[i] for i in system._span[0]]
 
 
-def _f4_gens() -> List[Vector]:
-    return _chain(4, (1, 2, 3), 1) + [vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)])]
+def _f4_gens() -> List[_Row]:
+    return [tuple(2 * x for x in r) for r in _chain(4, (1, 2, 3), 1)] + [(1, -1, -1, -1)]
 
 
-def _cmn_gens(m: int, n: int) -> List[Vector]:
+def _cmn_gens(m: int, n: int) -> List[_Row]:
     return _chain(m + n, range(m), 2) + _chain(m + n, range(m, m + n), 2)
 
 
@@ -202,7 +170,7 @@ class _Type(NamedTuple):
     system: Callable[..., FiniteRootSystem]  # the finite constructor
     case_i: bool  # transitive quotient: only affinizations lie above it
     tries: Callable[[int, FiniteRootSystem], List[Tuple]]  # for recognition; see _TYPES
-    gens: Optional[Callable[..., List[Vector]]] = None
+    gens: Optional[Callable[..., List[_Row]]] = None  # over the scale of the system
     valid: Callable[..., bool] = lambda *params: True
     needs: str = ""  # the parameter range, for the error message
     isotropic: bool = False  # some roots are isotropic: tried on such quotients only
@@ -246,7 +214,7 @@ def _d21a_tries(d: int, q: FiniteRootSystem) -> List[Tuple]:
 # makes failed searches few (E6 precedes B6 and C6, G2 BC2, B_n C_n), and the
 # classified types come early, so few other systems are built to name them.
 _TYPES: Dict[str, _Type] = {
-    "G2": _Type(_g2, False, _at(2), lambda: [vec([1, 0]), vec([0, 1])]),
+    "G2": _Type(_g2, False, _at(2), lambda: [(1, 0), (0, 1)]),
     "F4": _Type(_f4, False, _at(4), _f4_gens),
     "E{}": _Type(_e_series, True, _rank(6, 8), None,
                  lambda n: n in (6, 7, 8), "E_n needs n in 6, 7, 8"),
@@ -356,13 +324,18 @@ def build(name: Union[str, TypeKey]) -> FiniteRootSystem:
     return type_key(name).system()
 
 
-def generating_roots(name: Union[str, TypeKey]) -> List[Vector]:
-    """A standard generating set (simple-root style) in catalog coordinates."""
-    key = type_key(name)
+def _gens(key: TypeKey) -> List[_Row]:
     gens = _TYPES[key.kind].gens
     if gens is None:
         raise BadParameters(f"no generating set recorded for {key}")
-    return list(gens(*key.params))
+    return gens(*key.params)
+
+
+def generating_roots(name: Union[str, TypeKey]) -> List[Vector]:
+    """A standard generating set (simple-root style) in catalog coordinates."""
+    key = type_key(name)
+    rows, d = _gens(key), key.system().scale
+    return [tuple(Q(x, d) for x in r) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +614,15 @@ def _generating_rows(key: TypeKey):
     among the generators are those of every `solve_in_span` call, and as the
     generators span the roots, no root is a pivot.
     """
-    gens = generating_roots(key)
+    gens = _gens(key)
     system = key.system()
-    picked, den, coords, _ = column_basis([*gens, *system.roots])
+    picked, den, coords, _ = column_basis([*gens, *system._rows])
     g = len(gens)
     if picked and picked[-1] >= g:
         raise UnrecognizedCl(f"the generating roots of {key} do not span its roots")
     slot = {p: j for j, p in enumerate(picked)}
     rows = tuple(tuple(c[slot[i]] if i in slot else 0 for i in range(g)) for c in coords[g:])
-    return tuple(system._find(vec(v)) for v in gens), den, rows
+    return tuple(map(system._lookup.get, gens)), den, rows
 
 
 def _parameter(data: str) -> Optional[str]:

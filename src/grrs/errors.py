@@ -20,26 +20,26 @@ class IsotropicBase(GrrsError):
     """A linear reflection was requested at an isotropic vector."""
 
 
-class AmbiguousReflection(GrrsError):
+class _IsotropicImage(GrrsError):
+    """The images of beta under the reflection at the isotropic root alpha
+    are not one root; each subclass's `_text` spells how, from beta and alpha."""
+
+    def __init__(self, alpha, beta, message=None):
+        self.alpha = alpha
+        self.beta = beta
+        super().__init__(message or self._text.format(_spelled(beta), _spelled(alpha)))
+
+
+class AmbiguousReflection(_IsotropicImage):
     """Both candidate images of an isotropic reflection are roots (GR3 fails)."""
 
-    def __init__(self, alpha, beta, message=None):
-        self.alpha = alpha
-        self.beta = beta
-        super().__init__(
-            message or f"both images of {_spelled(beta)} under r_{_spelled(alpha)} are roots"
-        )
+    _text = "both images of {} under r_{} are roots"
 
 
-class MissingImage(GrrsError):
+class MissingImage(_IsotropicImage):
     """Neither candidate image of an isotropic reflection is a root (WGR3 fails)."""
 
-    def __init__(self, alpha, beta, message=None):
-        self.alpha = alpha
-        self.beta = beta
-        super().__init__(
-            message or f"no image of {_spelled(beta)} under r_{_spelled(alpha)} is a root"
-        )
+    _text = "no image of {} under r_{} is a root"
 
 
 class OrthogonalSeed(GrrsError):

@@ -78,6 +78,10 @@
   (`FiniteRootSystem(...)`, `Lattice.from_vectors`, `CosetSet(...)`,
   `SymbolicRootSystem(...)`), keying each family by the `repr` of its
   fields.  Reports and class lists go through `grrs.serialize` itself.
+- `NAMED`: the named finite systems of `catalog._TYPES` and their
+  generating sets before they were built on integer rows: every root formed
+  in `Fraction` arithmetic, both of each +- pair, and entered through the
+  public `FiniteRootSystem(...)`, which clears the denominators again.
 """
 
 import itertools
@@ -101,6 +105,7 @@ from grrs.linalg import (
     clear_denominators,
     format_rational,
     parse_rational,
+    standard_space,
     unit_vector,
     vadd,
     vec,
@@ -109,7 +114,7 @@ from grrs.linalg import (
     vsub,
     zero_vector,
 )
-from grrs.symbolic import CosetSet, SymbolicRootSystem
+from grrs.symbolic import CosetSet, SymbolicRootSystem, from_finite
 
 
 def rref(rows):
@@ -867,3 +872,148 @@ def loads(text):
         return _CODECS[t][2](d["payload"])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrrsError(f"malformed {t} document: {type(exc).__name__}: {exc}") from None
+
+
+def _pm(v):
+    return [v, vneg(v)]
+
+
+def _pairs_roots(dim, idxs):
+    out = []
+    for i, j in itertools.combinations(idxs, 2):
+        out += _pm(vsub(unit_vector(dim, i), unit_vector(dim, j)))
+        out += _pm(vadd(unit_vector(dim, i), unit_vector(dim, j)))
+    return out
+
+
+def _type_a(plus, minus):
+    dim = plus + minus
+    roots = [vsub(unit_vector(dim, i), unit_vector(dim, j))
+             for i in range(dim) for j in range(dim) if i != j]
+    return FiniteRootSystem(standard_space(plus, minus), roots).restricted_to_span()
+
+
+def _type_bcd(m, n, eps_lengths, dlt_lengths):
+    dim = m + n
+    roots = _pairs_roots(dim, range(dim))
+    for i in range(dim):
+        for c in eps_lengths if i < m else dlt_lengths:
+            roots += _pm(vscale(c, unit_vector(dim, i)))
+    return FiniteRootSystem(standard_space(m, n), roots)
+
+
+def _g2():
+    sp = BilinearSpace([[1, Q(-3, 2)], [Q(-3, 2), 3]])
+    roots = []
+    for a, b in [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]:
+        roots += _pm(vec([a, b]))
+    return FiniteRootSystem(sp, roots)
+
+
+def _f4():
+    sp = BilinearSpace([[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    roots = _pairs_roots(4, range(4))
+    for i in range(4):
+        roots += _pm(unit_vector(4, i))
+    for signs in itertools.product((1, -1), repeat=4):
+        roots.append(tuple(Q(s, 2) for s in signs))
+    return FiniteRootSystem(sp, roots)
+
+
+def e8_roots():
+    roots = []
+    for i, j in itertools.combinations(range(8), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                v = [Q(0)] * 8
+                v[i], v[j] = Q(si), Q(sj)
+                roots.append(tuple(v))
+    for signs in itertools.product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            roots.append(tuple(Q(s, 2) for s in signs))
+    return roots
+
+
+def _e_series(n):
+    sp = standard_space(8)
+    roots = e8_roots()
+    if n == 8:
+        return FiniteRootSystem(sp, roots)
+    picked = [r for r in roots if r[6] + r[7] == 0 and (n == 7 or r[5] + r[7] == 0)]
+    return FiniteRootSystem(sp, picked).restricted_to_span()
+
+
+def _d21a(a):
+    a = Q(a)
+    sp = BilinearSpace([[Q(-(1 + a), 2), 0, 0], [0, Q(1, 2), 0], [0, 0, Q(a, 2)]])
+    roots = []
+    for i in range(3):
+        roots += _pm(vscale(2, unit_vector(3, i)))
+    for signs in itertools.product((1, -1), repeat=3):
+        roots.append(tuple(Q(s) for s in signs))
+    return FiniteRootSystem(sp, roots)
+
+
+def _super_f4():
+    sp = BilinearSpace([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]])
+    roots = _pairs_roots(4, range(3))
+    for i in range(4):
+        roots += _pm(unit_vector(4, i))
+    for signs in itertools.product((1, -1), repeat=4):
+        roots.append(tuple(Q(s, 2) for s in signs))
+    return FiniteRootSystem(sp, roots)
+
+
+def _super_g3():
+    sp = BilinearSpace([[2, -3, 0], [-3, 6, 0], [0, 0, -2]])
+    shorts = [vec([1, 0, 0]), vec([1, 1, 0]), vec([-2, -1, 0])]
+    longs = [vec([0, 1, 0]), vec([3, 1, 0]), vec([3, 2, 0])]
+    delta = vec([0, 0, 1])
+    roots = []
+    for v in shorts + longs:
+        roots += _pm(v)
+    roots += _pm(delta) + _pm(vscale(2, delta))
+    for v in shorts:
+        for s in (1, -1):
+            roots += _pm(vadd(v, vscale(s, delta)))
+    return FiniteRootSystem(sp, roots)
+
+
+def _chain(dim, axes, c):
+    axes = list(axes)
+    out = [vsub(unit_vector(dim, a), unit_vector(dim, b)) for a, b in zip(axes, axes[1:])]
+    return out + [vscale(c, unit_vector(dim, axes[-1]))]
+
+
+def _a_gens(n=1):
+    return list(_type_a(n + 1, 0).span_basis())
+
+
+def _cmn_gens(m, n):
+    return _chain(m + n, range(m), 2) + _chain(m + n, range(m, m + n), 2)
+
+
+# kind of `catalog._TYPES` -> (system, generating set or None), as functions
+# of the parameters
+NAMED = {
+    "G2": (_g2, lambda: [vec([1, 0]), vec([0, 1])]),
+    "F4": (_f4, lambda: _chain(4, (1, 2, 3), 1) + [vec([Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)])]),
+    "E{}": (_e_series, None),
+    "B{}": (lambda n: _type_bcd(n, 0, (1,), ()), lambda n: _chain(n, range(n), 1)),
+    "C{}": (lambda n: _type_bcd(n, 0, (2,), ()), lambda n: _chain(n, range(n), 2)),
+    "A1": (lambda: _type_a(2, 0), _a_gens),
+    "A{}": (lambda n: _type_a(n + 1, 0), _a_gens),
+    "D{}": (lambda n: _type_bcd(n, 0, (), ()), None),
+    "BC{}": (lambda n: _type_bcd(n, 0, (1, 2), ()), lambda n: _chain(n, range(n), 1)),
+    "B({},{})": (lambda m, n: _type_bcd(m, n, (1,), (1, 2)),
+                 lambda m, n: _chain(m + n, [*range(m, m + n), *range(m)], 1)),
+    "C({},{})": (lambda m, n: _type_bcd(m, n, (2,), (2,)), _cmn_gens),
+    "BC({},{})": (lambda m, n: _type_bcd(m, n, (1, 2), (1, 2)), _cmn_gens),
+    "A({},{})": (lambda m, n: _type_a(m + 1, n + 1), None),
+    "A({},{})_f": (lambda m, n: from_finite(_type_a(n + 1, n + 1)).cl(), None),
+    "D({},{})": (lambda m, n: _type_bcd(m, n, (), (2,)), None),
+    "C({})": (lambda n: _type_bcd(1, n - 1, (), (2,)), None),
+    "G(3)": (_super_g3, None),
+    "F(4)": (_super_f4, None),
+    "D(2,1;a={})": (_d21a, None),
+}

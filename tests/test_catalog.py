@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from grrs import catalog
 from grrs.catalog import (
+    TypeKey,
     _orbit_family,
     _preimage,
     _sumset,
@@ -22,6 +24,7 @@ from grrs.finite import check_axioms, is_reduced, isomorphic_finite
 from grrs.linalg import Lattice, kernel_basis, unit_vector, vadd, vec, vscale
 from grrs.symbolic import affinize, check_symbolic_axioms, from_finite, gaps
 
+import fraction_reference as reference
 from conftest import V
 
 
@@ -71,6 +74,47 @@ class TestBuild:
         for name in ("Q7", "B1", "D(1,1)", "C(1)", "A(1,1)x"):
             with pytest.raises(BadParameters):
                 build(name)
+
+
+def _keys_up_to_rank_8(kind):
+    """The keys of a kind of `catalog._TYPES` whose system has dimension at
+    most 8, over a grid of parameters."""
+    arity = kind.count("{}")
+    if arity == 2:
+        grid = [(m, n) for m in range(8) for n in range(8)]
+    elif kind == "D(2,1;a={})":
+        grid = [(Q(a),) for a in (1, 2, Q(1, 2), Q(-1, 3), Q(-5, 2))]
+    else:
+        grid = [(n,) for n in range(9)] if arity else [()]
+    keys = []
+    for params in grid:
+        try:
+            key = TypeKey(kind, params)
+        except BadParameters:
+            continue
+        if key.system().space.dim <= 8:
+            keys.append(key)
+    return keys
+
+
+@pytest.mark.parametrize("kind", list(catalog._TYPES))
+def test_named_systems_match_the_fraction_reference(kind):
+    """Each named system built on integer rows equals the system the
+    `Fraction` constructor builds from the same roots, with the same
+    rational roots, and its generating set has the same vectors."""
+    system_of, gens_of = reference.NAMED[kind]
+    keys = _keys_up_to_rank_8(kind)
+    assert keys
+    for key in keys:
+        ref = system_of(*key.params)
+        assert build(key) == ref and build(key).roots == ref.roots, key
+        if gens_of is None:
+            with pytest.raises(BadParameters):
+                generating_roots(key)
+            continue
+        gens = generating_roots(key)
+        assert gens == gens_of(*key.params), key
+        assert all(type(x) is Q for g in gens for x in g)
 
 
 class TestRealRoots:
@@ -124,6 +168,25 @@ class TestRealRoots:
             real_roots_from_matrix([[2, -1], [-1, 3]])
         with pytest.raises(BadMatrix):
             real_roots_from_matrix([[2, -3], [-3, 2]], J=[0])
+
+
+BAD_PARAMETERS = {
+    "A(0,0)_x": (lambda: a_nn_x(0, 1, 2), "A\\(n,n\\) needs n >= 1"),
+    "q < 1": (lambda: a_nn_x(2, 1, 0), "q must be positive"),
+    "negative extra count": (lambda: a_nn_x(2, 1, 3, -1), "must be nonnegative"),
+    "k = 0": (lambda: family("B3", 0, S={0}), "k must be at least 1"),
+    "BC1 without H2": (lambda: family("BC1", 1, S={0, 1}), "missing parameter H2"),
+    "BC1 H2 = {99}": (lambda: family("BC1", 1, S={0, 1}, H2={99}), "base-4 digit masks"),
+    "BC1 H2 = {}": (lambda: family("BC1", 1, S={0, 1}, H2=set()), "H2 must be nonempty"),
+    "BC1 H2 outside S": (lambda: family("BC1", 2, S={0, 1, 2}, H2={5, 15}),
+                         "reduce into S modulo 2"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_PARAMETERS.values(), ids=list(BAD_PARAMETERS))
+def test_bad_parameters_raise(call, message):
+    with pytest.raises(BadParameters, match=message):
+        call()
 
 
 class TestAnnX:

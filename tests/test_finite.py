@@ -123,6 +123,24 @@ class TestIsotropicReflect:
                 assert isotropic_reflect(b11, a, img) == b
 
 
+BAD_ARGUMENTS = {
+    "isotropic_reflect at a non-isotropic root": (
+        lambda: isotropic_reflect(build("B(1,1)"), V(1, 0), V(0, 1)), IsotropicBase),
+    "isotropic_reflect at a non-root": (
+        lambda: isotropic_reflect(build("B(1,1)"), V(2, 2), V(1, 0)), UnknownRoot),
+    "generate_subsystem with no seeds": (
+        lambda: generate_subsystem(build("B3"), []), OrthogonalSeed),
+    "generate_subsystem with an unknown seed": (
+        lambda: generate_subsystem(build("B3"), [V(5, 0, 0)]), UnknownRoot),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestCheckAxioms:
     def test_b2_is_grrs(self, b2):
         rep = check_axioms(b2)

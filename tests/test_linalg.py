@@ -62,6 +62,30 @@ class TestFormEval:
             assert form_eval(sp, u, w) == form_eval(sp, w, u)
 
 
+def _lat(*vectors):
+    return Lattice.from_vectors(len(vectors[0]), vectors)
+
+
+BAD_ARGUMENTS = {
+    "coordinates across dimensions": (
+        lambda: _lat((1, 0)).coordinates(_lat((1, 0, 0))), DimensionMismatch),
+    "add across dimensions": (lambda: _lat((1, 0)).add(_lat((1, 0, 0))), DimensionMismatch),
+    "intersect across dimensions": (
+        lambda: _lat((1, 0)).intersect(_lat((1, 0, 0))), DimensionMismatch),
+    "non-symmetric Gram": (lambda: BilinearSpace([[1, 2], [3, 4]]), DimensionMismatch),
+    "cosets of a non-sublattice": (
+        lambda: _lat((1, 0)).coset_representatives(_lat((0, 1))), ValueError),
+    "cosets at infinite index": (
+        lambda: _lat((1, 0), (0, 1)).coset_representatives(_lat((1, 0))), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestKernelBasis:
     def test_nondegenerate(self):
         assert kernel_basis(standard_space(3)) == []

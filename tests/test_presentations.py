@@ -32,7 +32,7 @@ SHEAR_TYPES = [
 @pytest.mark.parametrize("cl", SHEAR_TYPES)
 def test_identify_is_invariant_under_shears(cl):
     rng = random.Random(f"shear/{cl}")
-    for k in (1, 2):
+    for k in (1, 2, 3):
         moves = [(i, j) for i in range(k) for j in range(k) if i != j]
         for desc in enumerate_classes(cl, k):
             system = family(desc.cl, k, **fields(desc))

@@ -123,6 +123,9 @@ class TestCli:
         assert main(["catalog", "family(B(1,1),k=1,S={})"]) == 2
         # no mask of all 2^k points is built: this exited 5 with an OverflowError
         assert main(["catalog", "family(A1,k=99,S={0})"]) == 2
+        for name in ("family()", "family(k=1)", "family(B3,S={0})", "family(B3,k=1,S=0)"):
+            assert main(["catalog", name]) == 2, name
+        assert main(["realroots", "--matrix", "[2]"]) == 2
 
     def test_unknown_or_repeated_parameters_exit_2(self):
         assert main(["catalog", "Ann_x(n=1,p=1,Q=3)"]) == 2

@@ -323,6 +323,15 @@ class TestConstructorErrors:
         assert ref.L == systems[0].L
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: affinize(build("B3"), -1), ValueError),
+    (lambda: affinize(build("B3"), 1).family_of_lift(V(Q(1, 2), 0, 0, 0)), UnknownRoot),
+], ids=["affinize at k = -1", "family_of_lift of a non-lift"])
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestAnnXStructure:
     def test_verdicts(self):
         for p, q in ((1, 2), (1, 3), (2, 5)):

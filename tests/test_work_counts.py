@@ -30,9 +30,11 @@ rational `roots` view, and a passing finite check builds none.  The finite
 checker, the orbit partitions and `generate_subsystem` read one reflection
 row per +- pair, built once, with no per-pair step.  The integer kernels
 behind `hnf_int` and `rref` run once per distinct matrix, in memos of a
-fixed size, and a space clears its Gram matrix once.  A change
-that brings back per-root, per-entry or per-call work fails here, although
-every answer would still be right.
+fixed size, and a space clears its Gram matrix once.  No library code
+calls `FiniteRootSystem(...)`, `SymbolicRootSystem(...)` or
+`CosetSet(...)`: the catalog builds its named systems on integer rows too.
+A change that brings back per-root, per-entry or per-call work fails here,
+although every answer would still be right.
 """
 
 import random
@@ -504,7 +506,7 @@ def test_identify_keeps_the_generating_roots(monkeypatch):
     systems = [family("B3", 2, S=s) for s in ({0}, {0, 1}, {1, 2, 3})]
     identify(systems[0])
     rebuilt = []
-    _counted(monkeypatch, catalog, "generating_roots", rebuilt)
+    _counted(monkeypatch, catalog, "_gens", rebuilt)
     for system in systems:
         identify(system)
     assert rebuilt == []
@@ -518,7 +520,7 @@ def test_integer_rows_enter_the_finite_constructor(monkeypatch):
     `Fraction` vector for the constructor to clear again, and the quotient's
     rational roots are read off its rows only when asked for."""
     ambient = FiniteRootSystem(standard_space(8), [
-        r for r in catalog._e8_roots() if r[6] + r[7] == 0])
+        r for r in build("E8").roots if r[6] + r[7] == 0])
     affine = affinize(build("F4"), 2)
     converted = []
     _counted(monkeypatch, finite, "vec", converted)
@@ -528,6 +530,45 @@ def test_integer_rows_enter_the_finite_constructor(monkeypatch):
     assert (e7.space.dim, len(e7)) == (7, 126) and len(quotient) == 48
     assert e7 == catalog._e_series(7) and quotient == build("F4")
     assert quotient.roots == build("F4").roots
+
+
+# one name of each kind of `catalog._TYPES`, in its order, with its root count
+NAMED = [("G2", 12), ("F4", 48), ("E6", 72), ("B3", 18), ("C3", 18), ("A1", 2), ("A2", 6),
+         ("D4", 24), ("BC2", 12), ("B(1,1)", 10), ("C(2,1)", 18), ("BC(1,1)", 12),
+         ("A(2,1)", 20), ("A(1,1)_f", 8), ("D(2,1)", 14), ("C(3)", 16), ("G(3)", 28),
+         ("F(4)", 36), ("D(2,1;a=1/2)", 14)]
+# valid `family` parameters at k = 2 for one name of each classified kind
+CLASSIFIED = [("A1", {"S": [0, 1, 2]}), ("B3", {"S": [0]}), ("C3", {"S": [0, 1]}),
+              ("C2", {"S1": [0, 1, 2], "S2": [0]}), ("G2", {"s": 1}), ("F4", {"s": 2}),
+              ("B(1,1)", {"S": [0]}), ("C(2,1)", {"S": [0]}),
+              ("BC(1,1)", {"S": [0], "Sp": [1, 2]}), ("BC1", {"S": [0, 1, 2], "H2": [0]}),
+              ("BC2", {"S1": [0], "S2": [0], "T": [0, 1, 2]}), ("BC3", {"S1": [0], "S2": [0]})]
+
+
+def test_no_library_code_calls_a_rational_constructor(monkeypatch):
+    """On fresh catalog and recognition memos, building a name of every
+    kind, and `family` and `identify` of every classified type with the
+    JSON round trips of their results, call none of `FiniteRootSystem(...)`,
+    `SymbolicRootSystem(...)` and `CosetSet(...)`: the library builds on
+    integer rows, and the rational constructors are only entry points."""
+    for memo in (catalog.TypeKey.system, catalog.orbits, catalog._generating_rows,
+                 catalog._frame, recognize_cl):
+        memo.cache_clear()
+    rational = []
+    for owner in (FiniteRootSystem, SymbolicRootSystem, CosetSet):
+        _counted(monkeypatch, owner, "__init__", rational)
+    assert [catalog.type_key(name).kind for name, _ in NAMED] == list(catalog._TYPES)
+    for name, count in NAMED:
+        system = build(name)
+        assert len(system) == count and check_axioms(system).is_wgrs, name
+        assert serialize.loads(serialize.dumps(system)) == system
+    for cl, params in CLASSIFIED:
+        system = family(cl, 2, **params)
+        desc = identify(system)
+        assert desc.cl == cl and check_symbolic_axioms(system).is_grrs, cl
+        assert serialize.loads(serialize.dumps(system)) == system
+        assert serialize.loads(serialize.dumps([desc])) == [desc]
+    assert rational == []
 
 
 def test_symbolic_systems_keep_integer_lifts(monkeypatch):
