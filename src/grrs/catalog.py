@@ -25,12 +25,12 @@ from .linalg import (
     Lattice,
     Vector,
     _int_combination,
+    clear_denominators,
     column_basis,
     hnf_cosets,
     hnf_int,
     hnf_reduce,
     standard_space,
-    unit_vector,
     vneg,
 )
 from .symbolic import CosetSet, SymbolicRootSystem, _padded, affinize, from_finite, quotient
@@ -86,13 +86,13 @@ def _type_bcd(m: int, n: int, eps_lengths, dlt_lengths) -> FiniteRootSystem:
 
 def _g2() -> FiniteRootSystem:
     # short root norm 1; basis (alpha short, beta long)
-    sp = BilinearSpace([[1, Q(-3, 2)], [Q(-3, 2), 3]])
+    sp = BilinearSpace._of_rows(2, [[2, -3], [-3, 6]])
     return _system(sp, 1, [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)])
 
 
 def _f4() -> FiniteRootSystem:
     # short root norm 2: orthogonal coordinates with gram 2*I
-    sp = BilinearSpace([[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    sp = BilinearSpace._of_rows(1, [[2 if i == j else 0 for j in range(4)] for i in range(4)])
     return _system(sp, 2, _pairs(4, range(4), 2) + _axes(4, range(4), 2) + _signs(4))
 
 
@@ -109,27 +109,20 @@ def _e_series(n: int) -> FiniteRootSystem:
 
 
 def _d21a(a: Q) -> FiniteRootSystem:
-    a = Q(a)
-    sp = BilinearSpace(
-        [
-            [Q(-(1 + a), 2), 0, 0],
-            [0, Q(1, 2), 0],
-            [0, 0, Q(a, 2)],
-        ]
-    )
+    # the form diag(-(1 + a), 1, a) / 2, over 2q for a = p / q
+    p, q = Q(a).as_integer_ratio()
+    sp = BilinearSpace._of_rows(2 * q, [[-(q + p), 0, 0], [0, q, 0], [0, 0, p]])
     return _system(sp, 1, _axes(3, range(3), 2) + _signs(3))
 
 
 def _super_f4() -> FiniteRootSystem:
-    sp = BilinearSpace(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]]
-    )
+    sp = BilinearSpace._of_rows(1, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]])
     return _system(sp, 2, _pairs(4, range(3), 2) + _axes(4, range(4), 2) + _signs(4))
 
 
 def _super_g3() -> FiniteRootSystem:
     # G2 block with short norm 2, plus one odd direction delta of norm -2
-    sp = BilinearSpace([[2, -3, 0], [-3, 6, 0], [0, 0, -2]])
+    sp = BilinearSpace._of_rows(1, [[2, -3, 0], [-3, 6, 0], [0, 0, -2]])
     shorts = [(1, 0, 0), (1, 1, 0), (-2, -1, 0)]
     longs = [(0, 1, 0), (3, 1, 0), (3, 2, 0)]
     odd = [(a, b, s) for a, b, _ in shorts for s in (1, -1)]
@@ -351,30 +344,24 @@ def real_roots_from_matrix(
     Returns (system, truncated).  Height is the sum of absolute coordinates
     in the simple basis.
     """
-    C = [[Q(x) for x in row] for row in matrix]
+    den, C = clear_denominators(matrix)  # the matrix, read once as integer rows over den
     n = len(C)
     if any(len(row) != n for row in C):
         raise BadMatrix("matrix is not square")
-    for i in range(n):
-        for j in range(n):
-            if C[i][j] != C[j][i]:
-                raise BadMatrix("matrix is not symmetric")
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        if C[i][i] == 0:
+    if any(C[i][j] != C[j][i] for i in range(n) for j in range(n)):
+        raise BadMatrix("matrix is not symmetric")
+    for i, row in enumerate(C):
+        if row[i] == 0:
             raise BadMatrix("zero diagonal entry")
-        for j in range(n):
-            a = 2 * C[i][j] / C[i][i]
-            if a.denominator != 1:
-                raise BadMatrix("2 c_ij / c_ii must be integral")
-            A[i][j] = a.numerator
+        if any(2 * x % row[i] for x in row):
+            raise BadMatrix("2 c_ij / c_ii must be integral")
+    A = [[2 * x // row[i] for x in row] for i, row in enumerate(C)]
     J = sorted(set(J))
     for j in J:
         if not 0 <= j < n:
             raise BadMatrix("J index out of range")
-        for i in range(n):
-            if (C[j][i] / C[j][j]).denominator != 1:
-                raise BadMatrix("c_ji / c_jj must be integral for j in J")
+        if any(x % C[j][j] for x in C[j]):
+            raise BadMatrix("c_ji / c_jj must be integral for j in J")
     if height_bound < 1:
         raise BadMatrix("height bound must be positive")
 
@@ -401,7 +388,7 @@ def real_roots_from_matrix(
                 continue
             found.add(img)
             frontier.append(img)
-    return FiniteRootSystem._of_rows(BilinearSpace(C), 1, list(found)), truncated
+    return FiniteRootSystem._of_rows(BilinearSpace._of_rows(den, C), 1, list(found)), truncated
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +410,9 @@ def a_nn_x(n: int, p: int, q: int, extra_affinizations: int = 0) -> SymbolicRoot
     sym = from_finite(_type_a(n + 1, n + 1))
     if sym.L.rank != 1:
         raise BadParameters("unexpected radical for A(n,n)")
-    Ivec = sym.L.basis[0]
     aff = affinize(sym, 1 + extra_affinizations)
-    direction = tuple(
-        list(Ivec) + [Q(p, q)] + [Q(0)] * extra_affinizations
-    )
+    # I + (p/q) delta, for I the basis of L, times q L.scale
+    direction = [q * x for x in sym.L.rows[0]] + [p * sym.L.scale] + [0] * extra_affinizations
     return quotient(aff, [direction], require_bijective=True)
 
 
@@ -670,7 +655,7 @@ def _frame(key: TypeKey, k: int):
     system = key.system()
     space = _padded(system.space, k)
     dim = space.dim
-    L = Lattice.from_vectors(dim, [unit_vector(dim, dim - k + i) for i in range(k)])
+    L = Lattice(dim, 1, _axes(dim, range(dim - k, dim)))
     rows = [tuple(system._rows[i] + (0,) * k for i in o.index) for o in orbits(key)]
     return space, L, system.scale, tuple(rows)
 

@@ -23,7 +23,7 @@ from .finite import (
     isomorphic_finite,
     weyl_orbits,
 )
-from .linalg import format_rational, format_vector, parse_rational, vec
+from .linalg import format_rational, format_vector
 from .symbolic import (
     SymbolicRootSystem,
     affinize,
@@ -202,7 +202,7 @@ def cmd_affinize(args) -> int:
 
 def cmd_quotient(args) -> int:
     payload = _load(args.file, "quotient", "symbolic")
-    vectors = [vec([parse_rational(x) for x in v.split(",")]) for v in args.vector]
+    vectors = [v.split(",") for v in args.vector]
     _emit(quotient(payload, vectors, require_bijective=args.bijective), args)
     return 0
 
@@ -231,7 +231,7 @@ def cmd_realroots(args) -> int:
     if not (text.startswith("[[") and text.endswith("]]")):
         raise BadMatrix("matrix syntax: [[2,-1],[-1,2]]")
     for row in text[2:-2].split("],["):
-        rows.append([parse_rational(x) for x in row.split(",")])
+        rows.append(row.split(","))
     J = [int(x) for x in args.J.split(",")] if args.J else []
     system, truncated = catalog.real_roots_from_matrix(rows, J, args.height)
     print(f"roots: {len(system)}  truncated: {'yes' if truncated else 'no'}")

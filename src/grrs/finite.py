@@ -32,10 +32,8 @@ from .linalg import (
     clear_denominators,
     column_basis,
     format_vector,
-    solve_in_span,
     vscale,
     vsub,
-    vec,
 )
 
 
@@ -64,29 +62,23 @@ class FiniteRootSystem:
     """
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
-        vectors = [vec(r) for r in roots]
-        self._take(space, *clear_denominators(vectors), vectors)
+        self._take(space, *clear_denominators(roots))
 
     @classmethod
     def _of_rows(cls, space: BilinearSpace, d: int, rows: Sequence[Sequence[int]]):
-        """The system of the roots rows / d, rows integral: the integer-row
-        entry.  It takes rows / d over the least common denominator, as the
-        constructor does once it has cleared its input's denominators."""
-        g = gcd(d, *itertools.chain.from_iterable(rows))
-        rows = rows if g == 1 else [[x // g for x in r] for r in rows]
-        return cls.__new__(cls)._take(space, d // g, rows)
+        """The system of the roots rows / d, rows integral: the integer entry."""
+        return cls.__new__(cls)._take(space, d, rows)
 
-    def _take(self, space: BilinearSpace, scale: int, rows, vectors=None) -> "FiniteRootSystem":
-        """Keep the roots rows / scale, scale their least common denominator,
-        with `roots` the inputs as spelled when given, one per distinct root;
-        else `roots` is read off the rows on first use."""
-        self.space, self.scale = space, scale
-        spelled = dict(zip(map(tuple, rows), vectors or itertools.repeat(None)))
-        self._rows: Tuple[Tuple[int, ...], ...] = tuple(sorted(spelled))
+    def _take(self, space: BilinearSpace, d: int, rows) -> "FiniteRootSystem":
+        """Keep the distinct roots rows / d, sorted, over their least common
+        denominator `scale`, checked for length in that order; `roots` is
+        read off the rows on first use."""
+        g = gcd(d, *itertools.chain.from_iterable(rows))
+        self.space, self.scale = space, d // g
+        rows = rows if g == 1 else [[x // g for x in r] for r in rows]
+        self._rows: Tuple[Tuple[int, ...], ...] = tuple(sorted(set(map(tuple, rows))))
         for r in self._rows:
             space.check_vector(r)
-        if vectors is not None:
-            self.roots = tuple(spelled[r] for r in self._rows)
         self._hash: Optional[int] = None
         return self
 
@@ -117,10 +109,9 @@ class FiniteRootSystem:
         return f"FiniteRootSystem(dim={self.space.dim}, n_roots={len(self)})"
 
     def contains(self, v: Vector) -> bool:
-        return self._find(vec(v)) is not None
+        return self._find(v) is not None
 
     def norm(self, r: Vector) -> Q:
-        r = vec(r)
         i = self._find(r)
         return self.space.norm(r) if i is None else self._norms[i]
 
@@ -155,8 +146,9 @@ class FiniteRootSystem:
         # the Gram matrix of the picked roots, with no pairing of the others
         idx, den, coords = self._span
         W, R = self._gram_rows, self._rows
-        gram = [[self._unit * sum(map(mul, W[i], R[j])) for j in idx] for i in idx]
-        return FiniteRootSystem._of_rows(BilinearSpace(gram), den, coords)
+        gram = [[sum(map(mul, W[i], R[j])) for j in idx] for i in idx]
+        space = BilinearSpace._of_rows(self.scale ** 2 * self.space._scale, gram)
+        return FiniteRootSystem._of_rows(space, den, coords)
 
     # -- the integer readings ----------------------------------------------
 
@@ -165,21 +157,26 @@ class FiniteRootSystem:
         return {v: i for i, v in enumerate(self._rows)}
 
     def _find(self, v: Vector) -> Optional[int]:
-        """The index of the root v (of Fractions or ints), or None: v is
-        read as a row over `scale` with integer operations only."""
+        """The index of the root v, a caller's vector, or None."""
+        d, (w,) = clear_denominators([v], dim=self.space.dim)
+        return self._index(d, w)
+
+    def _index(self, d: int, w: Sequence[int]) -> Optional[int]:
+        """The index of the root w / d, w integral, or None: w / d is read as
+        a row over `scale` with integer operations only."""
         s = self.scale
-        if any(s % x.denominator for x in v):
+        if any(x * s % d for x in w):
             return None
-        return self._lookup.get(tuple(x.numerator * (s // x.denominator) for x in v))
+        return self._lookup.get(tuple(x * s // d for x in w))
 
     @cached_property
     def _unit(self) -> Q:
         """1 / (d^2 g), which turns a pairing P[i][j] into (r_i, r_j)."""
-        return Q(1, self.scale ** 2 * self.space._int_gram[0])
+        return Q(1, self.scale ** 2 * self.space._scale)
 
     @cached_property
     def _gram_rows(self) -> List[Tuple[int, ...]]:
-        gram = self.space._int_gram[1]
+        gram = self.space._rows
         return [tuple(sum(map(mul, v, col)) for col in gram) for v in self._rows]
 
     @cached_property
@@ -325,10 +322,9 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
     unique root among beta +- alpha otherwise; read off the reflection row
     of alpha, which raises UnknownRoot when -beta is not a root.
     """
-    alpha, beta = vec(alpha), vec(beta)
+    i, j = system._find(alpha), system._find(beta)
     if not system.is_isotropic(alpha):
         raise IsotropicBase(f"{format_vector(alpha)} is not isotropic")
-    i, j = system._find(alpha), system._find(beta)
     if i is None or j is None:
         raise UnknownRoot("reflection arguments must be roots")
     return system.roots[system._image(i, j)]
@@ -475,7 +471,7 @@ def generate_subsystem(system: FiniteRootSystem, seeds: Sequence[Vector]) -> Fin
     seeds may not contain an element orthogonal to the whole seed set.
     Raises UnknownRoot when a seed, or an image on the way, is not a root.
     """
-    seeds = [vec(v) for v in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise OrthogonalSeed("empty seed set")
     found = [system._find(v) for v in seeds]
@@ -578,12 +574,12 @@ def integral_subsystem(system: FiniteRootSystem, lam: Vector) -> FiniteRootSyste
     """Roots whose Cartan pairing against lam is integral."""
     if 0 in system._norms:
         raise IsotropicPresent("integral subsystem needs a system without isotropic roots")
-    system.space.check_vector(lam)
-    # k_{a, lam} = 2 (a, lam) / (a, a) = 2 d (W[a] . lam) / P[a][a]
+    e, (lam,) = clear_denominators([lam], dim=system.space.dim)
+    # k_{a, lam} = 2 (a, lam) / (a, a) = 2 d (W[a] . lam) / (e P[a][a]), for lam over e
     picked = [
         v
         for v, w in zip(system._rows, system._gram_rows)
-        if Q(2 * system.scale * sum(map(mul, w, lam)), sum(map(mul, w, v))).denominator == 1
+        if not 2 * system.scale * sum(map(mul, w, lam)) % (e * sum(map(mul, w, v)))
     ]
     return FiniteRootSystem._of_rows(system.space, system.scale, picked).restricted_to_span()
 
@@ -619,15 +615,15 @@ class Homothety:
         return dict(zip(self.domain.roots, map(self.target.roots.__getitem__, self.index)))
 
     def apply(self, v: Vector) -> Vector:
-        v = vec(v)
-        self.domain.space.check_vector(v)
-        coeffs = solve_in_span(list(self.basis), v)
-        if coeffs is None:
+        d, (w,) = clear_denominators([v], dim=self.domain.space.dim)
+        # v = sum_j c_j R_j / (den d), R_j = s basis_j, maps to sum_j c_j T_j s / (den d t)
+        idx, s, t = self.domain._span[0], self.domain.scale, self.target.scale
+        picked, den, coords, _ = column_basis([*(self.domain._rows[i] for i in idx), w])
+        if len(idx) in picked:
             raise DimensionMismatch("vector outside the domain span")
-        d, (c,) = clear_denominators([coeffs])
-        rows = [self.target._rows[self.index[i]] for i in self.domain._span[0]]
-        w = _int_combination(c, rows, self.target.space.dim)
-        return tuple(Q(x, d * self.target.scale) for x in w)
+        rows = [self.target._rows[self.index[i]] for i in idx]
+        image = _int_combination(coords[len(idx)], rows, self.target.space.dim)
+        return tuple(Q(x * s, den * d * t) for x in image)
 
     def __repr__(self):
         return f"Homothety(scale={self.scale})"

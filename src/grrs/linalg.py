@@ -1,10 +1,10 @@
 """Exact rational linear algebra: vectors, bilinear forms, and integer lattices.
 
 Vectors have `fractions.Fraction` coordinates; there is no floating point
-anywhere.  Elimination and lattices run in integers over one common
-denominator: `rref` is a fraction-free Gauss-Jordan, and a lattice is an
-integer Hermite normal form over its least denominator, so that equality of
-lattices is literal equality of integers.
+anywhere.  A caller's vectors are read once, by `clear_denominators`, as
+integer rows over one denominator; `rref` is a fraction-free Gauss-Jordan,
+and a space's Gram matrix and a lattice's Hermite normal form are integers
+over their least denominators, so that equality is equality of integers.
 
 The two integer kernels, the Gauss-Jordan behind `rref` and the sweeps
 behind `hnf_int`, run once per distinct integer matrix in a process: each
@@ -18,6 +18,7 @@ import itertools
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -80,10 +81,21 @@ def parse_rational(s: str) -> Q:
 # Integer elimination
 
 
-def clear_denominators(vectors: Sequence[Sequence[Q]], d: int = 1) -> Tuple[int, list]:
-    """(s, rows): s the least common multiple of d and every denominator in
-    the vectors, and rows the integer lists s * v."""
-    s = lcm(d, *(x.denominator for v in vectors for x in v))
+def clear_denominators(vectors: Sequence[Sequence], d: int = 1, dim: Optional[int] = None,
+                       message: str = "") -> Tuple[int, list]:
+    """(s, rows): the reader of a caller's vectors, of coordinates as `vec`
+    reads them (ints, Fractions, strings such as "1/2"): s the least common
+    multiple of d and every denominator, rows the integer lists s * v.  With
+    a dim, the first vector of another length raises DimensionMismatch."""
+    vectors = list(map(tuple, vectors))  # read twice below, whatever iterables they are
+    for v in vectors if dim is not None else ():
+        if len(v) != dim:
+            raise DimensionMismatch(message or f"vector of length {len(v)} in dim {dim}")
+    try:
+        s = lcm(d, *(x.denominator for v in vectors for x in v))
+    except AttributeError:  # a coordinate that is not yet a rational
+        vectors = [vec(v) for v in vectors]
+        s = lcm(d, *(x.denominator for v in vectors for x in v))
     return s, [[x.numerator * (s // x.denominator) for x in v] for v in vectors]
 
 
@@ -176,21 +188,9 @@ class SubspaceProjection:
     zeros at the pivot columns of the reduced basis of U.
     """
 
-    def __init__(self, dim: int, spanning: Sequence[Vector]):
-        self.dim = dim
+    def __init__(self, dim: int, spanning: Sequence[Sequence]):
         self._rows, self.pivots = rref(spanning)
         self.kept = [i for i in range(dim) if i not in self.pivots]
-        self._support = [[(j, Q(y, row[p])) for j, y in enumerate(row) if y]
-                         for row, p in zip(self._rows, self.pivots)]
-
-    def apply(self, v: Vector) -> Vector:
-        w = list(v)
-        for support, p in zip(self._support, self.pivots):
-            f = w[p]
-            if f:
-                for j, y in support:
-                    w[j] -= f * y
-        return tuple(w[i] for i in self.kept)
 
     def apply_rows(self, rows: Sequence[Sequence[int]], d: int) -> Tuple[int, list]:
         """(e, images) of the vectors rows / d, rows integral, over e = d m, m
@@ -328,81 +328,100 @@ def hnf_cosets(
 
 
 class BilinearSpace:
-    """A rational vector space with a symmetric bilinear form."""
+    """A rational vector space with a symmetric bilinear form.
+
+    Stored in integers: `_rows`, the Gram matrix times `_scale`, the least
+    common denominator of its entries, and the radical (`_radical`).  Every
+    space enters through `_of_rows`, on integer rows; `gram` and
+    `kernel_basis()` are `Fraction` views built on first read.
+    """
 
     def __init__(self, gram: Sequence[Sequence]):
-        g = tuple(vec(row) for row in gram)
-        n = len(g)
-        if any(len(row) != n for row in g):
+        self._set(*clear_denominators(gram))
+
+    @classmethod
+    def _of_rows(cls, scale: int, rows: Sequence[Sequence[int]]) -> "BilinearSpace":
+        """The space of the Gram matrix rows / scale, rows integral."""
+        return cls.__new__(cls)._set(scale, rows)
+
+    def _set(self, scale: int, rows) -> "BilinearSpace":
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise DimensionMismatch("gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise DimensionMismatch("gram matrix is not symmetric")
-        self.dim = n
-        self.gram = g
-        self._kernel: Optional[Tuple[Vector, ...]] = None
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise DimensionMismatch("gram matrix is not symmetric")
+        g = gcd(scale, *itertools.chain.from_iterable(rows))
+        self.dim, self._scale = n, scale // g
+        self._rows: IntMatrix = tuple(tuple(x // g for x in row) for row in rows)
+        return self
 
     @cached_property
-    def _int_gram(self) -> Tuple[int, IntMatrix]:
-        """(g, rows): the Gram matrix as the integer rows g * gram, g the
-        least common denominator of its entries; cleared on first use."""
-        g, rows = clear_denominators(self.gram)
-        return g, tuple(map(tuple, rows))
+    def gram(self) -> Tuple[Vector, ...]:
+        return tuple(tuple(Q(x, self._scale) for x in row) for row in self._rows)
 
     def __eq__(self, other):
-        return isinstance(other, BilinearSpace) and self.gram == other.gram
+        return isinstance(other, BilinearSpace) and (
+            self._scale == other._scale and self._rows == other._rows)
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash((self._scale, self._rows))
 
     def __repr__(self):
         return f"BilinearSpace(dim={self.dim})"
 
-    def check_vector(self, v: Vector):
+    def check_vector(self, v: Sequence):
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dim {self.dim}")
 
     def form(self, u: Vector, v: Vector) -> Q:
-        self.check_vector(u)
-        self.check_vector(v)
-        total = Q(0)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            total += a * sum(row[j] * b for j, b in enumerate(v) if b != 0)
-        return total
+        s, (a, b) = clear_denominators([u, v], dim=self.dim)
+        pairing = sum(x * sum(map(mul, row, b)) for x, row in zip(a, self._rows) if x)
+        return Q(pairing, s * s * self._scale)
 
     def norm(self, v: Vector) -> Q:
         return self.form(v, v)
 
+    @cached_property
+    def _radical(self) -> Tuple[int, IntMatrix]:
+        """(m, rows): the basis of the radical {v : (v, -) = 0}, one vector per
+        non-pivot column f of the reduced Gram rows, 1 at f and 0 at the
+        other such columns, as integer rows over m, the lcm of the pivots."""
+        red, pivots = rref(self._rows)
+        m = lcm(*(row[p] for row, p in zip(red, pivots)))
+        basis = []
+        for f in (c for c in range(self.dim) if c not in pivots):
+            v = [0] * self.dim
+            v[f] = m
+            for row, p in zip(red, pivots):
+                v[p] = -row[f] * (m // row[p])
+            basis.append(tuple(v))
+        return m, tuple(basis)
+
+    @cached_property
+    def _kernel_basis(self) -> Tuple[Vector, ...]:
+        m, rows = self._radical
+        return tuple(tuple(Q(x, m) for x in row) for row in rows)
+
     def kernel_basis(self) -> Tuple[Vector, ...]:
         """Deterministic basis of the radical {v : (v, -) = 0}."""
-        if self._kernel is None:
-            red, pivots = rref(self._int_gram[1])
-            free = [c for c in range(self.dim) if c not in pivots]
-            basis = []
-            for f in free:
-                v = [Q(0)] * self.dim
-                v[f] = Q(1)
-                for row, p in zip(red, pivots):
-                    v[p] = Q(-row[f], row[p])
-                basis.append(tuple(v))
-            self._kernel = tuple(basis)
-        return self._kernel
+        return self._kernel_basis
+
+    def _in_radical(self, v: Sequence[int]) -> bool:
+        return not any(sum(map(mul, row, v)) for row in self._rows)
 
     def in_kernel(self, v: Vector) -> bool:
-        self.check_vector(v)
-        support = [(j, x) for j, x in enumerate(v) if x != 0]
-        return all(sum(row[j] * x for j, x in support) == 0 for row in self.gram)
+        return self._in_radical(clear_denominators([v], dim=self.dim)[1][0])
+
+    def _on(self, kept: Sequence[int]) -> "BilinearSpace":
+        """The space on the coordinates `kept`: the minor of the Gram matrix."""
+        return BilinearSpace._of_rows(self._scale, [[self._rows[i][j] for j in kept] for i in kept])
 
 
 def standard_space(plus: int, minus: int = 0) -> BilinearSpace:
     """Orthogonal space diag(+1, ..., +1, -1, ..., -1)."""
     n = plus + minus
-    return BilinearSpace(
-        [[(1 if i < plus else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return BilinearSpace._of_rows(
+        1, [[(1 if i < plus else -1) if i == j else 0 for j in range(n)] for i in range(n)]
     )
 
 
@@ -443,10 +462,8 @@ class Lattice:
     @classmethod
     def from_vectors(cls, dim: int, vectors: Sequence[Vector]) -> "Lattice":
         """The subgroup generated by vectors of ints or Fractions."""
-        if any(len(v) != dim for v in vectors):
-            raise DimensionMismatch("generator of wrong length")
-        s, rows = clear_denominators([v for v in vectors if any(v)])
-        return cls(dim, s, hnf_int(rows))
+        s, rows = clear_denominators(vectors, dim=dim, message="generator of wrong length")
+        return cls(dim, s, hnf_int([row for row in rows if any(row)]))
 
     @classmethod
     def zero(cls, dim: int) -> "Lattice":
@@ -491,9 +508,7 @@ class Lattice:
 
     def _reduce(self, v: Vector):
         """`residue_row` of v, checked for length."""
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector of wrong length")
-        d, (w,) = clear_denominators([v], self.scale)
+        d, (w,) = clear_denominators([v], self.scale, self.dim, "vector of wrong length")
         return self.residue_row(w, d)
 
     def split(self, v: Vector) -> Tuple[Vector, Tuple[int, ...]]:
@@ -576,16 +591,13 @@ class Lattice:
 
     def kernel_part(self, space: BilinearSpace) -> "Lattice":
         """Sublattice of members lying in the radical of the space's form."""
-        gram = space._int_gram[1]
         # the pairings of the scaled basis with the scaled Gram rows
-        pairings = [_int_combination(r, gram, self.dim) for r in self.rows]
+        pairings = [_int_combination(r, space._rows, self.dim) for r in self.rows]
         return self.sublattice(int_left_kernel(pairings))
 
 
 def lattice_from_vectors(space: BilinearSpace, vectors: Sequence[Vector]) -> Lattice:
     """The subgroup generated by the vectors, in canonical normal form."""
-    for v in vectors:
-        space.check_vector(v)
     return Lattice.from_vectors(space.dim, vectors)
 
 

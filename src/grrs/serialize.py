@@ -82,7 +82,7 @@ def _cleared(readings, dim: Optional[int] = None, message: str = "") -> Tuple[in
 
 
 def _space(d: dict, coords: _Coordinates) -> BilinearSpace:
-    space = BilinearSpace(coords.vectors(d["gram"]))
+    space = BilinearSpace._of_rows(*_cleared(coords.rows(d["gram"])))
     if space.dim != d["dim"]:
         raise GrrsError("dim field does not match the gram matrix")
     return space
@@ -90,14 +90,15 @@ def _space(d: dict, coords: _Coordinates) -> BilinearSpace:
 
 def finite_to_dict(system: FiniteRootSystem, spellings: Optional[dict] = None) -> dict:
     spellings = {} if spellings is None else spellings
-    return {"dim": system.space.dim, "gram": _spell(spellings, *system.space._int_gram),
+    space = system.space
+    return {"dim": space.dim, "gram": _spell(spellings, space._scale, space._rows),
             "roots": _spell(spellings, system.scale, system._rows)}
 
 
 def finite_from_dict(d: dict) -> FiniteRootSystem:
     coords = _Coordinates()  # the Gram matrix is read before the roots
-    return FiniteRootSystem.__new__(FiniteRootSystem)._take(
-        _space(d, coords), *_cleared(coords.rows(d["roots"])))
+    space = _space(d, coords)
+    return FiniteRootSystem._of_rows(space, *_cleared(coords.rows(d["roots"])))
 
 
 _AXIOMS = ("gr0", "gr1", "gr2", "gr3", "wgr3")
@@ -139,7 +140,8 @@ def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
                          "reps": [list(r) for r in reps],
                          "modulusBasis": [list(r) for r in modulus],
                          "latticeBasis": [list(r) for r in lattice]})
-    return {"dim": system.space.dim, "gram": _spell(memo, *system.space._int_gram),
+    space = system.space
+    return {"dim": space.dim, "gram": _spell(memo, space._scale, space._rows),
             "kernelDim": system.kernel_dim, "cl": finite_to_dict(system.cl(), memo),
             "families": families}
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -39,9 +38,7 @@ from .linalg import (
     format_vector,
     rref,
     vadd,
-    vec,
     vsub,
-    zero_vector,
 )
 from .linalg import _int_combination, hnf_cosets, hnf_int, hnf_meet, hnf_pivots, hnf_reduce
 
@@ -66,14 +63,12 @@ class CosetSet:
     def __init__(
         self, ambient: Lattice, modulus: Lattice, translate: Vector, reps: Sequence[Vector]
     ):
-        # the Q^n data is checked and scaled to integers over one denominator, once
-        if any(len(v) != ambient.dim for v in (translate, *reps)):
-            raise DimensionMismatch("translate or rep of wrong length")
-        members = [vadd(translate, r) for r in reps]
-        if members and modulus.dim != ambient.dim:
+        # the Q^n data is checked and read as integer rows over one denominator, once
+        d, (t, *reps) = clear_denominators([translate, *reps], lcm(ambient.scale, modulus.scale),
+                                           ambient.dim, "translate or rep of wrong length")
+        if reps and modulus.dim != ambient.dim:
             raise DimensionMismatch("lattices of different dimensions")
-        d, rows = clear_denominators(members, lcm(ambient.scale, modulus.scale))
-        self._anchor(ambient, d, modulus._at(d) if members else [], rows)
+        self._anchor(ambient, d, modulus._at(d) if reps else [], [vadd(t, r) for r in reps])
 
     def _anchor(self, ambient: Lattice, d: int, mod, members) -> "CosetSet":
         """The members plus the row lattice of mod, all integer rows over d
@@ -226,12 +221,16 @@ class CosetSet:
     def contains(self, v: Vector) -> bool:
         return not self.is_empty() and self._has(*self.ambient._reduce(v))
 
+    def _holds(self, w: Sequence[int], d: int) -> bool:
+        """Is w / d in the set, for w integral?  Read over the lcm of d and the ambient's scale."""
+        s = lcm(d, self.ambient.scale)
+        w = [s // d * x for x in w]
+        return not self.is_empty() and self._has(*self.ambient.residue_row(w, s))
+
     def shift(self, v: Vector) -> "CosetSet":
-        if len(v) != self.dim:
-            raise DimensionMismatch("shift of wrong length")
+        d, (w,) = clear_denominators([v], self._t[0], self.dim, "shift of wrong length")
         if self.is_empty():
             return self
-        d, (w,) = clear_denominators([v], self._t[0])
         return self._translated(vadd(w, self._row(d)), d)
 
     def _translated(self, w: Sequence[int], d: int) -> "CosetSet":
@@ -296,17 +295,15 @@ class SymbolicRootSystem:
 
     def __init__(self, space: BilinearSpace, entries: Sequence[Tuple[Vector, CosetSet]]):
         entries = list(entries)
-        lifts = [vec(lift) for lift, _ in entries]
-        for lift in lifts:
-            space.check_vector(lift)
-        self._take(space, *clear_denominators(lifts), [fam for _, fam in entries])
+        lifts = clear_denominators([lift for lift, _ in entries], dim=space.dim)
+        self._take(space, *lifts, [fam for _, fam in entries])
 
     def _take(self, space: BilinearSpace, d: int, rows, families) -> "SymbolicRootSystem":
         """The system of the lifts rows / d, rows integral, above `families` in
         order: the integer entry, which `__init__` runs on its cleared lifts and
         the builders on the rows they hold.  Empty families are dropped."""
         self.space = space
-        kb = space.kernel_basis()
+        kb = space._radical[1]
         self.kernel_dim = len(kb)
         kept = [(row, fam) for row, fam in zip(rows, families) if not fam.is_empty()]
         if not kept:
@@ -336,13 +333,12 @@ class SymbolicRootSystem:
         # family data lies in the radical; L = ZR cap Ker is generated by each
         # lift plus a first member of its family, the moduli and the
         # differences of members within each family
-        gram = space._int_gram[1]
         gens, data = [], []
         for fam in fams:
             space.check_vector(fam._t[1])
             t, reps, mod = fam._at(D)
             members = [vadd(t, r) for r in reps]
-            if any(sum(map(mul, g, v)) for v in (*mod, *members) for g in gram):
+            if not all(map(space._in_radical, (*mod, *members))):
                 raise GrrsError("family data outside the radical")
             gens += mod + [vsub(m, members[0]) for m in members[1:]]
             data.append((mod, members))
@@ -368,7 +364,7 @@ class SymbolicRootSystem:
 
     @cached_property
     def _proj(self) -> SubspaceProjection:
-        return SubspaceProjection(self.space.dim, self.space.kernel_basis())
+        return SubspaceProjection(self.space.dim, self.space._radical[1])
 
     @cached_property
     def _classes(self) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -383,10 +379,16 @@ class SymbolicRootSystem:
         rows = self._classes[1]
         return sorted(range(len(rows)), key=rows.__getitem__)
 
-    def _above(self, cl_root: Vector) -> Optional[int]:
-        """The index of the entry above a root of cl(), or None."""
-        i = self._cl._find(cl_root)
+    def _above(self, e: int, c: Sequence[int]) -> Optional[int]:
+        """The index of the entry above the root c / e of cl(), c integral, or None."""
+        i = self._cl._index(e, c)
         return None if i is None else self._cl_entries[i]
+
+    def _read(self, v: Vector) -> Tuple[int, List[int], int, List[int]]:
+        """(d, w, e, c): a caller's vector as w / d, its class (its projection) as c / e."""
+        d, (w,) = clear_denominators([v], dim=self.space.dim)
+        e, (c,) = self._proj.apply_rows([w], d)
+        return d, w, e, c
 
     # -- basic protocol ----------------------------------------------------
 
@@ -405,10 +407,16 @@ class SymbolicRootSystem:
         """Lex-first lifts forming a basis of the complement V'."""
         return tuple(self.lifts[i] for i in self._picked)
 
+    def _entry(self, lift: Vector) -> Optional[int]:
+        """The index of the entry whose lift is a caller's vector, or None."""
+        d, w, e, c = self._read(lift)
+        i, m = self._above(e, c), self._lift_den
+        return None if i is None or any(
+            x * m != y * d for x, y in zip(w, self._lift_rows[i])) else i
+
     def family_of_lift(self, lift: Vector) -> CosetSet:
-        lift = vec(lift)
-        i = self._above(self._proj.apply(lift)) if len(lift) == self.space.dim else None
-        if i is None or self.lifts[i] != lift:
+        i = self._entry(lift)
+        if i is None:
             raise UnknownRoot(f"{format_vector(lift)} is not a class of the system")
         return self._families[i]
 
@@ -418,25 +426,26 @@ class SymbolicRootSystem:
 
     @cached_property
     def _cl(self) -> FiniteRootSystem:
-        kept = self._proj.kept
-        gram = [[self.space.gram[i][j] for j in kept] for i in kept]
-        return FiniteRootSystem._of_rows(BilinearSpace(gram), *self._classes)
+        return FiniteRootSystem._of_rows(self.space._on(self._proj.kept), *self._classes)
 
     def entry_for_cl(self, cl_root: Vector) -> FamilyEntry:
-        cl_root = vec(cl_root)
+        """The entry above a root of cl(), or above the class of a vector of the space."""
         if len(cl_root) == self.space.dim:
-            cl_root = self._proj.apply(cl_root)
-        i = self._above(cl_root)
+            e, c = self._read(cl_root)[2:]
+        else:
+            e, (c,) = clear_denominators([cl_root], dim=self._cl.space.dim)
+        i = self._above(e, c)
         if i is None:
-            raise UnknownRoot(f"{format_vector(cl_root)} is not a root of the minimal quotient")
+            root = format_vector(Q(x, e) for x in c)
+            raise UnknownRoot(f"{root} is not a root of the minimal quotient")
         return self.entries[i]
 
     def contains(self, v: Vector) -> bool:
-        v = vec(v)
-        self.space.check_vector(v)
-        i = self._above(self._proj.apply(v))
-        # the class is the projection along the radical: v - lift is in it
-        return i is not None and self._families[i].contains(vsub(v, self.lifts[i]))
+        d, w, e, c = self._read(v)
+        i, m = self._above(e, c), self._lift_den
+        # v - lift, the row m w - d lift over d m, is in the family above the class
+        return i is not None and self._families[i]._holds(
+            [m * x - d * y for x, y in zip(w, self._lift_rows[i])], d * m)
 
     def resplit(self, offsets: Dict[Vector, Vector]) -> "SymbolicRootSystem":
         """Rebuild with splitting roots shifted by the given family members.
@@ -447,19 +456,17 @@ class SymbolicRootSystem:
         the offsets, and its family back.  A key that is no splitting lift
         raises UnknownRoot.
         """
-        dim = self.space.dim
-        given = {vec(lift): vec(off) for lift, off in offsets.items()}
-        shifts = []
-        for i in self._picked:
-            off = given.pop(self.lifts[i], zero_vector(dim))
-            self.space.check_vector(off)
-            if any(off) and not self._families[i].contains(off):
+        dim, moved = self.space.dim, {}
+        for lift, off in offsets.items():
+            i = self._entry(lift)
+            if i not in self._picked:
+                raise UnknownRoot(f"{format_vector(lift)} is not a splitting lift")
+            moved[i] = off
+        # the moves, the lifts and the translates as integer rows over D, then d
+        D, offs = clear_denominators([moved.get(i, (0,) * dim) for i in self._picked], dim=dim)
+        for i, off in zip(self._picked, offs):
+            if any(off) and not self._families[i]._holds(off, D):
                 raise UnknownRoot("offset is not a member of the splitting family")
-            shifts.append(off)
-        if given:
-            raise UnknownRoot(f"{format_vector(next(iter(given)))} is not a splitting lift")
-        # the moves, the lifts and the translates as integer rows over d
-        D, offs = clear_denominators(shifts)
         e = D * self._den
         d = lcm(self._lift_den, e, *(fam._t[0] for fam in self._families))
         m = d // self._lift_den
@@ -481,21 +488,20 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
     k pivots, and row i holds every root's coefficient on its vector i.  The
     roots are grouped by lift and offsets on integer rows over one
     denominator, which the constructor's integer entry takes as they are."""
-    dim, kb = system.space.dim, system.space.kernel_basis()
+    dim, kb = system.space.dim, system.space._radical[1]
     k = len(kb)
     reduced = rref(list(zip(*kb, *system._rows)))[0][:k] if k else []
-    # the part of column j in the radical is sum_i (row_i[k + j] / row_i[i]) kb_i:
-    # over the lcm den of the pivots and the denominator s of kb, an integer
-    # combination of kb's rows
+    # the part of column j in the radical is sum_i (row_i[k + j] / row_i[i]) kb_i,
+    # kb_i the integer rows of the radical: over the lcm den of the pivots, an
+    # integer combination of them
     den = lcm(*(row[i] for i, row in enumerate(reduced)))
-    s, kb_rows = clear_denominators(kb)
     # the eliminated columns are the rows R_j = scale * r_j, so the offset of
-    # root j and the root itself are integer rows over E = den * s * scale
-    E, f = den * s * system.scale, den * s
+    # root j and the root itself are integer rows over E = den * scale
+    E, f = den * system.scale, den
     groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
     for j, r in enumerate(system._rows):
         c = [row[k + j] * (den // row[i]) for i, row in enumerate(reduced)]
-        off = tuple(_int_combination(c, kb_rows, dim))
+        off = tuple(_int_combination(c, kb, dim))
         groups.setdefault(tuple(f * x - y for x, y in zip(r, off)), []).append(off)
     ambient = Lattice(dim, E, hnf_int([v for vs in groups.values() for v in vs]))
     # one coset set per distinct offset set, anchored on its rows over E
@@ -506,9 +512,8 @@ def from_finite(system: FiniteRootSystem) -> SymbolicRootSystem:
 
 def _padded(space: BilinearSpace, n: int) -> BilinearSpace:
     """The space with n central coordinates: zero rows and columns appended."""
-    zeros = (Q(0),) * n
-    gram = [tuple(row) + zeros for row in space.gram]
-    return BilinearSpace(gram + [(Q(0),) * (space.dim + n)] * n)
+    rows = [row + (0,) * n for row in space._rows]
+    return BilinearSpace._of_rows(space._scale, rows + [(0,) * (space.dim + n)] * n)
 
 
 def affinize(
@@ -546,16 +551,15 @@ def quotient(
     system: SymbolicRootSystem, kernel_vectors: Sequence[Vector], require_bijective: bool = False
 ) -> SymbolicRootSystem:
     """Push the system forward along V -> V/U for U inside the radical."""
-    vecs = [vec(v) for v in kernel_vectors]
-    for v in vecs:
-        if not system.space.in_kernel(v):
-            raise NotInKernel(f"{format_vector(v)} is not in the radical")
-    proj = SubspaceProjection(system.space.dim, vecs)
+    s, rows = clear_denominators(kernel_vectors, dim=system.space.dim)
+    for w in rows:
+        if not system.space._in_radical(w):
+            raise NotInKernel(f"{format_vector(Q(x, s) for x in w)} is not in the radical")
+    proj = SubspaceProjection(system.space.dim, rows)
     if not proj.pivots:
         return system
-    kept = proj.kept
-    new_space = BilinearSpace([[system.space.gram[i][j] for j in kept] for i in kept])
-    new_dim = len(kept)
+    new_space = system.space._on(proj.kept)
+    new_dim = new_space.dim
 
     # L's rows projected once, over e; a family over L has integer
     # coordinates on them, and the image of its translate lies over D, a multiple of e

@@ -67,6 +67,15 @@
 - `cl` and `cl_entries`: the minimal quotient of a symbolic system built
   from the `Fraction` projections of its lifts, and the entry above each of
   its roots found by looking those projections up.
+- `form` and `in_kernel`: the bilinear form and the radical test on a
+  `Fraction` Gram matrix, before a space kept its Gram matrix on integer
+  rows.
+- `project`, `contains`, `family_of_lift` and `entry_for_cl`: the
+  projection along the radical that `SubspaceProjection.apply` made on
+  `Fraction` vectors, and the symbolic lookups of a caller's vector built
+  on it, before they read the vector as one integer row: the class found
+  among the projected lifts, the lift compared and the offset v - lift
+  tested as `Fraction` vectors.
 - `orbit_minimum` and `canonical_pair`: the AGL(k,2) orbit walks under
   every transvection x_i += x_j (and every translation, for the pairs),
   before they ran on three generators.
@@ -101,9 +110,9 @@ from grrs.finite import AxiomCheck, AxiomReport, FiniteRootSystem, _scaled, refl
 from grrs.linalg import (
     BilinearSpace,
     Lattice,
-    SubspaceProjection,
     clear_denominators,
     format_rational,
+    format_vector,
     parse_rational,
     standard_space,
     unit_vector,
@@ -290,7 +299,7 @@ def symbolic_system(space, entries):
         fam: fam if fam.ambient == L else CosetSet(L, fam.modulus, t, reps)
         for fam, (_, t, reps) in vectors.items()
     }
-    proj = SubspaceProjection(space.dim, kb)
+    proj = Projection(space.dim, kb)
     gram = [[space.gram[i][j] for j in proj.kept] for i in proj.kept]
     return SimpleNamespace(
         L=L,
@@ -334,7 +343,7 @@ def resplit(system, offsets):
 
 def quotient(system, kernel_vectors, require_bijective=False):
     """What `symbolic.quotient` computes, for kernel vectors in the radical."""
-    proj = SubspaceProjection(system.space.dim, [vec(v) for v in kernel_vectors])
+    proj = Projection(system.space.dim, [vec(v) for v in kernel_vectors])
     if not proj.pivots:
         return system
     kept, dim = proj.kept, len(proj.kept)
@@ -696,13 +705,83 @@ def points_mod(fam, ref, r=2):
 
 
 def _classes(system):
-    return [system._proj.apply(e.lift) for e in system.entries]
+    return [project(system.space, e.lift) for e in system.entries]
 
 
 def cl(system):
     kept = system._proj.kept
     gram = [[system.space.gram[i][j] for j in kept] for i in kept]
     return FiniteRootSystem(BilinearSpace(gram), _classes(system))
+
+
+def form(gram, u, v):
+    """(u, v) on a `Fraction` Gram matrix, skipping zero coordinates."""
+    total = Q(0)
+    for i, a in enumerate(vec(u)):
+        if a != 0:
+            total += a * sum(gram[i][j] * b for j, b in enumerate(vec(v)) if b != 0)
+    return total
+
+
+def in_kernel(gram, v):
+    support = [(j, x) for j, x in enumerate(vec(v)) if x != 0]
+    return all(sum(row[j] * x for j, x in support) == 0 for row in gram)
+
+
+class Projection:
+    """`linalg.SubspaceProjection` with the `apply` it had on `Fraction`
+    vectors: v minus, for each pivot p of the rational RREF of the spanning
+    vectors, v[p] times that row, read on the non-pivot coordinates."""
+
+    def __init__(self, dim, spanning):
+        self._rows, self.pivots = rref(spanning)
+        self.kept = [i for i in range(dim) if i not in self.pivots]
+
+    def apply(self, v):
+        w = list(vec(v))
+        for row, p in zip(self._rows, self.pivots):
+            f = w[p]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        return tuple(w[i] for i in self.kept)
+
+
+def project(space, v):
+    """The projection of v along the radical of the space."""
+    return Projection(space.dim, space.kernel_basis()).apply(v)
+
+
+def _entry_above(system, c):
+    classes = _classes(system)
+    return classes.index(c) if c in classes else None
+
+
+def contains(system, v):
+    """`SymbolicRootSystem.contains` on `Fraction` vectors: the entry whose
+    lift projects to the projection of v, and v - lift in its family."""
+    v = vec(v)
+    system.space.check_vector(v)
+    i = _entry_above(system, project(system.space, v))
+    return i is not None and system.entries[i].family.contains(vsub(v, system.entries[i].lift))
+
+
+def family_of_lift(system, lift):
+    lift = vec(lift)
+    system.space.check_vector(lift)
+    i = _entry_above(system, project(system.space, lift))
+    if i is None or system.entries[i].lift != lift:
+        raise UnknownRoot(f"{format_vector(lift)} is not a class of the system")
+    return system.entries[i].family
+
+
+def entry_for_cl(system, cl_root):
+    cl_root = vec(cl_root)
+    if len(cl_root) == system.space.dim:
+        cl_root = project(system.space, cl_root)
+    i = _entry_above(system, cl_root)
+    if i is None:
+        raise UnknownRoot(f"{format_vector(cl_root)} is not a root of the minimal quotient")
+    return system.entries[i]
 
 
 def cl_entries(system):

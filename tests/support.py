@@ -81,9 +81,9 @@ def f_invariance_failures(system: SymbolicRootSystem):
         for g in embedded:
             if space.norm(g) != 0:
                 continue
-            gc = system._proj.apply(g)
+            gc = reference.project(space, g)
             for e in system.entries:
-                image = isotropic_reflect(cl_sys, gc, system._proj.apply(e.lift))
+                image = isotropic_reflect(cl_sys, gc, reference.project(space, e.lift))
                 target = system.entry_for_cl(image).family
                 if not target.same_set(e.family):
                     fails.append(("gw-invariance", g, e.lift))
@@ -101,11 +101,10 @@ def f_invariance_failures(system: SymbolicRootSystem):
             else:
                 if not cl_is_grrs:
                     continue
-                ac = system._proj.apply(ea.lift)
-                bc = system._proj.apply(eb.lift)
+                ac, bc, target = (reference.project(space, v) for v in (ea.lift, eb.lift, target_lift))
                 if cl_sys.space.form(ac, bc) == 0:
                     continue
-                if isotropic_reflect(cl_sys, ac, bc) != system._proj.apply(target_lift):
+                if isotropic_reflect(cl_sys, ac, bc) != target:
                     continue
             expect = ea.family.add(eb.family)
             if not fams[target_lift].same_set(expect):

@@ -9,7 +9,8 @@ dunder) defined at the top level of a module, or as a method, is dead when
 no module of `src/grrs` reads it: as a name, as an attribute, or by
 importing it.  A public top-level name or method is dead when the package
 does not export it, neither the README nor a demo names it, and no module
-of `src/grrs` reads it.
+of `src/grrs` reads it.  No module but `linalg` reads a space's `gram`
+view: the integer rows are the one representation of a Gram matrix.
 """
 
 import ast
@@ -140,3 +141,26 @@ def test_the_check_sees_an_unread_public_name():
     }
     assert unread_public_names(sources, {"exported", "C"}, "`C.step` steps") == [
         "a.dead", "a.C.exported"]
+
+
+def gram_readers(sources):
+    """The modules of `sources` (module name -> source text), `linalg`
+    aside, that read an attribute named `gram`: a space's `Fraction` view
+    of its Gram matrix, which the library reads on its integer rows."""
+    return [module for module, source in sources.items() if module != "linalg" and any(
+        isinstance(n, ast.Attribute) and n.attr == "gram" and isinstance(n.ctx, ast.Load)
+        for n in ast.walk(ast.parse(source)))]
+
+
+def test_only_linalg_reads_the_gram_view():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert gram_readers(sources) == []
+
+
+def test_the_check_sees_a_gram_reader():
+    sources = {
+        "linalg": "def view(space):\n    return space.gram\n",
+        "a": "def first(space):\n    return space.gram[0]\n",
+        "b": "gram = [[1]]\ndef rows(space):\n    return space._rows, gram\n",
+    }
+    assert gram_readers(sources) == ["a"]

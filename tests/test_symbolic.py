@@ -401,7 +401,7 @@ class TestFOf:
     def test_long_family_of_annx(self):
         s13 = a_nn_x(1, 1, 3, 0)
         noniso = next(e for e in s13.entries if s13.space.norm(e.lift) != 0)
-        f = F_of(s13, s13._proj.apply(noniso.lift))
+        f = F_of(s13, reference.project(s13.space, noniso.lift))
         assert f.modulus.index_in(s13.L) == 3
         assert len(f.reps) == 1
 
@@ -425,7 +425,7 @@ class TestGaps:
             lifts = [l for l in table if space.norm(l) != 0]
             # constant on reflection orbits of the minimal quotient
             cl_sys = sys_.cl()
-            by_cl = {sys_._proj.apply(l): table[l] for l in lifts}
+            by_cl = {reference.project(sys_.space, l): table[l] for l in lifts}
             for orbit in weyl_orbits(cl_sys):
                 values = {by_cl[r] for r in orbit if r in by_cl}
                 assert len(values) <= 1

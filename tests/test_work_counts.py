@@ -30,9 +30,10 @@ rational `roots` view, and a passing finite check builds none.  The finite
 checker, the orbit partitions and `generate_subsystem` read one reflection
 row per +- pair, built once, with no per-pair step.  The integer kernels
 behind `hnf_int` and `rref` run once per distinct matrix, in memos of a
-fixed size, and a space clears its Gram matrix once.  No library code
-calls `FiniteRootSystem(...)`, `SymbolicRootSystem(...)` or
-`CosetSet(...)`: the catalog builds its named systems on integer rows too.
+fixed size.  Only the caller's Gram matrix is cleared, once; every other
+space enters on integer rows.  No library code calls `BilinearSpace(...)`,
+`FiniteRootSystem(...)`, `SymbolicRootSystem(...)` or `CosetSet(...)`: the
+catalog builds its named systems and their spaces on integer rows too.
 A change that brings back per-root, per-entry or per-call work fails here,
 although every answer would still be right.
 """
@@ -523,7 +524,8 @@ def test_integer_rows_enter_the_finite_constructor(monkeypatch):
         r for r in build("E8").roots if r[6] + r[7] == 0])
     affine = affinize(build("F4"), 2)
     converted = []
-    _counted(monkeypatch, finite, "vec", converted)
+    _counted(monkeypatch, finite, "clear_denominators", converted)
+    _counted(monkeypatch, FiniteRootSystem, "__init__", converted)
     e7, quotient = ambient.restricted_to_span(), affine.cl()
     repr(quotient)
     assert converted == [] and "roots" not in vars(quotient)
@@ -548,14 +550,15 @@ CLASSIFIED = [("A1", {"S": [0, 1, 2]}), ("B3", {"S": [0]}), ("C3", {"S": [0, 1]}
 def test_no_library_code_calls_a_rational_constructor(monkeypatch):
     """On fresh catalog and recognition memos, building a name of every
     kind, and `family` and `identify` of every classified type with the
-    JSON round trips of their results, call none of `FiniteRootSystem(...)`,
-    `SymbolicRootSystem(...)` and `CosetSet(...)`: the library builds on
-    integer rows, and the rational constructors are only entry points."""
+    JSON round trips of their results, call none of `BilinearSpace(...)`,
+    `FiniteRootSystem(...)`, `SymbolicRootSystem(...)` and `CosetSet(...)`:
+    the library builds on integer rows, and the rational constructors are
+    only entry points."""
     for memo in (catalog.TypeKey.system, catalog.orbits, catalog._generating_rows,
                  catalog._frame, recognize_cl):
         memo.cache_clear()
     rational = []
-    for owner in (FiniteRootSystem, SymbolicRootSystem, CosetSet):
+    for owner in (BilinearSpace, FiniteRootSystem, SymbolicRootSystem, CosetSet):
         _counted(monkeypatch, owner, "__init__", rational)
     assert [catalog.type_key(name).kind for name, _ in NAMED] == list(catalog._TYPES)
     for name, count in NAMED:
@@ -585,8 +588,7 @@ def test_symbolic_systems_keep_integer_lifts(monkeypatch):
     g2 = affinize(build("G2"), 2)
     dim = g2.space.dim
     identified = [family("B3", 2, S={0, 3}), affinize(build("A2"), 1), a_nn_x(2, 1, 3)]
-    for owner, name in [(CosetSet, "__init__"), (symbolic.SubspaceProjection, "apply"),
-                        (Lattice, "from_vectors")]:
+    for owner, name in [(CosetSet, "__init__"), (Lattice, "from_vectors")]:
         _counted(monkeypatch, owner, name, pushed)
     g2_quotient = quotient(g2, [unit_vector(dim, dim - 1)])
     assert pushed == []
@@ -725,18 +727,27 @@ def test_integer_kernel_memos_are_bounded():
         assert (info.misses, info.currsize) == (bound + 5, bound)
 
 
-def test_each_space_clears_its_gram_once(monkeypatch):
-    """The symbolic constructor, `kernel_part` and the finite pairings read
-    one integer Gram matrix per space, cleared on first use: building,
-    checking and identifying an affinization clears no space's Gram twice."""
-    cleared = []
+def test_only_the_callers_gram_is_cleared(monkeypatch):
+    """A space keeps its Gram matrix on integer rows.  On fresh catalog and
+    recognition memos, building, checking and identifying an affinization
+    reads one Gram matrix, the caller's, once, in the one call of the
+    rational constructor; every other space (the padded space, the minimal
+    quotient, the spaces of the catalog systems that recognition builds)
+    enters on integer rows, and no space builds its `gram` view."""
+    for memo in (catalog.TypeKey.system, catalog.orbits, catalog._generating_rows,
+                 catalog._frame, recognize_cl):
+        memo.cache_clear()
+    cleared, made = [], []
     for mod in [m for n, m in sys.modules.items() if n.startswith("grrs.")]:
         if getattr(mod, "clear_denominators", None) is linalg.clear_denominators:
             _counted(monkeypatch, mod, "clear_denominators", cleared)
-    b3 = FiniteRootSystem(standard_space(3), build("B3").roots)
+    _counted(monkeypatch, BilinearSpace, "__init__", made)
+    gram = [[Q(1, 2), 0, 0], [0, Q(1, 2), 0], [0, 0, Q(1, 2)]]
+    b3 = FiniteRootSystem(BilinearSpace(gram), build("B3").roots)
     system = affinize(b3, 2)
     assert check_symbolic_axioms(system).is_grrs and check_axioms(system.cl()).is_grrs
-    identify(system)
-    spaces = (b3.space, system.space, system.cl().space)
-    grams = [id(args[0]) for args in cleared if any(args[0] is s.gram for s in spaces)]
-    assert len(grams) == len(set(grams)) == 3
+    assert identify(system).cl == "B3"
+    assert [args[1:] for args in made] == [(gram,)]
+    assert [args for args in cleared if args[0] is gram] == [(gram,)]
+    spaces = (b3.space, system.space, system.cl().space, build("B3").space)
+    assert all("gram" not in vars(space) for space in spaces)
