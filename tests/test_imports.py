@@ -10,14 +10,19 @@ no module of `src/grrs` reads it: as a name, as an attribute, or by
 importing it.  A public top-level name or method is dead when the package
 does not export it, neither the README nor a demo names it, and no module
 of `src/grrs` reads it.  No module but `linalg` reads a space's `gram`
-view: the integer rows are the one representation of a Gram matrix.
+view: the integer rows are the one representation of a Gram matrix.  Every
+derived reading of a finite system is kept once per distinct system, in the
+shared store of `finite._readings`: none is a per-object `cached_property`.
 """
 
 import ast
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+from grrs import finite
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "grrs"
@@ -164,3 +169,37 @@ def test_the_check_sees_a_gram_reader():
         "b": "gram = [[1]]\ndef rows(space):\n    return space._rows, gram\n",
     }
     assert gram_readers(sources) == ["a"]
+
+
+# The derived readings of a finite system, each computed once per distinct
+# system into its shared store.
+FINITE_READINGS = (
+    "roots", "_span", "_over_span", "_lookup", "_unit", "_gram_rows", "_pairings", "_norms",
+    "_neg", "_packed", "_image_rows", "_fingerprints",
+)
+
+
+def per_object_readings(cls):
+    """The attributes of `cls` cached per object by a plain `cached_property`,
+    which an equal object would compute again."""
+    return [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+
+
+def test_finite_readings_are_shared():
+    assert per_object_readings(finite.FiniteRootSystem) == []
+    shared = [name for name, attr in vars(finite.FiniteRootSystem).items()
+              if isinstance(attr, finite._shared)]
+    assert sorted(shared) == sorted(FINITE_READINGS)
+
+
+def test_the_check_sees_a_per_object_reading():
+    class System:
+        @cached_property
+        def _pairings(self):
+            return []
+
+        @finite._shared
+        def _norms(self):
+            return ()
+
+    assert per_object_readings(System) == ["_pairings"]

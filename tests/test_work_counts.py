@@ -30,7 +30,9 @@ rational `roots` view, and a passing finite check builds none.  The finite
 checker, the orbit partitions and `generate_subsystem` read one reflection
 row per +- pair, built once, with no per-pair step.  The integer kernels
 behind `hnf_int` and `rref` run once per distinct matrix, in memos of a
-fixed size.  Only the caller's Gram matrix is cleared, once; every other
+fixed size; the readings of a finite system are computed once per
+distinct system the same way, so equal systems, read from a document or
+built again, share one store of pairings and reflection rows.  Only the caller's Gram matrix is cleared, once; every other
 space enters on integer rows.  No library code calls `BilinearSpace(...)`,
 `FiniteRootSystem(...)`, `SymbolicRootSystem(...)` or `CosetSet(...)`: the
 catalog builds its named systems and their spaces on integer rows too.
@@ -255,7 +257,8 @@ def test_coset_data_has_one_anchoring(monkeypatch):
 def test_reflection_steps_make_no_tuple_lookup(monkeypatch):
     """Every Cartan number of E6 is integral, so no step of the checker or
     of the orbit partition builds and looks up a vector."""
-    e6 = build("E6")
+    finite._readings.cache_clear()  # a new E6, whose rows are built under the probe
+    e6 = catalog._e_series(6)
     e6._neg  # the negatives are looked up once, before the probe
     probes = []
 
@@ -306,6 +309,7 @@ def test_isomorphic_finite_hashes_no_fraction(monkeypatch):
     image = FiniteRootSystem(BilinearSpace(gram),
                              [[sign[i] * r[perm[i]] for i in range(6)] for r in e6.roots])
     source = FiniteRootSystem(e6.space, e6.roots)
+    finite._readings.cache_clear()  # the readings of E6 are made in the search
     hashed = []
     _counted(monkeypatch, Q, "__hash__", hashed)
     h = isomorphic_finite(source, image)
@@ -317,6 +321,7 @@ def test_e6_pairings_take_under_half_the_products(monkeypatch):
     """The pairings take a dot product for the first root of each +- pair,
     on or above the diagonal only: E6 multiplies far fewer than half of the
     72 * 72 * 6 = 31 104 coordinate pairs of every dot product."""
+    finite._readings.cache_clear()  # no equal system met earlier has paired
     e6 = catalog._e_series(6)
     assert len(e6._gram_rows) == 72
     products = []
@@ -376,6 +381,7 @@ def test_restricting_e7_pairs_no_ambient_root(monkeypatch):
     probe = cached_property(counted)
     probe.__set_name__(FiniteRootSystem, "_pairings")
     monkeypatch.setattr(FiniteRootSystem, "_pairings", probe)
+    finite._readings.cache_clear()  # a new E7, not the restriction met earlier
     e7 = catalog._e_series(7)
     assert (e7.space.dim, len(e7)) == (7, 126) and paired == []
     assert check_axioms(e7).is_grrs and paired == [126]
@@ -646,10 +652,12 @@ def test_derived_systems_enter_on_integer_rows(monkeypatch):
 
 def test_a_passing_finite_check_builds_no_roots_view():
     """`check_axioms` names a failure by its roots, and reads none when
-    every axiom holds."""
+    every axiom holds.  The readings memo is cleared first: an equal system
+    met earlier may have read the roots into the shared store."""
+    finite._readings.cache_clear()
     e6 = catalog._e_series(6)
     assert check_axioms(e6).is_grrs
-    assert "roots" not in vars(e6)
+    assert "roots" not in vars(e6) and "roots" not in finite._readings(e6)
 
 
 def test_the_rational_combination_is_gone():
@@ -658,7 +666,10 @@ def test_the_rational_combination_is_gone():
 
 def test_e6_builds_one_reflection_row_per_pair(monkeypatch):
     """The checker, both orbit partitions and `generate_subsystem` share
-    the rows: 36 for the 72 roots of E6, the row of -a the row of a."""
+    the rows: 36 for the 72 roots of E6, the row of -a the row of a.  The
+    readings memo is cleared first, so that no row of an equal system met
+    earlier is reused."""
+    finite._readings.cache_clear()
     e6 = catalog._e_series(6)
     built = []
     _counted(monkeypatch, FiniteRootSystem, "_reflection_row", built)
@@ -725,6 +736,40 @@ def test_integer_kernel_memos_are_bounded():
             run(n)
         info = kernel.cache_info()
         assert (info.misses, info.currsize) == (bound + 5, bound)
+
+
+def test_equal_systems_read_the_shared_tables(monkeypatch, tmp_path, capsys):
+    """Once `check_axioms` has read a new E6, the CLI `check`, `iso` and
+    `orbits` on its document and a document round trip meet equal systems:
+    they build no pairing matrix and no reflection row again."""
+    catalog.TypeKey.system.cache_clear()
+    finite._readings.cache_clear()
+    e6 = build("E6")
+    assert check_axioms(e6).is_grrs
+    path = tmp_path / "e6.json"
+    path.write_text(serialize.dumps(e6))
+    paired, rows = [], []
+    _counted(monkeypatch, FiniteRootSystem.__dict__["_pairings"], "func", paired)
+    _counted(monkeypatch, FiniteRootSystem, "_reflection_row", rows)
+    assert main(["check", str(path)]) == 0
+    assert main(["iso", str(path), str(path)]) == 0
+    for group in ("gw", "weyl"):
+        assert main(["orbits", str(path), "--group", group]) == 0
+    assert serialize.loads(serialize.dumps(e6)) == e6
+    capsys.readouterr()
+    assert paired == rows == []
+
+
+def test_readings_memo_is_bounded():
+    """Past its bound the readings memo drops its least recently used
+    system and holds exactly the bound."""
+    finite._readings.cache_clear()
+    bound = finite.READINGS_MEMO_SIZE
+    for n in range(1, bound + 6):
+        system = FiniteRootSystem._of_rows(standard_space(1), 1, [[n], [-n]])
+        assert system._pairings == [(n * n, -n * n), (-n * n, n * n)]
+    info = finite._readings.cache_info()
+    assert (info.misses, info.currsize) == (bound + 5, bound)
 
 
 def test_only_the_callers_gram_is_cleared(monkeypatch):
