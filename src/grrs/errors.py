@@ -16,6 +16,10 @@ class DimensionMismatch(GrrsError):
     """Vector or matrix size does not match the ambient space."""
 
 
+class NotRational(GrrsError):
+    """A coordinate that no rational holds: an infinite float."""
+
+
 class IsotropicBase(GrrsError):
     """A linear reflection was requested at an isotropic vector."""
 

@@ -1,8 +1,9 @@
 """Exact rational linear algebra: vectors, bilinear forms, and integer lattices.
 
 Vectors have `fractions.Fraction` coordinates; there is no floating point
-anywhere.  A caller's vectors are read once, by `clear_denominators`, as
-integer rows over one denominator; `rref` is a fraction-free Gauss-Jordan,
+anywhere.  Every coordinate the library reads, of a caller's vector or of
+a JSON document, is read once, by `clear_denominators`, into integer rows
+over one denominator; `rref` is a fraction-free Gauss-Jordan,
 and a space's Gram matrix and a lattice's Hermite normal form are integers
 over their least denominators, so that equality is equality of integers.
 
@@ -21,7 +22,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotRational
 
 Vector = Tuple[Q, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -34,8 +35,8 @@ RREF_MEMO_SIZE = 512
 
 def vec(xs: Iterable) -> Vector:
     """Build a vector of exact rationals from ints/strings/Fractions; a
-    `Fraction` is kept as it is."""
-    return tuple(x if type(x) is Q else Q(x) for x in xs)
+    `Fraction` is kept as it is, any other coordinate is read by `_rational`."""
+    return tuple(x if type(x) is Q else _rational(x) for x in xs)
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -73,8 +74,26 @@ def format_vector(v: Iterable) -> str:
     return "(" + ",".join(map(format_rational, vec(v))) + ")"
 
 
-def parse_rational(s: str) -> Q:
-    return Q(s)
+def _rational(x) -> Q:
+    """`Fraction(x)`, the parse of one coordinate; an infinite float raises NotRational."""
+    try:
+        return Q(x)
+    except OverflowError:
+        raise NotRational(f"coordinate {x!r} is not a rational") from None
+
+
+class _Spellings(dict):
+    """The (numerator, denominator) of each coordinate spelling, parsed once."""
+
+    def __missing__(self, x) -> Tuple[int, int]:
+        read = self[x] = _rational(x).as_integer_ratio()
+        return read
+
+    def rows(self, vectors) -> list:
+        try:
+            return [list(map(self.__getitem__, v)) for v in vectors]
+        except TypeError:  # unhashable: parse in turn, so the first bad one raises as `Fraction`
+            return [[self.__missing__(x) for x in v] for v in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +101,26 @@ def parse_rational(s: str) -> Q:
 
 
 def clear_denominators(vectors: Sequence[Sequence], d: int = 1, dim: Optional[int] = None,
-                       message: str = "") -> Tuple[int, list]:
-    """(s, rows): the reader of a caller's vectors, of coordinates as `vec`
-    reads them (ints, Fractions, strings such as "1/2"): s the least common
-    multiple of d and every denominator, rows the integer lists s * v.  With
-    a dim, the first vector of another length raises DimensionMismatch."""
-    vectors = list(map(tuple, vectors))  # read twice below, whatever iterables they are
+                       message: str = "", _spellings=None) -> Tuple[int, list]:
+    """(s, rows): the one reader of coordinates (ints, Fractions, strings
+    such as "1/2", JSON numbers): s the least common multiple of d and every
+    denominator, rows the integer lists s * v.  Ints and Fractions are read
+    as they are, others parsed once per spelling into `_spellings`, the one
+    table of a JSON document.  With a dim, the first vector of another
+    length raises DimensionMismatch; a document's are parsed first."""
+    # a caller's vectors are read twice below, whatever iterables they are
+    vectors = list(map(tuple, vectors)) if _spellings is None else _spellings.rows(vectors)
     for v in vectors if dim is not None else ():
         if len(v) != dim:
             raise DimensionMismatch(message or f"vector of length {len(v)} in dim {dim}")
-    try:
-        s = lcm(d, *(x.denominator for v in vectors for x in v))
-    except AttributeError:  # a coordinate that is not yet a rational
-        vectors = [vec(v) for v in vectors]
-        s = lcm(d, *(x.denominator for v in vectors for x in v))
-    return s, [[x.numerator * (s // x.denominator) for x in v] for v in vectors]
+    if _spellings is None:
+        try:
+            s = lcm(d, *(x.denominator for v in vectors for x in v))
+            return s, [[x.numerator * (s // x.denominator) for x in v] for v in vectors]
+        except AttributeError:  # a coordinate that is not yet a rational
+            vectors = _Spellings().rows(vectors)
+    s = lcm(d, *{q for row in vectors for _, q in row})
+    return s, [[p * (s // q) for p, q in row] for row in vectors]
 
 
 def _primitive(row: list) -> list:

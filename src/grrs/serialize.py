@@ -4,21 +4,24 @@ Rationals serialize as "p/q" (or "p" when the denominator is 1).  Documents
 are emitted with sorted keys and fixed separators.  Systems are written and
 read on their integer rows: the writer spells rows over one denominator,
 each distinct integer once, and the reader clears each matrix to integer
-rows and enters the integer constructors, which canonicalize, so parse ->
-serialize round-trips are byte-identical.
+rows through `linalg.clear_denominators`, parsing each spelling of a
+document once, and enters the integer constructors, which canonicalize, so
+parse -> serialize round-trips are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 from math import gcd, lcm
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .catalog import type_key
 from .classify import ClassDescriptor, kac_moody_name
-from .errors import DimensionMismatch, GrrsError, NoName
+from .errors import GrrsError, NoName, NotRational
 from .finite import AxiomCheck, AxiomReport, FiniteRootSystem
-from .linalg import BilinearSpace, Lattice, format_rational, hnf_int, parse_rational
+from .linalg import (
+    BilinearSpace, Lattice, _Spellings, clear_denominators, format_rational, hnf_int, vec,
+)
 from .symbolic import CosetSet, SymbolicRootSystem
 
 SCHEMA_VERSION = 1
@@ -45,44 +48,8 @@ def _spell(spellings: dict, d: int, rows) -> list:
     return [list(map(spelled.__getitem__, row)) for row in rows]
 
 
-class _Coordinates(dict):
-    """The (numerator, denominator, rational) of each coordinate spelling of
-    one document, parsed on first read.  A JSON number is read as it is each
-    time, and an infinite float is no rational."""
-
-    def __missing__(self, x):
-        try:
-            q = parse_rational(x)
-        except OverflowError:
-            raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
-        read = (q.numerator, q.denominator, q)
-        if type(x) is str:
-            self[x] = read
-        return read
-
-    def rows(self, rows) -> list:
-        """The readings of a matrix, row by row.  An unhashable coordinate is
-        parsed in turn, so that the first bad one raises what `Fraction` does."""
-        try:
-            return [list(map(self.__getitem__, row)) for row in rows]
-        except TypeError:
-            return [[self.__missing__(x) for x in row] for row in rows]
-
-    def vectors(self, rows) -> list:
-        return [tuple(q for _, _, q in row) for row in self.rows(rows)]
-
-
-def _cleared(readings, dim: Optional[int] = None, message: str = "") -> Tuple[int, list]:
-    """(s, rows): s the least common denominator of the readings, and rows
-    their integer rows over s; with a dim, a row of another length raises."""
-    if dim is not None and any(len(v) != dim for v in readings):
-        raise DimensionMismatch(message)
-    s = lcm(*{q for row in readings for _, q, _ in row})
-    return s, [[p * (s // q) for p, q, _ in row] for row in readings]
-
-
-def _space(d: dict, coords: _Coordinates) -> BilinearSpace:
-    space = BilinearSpace._of_rows(*_cleared(coords.rows(d["gram"])))
+def _space(d: dict, coords: _Spellings) -> BilinearSpace:
+    space = BilinearSpace._of_rows(*clear_denominators(d["gram"], _spellings=coords))
     if space.dim != d["dim"]:
         raise GrrsError("dim field does not match the gram matrix")
     return space
@@ -96,9 +63,9 @@ def finite_to_dict(system: FiniteRootSystem, spellings: Optional[dict] = None) -
 
 
 def finite_from_dict(d: dict) -> FiniteRootSystem:
-    coords = _Coordinates()  # the Gram matrix is read before the roots
+    coords = _Spellings()  # the Gram matrix is read before the roots
     space = _space(d, coords)
-    return FiniteRootSystem._of_rows(space, *_cleared(coords.rows(d["roots"])))
+    return FiniteRootSystem._of_rows(space, *clear_denominators(d["roots"], _spellings=coords))
 
 
 _AXIOMS = ("gr0", "gr1", "gr2", "gr3", "wgr3")
@@ -114,11 +81,9 @@ def report_to_dict(report: AxiomReport) -> dict:
 
 
 def report_from_dict(d: dict) -> AxiomReport:
-    coords = _Coordinates()
-
     def check(c: dict) -> AxiomCheck:
         w = c.get("witness")
-        return AxiomCheck(c["pass"], None if w is None else tuple(coords.vectors(w)))
+        return AxiomCheck(c["pass"], None if w is None else tuple(map(vec, w)))
 
     return AxiomReport(*(check(d[axiom]) for axiom in _AXIOMS))
 
@@ -146,14 +111,15 @@ def symbolic_to_dict(system: SymbolicRootSystem) -> dict:
             "families": families}
 
 
-def _family(dim: int, fields, coords: _Coordinates) -> CosetSet:
+def _family(dim: int, fields, coords: _Spellings) -> CosetSet:
     """The family of the JSON fields (latticeBasis, modulusBasis, translate,
     reps), anchored on the lattice of the first: the members translate + rep
     as integer rows over one denominator, and the modulus with them."""
-    lattices = [_cleared(coords.rows(m), dim, "generator of wrong length") for m in fields[:2]]
+    lattices = [clear_denominators(m, dim=dim, message="generator of wrong length",
+                                   _spellings=coords) for m in fields[:2]]
     ambient, modulus = (Lattice(dim, s, hnf_int(rows)) for s, rows in lattices)
-    s, (t, *reps) = _cleared(coords.rows([fields[2], *fields[3]]), dim,
-                             "translate or rep of wrong length")
+    s, (t, *reps) = clear_denominators([fields[2], *fields[3]], dim=dim, _spellings=coords,
+                                       message="translate or rep of wrong length")
     d = lcm(s, ambient.scale, modulus.scale)
     members = [[d // s * (x + y) for x, y in zip(t, r)] for r in reps]
     return CosetSet.__new__(CosetSet)._anchor(
@@ -161,26 +127,28 @@ def _family(dim: int, fields, coords: _Coordinates) -> CosetSet:
 
 
 def symbolic_from_dict(d: dict) -> SymbolicRootSystem:
-    coords = _Coordinates()
+    coords = _Spellings()
     space = _space(d, coords)
-    lifts, families = [], []
+    roots, families = [], []
     built: dict = {}  # each distinct family is built once, keyed by its fields
-    for f in d["families"]:
-        fields = (f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"])
-        try:
-            # equal keys parse to equal data; a key that does not hash is its own
-            key = (tuple(fields[2]), *(tuple(map(tuple, m)) for m in fields[:2] + fields[3:]))
-            hash(key)
-        except TypeError:
-            key = object()
-        if key not in built:
-            built[key] = _family(space.dim, fields, coords)
-        families.append(built[key])
-        lifts += coords.rows([f["root"]])
-    for lift in lifts:
-        space.check_vector(lift)
+    try:
+        for f in d["families"]:
+            fields = (f["latticeBasis"], f["modulusBasis"], f["translate"], f["reps"])
+            try:
+                # equal keys parse to equal data; a key that does not hash is its own
+                key = (tuple(fields[2]), *(tuple(map(tuple, m)) for m in fields[:2] + fields[3:]))
+                hash(key)
+            except TypeError:
+                key = object()
+            if key not in built:
+                built[key] = _family(space.dim, fields, coords)
+            families.append(built[key])
+            roots.append(f["root"])
+    except Exception:
+        coords.rows(roots)  # each root is read before the next family: a bad one raises first
+        raise
     system = SymbolicRootSystem.__new__(SymbolicRootSystem)._take(
-        space, *_cleared(lifts), families)
+        space, *clear_denominators(roots, dim=space.dim, _spellings=coords), families)
     if system.kernel_dim != d["kernelDim"]:
         raise GrrsError("kernelDim field does not match the gram matrix")
     return system
@@ -264,6 +232,8 @@ def document_from_dict(d: dict) -> Payload:
         raise GrrsError(f"unknown document type {t!r}")
     try:
         return codec[2](d["payload"])
+    except NotRational as exc:
+        raise GrrsError(f"malformed document: {exc}") from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GrrsError(f"malformed {t} document: {type(exc).__name__}: {exc}") from None
 

@@ -113,7 +113,6 @@ from grrs.linalg import (
     clear_denominators,
     format_rational,
     format_vector,
-    parse_rational,
     standard_space,
     unit_vector,
     vadd,
@@ -861,10 +860,10 @@ def _rational(x, seen):
     if type(x) is str:
         q = seen.get(x)
         if q is None:
-            q = seen[x] = parse_rational(x)
+            q = seen[x] = Q(x)
         return q
     try:
-        return parse_rational(x)
+        return Q(x)
     except OverflowError:
         raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
 

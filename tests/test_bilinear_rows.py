@@ -5,11 +5,13 @@ common denominator and its radical as integer rows; `gram` and
 `kernel_basis()` are views.  These tests hold the space and the symbolic
 lookups built on it against the `Fraction` code they replaced
 (`fraction_reference.form`, `in_kernel`, `kernel`, `project`, `contains`,
-`family_of_lift`, `entry_for_cl`), and pin the one rule for a vector of the
-wrong length: every public entry that takes a vector raises
-`DimensionMismatch`.
+`family_of_lift`, `entry_for_cl`), and pin the two rules of the one
+reader: every public entry that takes a vector raises `DimensionMismatch`
+on a vector of the wrong length, and `NotRational`, naming the coordinate,
+on an infinite float.
 """
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -17,17 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grrs.catalog import a_nn_x, build, family
+from grrs.catalog import a_nn_x, build, family, real_roots_from_matrix
 from grrs.cli import main
-from grrs.errors import DimensionMismatch, UnknownRoot
+from grrs.errors import DimensionMismatch, GrrsError, NotRational, UnknownRoot
 from grrs.finite import (
-    FiniteRootSystem, generate_subsystem, integral_subsystem, isomorphic_finite,
+    FiniteRootSystem, check_axioms, generate_subsystem, integral_subsystem, isomorphic_finite,
     isotropic_reflect, k_value, reflect,
 )
 from grrs.linalg import (
-    BilinearSpace, Lattice, lattice_from_vectors, vadd, vscale,
+    BilinearSpace, Lattice, lattice_from_vectors, vadd, vec, vscale,
 )
-from grrs.serialize import dumps
+from grrs.serialize import document_to_dict, dumps, loads
 from grrs.symbolic import CosetSet, SymbolicRootSystem, affinize, from_finite, quotient
 
 import fraction_reference as reference
@@ -213,6 +215,84 @@ ENTRIES = _entries()
 def test_a_vector_of_the_wrong_length_raises_dimension_mismatch(name, length, entry):
     with pytest.raises(DimensionMismatch):
         entry((1,) + (0,) * (length - 1))
+
+
+# Each entry once, at the length it accepts: one more than the shorter wrong length.
+RIGHT_LENGTHS = {}
+for _name, _length, _entry in ENTRIES:
+    RIGHT_LENGTHS.setdefault(_name, (_length + 1, _entry))
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_LENGTHS))
+def test_an_infinite_coordinate_raises_not_rational(name):
+    """An infinite float holds no rational: every public entry that takes a
+    vector names the coordinate, and leaks no `OverflowError`."""
+    length, entry = RIGHT_LENGTHS[name]
+    with pytest.raises(NotRational, match="^coordinate inf is not a rational$"):
+        entry((float("inf"),) + (0,) * (length - 1))
+
+
+@pytest.mark.parametrize("read", [BilinearSpace, real_roots_from_matrix, vec],
+                         ids=["BilinearSpace", "real_roots_from_matrix", "vec"])
+def test_an_infinite_matrix_entry_raises_not_rational(read):
+    with pytest.raises(NotRational, match="^coordinate -inf is not a rational$"):
+        read([[1, 0], [0, float("-inf")]] if read is not vec else [0, float("-inf")])
+
+
+def _report_document():
+    space = BilinearSpace([[1, 0], [0, 1]])
+    report = check_axioms(FiniteRootSystem(space, [(1, 0), (-1, 0), (1, 1), (-1, -1)]))
+    doc = document_to_dict(report)
+    axiom = next(a for a in ("gr0", "gr1", "gr2", "gr3", "wgr3") if doc["payload"][a]["witness"])
+    return doc, ("payload", axiom, "witness", 0, 0)
+
+
+@pytest.mark.parametrize("where", ["finite", "symbolic", "report"])
+@pytest.mark.parametrize("token, spelled", [("Infinity", "inf"), ("-Infinity", "-inf"),
+                                            ("1e400", "inf")])
+def test_a_document_names_its_infinite_coordinate(where, token, spelled):
+    """The reader's error reaches `loads` as a malformed document."""
+    doc, at = {
+        "finite": (document_to_dict(build("B2")), ("payload", "roots", 1, 0)),
+        "symbolic": (document_to_dict(affinize(build("A1"), 1)),
+                     ("payload", "families", 0, "reps", 0, 1)),
+        "report": _report_document(),
+    }[where]
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = "@"
+    with pytest.raises(GrrsError) as raised:
+        loads(json.dumps(doc).replace('"@"', token))
+    assert type(raised.value) is GrrsError
+    assert str(raised.value) == f"malformed document: coordinate {spelled} is not a rational"
+
+
+@pytest.mark.parametrize("edits", [
+    {(0, "root", 0): "x", (1, "latticeBasis"): None},  # a bad root, then a missing field
+    {(0, "root", 0): "x", (1, "translate", 0): "y"},  # two bad spellings
+    {(0, "root"): ["0"], (1, "translate", 0): "y"},  # a short root, then a bad spelling
+    {(0, "root", 0): ["0"], (1, "reps"): 5},  # an unhashable coordinate, then no rows
+])
+def test_a_document_reads_each_root_before_the_next_family(edits):
+    """The first fault in document order is the one reported, as the
+    `Fraction` reader reported it, although the reader clears the roots at
+    the end."""
+    doc = document_to_dict(affinize(build("A2"), 1))
+    for (i, *at), value in edits.items():
+        parent = doc["payload"]["families"][i]
+        for key in at[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = value
+    text = json.dumps(doc)
+    with pytest.raises(GrrsError) as expected:
+        reference.loads(text)
+    with pytest.raises(GrrsError) as raised:
+        loads(text)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_the_cli_names_a_wrong_length(tmp_path, capsys):

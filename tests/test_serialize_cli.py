@@ -66,12 +66,11 @@ def test_symbolic_round_trip_preserves_semantics():
 
 
 def test_rational_string_format():
-    from grrs.linalg import format_rational, parse_rational
+    from grrs.linalg import format_rational
     from fractions import Fraction as Q
 
     assert format_rational(Q(3)) == "3"
     assert format_rational(Q(-1, 2)) == "-1/2"
-    assert parse_rational("7/3") == Q(7, 3)
 
 
 class TestCli:

@@ -133,9 +133,9 @@ def test_quotient_pushes_each_family_over_the_image(monkeypatch):
 def _counted(monkeypatch, owner, name, calls):
     fn = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
 
@@ -388,8 +388,10 @@ def test_restricting_e7_pairs_no_ambient_root(monkeypatch):
 
 
 def test_reader_parses_each_spelling_once(monkeypatch):
+    """`loads` reads every coordinate through the one parse of
+    `clear_denominators`, once per distinct spelling of a document."""
     parsed = []
-    _counted(monkeypatch, serialize, "parse_rational", parsed)
+    _counted(monkeypatch, linalg, "_rational", parsed)
     for payload in (build("E6"), build("D(2,1;a=1/2)"), affinize(build("G2"), 2)):
         doc = serialize.document_to_dict(payload)["payload"]
         text = serialize.dumps(payload)
@@ -445,17 +447,18 @@ def test_reader_builds_on_the_integer_entries(monkeypatch):
 
 
 def test_finite_reader_clears_no_fraction_rows(monkeypatch):
-    """`loads` of a finite document clears each matrix on the integers it
-    parsed and enters `FiniteRootSystem._take`: no `clear_denominators` on
-    `Fraction` rows, and no rational `roots` view until one is read."""
+    """`loads` of a finite document clears its Gram matrix and its roots as
+    the spellings it read, and enters `FiniteRootSystem._take`: no
+    `Fraction` row is cleared, and no rational `roots` view is built until
+    one is read."""
     payloads = [build("E6"), build("D(2,1;a=1/2)"), build("BC2")]
     texts = [serialize.dumps(payload) for payload in payloads]
     entered, cleared = [], []
     _counted(monkeypatch, FiniteRootSystem, "_take", entered)
-    for module in (finite, linalg):
-        _counted(monkeypatch, module, "clear_denominators", cleared)
+    _counted(monkeypatch, serialize, "clear_denominators", cleared)
     loaded = [serialize.loads(text) for text in texts]
-    assert len(entered) == 3 and cleared == []
+    assert len(entered) == 3 and len(cleared) == 6
+    assert not any(type(x) is Q for (rows,) in cleared for row in rows for x in row)
     assert all("roots" not in vars(system) for system in loaded)
     assert loaded == payloads and [s.roots for s in loaded] == [p.roots for p in payloads]
 
