@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
@@ -25,6 +24,7 @@ from .linalg import (
     Lattice,
     Vector,
     _int_combination,
+    _Record,
     clear_denominators,
     column_basis,
     hnf_cosets,
@@ -248,8 +248,7 @@ _TYPES: Dict[str, _Type] = {
 }
 
 
-@dataclass(frozen=True)
-class TypeKey:
+class TypeKey(_Record):
     """A parsed type name: its kind, a key of the type table such as
     "B({},{})" for B(m,n) or "A({},{})_f" for A(n,n)_f, and its integer or
     rational parameters.
@@ -258,14 +257,15 @@ class TypeKey:
     spelling of the name.
     """
 
-    kind: str
-    params: Tuple = ()
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        row = _TYPES.get(self.kind)
-        if row is None or self.kind.count("{}") != len(self.params):
-            raise BadParameters(f"no type {self.kind!r} with parameters {self.params}")
-        if not row.valid(*self.params):
+    def __init__(self, kind: str, params: Tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        row = _TYPES.get(kind)
+        if row is None or kind.count("{}") != len(params):
+            raise BadParameters(f"no type {kind!r} with parameters {params}")
+        if not row.valid(*params):
             raise BadParameters(row.needs)
 
     def __str__(self) -> str:

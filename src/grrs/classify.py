@@ -9,7 +9,6 @@ canonicalized discriminating data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache, reduce
 from math import lcm
@@ -25,7 +24,7 @@ from .errors import (
     UnrecognizedCl,
 )
 from .finite import FiniteRootSystem, Homothety, isomorphic_finite
-from .linalg import Lattice, hnf_int
+from .linalg import Lattice, _Record, hnf_int
 from .symbolic import CosetSet, SymbolicRootSystem
 
 
@@ -46,22 +45,20 @@ def _check_k(k: int, least: int = 0):
 # Subsets of F_2^k
 
 
-@dataclass(frozen=True)
-class F2Subset:
+class F2Subset(_Record):
     """A subset of F_2^k as a mask, bit p set for each point p.  Construction
     checks k >= 0 and the range of the mask, without the cap on k."""
 
-    k: int
-    mask: int
+    __slots__ = ("k", "mask")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise BadParameters(f"k = {self.k} is negative: there is no F_2^k")
-        if self.mask < 0 or self.mask.bit_length() > 1 << self.k:
-            top = (1 << (1 << self.k)) - 1 if self.k <= _MAX_K else f"2^{1 << self.k} - 1"
-            raise BadParameters(
-                f"mask {self.mask} is outside the range 0..{top} of subsets of F_2^{self.k}"
-            )
+    def __init__(self, k: int, mask: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mask", mask)
+        if k < 0:
+            raise BadParameters(f"k = {k} is negative: there is no F_2^k")
+        if mask < 0 or mask.bit_length() > 1 << k:
+            top = (1 << (1 << k)) - 1 if k <= _MAX_K else f"2^{1 << k} - 1"
+            raise BadParameters(f"mask {mask} is outside the range 0..{top} of subsets of F_2^{k}")
 
     def points(self) -> Tuple[int, ...]:
         return tuple(_bits(self.mask))
@@ -199,13 +196,15 @@ def canonical_pair(
 # Class descriptors
 
 
-@dataclass(frozen=True)
-class ClassDescriptor:
+class ClassDescriptor(_Record):
     """Canonical label of an isomorphism class of affine systems."""
 
-    cl: str
-    k: int
-    data: Tuple
+    __slots__ = ("cl", "k", "data")
+
+    def __init__(self, cl: str, k: int, data: Tuple):
+        object.__setattr__(self, "cl", cl)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "data", data)
 
     def kind(self) -> str:
         return self.data[0]

@@ -9,7 +9,6 @@ raising, so that defective inputs can be inspected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd
@@ -29,6 +28,7 @@ from .linalg import (
     BilinearSpace,
     Vector,
     _int_combination,
+    _Record,
     clear_denominators,
     column_basis,
     format_vector,
@@ -385,19 +385,24 @@ def isotropic_reflect(system: FiniteRootSystem, alpha: Vector, beta: Vector) -> 
 # Axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    passed: bool
-    witness: Optional[tuple] = None
+class AxiomCheck(_Record):
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: Optional[tuple] = None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    gr0: AxiomCheck
-    gr1: AxiomCheck
-    gr2: AxiomCheck
-    gr3: AxiomCheck
-    wgr3: AxiomCheck
+class AxiomReport(_Record):
+    __slots__ = ("gr0", "gr1", "gr2", "gr3", "wgr3")
+
+    def __init__(self, gr0: AxiomCheck, gr1: AxiomCheck, gr2: AxiomCheck, gr3: AxiomCheck,
+                 wgr3: AxiomCheck):
+        object.__setattr__(self, "gr0", gr0)
+        object.__setattr__(self, "gr1", gr1)
+        object.__setattr__(self, "gr2", gr2)
+        object.__setattr__(self, "gr3", gr3)
+        object.__setattr__(self, "wgr3", wgr3)
 
     @property
     def is_grrs(self) -> bool:

@@ -11,6 +11,10 @@ The two integer kernels, the Gauss-Jordan behind `rref` and the sweeps
 behind `hnf_int`, run once per distinct integer matrix in a process: each
 is memoized on its input as a tuple of int tuples, in a bounded LRU memo,
 and returns tuples that every caller shares and none mutates.
+
+`_Record`, the base of the library's immutable records, lives here because
+every module that defines one imports this one; it keeps `dataclasses` and
+the `inspect` it loads out of `import grrs`.
 """
 
 from __future__ import annotations
@@ -19,13 +23,54 @@ import itertools
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotRational
 
 Vector = Tuple[Q, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
+
+
+class _Record:
+    """Base of the library's small immutable records.  A subclass lists its
+    fields in `__slots__` and sets them in `__init__` with
+    `object.__setattr__`.  Records compare, hash and print as a frozen
+    dataclass does: equal only to a record of the same class with equal
+    fields, hashed as the tuple of their values, shown as
+    `Name(field=value, ...)`; assigning or deleting an attribute raises
+    AttributeError, and copy and pickle rebuild a record through `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field values as one tuple, also for a single field; read as
+        # `self._values(self)`, since neither kind of getter binds
+        get = attrgetter(*cls.__slots__)
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
 
 # Entries kept by the memos of the integer kernels; a pass of any benchmark
 # workload meets fewer distinct matrices than this.
@@ -75,10 +120,12 @@ def format_vector(v: Iterable) -> str:
 
 
 def _rational(x) -> Q:
-    """`Fraction(x)`, the parse of one coordinate; an infinite float raises NotRational."""
+    """`Fraction(x)`, the parse of one coordinate.  Whatever `Fraction` cannot
+    read (an infinite float, NaN, a string such as "x" or "1/0", None)
+    raises NotRational."""
     try:
         return Q(x)
-    except OverflowError:
+    except (OverflowError, ValueError, ZeroDivisionError, TypeError):
         raise NotRational(f"coordinate {x!r} is not a rational") from None
 
 

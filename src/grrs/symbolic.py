@@ -13,7 +13,6 @@ materialized beyond representatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -33,6 +32,7 @@ from .linalg import (
     Lattice,
     SubspaceProjection,
     Vector,
+    _Record,
     clear_denominators,
     column_basis,
     format_vector,
@@ -279,10 +279,12 @@ class CosetSet:
 # Symbolic systems
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
-    lift: Vector
-    family: CosetSet
+class FamilyEntry(_Record):
+    __slots__ = ("lift", "family")
+
+    def __init__(self, lift: Vector, family: CosetSet):
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "family", family)
 
 
 class SymbolicRootSystem:
@@ -604,11 +606,13 @@ def F_of(system: SymbolicRootSystem, cl_root: Vector) -> CosetSet:
     return system.entry_for_cl(cl_root).family
 
 
-@dataclass(frozen=True)
-class GapTable:
+class GapTable(_Record):
     """Gap per lift; None marks classes where no single progression exists."""
 
-    entries: Tuple[Tuple[Vector, Optional[int]], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[Vector, Optional[int]], ...]):
+        object.__setattr__(self, "entries", entries)
 
 
 def gaps(system: SymbolicRootSystem) -> GapTable:

@@ -104,7 +104,7 @@ from grrs import catalog, serialize
 from grrs.catalog import _point
 from grrs.errors import (
     AmbiguousReflection, BadMatrix, GrrsError, IsotropicPresent, MissingImage, NotBijective,
-    OrthogonalSeed, UnknownRoot, UnrecognizedCl,
+    NotRational, OrthogonalSeed, UnknownRoot, UnrecognizedCl,
 )
 from grrs.finite import AxiomCheck, AxiomReport, FiniteRootSystem, _scaled, reflect
 from grrs.linalg import (
@@ -367,7 +367,7 @@ def real_roots_from_matrix(matrix, J=(), height_bound=20):
     """Closure of the unit basis (plus doubled J-entries) under the simple
     reflections of `BilinearSpace(matrix)`, truncated at the given height;
     returns (system, truncated)."""
-    C = [[Q(x) for x in row] for row in matrix]
+    C = [[_q(x) for x in row] for row in matrix]
     n = len(C)
     if any(len(row) != n for row in C):
         raise BadMatrix("matrix is not square")
@@ -856,16 +856,24 @@ def _ser_mat(rows):
     return [[format_rational(x) for x in v] for v in rows]
 
 
-def _rational(x, seen):
-    if type(x) is str:
-        q = seen.get(x)
-        if q is None:
-            q = seen[x] = Q(x)
-        return q
+def _q(x):
+    """`Fraction(x)`; a coordinate it cannot read raises NotRational."""
     try:
         return Q(x)
-    except OverflowError:
-        raise GrrsError(f"malformed document: coordinate {x!r} is not a rational") from None
+    except (OverflowError, ValueError, ZeroDivisionError, TypeError):
+        raise NotRational(f"coordinate {x!r} is not a rational") from None
+
+
+def _rational(x, seen):
+    try:
+        if type(x) is str:
+            q = seen.get(x)
+            if q is None:
+                q = seen[x] = _q(x)
+            return q
+        return _q(x)
+    except NotRational as exc:
+        raise GrrsError(f"malformed document: {exc}") from None
 
 
 def _parse_vec(xs, seen):

@@ -8,11 +8,13 @@ lookups built on it against the `Fraction` code they replaced
 `family_of_lift`, `entry_for_cl`), and pin the two rules of the one
 reader: every public entry that takes a vector raises `DimensionMismatch`
 on a vector of the wrong length, and `NotRational`, naming the coordinate,
-on an infinite float.
+on a coordinate that is not a rational (an infinite float, NaN, a string
+such as "x" or "1/0", None).
 """
 
 import json
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -223,20 +225,29 @@ for _name, _length, _entry in ENTRIES:
     RIGHT_LENGTHS.setdefault(_name, (_length + 1, _entry))
 
 
+# Coordinates that hold no rational, with their spelling in the error: what
+# `Fraction` refuses with OverflowError, ValueError, ZeroDivisionError and TypeError.
+NOT_RATIONAL = [(float("inf"), "inf"), (float("nan"), "nan"), ("x", "'x'"), ("1/0", "'1/0'"),
+                (None, "None")]
+
+
+@pytest.mark.parametrize("x, spelled", NOT_RATIONAL, ids=[s for _, s in NOT_RATIONAL])
 @pytest.mark.parametrize("name", sorted(RIGHT_LENGTHS))
-def test_an_infinite_coordinate_raises_not_rational(name):
-    """An infinite float holds no rational: every public entry that takes a
-    vector names the coordinate, and leaks no `OverflowError`."""
+def test_a_coordinate_that_is_not_a_rational_raises_not_rational(name, x, spelled):
+    """Every public entry that takes a vector names the coordinate, and
+    leaks none of the errors of `Fraction`."""
     length, entry = RIGHT_LENGTHS[name]
-    with pytest.raises(NotRational, match="^coordinate inf is not a rational$"):
-        entry((float("inf"),) + (0,) * (length - 1))
+    with pytest.raises(NotRational, match=f"^coordinate {re.escape(spelled)} is not a rational$"):
+        entry((x,) + (0,) * (length - 1))
 
 
+@pytest.mark.parametrize("x, spelled", [(float("-inf"), "-inf"), ("0/0", "'0/0'")],
+                         ids=["-inf", "0/0"])
 @pytest.mark.parametrize("read", [BilinearSpace, real_roots_from_matrix, vec],
                          ids=["BilinearSpace", "real_roots_from_matrix", "vec"])
-def test_an_infinite_matrix_entry_raises_not_rational(read):
-    with pytest.raises(NotRational, match="^coordinate -inf is not a rational$"):
-        read([[1, 0], [0, float("-inf")]] if read is not vec else [0, float("-inf")])
+def test_a_matrix_entry_that_is_not_a_rational_raises_not_rational(read, x, spelled):
+    with pytest.raises(NotRational, match=f"^coordinate {re.escape(spelled)} is not a rational$"):
+        read([[1, 0], [0, x]] if read is not vec else [0, x])
 
 
 def _report_document():
@@ -249,8 +260,9 @@ def _report_document():
 
 @pytest.mark.parametrize("where", ["finite", "symbolic", "report"])
 @pytest.mark.parametrize("token, spelled", [("Infinity", "inf"), ("-Infinity", "-inf"),
-                                            ("1e400", "inf")])
-def test_a_document_names_its_infinite_coordinate(where, token, spelled):
+                                            ("1e400", "inf"), ("NaN", "nan"),
+                                            ('"1/0"', "'1/0'")])
+def test_a_document_names_a_coordinate_that_is_not_a_rational(where, token, spelled):
     """The reader's error reaches `loads` as a malformed document."""
     doc, at = {
         "finite": (document_to_dict(build("B2")), ("payload", "roots", 1, 0)),
@@ -300,6 +312,17 @@ def test_the_cli_names_a_wrong_length(tmp_path, capsys):
     path.write_text(dumps(affinize(build("A2"), 1)))
     assert main(["quotient", str(path), "--vector", "0,1"]) == 2
     assert capsys.readouterr().err == "error: vector of length 2 in dim 3\n"
+
+
+@pytest.mark.parametrize("command", [["quotient", "@", "--vector", "0,0,1/0"],
+                                     ["realroots", "--matrix", "[[2,1/0],[1/0,2]]"]],
+                         ids=["quotient", "realroots"])
+def test_the_cli_names_a_zero_denominator(tmp_path, capsys, command):
+    """Bad input exits 2, not 5 as an internal error."""
+    path = tmp_path / "a2.json"
+    path.write_text(dumps(affinize(build("A2"), 1)))
+    assert main([str(path) if arg == "@" else arg for arg in command]) == 2
+    assert capsys.readouterr().err == "error: coordinate '1/0' is not a rational\n"
 
 
 def test_the_reader_takes_any_iterables():

@@ -102,7 +102,7 @@ def test_integer_closure_matches_fraction_reference():
         assert got == want, (matrix, J, height)
         kinds.add(got[-1] if isinstance(got[-1], bool) else got[0].__name__)
     # the set reaches closed and truncated systems and both kinds of error
-    assert kinds == {False, True, "BadMatrix", "ValueError"}
+    assert kinds == {False, True, "BadMatrix", "NotRational"}
 
 
 def test_e8_closes_to_240_roots_like_the_reference():
